@@ -16,7 +16,7 @@ from .certify import (
     label_difference_transform,
     minimize_delta,
 )
-from .collective import RobustLimitVector, compute_robust_limits, max_robust_limit
+from .collective import RobustLimitVector, compute_robust_limits
 from .errors import DataError, DimensionError, GcnCertError, OracleInfeasibleError
 from .graph import GcnLayer, GcnModel, Graph, Prediction, forward, normalize_adjacency, predict
 from .intervals import (

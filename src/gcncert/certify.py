@@ -17,17 +17,25 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import DataError
-from .graph import GcnModel, Graph, forward, normalize_adjacency, predict
-from .intervals import IntervalElement, interval_layer_bounds
+from .graph import GcnModel, Graph, forward, predict
+from .intervals import interval_layer_bounds
 from .perturbation import EMPTY_FLIPSET, FlipSet, PerturbationBudget, apply_flips, sign_matrix
 from .polyhedra import PolyNodeElement, back_substitute, linear_poly
 
 MODES = ("both", "add-only", "delete-only")
+
+
+def _map_in_order(fn: Callable, items: Iterable, threads: int) -> list:
+    """``[fn(item) for item in items]``, on a pool of ``threads`` threads when above one."""
+    if threads == 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -54,7 +62,6 @@ class Counterexample:
     node: int
     flips: FlipSet
     flipped_label: int
-    verified: bool
 
 
 def label_difference_transform(
@@ -128,16 +135,13 @@ def certify_sound(
     mode: str = "both",
     threads: int = 1,
     unstable_lower_slope: float = 0.0,
-    layer_bounds: Sequence[IntervalElement] | None = None,
 ) -> list[NodeJudgment]:
     """Judgments for the requested nodes (all by default); certified => robust.
 
     ``labels`` overrides the labels to defend (defaults to the model's own
     predictions); robust training uses this to target ground-truth labels.
     """
-    norm_adj = normalize_adjacency(graph)
-    if layer_bounds is None:
-        layer_bounds = interval_layer_bounds(model, graph, budget, variant)
+    layer_bounds = interval_layer_bounds(model, graph, budget, variant)
     if labels is None:
         labels = predict(model, graph).labels
     if nodes is None:
@@ -147,8 +151,7 @@ def certify_sound(
 
     def judge(node: int) -> NodeJudgment:
         elem = back_substitute(
-            model, graph, norm_adj, node, layer_bounds,
-            unstable_lower_slope=unstable_lower_slope,
+            model, graph, node, layer_bounds, unstable_lower_slope=unstable_lower_slope
         )
         label = int(labels[node])
         rival_margins: dict[int, float] = {}
@@ -170,10 +173,7 @@ def certify_sound(
             rival_flips=rival_flips,
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(judge, nodes))
-    return [judge(node) for node in nodes]
+    return _map_in_order(judge, nodes, threads)
 
 
 def generate_counterexample(
@@ -190,7 +190,6 @@ def generate_counterexample(
     """
     if judgment.certified:
         return None
-    norm_adj = normalize_adjacency(graph)
     candidates = sorted(
         (margin, rival)
         for rival, margin in judgment.rival_margins.items()
@@ -203,10 +202,10 @@ def generate_counterexample(
         if not flips.within(budget):
             raise AssertionError("minimizer produced an out-of-budget flip set")
         perturbed = apply_flips(graph.features, flips)
-        scores = forward(model, norm_adj, perturbed)
+        scores = forward(model, graph.norm_adj, perturbed)
         new_label = int(np.argmax(scores[judgment.node]))
         if new_label != judgment.label:
-            return Counterexample(judgment.node, flips, new_label, verified=True)
+            return Counterexample(judgment.node, flips, new_label)
     return None
 
 
@@ -219,15 +218,9 @@ def find_counterexamples(
 ) -> dict[int, Counterexample]:
     """Verified counterexamples keyed by node, searching non-certified nodes only."""
     open_nodes = [j for j in judgments if not j.certified]
-
-    def search(judgment: NodeJudgment) -> Counterexample | None:
-        return generate_counterexample(model, graph, budget, judgment)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            found = list(pool.map(search, open_nodes))
-    else:
-        found = [search(j) for j in open_nodes]
+    found = _map_in_order(
+        lambda j: generate_counterexample(model, graph, budget, j), open_nodes, threads
+    )
     return {ce.node: ce for ce in found if ce is not None}
 
 

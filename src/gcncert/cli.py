@@ -38,9 +38,30 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}")
 
 
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value" messages
+    return parse
+
+
 def _split_method(method: str) -> tuple[str, str]:
     family, variant = method.split("-", 1)
     return family, variant
+
+
+def _check_mode(args) -> None:
+    """Only the poly certifiers restrict flips by direction; reject a mode that would be ignored."""
+    if args.mode != "both" and (args.command == "oracle" or args.method.startswith("interval-")):
+        ignorer = "the oracle" if args.command == "oracle" else args.method
+        raise _UsageError(f"{args.command}: --mode {args.mode} is not supported by {ignorer}, "
+                          "which flips features in both directions")
 
 
 @contextlib.contextmanager
@@ -170,6 +191,8 @@ def _load_labels(path: str, num_nodes: int) -> np.ndarray:
 
 
 def cmd_train(args) -> int:
+    if args.output is None:
+        raise _UsageError("train: --output is required (checkpoint destination)")
     graph, model = _load_inputs(args)
     budget = _budget(args)
     family, variant = _split_method(args.method)
@@ -185,8 +208,6 @@ def cmd_train(args) -> int:
         if args.verbose
         else None,
     )
-    if args.output is None:
-        raise _UsageError("train: --output is required (checkpoint destination)")
     fileio.save_model(trained, args.output)
     return 0
 
@@ -212,7 +233,7 @@ def build_parser() -> _Parser:
                         help="restrict flips to feature additions or deletions")
     common.add_argument("--output", help="output path (default: stdout)")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=1)
+    common.add_argument("--threads", type=_int_at_least(1), default=1)
 
     parser = _Parser(prog="gcncert", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -234,9 +255,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", parents=[common], help="robust training, writes a checkpoint")
     p.add_argument("--labels", required=True, help="JSON list of labels, -1 = unlabeled")
     p.add_argument("--loss", choices=("hinge", "bce"), default="hinge")
-    p.add_argument("--steps", type=int, default=100)
+    p.add_argument("--steps", type=_int_at_least(0), default=100)
     p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--batch-size", type=int, default=None)
+    p.add_argument("--batch-size", type=_int_at_least(1), default=None)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_train)
 
@@ -251,10 +272,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    try:
+        _check_mode(args)
         return args.func(args)
     except _UsageError as exc:
         print(exc, file=sys.stderr)

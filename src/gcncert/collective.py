@@ -4,12 +4,14 @@ The limit for a node is the largest total flip budget at which the sound
 certifier still certifies it. The search is a plain incremental walk: the
 certifier's judgment is not proven monotone in the budget, so walking up from
 zero and stopping at the first failure is the faithful reading and guarantees
-certification at every budget up to the returned limit.
+certification at every budget up to the returned limit. The walk runs budget
+by budget over the whole graph: each total budget makes one certifier call on
+the nodes still certified at every smaller budget, so the interval bounds of
+a budget are computed once for all of its nodes.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,50 +34,6 @@ class RobustLimitVector:
     search_cap: int
 
 
-def _certified_at(
-    model: GcnModel,
-    graph: Graph,
-    budget: PerturbationBudget,
-    node: int,
-    family: str,
-    variant: str,
-    mode: str,
-) -> bool:
-    if family == "poly":
-        judgment = certify_sound(model, graph, budget, variant, nodes=[node], mode=mode)[0]
-        return judgment.certified
-    if family == "interval":
-        return bool(interval_certify(model, graph, budget, variant)[node] > 0)
-    raise DataError(f"unknown certifier family {family!r}, expected one of {FAMILIES}")
-
-
-def max_robust_limit(
-    model: GcnModel,
-    graph: Graph,
-    local_budget: int,
-    node: int,
-    cap: int = 100,
-    variant: str = "topk",
-    family: str = "poly",
-    mode: str = "both",
-) -> tuple[int, bool]:
-    """(limit, never_certified) for one node; certification holds at every step.
-
-    Walks total budgets 0, 1, 2, ... while the node stays certified and
-    returns the last certified budget. A node not certified even at budget 0
-    reports limit 0 with the never-certified flag.
-    """
-    if cap < 0:
-        raise DataError("search cap must be non-negative")
-    for total in range(cap + 1):
-        budget = PerturbationBudget(per_node=local_budget, total=total)
-        if not _certified_at(model, graph, budget, node, family, variant, mode):
-            if total == 0:
-                return 0, True
-            return total - 1, False
-    return cap, False
-
-
 def compute_robust_limits(
     model: GcnModel,
     graph: Graph,
@@ -86,17 +44,33 @@ def compute_robust_limits(
     mode: str = "both",
     threads: int = 1,
 ) -> RobustLimitVector:
-    """Limit vector over all nodes; per-node searches are independent."""
+    """Limit vector over all nodes; certification holds at every budget up to each limit.
 
-    def search(node: int) -> tuple[int, bool]:
-        return max_robust_limit(model, graph, local_budget, node, cap, variant, family, mode)
-
-    nodes = range(graph.num_nodes)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(search, nodes))
-    else:
-        results = [search(node) for node in nodes]
-    limits = np.array([limit for limit, _ in results], dtype=np.int64)
-    never = np.array([flag for _, flag in results], dtype=bool)
+    Walks total budgets 0, 1, ..., ``cap``. A node's limit is the last budget
+    before its first failure; a node not certified even at budget 0 reports
+    limit 0 with the never-certified flag, and one that never fails reports
+    ``cap``. The walk stops once every node has failed.
+    """
+    if family not in FAMILIES:
+        raise DataError(f"unknown certifier family {family!r}, expected one of {FAMILIES}")
+    if cap < 0:
+        raise DataError("search cap must be non-negative")
+    limits = np.full(graph.num_nodes, cap, dtype=np.int64)
+    never = np.zeros(graph.num_nodes, dtype=bool)
+    surviving = np.arange(graph.num_nodes)
+    for total in range(cap + 1):
+        if len(surviving) == 0:
+            break
+        budget = PerturbationBudget(per_node=local_budget, total=total)
+        if family == "poly":
+            judgments = certify_sound(
+                model, graph, budget, variant, nodes=surviving.tolist(), mode=mode, threads=threads
+            )
+            certified = np.array([j.certified for j in judgments], dtype=bool)
+        else:
+            certified = interval_certify(model, graph, budget, variant)[surviving] > 0
+        failed = surviving[~certified]
+        limits[failed] = max(total - 1, 0)
+        never[failed] = total == 0
+        surviving = surviving[certified]
     return RobustLimitVector(limits=limits, never_certified=never, search_cap=cap)

@@ -3,11 +3,15 @@
 A classifier applies, per layer, graph convolution with the normalized
 adjacency, an affine map, and ReLU; the final layer stays linear so output
 scores keep their sign and margins between labels are meaningful.
+
+A ``Graph`` owns its normalized adjacency Ã: ``graph.norm_adj`` is computed on
+first use and shared, read-only, by every certifier, replay and the oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +53,13 @@ class Graph:
     def num_nodes(self) -> int:
         return self.adjacency.shape[0]
 
+    @cached_property
+    def norm_adj(self) -> np.ndarray:
+        """Ã = normalize_adjacency(self), computed once and read-only."""
+        norm_adj = normalize_adjacency(self)
+        norm_adj.flags.writeable = False
+        return norm_adj
+
     @property
     def num_features(self) -> int:
         return self.features.shape[1]
@@ -68,6 +79,8 @@ class GcnLayer:
             raise DimensionError(
                 f"layer bias must have length {w.shape[1]}, got shape {b.shape}"
             )
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise DataError("layer weight and bias must be finite (no NaN or infinity)")
         object.__setattr__(self, "weight", w)
         object.__setattr__(self, "bias", b)
 
@@ -141,5 +154,5 @@ def forward(model: GcnModel, norm_adj: np.ndarray, features: np.ndarray) -> np.n
 
 
 def predict(model: GcnModel, graph: Graph) -> Prediction:
-    scores = forward(model, normalize_adjacency(graph), graph.features)
+    scores = forward(model, graph.norm_adj, graph.features)
     return Prediction(scores=scores, labels=np.argmax(scores, axis=1))

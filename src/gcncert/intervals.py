@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DimensionError
-from .graph import GcnModel, Graph, normalize_adjacency, predict
+from .graph import GcnModel, Graph, predict
 from .perturbation import PerturbationBudget, sign_matrix
 
 VARIANTS = ("topk", "max")
@@ -54,7 +54,7 @@ def interval_input_abstraction(
     deviation by ``total`` times the single best scaled candidate.
     """
     _check_variant(variant)
-    norm_adj = normalize_adjacency(graph)
+    norm_adj = graph.norm_adj
     layer0 = model.layers[0]
     x = graph.features.astype(np.float64)
     if x.shape[1] != model.input_width:
@@ -125,11 +125,10 @@ def interval_layer_bounds(
     variant: str = "topk",
 ) -> list[IntervalElement]:
     """Pre-activation interval bounds for every layer, output layer last."""
-    norm_adj = normalize_adjacency(graph)
     bounds = [interval_input_abstraction(model, graph, budget, variant)]
     for layer in model.layers[1:]:
         elem = relu_interval(bounds[-1])
-        elem = gc_interval(elem, norm_adj)
+        elem = gc_interval(elem, graph.norm_adj)
         bounds.append(linear_interval(elem, layer.weight, layer.bias))
     return bounds
 

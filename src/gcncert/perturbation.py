@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import DataError, OracleInfeasibleError
-from .graph import GcnModel, Graph, normalize_adjacency, predict
+from .graph import GcnModel, Graph, predict
 
 DEFAULT_ORACLE_CAP = 10_000_000
 ORACLE_CAP_ENV = "GCNCERT_ORACLE_CAP"
@@ -142,24 +142,23 @@ def _iter_changed_labels(
     cap: int | None,
 ) -> Iterator[tuple[list[FlipSet], np.ndarray]]:
     """Yield (flip sets, per-node label-changed flags) in batches."""
-    norm_adj = normalize_adjacency(graph)
     base_labels = predict(model, graph).labels
     pending: list[FlipSet] = []
     for flips in enumerate_perturbations(graph.features, budget, cap):
         pending.append(flips)
         if len(pending) == _FORWARD_CHUNK:
-            yield pending, _changed_flags(model, graph, norm_adj, base_labels, pending)
+            yield pending, _changed_flags(model, graph, base_labels, pending)
             pending = []
     if pending:
-        yield pending, _changed_flags(model, graph, norm_adj, base_labels, pending)
+        yield pending, _changed_flags(model, graph, base_labels, pending)
 
 
-def _changed_flags(model, graph, norm_adj, base_labels, flip_sets) -> np.ndarray:
+def _changed_flags(model, graph, base_labels, flip_sets) -> np.ndarray:
     batch = np.repeat(graph.features[None, :, :], len(flip_sets), axis=0)
     for b, flips in enumerate(flip_sets):
         for i, j in flips:
             batch[b, i, j] = 1 - batch[b, i, j]
-    scores = _forward_batch(model, norm_adj, batch)
+    scores = _forward_batch(model, graph.norm_adj, batch)
     return np.argmax(scores, axis=2) != base_labels[None, :]
 
 

@@ -10,7 +10,9 @@ Two equivalent execution paths exist. ``forward_poly_propagation`` pushes full
 elements through the layers for every node at once. ``back_substitute`` starts
 from one node's output scores and rewrites them backwards through the layers,
 touching only the node's own receptive field; it is the reference path and the
-forward pass doubles as its test oracle.
+forward pass doubles as its test oracle. ``back_substitute`` reads Ã from the
+graph and takes its interval pre-activation bounds from the caller, which
+computes them once per budget and shares them across all of its nodes.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ import numpy as np
 
 from .errors import DataError, DimensionError
 from .graph import GcnModel, Graph
-from .intervals import IntervalElement, interval_layer_bounds
-from .perturbation import PerturbationBudget
+from .intervals import IntervalElement
 
 
 @dataclass(frozen=True)
@@ -220,12 +221,9 @@ def forward_poly_propagation(
 def back_substitute(
     model: GcnModel,
     graph: Graph,
-    norm_adj: np.ndarray,
     node: int,
-    layer_bounds: Sequence[IntervalElement] | None = None,
+    layer_bounds: Sequence[IntervalElement],
     *,
-    budget: PerturbationBudget | None = None,
-    variant: str = "topk",
     unstable_lower_slope: float = 0.0,
 ) -> PolyNodeElement:
     """Output-layer element of one node, derived backwards through the layers.
@@ -238,13 +236,9 @@ def back_substitute(
     but never materializes elements outside the node's receptive field: the
     node front only widens by one hop per layer.
 
-    Interval pre-activation bounds are taken from ``layer_bounds`` or computed
-    from ``budget`` and ``variant``.
+    ``layer_bounds`` holds the interval pre-activation bounds of every layer
+    (``interval_layer_bounds``) under the budget being certified.
     """
-    if layer_bounds is None:
-        if budget is None:
-            raise DataError("back_substitute needs layer_bounds or a budget to derive them")
-        layer_bounds = interval_layer_bounds(model, graph, budget, variant)
     if not 0 <= node < graph.num_nodes:
         raise DataError(f"node {node} out of range")
     rows = model.num_labels
@@ -286,8 +280,8 @@ def back_substitute(
             up_on_up @ w_neg + up_on_lo @ w_pos,
         )
         # cross graph convolution: g = Ã h, widening the front by one hop
-        new_front = np.unique(np.nonzero(norm_adj[front] > 0)[1])
-        adj_sub = norm_adj[np.ix_(front, new_front)]
+        new_front = np.unique(np.nonzero(graph.norm_adj[front] > 0)[1])
+        adj_sub = graph.norm_adj[np.ix_(front, new_front)]
         lo_on_lo = np.einsum("rkj,kK->rKj", lo_on_lo, adj_sub)
         lo_on_up = np.einsum("rkj,kK->rKj", lo_on_up, adj_sub)
         up_on_up = np.einsum("rkj,kK->rKj", up_on_up, adj_sub)

@@ -144,7 +144,7 @@ def test_criterion_5_back_substitution_equivalence():
         norm = gc.normalize_adjacency(graph)
         fwd = forward_poly_propagation(model, graph, norm, bounds)
         for node in range(graph.num_nodes):
-            back = gc.back_substitute(model, graph, norm, node, bounds)
+            back = gc.back_substitute(model, graph, node, bounds)
             ref = fwd[node]
             assert back.var_nodes.tolist() == ref.var_nodes.tolist()
             for name in ("lower_coef", "lower_const", "upper_coef", "upper_const"):

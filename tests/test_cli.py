@@ -173,11 +173,68 @@ def test_train_roundtrip(tmp_path):
     assert out.read_text() == out2.read_text()
 
 
-def test_train_requires_output(tmp_path):
+def _never_train(*args, **kwargs):
+    raise AssertionError("training must not start")
+
+
+def test_train_requires_output(tmp_path, monkeypatch):
     labels_path = tmp_path / "labels.json"
     labels_path.write_text(json.dumps([1, 1]))
+    monkeypatch.setattr("gcncert.cli.train_robust", _never_train)
     assert main(["train", "--graph", GRAPH, "--model", MODEL, "--steps", "1",
                  "--labels", str(labels_path)]) == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["--steps", "-1"],
+    ["--batch-size", "0"],
+    ["--batch-size", "-1"],
+])
+def test_train_rejects_bad_flags_before_training(tmp_path, monkeypatch, flags):
+    labels_path = tmp_path / "labels.json"
+    labels_path.write_text(json.dumps([1, 1]))
+    monkeypatch.setattr("gcncert.cli.train_robust", _never_train)
+    out = tmp_path / "trained.json"
+    assert main(["train", "--graph", GRAPH, "--model", MODEL, "--labels", str(labels_path),
+                 "--output", str(out)] + flags) == 1
+    assert not out.exists()
+
+
+def test_train_with_nan_learning_rate_writes_no_checkpoint(tmp_path):
+    labels_path = tmp_path / "labels.json"
+    labels_path.write_text(json.dumps([1, -1]))
+    out = tmp_path / "trained.json"
+    assert main(["train", "--graph", GRAPH, "--model", MODEL, "--steps", "2", "--lr", "nan",
+                 "--labels", str(labels_path), "--output", str(out)]) != 0
+    assert not out.exists()
+
+
+def test_certify_rejects_non_finite_model(tmp_path):
+    doc = json.loads(Path(MODEL).read_text())
+    doc["layers"][0]["bias"][0] = float("nan")
+    bad = tmp_path / "nan_model.json"
+    bad.write_text(json.dumps(doc))
+    assert "NaN" in bad.read_text()  # the bare literal that Python's JSON parser accepts
+    out = tmp_path / "r.csv"
+    assert main(["certify", "--graph", GRAPH, "--model", str(bad), "--output", str(out)]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["certify", "--threads", "0"],
+    ["certify", "--threads", "-3"],
+    ["counterexample", "--threads", "0"],
+    ["certify", "--method", "interval-topk", "--mode", "add-only"],
+    ["sweep", "--method", "interval-max", "--mode", "delete-only", "--global-range", "0:2"],
+    ["collective", "--method", "interval-topk", "--mode", "add-only"],
+    ["oracle", "--mode", "add-only"],
+    ["oracle", "--mode", "delete-only"],
+])
+def test_ignored_flags_are_usage_errors(monkeypatch, args):
+    def never_load(path):
+        raise AssertionError("inputs must not be loaded")
+
+    monkeypatch.setattr(fileio, "load_graph", never_load)
+    assert main(args + ["--graph", GRAPH, "--model", MODEL]) == 1
 
 
 def test_train_bad_labels_file(tmp_path):

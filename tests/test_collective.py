@@ -2,21 +2,46 @@ import numpy as np
 import pytest
 
 import gcncert as gc
+import gcncert.collective
+import gcncert.graph
 import helpers
 
 
-def test_limit_matches_direct_budget_walk(rng):
-    graph, model, _ = helpers.trained_instance(rng)
-    cap = 5
-    for node in range(graph.num_nodes):
-        limit, never = gc.max_robust_limit(model, graph, 1, node, cap=cap)
-        expected, expected_never = cap, False
-        for total in range(cap + 1):
-            budget = gc.PerturbationBudget(1, total)
-            if not gc.certify_sound(model, graph, budget, nodes=[node])[0].certified:
-                expected, expected_never = max(total - 1, 0), total == 0
-                break
-        assert (limit, never) == (expected, expected_never)
+def _per_node_walk(model, graph, node, cap, family):
+    """Reference: walk one node's budgets up from zero with its own certifier calls."""
+    for total in range(cap + 1):
+        budget = gc.PerturbationBudget(1, total)
+        if family == "poly":
+            certified = gc.certify_sound(model, graph, budget, nodes=[node])[0].certified
+        else:
+            certified = gc.interval_certify(model, graph, budget)[node] > 0
+        if not certified:
+            return max(total - 1, 0), total == 0
+    return cap, False
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("family", ["poly", "interval"])
+def test_limit_matches_direct_budget_walk(rng, family):
+    # the budget-outer walk over the whole graph equals one walk per node
+    for _ in range(3):
+        graph, model, _ = helpers.trained_instance(rng)
+        cap = 5
+        limits = gc.compute_robust_limits(model, graph, 1, cap=cap, family=family)
+        for node in range(graph.num_nodes):
+            got = (int(limits.limits[node]), bool(limits.never_certified[node]))
+            assert got == _per_node_walk(model, graph, node, cap, family)
 
 
 def test_certified_at_every_budget_up_to_limit(rng):
@@ -30,17 +55,19 @@ def test_certified_at_every_budget_up_to_limit(rng):
             assert gc.certify_sound(model, graph, budget, nodes=[node])[0].certified
 
 
-def test_never_certified_flag_for_tied_scores():
+def test_never_certified_flag_for_tied_scores(monkeypatch):
     graph = gc.Graph(adjacency=np.zeros((1, 1), dtype=int), features=np.array([[1]]))
     model = gc.GcnModel((gc.GcnLayer(np.array([[1.0, 1.0]]), np.zeros(2)),))
-    limit, never = gc.max_robust_limit(model, graph, 1, 0, cap=3)
-    assert limit == 0 and never
+    calls = _count_calls(monkeypatch, gcncert.collective, "certify_sound")
+    limits = gc.compute_robust_limits(model, graph, 1, cap=3)
+    assert limits.limits[0] == 0 and limits.never_certified[0]
+    assert len(calls) == 1  # the walk stops once no node is left
 
 
 def test_two_node_limit_at_least_one(two_node):
     graph, model = two_node
-    limit, never = gc.max_robust_limit(model, graph, 1, 0, cap=4)
-    assert not never and limit >= 1
+    limits = gc.compute_robust_limits(model, graph, 1, cap=4)
+    assert not limits.never_certified[0] and limits.limits[0] >= 1
 
 
 def test_limits_never_exceed_oracle(rng):
@@ -59,8 +86,8 @@ def test_cap_reported_for_permanently_robust_node():
     # constant positive margin that no flip can touch: the walk hits the cap
     graph = gc.Graph(adjacency=np.zeros((1, 1), dtype=int), features=np.array([[1]]))
     model = gc.GcnModel((gc.GcnLayer(np.array([[0.0, 0.0]]), np.array([0.3, 0.0])),))
-    limit, never = gc.max_robust_limit(model, graph, 1, 0, cap=7)
-    assert limit == 7 and not never
+    limits = gc.compute_robust_limits(model, graph, 1, cap=7)
+    assert limits.limits[0] == 7 and not limits.never_certified[0]
 
 
 def test_interval_family_limits(rng):
@@ -68,7 +95,9 @@ def test_interval_family_limits(rng):
     limits = gc.compute_robust_limits(model, graph, 1, cap=3, family="interval")
     assert ((limits.limits >= 0) & (limits.limits <= 3)).all()
     with pytest.raises(gc.DataError):
-        gc.max_robust_limit(model, graph, 1, 0, family="zonotope")
+        gc.compute_robust_limits(model, graph, 1, family="zonotope")
+    with pytest.raises(gc.DataError):
+        gc.compute_robust_limits(model, graph, 1, cap=-1)
 
 
 def test_threads_do_not_change_limits(rng):
@@ -77,3 +106,28 @@ def test_threads_do_not_change_limits(rng):
     b = gc.compute_robust_limits(model, graph, 1, cap=3, threads=4)
     assert np.array_equal(a.limits, b.limits)
     assert np.array_equal(a.never_certified, b.never_certified)
+
+
+@pytest.mark.parametrize("family", ["poly", "interval"])
+def test_one_certifier_call_per_budget(monkeypatch, family):
+    # ten nodes that stay certified up to the cap: one call per budget, not per node
+    graph = gc.Graph(adjacency=np.zeros((10, 10), dtype=int),
+                     features=np.ones((10, 1), dtype=int))
+    model = gc.GcnModel((gc.GcnLayer(np.array([[0.0, 0.0]]), np.array([0.3, 0.0])),))
+    poly_calls = _count_calls(monkeypatch, gcncert.collective, "certify_sound")
+    interval_calls = _count_calls(monkeypatch, gcncert.collective, "interval_certify")
+    cap = 3
+    limits = gc.compute_robust_limits(model, graph, 1, cap=cap, family=family)
+    assert (limits.limits == cap).all()
+    assert len(poly_calls) + len(interval_calls) <= cap + 1
+
+
+def test_graph_is_normalized_once(monkeypatch):
+    graph, model, budget = helpers.flip_moves_label_example()
+    calls = _count_calls(monkeypatch, gcncert.graph, "normalize_adjacency")
+    judgments = gc.certify_sound(model, graph, budget, threads=2)
+    counterexamples = gc.find_counterexamples(model, graph, budget, judgments, threads=2)
+    assert counterexamples  # replay ran and read Ã
+    gc.compute_robust_limits(model, graph, 1, cap=3)
+    gc.compute_robust_limits(model, graph, 1, cap=3, family="interval")
+    assert len(calls) == 1

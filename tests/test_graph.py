@@ -35,6 +35,15 @@ def test_normalize_symmetric_and_unit_range(rng):
         assert (norm >= 0).all() and (norm <= 1).all()
 
 
+def test_norm_adj_is_cached_and_read_only(two_node):
+    graph, _ = two_node
+    assert graph.norm_adj is graph.norm_adj
+    assert np.array_equal(graph.norm_adj, gc.normalize_adjacency(graph))
+    assert not graph.norm_adj.flags.writeable
+    with pytest.raises(ValueError):
+        graph.norm_adj[0, 0] = 1.0
+
+
 def test_forward_two_node_scores(two_node):
     graph, model = two_node
     scores = gc.forward(model, gc.normalize_adjacency(graph), graph.features)
@@ -133,3 +142,12 @@ def test_model_rejects_broken_chain():
         ))
     with pytest.raises(gc.DimensionError):
         gc.GcnLayer(np.zeros((3, 2)), np.zeros(3))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", ["weight", "bias"])
+def test_layer_rejects_non_finite_parameters(part, value):
+    weight, bias = np.ones((2, 2)), np.zeros(2)
+    (weight if part == "weight" else bias)[-1] = value
+    with pytest.raises(gc.DataError):
+        gc.GcnLayer(weight, bias)

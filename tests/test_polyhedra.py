@@ -189,7 +189,7 @@ def test_back_substitute_matches_forward(rng):
         norm = gc.normalize_adjacency(graph)
         fwd = forward_poly_propagation(model, graph, norm, bounds)
         for node in range(graph.num_nodes):
-            back = gc.back_substitute(model, graph, norm, node, bounds)
+            back = gc.back_substitute(model, graph, node, bounds)
             ref = fwd[node]
             assert back.var_nodes.tolist() == ref.var_nodes.tolist()
             assert np.allclose(back.lower_coef, ref.lower_coef, atol=1e-9)
@@ -198,21 +198,10 @@ def test_back_substitute_matches_forward(rng):
             assert np.allclose(back.upper_const, ref.upper_const, atol=1e-9)
 
 
-def test_back_substitute_derives_bounds_when_given_budget(two_node):
-    graph, model = two_node
-    norm = gc.normalize_adjacency(graph)
-    budget = gc.PerturbationBudget(1, 1)
-    explicit = gc.back_substitute(model, graph, norm, 0, gc.interval_layer_bounds(model, graph, budget))
-    derived = gc.back_substitute(model, graph, norm, 0, budget=budget)
-    assert np.allclose(explicit.lower_coef, derived.lower_coef)
-    with pytest.raises(gc.DataError):
-        gc.back_substitute(model, graph, norm, 0)
-
-
 def test_two_node_score_difference_is_exact(two_node):
     graph, model = two_node
-    norm = gc.normalize_adjacency(graph)
-    elem = gc.back_substitute(model, graph, norm, 0, budget=gc.PerturbationBudget(1, 1))
+    bounds = gc.interval_layer_bounds(model, graph, gc.PerturbationBudget(1, 1))
+    elem = gc.back_substitute(model, graph, 0, bounds)
     delta = gc.label_difference_transform(elem, 1, 0)
     expected = np.array([[0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.5, 0.0]])
     assert np.allclose(delta.lower_coef, expected, atol=1e-9)
@@ -268,7 +257,7 @@ def test_exact_when_all_relus_stable(rng):
         assert all((b.lower >= 0).all() for b in bounds[:-1])
         norm = gc.normalize_adjacency(graph)
         for node in range(graph.num_nodes):
-            elem = gc.back_substitute(lifted, graph, norm, node, bounds)
+            elem = gc.back_substitute(lifted, graph, node, bounds)
             assert np.allclose(elem.lower_coef, elem.upper_coef)
             assert np.allclose(elem.lower_const, elem.upper_const)
             lo, _ = gc.evaluate_bounds(elem, graph.features)
@@ -286,8 +275,8 @@ def test_mixed_relu_lower_bound_can_undershoot_interval_floor():
     interval_margin = gc.interval_certify(model, graph, budget, "topk")[0]
     assert interval_margin == pytest.approx(0.1, abs=1e-9)
     label = int(gc.predict(model, graph).labels[0])
-    elem = gc.back_substitute(model, graph, gc.normalize_adjacency(graph), 0,
-                              budget=budget, variant="topk")
+    bounds = gc.interval_layer_bounds(model, graph, budget, "topk")
+    elem = gc.back_substitute(model, graph, 0, bounds)
     row = gc.label_difference_transform(elem, label, 1 - label)
     form_min, _ = gc.minimize_delta(row, graph.features, budget)
     assert form_min == pytest.approx(-0.4, abs=1e-9)
