@@ -40,16 +40,7 @@ from .perturbation import (
     oracle_max_robust_limits,
     sign_matrix,
 )
-from .polyhedra import (
-    PolyNodeElement,
-    back_substitute,
-    evaluate_bounds,
-    forward_poly_propagation,
-    gc_poly,
-    linear_poly,
-    poly_input_abstraction,
-    relu_poly,
-)
+from .polyhedra import PolyNodeElement, back_substitute, evaluate_bounds, linear_poly
 from .training import RobustLossConfig, bce_loss, hinge_loss, train_robust
 
 __version__ = "0.1.0"

@@ -11,6 +11,13 @@ interval floor of 0). A positive margin certifies the node. For non-certified
 nodes, the minimizing flip set is replayed through the concrete forward pass;
 only flips that demonstrably change the prediction are reported, which makes
 the resulting upper bound complete.
+
+``certify_sound`` works in chunks of target nodes, sized by a fixed element
+budget: one ``back_substitute_batch`` call per chunk, the lower form of
+score[label] - score[rival] for every (target, rival) pair sliced out of it as
+lower[label] - upper[rival], and one batched greedy minimization of all those
+rows. ``minimize_delta`` and ``label_difference_transform`` are the one-row
+forms of the same steps.
 """
 
 from __future__ import annotations
@@ -24,10 +31,14 @@ import numpy as np
 from .errors import DataError
 from .graph import GcnModel, Graph, forward, predict
 from .intervals import interval_layer_bounds
-from .perturbation import EMPTY_FLIPSET, FlipSet, PerturbationBudget, apply_flips, sign_matrix
-from .polyhedra import PolyNodeElement, back_substitute, linear_poly
+from .perturbation import FlipSet, PerturbationBudget, apply_flips, sign_matrix
+from .polyhedra import PolyNodeElement, back_substitute_batch, linear_poly
 
 MODES = ("both", "add-only", "delete-only")
+
+# coefficient entries per chunk of certify_sound targets at the widest
+# possible receptive field: keeps a chunk's tensors at a few MB
+_CHUNK_ELEMENTS = 1 << 18
 
 
 def _map_in_order(fn: Callable, items: Iterable, threads: int) -> list:
@@ -79,6 +90,53 @@ def label_difference_transform(
     return linear_poly(elem, delta, np.zeros(1))
 
 
+def _minimize_forms(
+    coef: np.ndarray,
+    const: np.ndarray,
+    features: np.ndarray,
+    budget: PerturbationBudget,
+    mode: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact minima of many lower-bound forms over the flip budget at once.
+
+    ``coef`` (targets, forms, field, features) and ``const`` (targets, forms)
+    hold each target's forms over ``features`` (targets, field, features), the
+    input features of its receptive field. Returns the minima and a boolean
+    mask, shaped like ``coef``, of the flips that realize them.
+    """
+    t, v, f, m0 = coef.shape
+    x = features.astype(np.float64)
+    base = (coef.reshape(t, v, f * m0) @ x.reshape(t, f * m0, 1))[:, :, 0] + const
+    theta = coef * sign_matrix(features)[:, None]
+    if mode == "add-only":
+        theta = np.where(features[:, None] == 0, theta, 0.0)
+    elif mode == "delete-only":
+        theta = np.where(features[:, None] == 1, theta, 0.0)
+    if budget.per_node == 0 or budget.total == 0:
+        return base, np.zeros(coef.shape, dtype=bool)
+    flat = theta.reshape(t * v, f * m0)
+    # each field node's per_node most negative changes, ties toward the lower
+    # feature, listed node by node; a stable sort of that list then ranks
+    # (theta, node, feature), so the total most negative come first
+    local = np.argsort(theta, axis=3, kind="stable")[..., : budget.per_node]
+    cells = (local + m0 * np.arange(f)[:, None]).reshape(t * v, f * local.shape[3])
+    ranked = np.argsort(np.take_along_axis(flat, cells, axis=1), axis=1, kind="stable")
+    top = np.take_along_axis(cells, ranked[:, : budget.total], axis=1)
+    pick = np.zeros(flat.shape, dtype=bool)
+    np.put_along_axis(pick, top, np.take_along_axis(flat, top, axis=1) < 0, axis=1)
+    # a running sum adds the chosen changes one by one in (node, feature) order
+    gain = np.cumsum(np.where(pick, flat, 0.0), axis=1)[:, -1]
+    return base + gain.reshape(t, v), pick.reshape(coef.shape)
+
+
+def _flip_sets(pick: np.ndarray, fronts: np.ndarray) -> list[list[FlipSet]]:
+    """FlipSets of a (targets, forms, field, features) mask over each target's field."""
+    return [
+        [FlipSet(tuple(zip(front[k].tolist(), j.tolist()))) for k, j in map(np.nonzero, rows)]
+        for front, rows in zip(fronts, pick)
+    ]
+
+
 def minimize_delta(
     elem: PolyNodeElement,
     features: np.ndarray,
@@ -97,31 +155,25 @@ def minimize_delta(
         raise DataError(f"unknown mode {mode!r}, expected one of {MODES}")
     if elem.rows != 1:
         raise DataError("minimize_delta expects a single-row element")
-    m0 = elem.num_features
-    x_sub = np.asarray(features)[elem.var_nodes]
-    coef = elem.lower_coef[0].reshape(len(elem.var_nodes), m0)
-    base = float(coef.ravel() @ x_sub.ravel().astype(np.float64) + elem.lower_const[0])
-    theta = coef * sign_matrix(x_sub)
-    if mode == "add-only":
-        theta = np.where(x_sub == 0, theta, 0.0)
-    elif mode == "delete-only":
-        theta = np.where(x_sub == 1, theta, 0.0)
-    if budget.per_node == 0 or budget.total == 0:
-        return base, EMPTY_FLIPSET
+    shape = (1, 1, len(elem.var_nodes), elem.num_features)
+    value, pick = _minimize_forms(
+        elem.lower_coef.reshape(shape),
+        elem.lower_const.reshape(1, 1),
+        np.asarray(features)[elem.var_nodes][None],
+        budget,
+        mode,
+    )
+    return float(value[0, 0]), _flip_sets(pick, elem.var_nodes[None])[0][0]
 
-    k_local = min(budget.per_node, m0)
-    feature_order = np.arange(m0)
-    pool: list[tuple[float, int, int]] = []
-    for row, node in enumerate(elem.var_nodes):
-        order = np.lexsort((feature_order, theta[row]))[:k_local]
-        pool.extend(
-            (float(theta[row, j]), int(node), int(j)) for j in order if theta[row, j] < 0
-        )
-    pool.sort()
-    chosen = sorted(pool[: budget.total], key=lambda c: (c[1], c[2]))
-    min_value = base + sum(value for value, _, _ in chosen)
-    flips = FlipSet(tuple((node, feat) for _, node, feat in chosen))
-    return min_value, flips
+
+def _target_elements(model: GcnModel, graph: Graph) -> int:
+    """Coefficient entries one target can need: 4 per label, layer width and field node."""
+    src, dst = np.nonzero(graph.norm_adj)
+    field = np.ones(graph.num_nodes)
+    for _ in model.layers:  # one more hop reaches at most the neighbours' fields
+        field = np.minimum(np.bincount(src, weights=field[dst], minlength=len(field)), len(field))
+    width = max([model.input_width] + [layer.weight.shape[1] for layer in model.layers])
+    return int(4 * model.num_labels * width * field.max())
 
 
 def certify_sound(
@@ -136,44 +188,60 @@ def certify_sound(
     threads: int = 1,
     unstable_lower_slope: float = 0.0,
 ) -> list[NodeJudgment]:
-    """Judgments for the requested nodes (all by default); certified => robust.
+    """Judgments for the requested nodes (all by default), in order; certified => robust.
 
     ``labels`` overrides the labels to defend (defaults to the model's own
     predictions); robust training uses this to target ground-truth labels.
+    ``threads`` spreads the chunks over a pool; it never changes the chunks.
     """
+    if mode not in MODES:
+        raise DataError(f"unknown mode {mode!r}, expected one of {MODES}")
     layer_bounds = interval_layer_bounds(model, graph, budget, variant)
     if labels is None:
         labels = predict(model, graph).labels
-    if nodes is None:
-        nodes = range(graph.num_nodes)
+    labels = np.asarray(labels)
+    nodes = np.arange(graph.num_nodes) if nodes is None else np.asarray(nodes, dtype=np.int64)
     num_labels = model.num_labels
     out_box = layer_bounds[-1]
 
-    def judge(node: int) -> NodeJudgment:
-        elem = back_substitute(
-            model, graph, node, layer_bounds, unstable_lower_slope=unstable_lower_slope
+    def judge(chunk: np.ndarray) -> list[NodeJudgment]:
+        batch = back_substitute_batch(
+            model, graph, chunk, layer_bounds, unstable_lower_slope=unstable_lower_slope
         )
-        label = int(labels[node])
-        rival_margins: dict[int, float] = {}
-        rival_flips: dict[int, FlipSet] = {}
-        for rival in range(num_labels):
-            if rival == label:
-                continue
-            row = label_difference_transform(elem, label, rival)
-            poly_min, rival_flips[rival] = minimize_delta(row, graph.features, budget, mode)
-            box_gap = float(out_box.lower[node, label] - out_box.upper[node, rival])
-            rival_margins[rival] = max(poly_min, box_gap)
-        margin = min(rival_margins.values()) if rival_margins else float("inf")
-        return NodeJudgment(
-            node=node,
-            label=label,
-            margin=margin,
-            certified=margin > 0.0,
-            rival_margins=rival_margins,
-            rival_flips=rival_flips,
+        own = labels[chunk]
+        if ((own < 0) | (own >= num_labels)).any():
+            raise DataError("label index out of range")
+        rivals = np.arange(num_labels - 1) + (np.arange(num_labels - 1) >= own[:, None])
+        at = np.arange(len(chunk))[:, None]
+        # the lower form of score[label] - score[rival] is lower[label] - upper[rival]
+        poly_min, pick = _minimize_forms(
+            batch.lower_coef[at, own[:, None]] - batch.upper_coef[at, rivals],
+            batch.lower_const[at, own[:, None]] - batch.upper_const[at, rivals],
+            graph.features[batch.fronts],
+            budget,
+            mode,
         )
+        box_gap = out_box.lower[chunk, own][:, None] - out_box.upper[chunk[:, None], rivals]
+        margins = np.where(box_gap > poly_min, box_gap, poly_min)
+        judgments = []
+        for node, label, rival_ids, row_margins, row_flips in zip(
+            chunk.tolist(), own.tolist(), rivals.tolist(), margins.tolist(),
+            _flip_sets(pick, batch.fronts),
+        ):
+            margin = min(row_margins, default=float("inf"))
+            judgments.append(NodeJudgment(
+                node=node,
+                label=label,
+                margin=margin,
+                certified=margin > 0.0,
+                rival_margins=dict(zip(rival_ids, row_margins)),
+                rival_flips=dict(zip(rival_ids, row_flips)),
+            ))
+        return judgments
 
-    return _map_in_order(judge, nodes, threads)
+    size = max(1, _CHUNK_ELEMENTS // _target_elements(model, graph))
+    chunks = [nodes[start : start + size] for start in range(0, len(nodes), size)]
+    return [j for part in _map_in_order(judge, chunks, threads) for j in part]
 
 
 def generate_counterexample(

@@ -49,10 +49,13 @@ def compute_robust_limits(
     Walks total budgets 0, 1, ..., ``cap``. A node's limit is the last budget
     before its first failure; a node not certified even at budget 0 reports
     limit 0 with the never-certified flag, and one that never fails reports
-    ``cap``. The walk stops once every node has failed.
+    ``cap``. The walk stops once every node has failed. ``mode`` restricts
+    flip direction for the poly family only; the interval family takes "both".
     """
     if family not in FAMILIES:
         raise DataError(f"unknown certifier family {family!r}, expected one of {FAMILIES}")
+    if family == "interval" and mode != "both":
+        raise DataError("the interval certifier cannot restrict flip direction: mode must be 'both'")
     if cap < 0:
         raise DataError("search cap must be non-negative")
     limits = np.full(graph.num_nodes, cap, dtype=np.int64)

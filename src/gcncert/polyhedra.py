@@ -6,13 +6,13 @@ Graph convolution and affine layers transform these forms exactly; ReLU is
 relaxed to one linear bound per side, choosing the slope that minimizes the
 bounding area given numeric pre-activation intervals.
 
-Two equivalent execution paths exist. ``forward_poly_propagation`` pushes full
-elements through the layers for every node at once. ``back_substitute`` starts
-from one node's output scores and rewrites them backwards through the layers,
-touching only the node's own receptive field; it is the reference path and the
-forward pass doubles as its test oracle. ``back_substitute`` reads Ã from the
-graph and takes its interval pre-activation bounds from the caller, which
-computes them once per budget and shares them across all of its nodes.
+The forms are derived backwards: ``back_substitute_batch`` starts from the
+output scores of a chunk of target nodes and rewrites them layer by layer,
+each target over its own receptive field, so a target's variables widen by
+one hop per layer and never cover nodes it cannot see. ``back_substitute`` is
+its one-target view. Ã comes from the graph; the interval pre-activation
+bounds come from the caller, which computes them once per budget and shares
+them across all of its nodes.
 """
 
 from __future__ import annotations
@@ -68,27 +68,6 @@ class PolyNodeElement:
         return [(int(k), j) for k in self.var_nodes for j in range(self.num_features)]
 
 
-PolyElement = list[PolyNodeElement]
-
-
-def poly_input_abstraction(graph: Graph) -> PolyElement:
-    """Each input feature bounds itself: identity coefficients, zero constants."""
-    m0 = graph.num_features
-    eye = np.eye(m0)
-    zero = np.zeros(m0)
-    return [
-        PolyNodeElement(
-            var_nodes=np.array([i]),
-            num_features=m0,
-            lower_coef=eye.copy(),
-            lower_const=zero.copy(),
-            upper_coef=eye.copy(),
-            upper_const=zero.copy(),
-        )
-        for i in range(graph.num_nodes)
-    ]
-
-
 def linear_poly(elem: PolyNodeElement, weight: np.ndarray, bias: np.ndarray) -> PolyNodeElement:
     """Affine layer on symbolic bounds: positive weights carry the like bound side."""
     weight = np.asarray(weight, dtype=np.float64)
@@ -107,42 +86,6 @@ def linear_poly(elem: PolyNodeElement, weight: np.ndarray, bias: np.ndarray) -> 
         upper_coef=wt_pos @ elem.upper_coef + wt_neg @ elem.lower_coef,
         upper_const=wt_pos @ elem.upper_const + wt_neg @ elem.lower_const + bias,
     )
-
-
-def gc_poly(
-    elems: Sequence[PolyNodeElement], norm_adj_row: np.ndarray, node: int
-) -> PolyNodeElement:
-    """Combine neighbor elements weighted by the adjacency row.
-
-    Variable sets are unioned; where two neighbors share a variable the
-    coefficient columns are summed. Requires a non-negative row, otherwise
-    scaling would swap bound sides.
-    """
-    norm_adj_row = np.asarray(norm_adj_row, dtype=np.float64)
-    if (norm_adj_row < 0).any():
-        raise DataError("graph convolution requires non-negative adjacency weights")
-    neighbors = np.nonzero(norm_adj_row > 0)[0]
-    if len(neighbors) == 0:
-        raise DataError(f"node {node} has an all-zero adjacency row")
-    m0 = elems[neighbors[0]].num_features
-    rows = elems[neighbors[0]].rows
-    union = np.unique(np.concatenate([elems[k].var_nodes for k in neighbors]))
-    shape = (rows, len(union) * m0)
-    lower_coef = np.zeros(shape)
-    upper_coef = np.zeros(shape)
-    lower_const = np.zeros(rows)
-    upper_const = np.zeros(rows)
-    offsets = np.arange(m0)
-    for k in neighbors:
-        e = elems[k]
-        w = norm_adj_row[k]
-        pos = np.searchsorted(union, e.var_nodes)
-        cols = (pos[:, None] * m0 + offsets).ravel()
-        lower_coef[:, cols] += w * e.lower_coef
-        upper_coef[:, cols] += w * e.upper_coef
-        lower_const += w * e.lower_const
-        upper_const += w * e.upper_const
-    return PolyNodeElement(union, m0, lower_coef, lower_const, upper_coef, upper_const)
 
 
 def _relu_cases(
@@ -175,47 +118,96 @@ def _relu_cases(
     return lower_slope, upper_slope, upper_shift
 
 
-def relu_poly(
-    elem: PolyNodeElement,
-    interval_lower: np.ndarray,
-    interval_upper: np.ndarray,
-    unstable_lower_slope: float = 0.0,
-) -> PolyNodeElement:
-    """ReLU relaxation per latent feature, driven by numeric interval bounds."""
-    if np.shape(interval_lower) != (elem.rows,) or np.shape(interval_upper) != (elem.rows,):
-        raise DimensionError("interval bounds must have one entry per element row")
-    lo_slope, up_slope, up_shift = _relu_cases(
-        interval_lower, interval_upper, unstable_lower_slope
-    )
-    return PolyNodeElement(
-        var_nodes=elem.var_nodes,
-        num_features=elem.num_features,
-        lower_coef=elem.lower_coef * lo_slope[:, None],
-        lower_const=elem.lower_const * lo_slope,
-        upper_coef=elem.upper_coef * up_slope[:, None],
-        upper_const=elem.upper_const * up_slope + up_shift,
-    )
+@dataclass(frozen=True)
+class PolyBatch:
+    """Output-layer symbolic bounds of a chunk of target nodes.
+
+    Target t's variables are the input features of ``fronts[t]``, its
+    receptive field in ascending node order. Fields are padded at the end to
+    the chunk's widest with node 0 under all-zero coefficients. Coefficients
+    are shaped (targets, labels, field, features), constants (targets, labels).
+    """
+
+    fronts: np.ndarray
+    lower_coef: np.ndarray
+    lower_const: np.ndarray
+    upper_coef: np.ndarray
+    upper_const: np.ndarray
 
 
-def forward_poly_propagation(
+def back_substitute_batch(
     model: GcnModel,
     graph: Graph,
-    norm_adj: np.ndarray,
+    nodes: Sequence[int],
     layer_bounds: Sequence[IntervalElement],
+    *,
     unstable_lower_slope: float = 0.0,
-) -> PolyElement:
-    """Push input abstractions through all layers; output-layer elements per node."""
-    elems = poly_input_abstraction(graph)
-    for l, layer in enumerate(model.layers):
-        elems = [gc_poly(elems, norm_adj[i], i) for i in range(graph.num_nodes)]
-        elems = [linear_poly(e, layer.weight, layer.bias) for e in elems]
+) -> PolyBatch:
+    """Output-layer bounds of every target in ``nodes``, derived backwards in one pass.
+
+    Rewrites the targets' output rows layer by layer as combinations of the
+    current layer's element rows, keeping, per bound side, separate weights on
+    the referenced lower rows and upper rows (the affine and ReLU crossings
+    below mirror the forward operations' sign splits term for term). The
+    result therefore equals forward propagation coefficient for coefficient,
+    but never materializes elements outside a target's receptive field: each
+    target's front only widens by one hop per layer.
+
+    ``layer_bounds`` holds the interval pre-activation bounds of every layer
+    (``interval_layer_bounds``) under the budget being certified.
+    """
+    nodes = np.asarray(nodes, dtype=np.int64)
+    if ((nodes < 0) | (nodes >= graph.num_nodes)).any():
+        raise DataError(f"node index out of range [0, {graph.num_nodes})")
+    targets, rows = len(nodes), model.num_labels
+    front = nodes[:, None]
+    live = np.ones(front.shape, dtype=bool)  # False marks padding
+    # coef[t, k, ref, side, r, j]: weight that bound side (0 lower, 1 upper)
+    # of target t's output row r puts on the referenced (0 lower, 1 upper) row
+    # of feature j of front node k in the current layer's element
+    coef = np.zeros((targets, 1, 2, 2, rows, rows))
+    coef[:, 0, 0, 0] = coef[:, 0, 1, 1] = np.eye(rows)
+    const = np.zeros((targets, 2, rows))
+    for l in range(model.num_layers - 1, -1, -1):
         if l < model.num_layers - 1:
+            # cross the ReLU that follows layer l: lower rows scale by the
+            # lower slope, upper rows by the chord slope plus its intercept
             pre = layer_bounds[l]
-            elems = [
-                relu_poly(e, pre.lower[i], pre.upper[i], unstable_lower_slope)
-                for i, e in enumerate(elems)
-            ]
-    return elems
+            lo_slope, up_slope, up_shift = _relu_cases(
+                pre.lower[front], pre.upper[front], unstable_lower_slope
+            )
+            const = const + (coef[:, :, 1] * up_shift[:, :, None, None]).sum(axis=(1, 4))
+            coef = coef * np.stack([lo_slope, up_slope], axis=2)[:, :, :, None, None]
+        layer = model.layers[l]
+        # cross the affine map: positive weights keep the referenced side,
+        # negative weights swap it, exactly as in linear_poly
+        const = const + (coef[:, :, 0] + coef[:, :, 1]).sum(axis=1) @ layer.bias
+        flat = coef.reshape(-1, coef.shape[-1])
+        pos, neg = (
+            (flat @ w.T).reshape(coef.shape[:-1] + (w.shape[0],))
+            for w in (np.maximum(layer.weight, 0.0), np.minimum(layer.weight, 0.0))
+        )
+        coef = np.stack([pos[:, :, 0] + neg[:, :, 1], neg[:, :, 0] + pos[:, :, 1]], axis=2)
+        # cross graph convolution: g = Ã h, widening each front by one hop
+        reach = ((graph.norm_adj[front] > 0) & live[:, :, None]).any(axis=1)
+        counts = reach.sum(axis=1)
+        width = counts.max()
+        new_live = np.arange(width) < counts[:, None]
+        new_front = np.argsort(~reach, axis=1, kind="stable")[:, :width]
+        new_front = np.where(new_live, new_front, 0)
+        # padded columns get no weight; padded rows already carry none
+        adj_sub = graph.norm_adj[front[:, :, None], new_front[:, None, :]] * new_live[:, None, :]
+        coef = adj_sub.transpose(0, 2, 1) @ coef.reshape(targets, front.shape[1], -1)
+        coef = coef.reshape((targets, width, 2, 2, rows, -1))
+        front, live = new_front, new_live
+    # input elements are exact (lower row = upper row = the feature itself)
+    return PolyBatch(
+        fronts=front,
+        lower_coef=(coef[:, :, 0, 0] + coef[:, :, 1, 0]).transpose(0, 2, 1, 3),
+        lower_const=const[:, 0],
+        upper_coef=(coef[:, :, 1, 1] + coef[:, :, 0, 1]).transpose(0, 2, 1, 3),
+        upper_const=const[:, 1],
+    )
 
 
 def back_substitute(
@@ -226,75 +218,18 @@ def back_substitute(
     *,
     unstable_lower_slope: float = 0.0,
 ) -> PolyNodeElement:
-    """Output-layer element of one node, derived backwards through the layers.
-
-    Rewrites the node's output rows layer by layer as combinations of the
-    current layer's element rows, keeping, per bound side, separate weights on
-    the referenced lower rows and upper rows (the affine and ReLU crossings
-    below mirror the forward operations' sign splits term for term). The
-    result therefore equals forward propagation coefficient for coefficient,
-    but never materializes elements outside the node's receptive field: the
-    node front only widens by one hop per layer.
-
-    ``layer_bounds`` holds the interval pre-activation bounds of every layer
-    (``interval_layer_bounds``) under the budget being certified.
-    """
-    if not 0 <= node < graph.num_nodes:
-        raise DataError(f"node {node} out of range")
+    """Output-layer element of one node: ``back_substitute_batch`` of that node alone."""
+    batch = back_substitute_batch(
+        model, graph, [node], layer_bounds, unstable_lower_slope=unstable_lower_slope
+    )
     rows = model.num_labels
-    front = np.array([node])
-    # per bound side: weights on the current element's lower rows (on_lo) and
-    # upper rows (on_up), each shaped (rows, |front|, layer width)
-    ident = np.eye(rows)[:, None, :]
-    lo_on_lo, lo_on_up = ident.copy(), np.zeros_like(ident)
-    up_on_up, up_on_lo = ident.copy(), np.zeros_like(ident)
-    lo_const = np.zeros(rows)
-    up_const = np.zeros(rows)
-    for l in range(model.num_layers - 1, -1, -1):
-        if l < model.num_layers - 1:
-            # cross the ReLU that follows layer l: lower rows scale by the
-            # lower slope, upper rows by the chord slope plus its intercept
-            pre = layer_bounds[l]
-            lo_slope, up_slope, up_shift = _relu_cases(
-                pre.lower[front], pre.upper[front], unstable_lower_slope
-            )
-            lo_const = lo_const + (lo_on_up * up_shift[None]).sum(axis=(1, 2))
-            up_const = up_const + (up_on_up * up_shift[None]).sum(axis=(1, 2))
-            lo_on_lo = lo_on_lo * lo_slope[None]
-            lo_on_up = lo_on_up * up_slope[None]
-            up_on_up = up_on_up * up_slope[None]
-            up_on_lo = up_on_lo * lo_slope[None]
-        layer = model.layers[l]
-        # cross the affine map: positive weights keep the referenced side,
-        # negative weights swap it, exactly as in linear_poly
-        w_pos = np.maximum(layer.weight, 0.0).T
-        w_neg = np.minimum(layer.weight, 0.0).T
-        lo_const = lo_const + (lo_on_lo + lo_on_up).sum(axis=1) @ layer.bias
-        up_const = up_const + (up_on_up + up_on_lo).sum(axis=1) @ layer.bias
-        lo_on_lo, lo_on_up = (
-            lo_on_lo @ w_pos + lo_on_up @ w_neg,
-            lo_on_lo @ w_neg + lo_on_up @ w_pos,
-        )
-        up_on_up, up_on_lo = (
-            up_on_up @ w_pos + up_on_lo @ w_neg,
-            up_on_up @ w_neg + up_on_lo @ w_pos,
-        )
-        # cross graph convolution: g = Ã h, widening the front by one hop
-        new_front = np.unique(np.nonzero(graph.norm_adj[front] > 0)[1])
-        adj_sub = graph.norm_adj[np.ix_(front, new_front)]
-        lo_on_lo = np.einsum("rkj,kK->rKj", lo_on_lo, adj_sub)
-        lo_on_up = np.einsum("rkj,kK->rKj", lo_on_up, adj_sub)
-        up_on_up = np.einsum("rkj,kK->rKj", up_on_up, adj_sub)
-        up_on_lo = np.einsum("rkj,kK->rKj", up_on_lo, adj_sub)
-        front = new_front
-    # input elements are exact (lower row = upper row = the feature itself)
     return PolyNodeElement(
-        var_nodes=front,
+        var_nodes=batch.fronts[0],
         num_features=graph.num_features,
-        lower_coef=(lo_on_lo + lo_on_up).reshape(rows, -1),
-        lower_const=lo_const,
-        upper_coef=(up_on_up + up_on_lo).reshape(rows, -1),
-        upper_const=up_const,
+        lower_coef=batch.lower_coef[0].reshape(rows, -1),
+        lower_const=batch.lower_const[0],
+        upper_coef=batch.upper_coef[0].reshape(rows, -1),
+        upper_const=batch.upper_const[0],
     )
 
 

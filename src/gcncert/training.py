@@ -111,6 +111,8 @@ def train_robust(
             f"model has {count} parameters, finite-difference training caps at "
             f"{max_parameters}; shrink the model (fewer or narrower layers)"
         )
+    if batch_size is not None and batch_size < 1:
+        raise DataError("batch_size must be at least 1")
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (graph.num_nodes,):
         raise DataError("labels must hold one entry per node")

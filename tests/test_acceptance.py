@@ -14,8 +14,8 @@ import pytest
 import gcncert as gc
 from gcncert import fileio
 from gcncert.cli import main
-from gcncert.polyhedra import forward_poly_propagation
 import helpers
+from poly_oracle import forward_poly_propagation
 
 SUITE_SEED = 1234
 SUITE_SIZE = 200

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import gcncert as gc
+import gcncert.certify
 import helpers
+from poly_oracle import per_node_judgments
 
 
 def _delta_row(graph, model, budget, node, label, rival, variant="topk"):
@@ -160,12 +162,95 @@ def test_certify_sound_dominates_interval_box(rng):
         assert set(interval_certified.tolist()) <= certified
 
 
-def test_certify_sound_thread_count_does_not_change_results(rng):
+def _chunks_of(monkeypatch, model, graph, size):
+    """Make certify_sound cut its nodes into chunks of ``size``; returns the chunk lengths seen."""
+    monkeypatch.setattr(
+        gcncert.certify, "_CHUNK_ELEMENTS", size * gcncert.certify._target_elements(model, graph)
+    )
+    seen = []
+    kernel = gcncert.certify.back_substitute_batch
+
+    def spy(model, graph, nodes, *args, **kwargs):
+        seen.append(len(nodes))
+        return kernel(model, graph, nodes, *args, **kwargs)
+
+    monkeypatch.setattr(gcncert.certify, "back_substitute_batch", spy)
+    return seen
+
+
+def test_certify_sound_thread_count_does_not_change_results(rng, monkeypatch):
     graph, model, budget = helpers.trained_instance(rng)
+    seen = _chunks_of(monkeypatch, model, graph, 2)
     serial = gc.certify_sound(model, graph, budget, threads=1)
     threaded = gc.certify_sound(model, graph, budget, threads=4)
-    for a, b in zip(serial, threaded):
-        assert a.node == b.node and a.margin == b.margin and a.rival_flips == b.rival_flips
+    assert len(seen) > 2  # several chunks, so the pool really shares them out
+    assert serial == threaded
+
+
+def _assert_same_judgments(got, expected, tol=1e-9):
+    # flip sets and flags exactly, margins up to summation order
+    assert [(j.node, j.label, j.certified, j.rival_flips) for j in got] == [
+        (j.node, j.label, j.certified, j.rival_flips) for j in expected
+    ]
+    for a, b in zip(got, expected):
+        assert list(a.rival_margins) == list(b.rival_margins)
+        assert list(a.rival_margins.values()) == pytest.approx(list(b.rival_margins.values()), abs=tol)
+        assert a.margin == pytest.approx(b.margin, abs=tol)
+
+
+@pytest.mark.parametrize("mode", ["both", "add-only", "delete-only"])
+def test_certify_sound_matches_per_node_reference(rng, mode):
+    # forward propagation -> label_difference_transform -> plain greedy, node
+    # by node, against the batched kernel; budgets include empty ones
+    budgets = [None, gc.PerturbationBudget(0, 2), gc.PerturbationBudget(2, 0),
+               gc.PerturbationBudget(1, 3), gc.PerturbationBudget(3, 1)]
+    for trial in range(20):
+        if trial % 2:
+            graph, model, budget = helpers.trained_instance(rng)
+        else:
+            graph, model, budget = helpers.raw_instance(rng, num_layers=int(rng.integers(1, 4)))
+        budget = budgets[trial % len(budgets)] or budget
+        judgments = gc.certify_sound(model, graph, budget, mode=mode)
+        _assert_same_judgments(judgments, per_node_judgments(model, graph, budget, mode=mode))
+
+
+def test_chunk_boundary_does_not_change_judgments(rng, monkeypatch):
+    for _ in range(5):
+        graph, model, budget = helpers.trained_instance(rng)
+        whole = gc.certify_sound(model, graph, budget)
+        with monkeypatch.context() as patch:
+            seen = _chunks_of(patch, model, graph, 3)
+            chunked = gc.certify_sound(model, graph, budget)
+        n = graph.num_nodes
+        assert seen == [3] * (n // 3) + ([n % 3] if n % 3 else [])
+        _assert_same_judgments(chunked, whole, tol=1e-12)
+
+
+def test_output_follows_requested_node_order(rng, monkeypatch):
+    graph, model, budget = helpers.trained_instance(rng)
+    by_node = {j.node: j for j in gc.certify_sound(model, graph, budget)}
+    n = graph.num_nodes
+    order = [n - 1, 0, n - 1, n // 2, 0]
+    _chunks_of(monkeypatch, model, graph, 2)
+    assert gc.certify_sound(model, graph, budget, nodes=order) == [by_node[i] for i in order]
+    assert gc.certify_sound(model, graph, budget, nodes=[]) == []
+
+
+@pytest.mark.parametrize("case", ["node -1", "node n", "label -1", "label past the last",
+                                  "unknown mode", "unknown mode, no nodes"])
+def test_certify_sound_rejects_out_of_range_input(two_node, case):
+    graph, model = two_node
+    budget = gc.PerturbationBudget(1, 1)
+    kwargs = {
+        "node -1": {"nodes": [0, -1]},
+        "node n": {"nodes": [graph.num_nodes]},
+        "label -1": {"labels": np.array([-1, 0])},
+        "label past the last": {"labels": np.array([0, model.num_labels])},
+        "unknown mode": {"mode": "downhill"},
+        "unknown mode, no nodes": {"mode": "downhill", "nodes": []},
+    }[case]
+    with pytest.raises(gc.DataError):
+        gc.certify_sound(model, graph, budget, **kwargs)
 
 
 def test_counterexample_skips_certified(two_node):

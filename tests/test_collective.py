@@ -100,6 +100,15 @@ def test_interval_family_limits(rng):
         gc.compute_robust_limits(model, graph, 1, cap=-1)
 
 
+@pytest.mark.parametrize("mode", ["add-only", "delete-only"])
+def test_interval_family_rejects_a_direction_mode(two_node, mode):
+    # interval_certify cannot restrict flip direction, so the mode would be ignored
+    graph, model = two_node
+    with pytest.raises(gc.DataError, match="mode"):
+        gc.compute_robust_limits(model, graph, 1, cap=2, family="interval", mode=mode)
+    assert gc.compute_robust_limits(model, graph, 1, cap=2, family="poly", mode=mode).search_cap == 2
+
+
 def test_threads_do_not_change_limits(rng):
     graph, model, _ = helpers.trained_instance(rng)
     a = gc.compute_robust_limits(model, graph, 1, cap=3, threads=1)

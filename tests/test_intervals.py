@@ -159,3 +159,30 @@ def test_interval_bounds_contain_all_reachable_latents(rng):
                 assert (h <= bounds[l].upper + 1e-9).all()
                 if l < model.num_layers - 1:
                     h = np.maximum(h, 0.0)
+
+
+def _interval_certify_loop(model, graph, budget, variant):
+    # the per-node loop interval_certify replaced, kept as its reference
+    out = gc.interval_layer_bounds(model, graph, budget, variant)[-1]
+    labels = gc.predict(model, graph).labels
+    n, num_labels = out.lower.shape
+    margins = np.full(n, np.inf)
+    for i in range(n):
+        rivals = [c for c in range(num_labels) if c != labels[i]]
+        if rivals:
+            margins[i] = out.lower[i, labels[i]] - max(out.upper[i, c] for c in rivals)
+    return margins
+
+
+def test_interval_certify_matches_per_node_loop(rng):
+    for trial in range(30):
+        graph, model, budget = helpers.raw_instance(rng, num_layers=int(rng.integers(1, 4)))
+        if trial % 5 == 0:  # a single-label model: no rival, margin inf
+            last = model.layers[-1]
+            model = gc.GcnModel(model.layers[:-1] + (gc.GcnLayer(last.weight[:, :1], last.bias[:1]),))
+        for variant in ("topk", "max"):
+            expected = _interval_certify_loop(model, graph, budget, variant)
+            got = gc.interval_certify(model, graph, budget, variant)
+            assert np.array_equal(got, expected)
+            if model.num_labels == 1:
+                assert np.isinf(got).all() and (got > 0).all()

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import gcncert as gc
 import helpers
-from gcncert.polyhedra import forward_poly_propagation
+from poly_oracle import forward_poly_propagation, gc_poly, poly_input_abstraction, relu_poly
 
 
 def _exact_element(coef, const=None, var_nodes=(0,), num_features=None):
@@ -17,7 +17,7 @@ def _exact_element(coef, const=None, var_nodes=(0,), num_features=None):
 
 def test_input_abstraction_is_identity():
     graph = gc.Graph(adjacency=np.zeros((1, 1), dtype=int), features=np.array([[1, 0]]))
-    elem = gc.poly_input_abstraction(graph)[0]
+    elem = poly_input_abstraction(graph)[0]
     assert np.allclose(elem.lower_coef, np.eye(2))
     assert np.allclose(elem.upper_coef, np.eye(2))
     assert np.allclose(elem.lower_const, 0) and np.allclose(elem.upper_const, 0)
@@ -26,7 +26,7 @@ def test_input_abstraction_is_identity():
 
 def test_input_abstraction_reproduces_features(rng):
     graph, _, _ = helpers.raw_instance(rng)
-    for i, elem in enumerate(gc.poly_input_abstraction(graph)):
+    for i, elem in enumerate(poly_input_abstraction(graph)):
         lo, up = gc.evaluate_bounds(elem, graph.features)
         assert np.array_equal(lo, graph.features[i])
         assert np.array_equal(up, graph.features[i])
@@ -34,7 +34,7 @@ def test_input_abstraction_reproduces_features(rng):
 
 def test_input_abstraction_vars_disjoint(rng):
     graph, _, _ = helpers.raw_instance(rng)
-    elems = gc.poly_input_abstraction(graph)
+    elems = poly_input_abstraction(graph)
     for i, elem in enumerate(elems):
         assert elem.var_nodes.tolist() == [i]
 
@@ -73,9 +73,9 @@ def test_linear_poly_zero_weight_gives_constant():
 
 def test_gc_poly_two_node_average(two_node):
     graph, _ = two_node
-    elems = gc.poly_input_abstraction(graph)
+    elems = poly_input_abstraction(graph)
     norm = gc.normalize_adjacency(graph)
-    merged = gc.gc_poly(elems, norm[0], 0)
+    merged = gc_poly(elems, norm[0], 0)
     assert merged.var_nodes.tolist() == [0, 1]
     assert np.allclose(merged.lower_coef, np.hstack([0.5 * np.eye(4), 0.5 * np.eye(4)]))
     assert np.allclose(merged.lower_coef, merged.upper_coef)
@@ -83,8 +83,8 @@ def test_gc_poly_two_node_average(two_node):
 
 def test_gc_poly_isolated_self_loop_is_identity():
     graph = gc.Graph(adjacency=np.zeros((1, 1), dtype=int), features=np.array([[1, 0]]))
-    elems = gc.poly_input_abstraction(graph)
-    out = gc.gc_poly(elems, gc.normalize_adjacency(graph)[0], 0)
+    elems = poly_input_abstraction(graph)
+    out = gc_poly(elems, gc.normalize_adjacency(graph)[0], 0)
     assert np.allclose(out.lower_coef, elems[0].lower_coef)
     assert np.allclose(out.upper_const, elems[0].upper_const)
 
@@ -99,7 +99,7 @@ def test_gc_poly_merges_shared_variables(rng):
                            np.array([[0.5, -0.5, 2.0, 1.0]]), np.array([-0.2]),
                            np.array([[0.5, 0.0, 2.0, 1.5]]), np.array([0.0]))
     row = np.array([0.7, 0.3, 0.0])
-    merged = gc.gc_poly([a, b, b], row, 0)
+    merged = gc_poly([a, b, b], row, 0)
     assert merged.var_nodes.tolist() == [0, 1, 2]
     for _ in range(10):
         x = rng.integers(0, 2, (3, 2))
@@ -112,21 +112,21 @@ def test_gc_poly_merges_shared_variables(rng):
 
 def test_gc_poly_rejects_negative_row(two_node):
     graph, _ = two_node
-    elems = gc.poly_input_abstraction(graph)
+    elems = poly_input_abstraction(graph)
     with pytest.raises(gc.DataError):
-        gc.gc_poly(elems, np.array([0.5, -0.5]), 0)
+        gc_poly(elems, np.array([0.5, -0.5]), 0)
 
 
 def test_relu_poly_stable_active_is_identity():
     elem = _exact_element([[1.0, 0.0], [0.0, 1.0]])
-    out = gc.relu_poly(elem, np.array([1.0, 0.0]), np.array([3.0, 2.0]))
+    out = relu_poly(elem, np.array([1.0, 0.0]), np.array([3.0, 2.0]))
     assert np.allclose(out.lower_coef, elem.lower_coef)
     assert np.allclose(out.upper_coef, elem.upper_coef)
 
 
 def test_relu_poly_stable_inactive_is_zero():
     elem = _exact_element([[1.0, 0.0]])
-    out = gc.relu_poly(elem, np.array([-3.0]), np.array([-1.0]))
+    out = relu_poly(elem, np.array([-3.0]), np.array([-1.0]))
     assert np.allclose(out.lower_coef, 0) and np.allclose(out.upper_coef, 0)
     assert np.allclose(out.lower_const, 0) and np.allclose(out.upper_const, 0)
 
@@ -134,7 +134,7 @@ def test_relu_poly_stable_inactive_is_zero():
 def test_relu_poly_mixed_upper_dominant():
     # lo=-1, up=2: chord slope 2/3 and shift 2/3 on the upper, lower untouched
     elem = _exact_element([[1.0, 1.0]], const=[0.5])
-    out = gc.relu_poly(elem, np.array([-1.0]), np.array([2.0]))
+    out = relu_poly(elem, np.array([-1.0]), np.array([2.0]))
     assert np.allclose(out.lower_coef, [[1.0, 1.0]]) and out.lower_const[0] == pytest.approx(0.5)
     assert np.allclose(out.upper_coef, [[2 / 3, 2 / 3]])
     assert out.upper_const[0] == pytest.approx(0.5 * 2 / 3 + 2 / 3)
@@ -143,7 +143,7 @@ def test_relu_poly_mixed_upper_dominant():
 def test_relu_poly_mixed_lower_dominant():
     # lo=-2, up=1: lower zeroed, chord slope 1/3 with shift 2/3
     elem = _exact_element([[1.0]])
-    out = gc.relu_poly(elem, np.array([-2.0]), np.array([1.0]))
+    out = relu_poly(elem, np.array([-2.0]), np.array([1.0]))
     assert np.allclose(out.lower_coef, 0) and out.lower_const[0] == 0
     assert np.allclose(out.upper_coef, [[1 / 3]])
     assert out.upper_const[0] == pytest.approx(2 / 3)
@@ -151,7 +151,7 @@ def test_relu_poly_mixed_lower_dominant():
 
 def test_relu_poly_unstable_slope_knob():
     elem = _exact_element([[1.0]])
-    out = gc.relu_poly(elem, np.array([-2.0]), np.array([1.0]), unstable_lower_slope=0.25)
+    out = relu_poly(elem, np.array([-2.0]), np.array([1.0]), unstable_lower_slope=0.25)
     assert np.allclose(out.lower_coef, [[0.25]])
     for x in np.linspace(-2.0, 1.0, 13):  # still a valid lower bound
         assert 0.25 * x <= max(x, 0.0) + 1e-12
@@ -161,7 +161,7 @@ def test_relu_poly_unstable_slope_knob():
 @settings(max_examples=60, deadline=None)
 def test_relu_relaxation_pointwise_sound(lo, up, slope):
     elem = _exact_element([[1.0]])
-    out = gc.relu_poly(elem, np.array([lo]), np.array([up]), unstable_lower_slope=slope)
+    out = relu_poly(elem, np.array([lo]), np.array([up]), unstable_lower_slope=slope)
     for x in np.linspace(lo, up, 9):
         low, high = gc.evaluate_bounds(out, np.array([[x]]))
         assert low[0] <= max(x, 0.0) + 1e-9
@@ -218,14 +218,14 @@ def test_symbolic_bounds_contain_all_reachable_latents(rng):
             continue
         bounds = gc.interval_layer_bounds(model, graph, budget, "topk")
         norm = gc.normalize_adjacency(graph)
-        elems = gc.poly_input_abstraction(graph)
+        elems = poly_input_abstraction(graph)
         stages = []
         for l, layer in enumerate(model.layers):
-            elems = [gc.gc_poly(elems, norm[i], i) for i in range(graph.num_nodes)]
+            elems = [gc_poly(elems, norm[i], i) for i in range(graph.num_nodes)]
             elems = [gc.linear_poly(e, layer.weight, layer.bias) for e in elems]
             stages.append((l, "pre", list(elems)))
             if l < model.num_layers - 1:
-                elems = [gc.relu_poly(e, bounds[l].lower[i], bounds[l].upper[i])
+                elems = [relu_poly(e, bounds[l].lower[i], bounds[l].upper[i])
                          for i, e in enumerate(elems)]
                 stages.append((l, "post", list(elems)))
         for combo in helpers.iter_flip_combos(graph.num_nodes, graph.num_features, budget):

@@ -101,6 +101,14 @@ def test_zero_learning_rate_keeps_model(rng):
         assert np.array_equal(a.weight, b.weight) and np.array_equal(a.bias, b.bias)
 
 
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_non_positive_batch_size_rejected(rng, batch_size):
+    graph, labels, model, budget = _small_setup(rng)
+    with pytest.raises(gc.DataError, match="batch_size"):
+        gc.train_robust(model, graph, labels, budget, gc.RobustLossConfig(),
+                        steps=1, learning_rate=0.1, seed=0, batch_size=batch_size)
+
+
 def test_parameter_cap_rejected(rng):
     graph, labels, model, budget = _small_setup(rng)
     big = gc.GcnModel((
