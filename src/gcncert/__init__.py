@@ -9,7 +9,6 @@ uncertainty-region tightness metric, and certification-guided robust training.
 from .certify import (
     Counterexample,
     NodeJudgment,
-    certify_complete,
     certify_sound,
     find_counterexamples,
     generate_counterexample,

@@ -168,10 +168,10 @@ def minimize_delta(
 
 def _target_elements(model: GcnModel, graph: Graph) -> int:
     """Coefficient entries one target can need: 4 per label, layer width and field node."""
-    src, dst = np.nonzero(graph.norm_adj)
+    cols, weights = graph.neighbors
     field = np.ones(graph.num_nodes)
     for _ in model.layers:  # one more hop reaches at most the neighbours' fields
-        field = np.minimum(np.bincount(src, weights=field[dst], minlength=len(field)), len(field))
+        field = np.minimum(np.where(weights > 0, field[cols], 0.0).sum(axis=1), len(field))
     width = max([model.input_width] + [layer.weight.shape[1] for layer in model.layers])
     return int(4 * model.num_labels * width * field.max())
 
@@ -186,7 +186,6 @@ def certify_sound(
     nodes: Sequence[int] | None = None,
     mode: str = "both",
     threads: int = 1,
-    unstable_lower_slope: float = 0.0,
 ) -> list[NodeJudgment]:
     """Judgments for the requested nodes (all by default), in order; certified => robust.
 
@@ -205,9 +204,7 @@ def certify_sound(
     out_box = layer_bounds[-1]
 
     def judge(chunk: np.ndarray) -> list[NodeJudgment]:
-        batch = back_substitute_batch(
-            model, graph, chunk, layer_bounds, unstable_lower_slope=unstable_lower_slope
-        )
+        batch = back_substitute_batch(model, graph, chunk, layer_bounds)
         own = labels[chunk]
         if ((own < 0) | (own >= num_labels)).any():
             raise DataError("label index out of range")
@@ -284,33 +281,14 @@ def find_counterexamples(
     judgments: Sequence[NodeJudgment],
     threads: int = 1,
 ) -> dict[int, Counterexample]:
-    """Verified counterexamples keyed by node, searching non-certified nodes only."""
+    """Verified counterexamples keyed by node, searching non-certified nodes only.
+
+    This is the complete upper bound: a node with a counterexample is not
+    robust, and every other node counts as possibly robust.
+    """
     open_nodes = [j for j in judgments if not j.certified]
     found = _map_in_order(
         lambda j: generate_counterexample(model, graph, budget, j), open_nodes, threads
     )
     return {ce.node: ce for ce in found if ce is not None}
 
-
-def certify_complete(
-    model: GcnModel,
-    graph: Graph,
-    budget: PerturbationBudget,
-    variant: str = "topk",
-    *,
-    judgments: Sequence[NodeJudgment] | None = None,
-    mode: str = "both",
-    threads: int = 1,
-    unstable_lower_slope: float = 0.0,
-) -> np.ndarray:
-    """Upper-bound vector: 0 where a verified counterexample exists, else 1."""
-    if judgments is None:
-        judgments = certify_sound(
-            model, graph, budget, variant,
-            mode=mode, threads=threads, unstable_lower_slope=unstable_lower_slope,
-        )
-    counterexamples = find_counterexamples(model, graph, budget, judgments, threads)
-    upper = np.ones(graph.num_nodes)
-    for node in counterexamples:
-        upper[node] = 0.0
-    return upper

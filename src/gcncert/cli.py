@@ -22,7 +22,7 @@ from .errors import DataError, OracleInfeasibleError
 from .graph import GcnModel, Graph
 from .intervals import interval_certify
 from .metrics import RobustnessSweep
-from .perturbation import PerturbationBudget, exact_robust_nodes
+from .perturbation import DEFAULT_ORACLE_CAP, PerturbationBudget, exact_robust_nodes
 from .training import RobustLossConfig, train_robust
 
 METHODS = ("poly-topk", "poly-max", "interval-topk", "interval-max")
@@ -33,6 +33,9 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # no prefixes: --global must not pass for --global-range
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # exit 1 on usage errors, with usage text
         self.print_usage(sys.stderr)
         raise _UsageError(f"{self.prog}: error: {message}")
@@ -58,9 +61,8 @@ def _split_method(method: str) -> tuple[str, str]:
 
 def _check_mode(args) -> None:
     """Only the poly certifiers restrict flips by direction; reject a mode that would be ignored."""
-    if args.mode != "both" and (args.command == "oracle" or args.method.startswith("interval-")):
-        ignorer = "the oracle" if args.command == "oracle" else args.method
-        raise _UsageError(f"{args.command}: --mode {args.mode} is not supported by {ignorer}, "
+    if "mode" in args and args.mode != "both" and args.method.startswith("interval-"):
+        raise _UsageError(f"{args.command}: --mode {args.mode} is not supported by {args.method}, "
                           "which flips features in both directions")
 
 
@@ -222,38 +224,47 @@ def cmd_oracle(args) -> int:
 
 
 def build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--graph", required=True, help="graph JSON file")
-    common.add_argument("--model", required=True, help="model JSON file")
-    common.add_argument("--local", type=int, default=1, help="max flips per node")
-    common.add_argument("--global", dest="global_budget", type=int, default=1,
-                        help="max flips overall")
-    common.add_argument("--method", choices=METHODS, default="poly-topk")
-    common.add_argument("--mode", choices=("both", "add-only", "delete-only"), default="both",
+    # each subcommand takes only the flags it reads, except that train accepts
+    # --threads, which perfbench/run.py passes, and trains on one thread
+    inputs = _Parser(add_help=False)
+    inputs.add_argument("--graph", required=True, help="graph JSON file")
+    inputs.add_argument("--model", required=True, help="model JSON file")
+    inputs.add_argument("--local", type=int, default=1, help="max flips per node")
+    inputs.add_argument("--output", help="output path (default: stdout)")
+    total = _Parser(add_help=False)
+    total.add_argument("--global", dest="global_budget", type=int, default=1,
+                       help="max flips overall")
+    method = _Parser(add_help=False)
+    method.add_argument("--method", choices=METHODS, default="poly-topk")
+    method.add_argument("--mode", choices=("both", "add-only", "delete-only"), default="both",
                         help="restrict flips to feature additions or deletions")
-    common.add_argument("--output", help="output path (default: stdout)")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=_int_at_least(1), default=1)
+    method.add_argument("--threads", type=_int_at_least(1), default=1)
 
     parser = _Parser(prog="gcncert", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("certify", parents=[common], help="sound margins plus counterexamples")
+    p = sub.add_parser("certify", parents=[inputs, total, method],
+                       help="sound margins plus counterexamples")
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("counterexample", parents=[common], help="verified counterexamples only")
+    p = sub.add_parser("counterexample", parents=[inputs, total, method],
+                       help="verified counterexamples only")
     p.set_defaults(func=cmd_counterexample)
 
-    p = sub.add_parser("sweep", parents=[common], help="lower/upper ratios over a budget range")
+    p = sub.add_parser("sweep", parents=[inputs, method],
+                       help="lower/upper ratios over a budget range")
     p.add_argument("--global-range", required=True, metavar="LO:HI")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("collective", parents=[common], help="maximum robust limit per node")
+    p = sub.add_parser("collective", parents=[inputs, method],
+                       help="maximum robust limit per node")
     p.add_argument("--cap", type=int, default=100, help="largest budget to search")
     p.set_defaults(func=cmd_collective)
 
-    p = sub.add_parser("train", parents=[common], help="robust training, writes a checkpoint")
+    p = sub.add_parser("train", parents=[inputs, total, method],
+                       help="robust training, writes a checkpoint")
     p.add_argument("--labels", required=True, help="JSON list of labels, -1 = unlabeled")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--loss", choices=("hinge", "bce"), default="hinge")
     p.add_argument("--steps", type=_int_at_least(0), default=100)
     p.add_argument("--lr", type=float, default=0.05)
@@ -261,8 +272,9 @@ def build_parser() -> _Parser:
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("oracle", parents=[common], help="exhaustive exact robustness")
-    p.add_argument("--cap", type=int, default=None, help="candidate cap override")
+    p = sub.add_parser("oracle", parents=[inputs, total], help="exhaustive exact robustness")
+    p.add_argument("--cap", type=int, default=DEFAULT_ORACLE_CAP,
+                   help="most flip sets to enumerate")
     p.set_defaults(func=cmd_oracle)
 
     return parser

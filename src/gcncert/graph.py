@@ -5,7 +5,9 @@ adjacency, an affine map, and ReLU; the final layer stays linear so output
 scores keep their sign and margins between labels are meaningful.
 
 A ``Graph`` owns its normalized adjacency Ã: ``graph.norm_adj`` is computed on
-first use and shared, read-only, by every certifier, replay and the oracle.
+first use and shared, read-only, by every certifier, replay and the oracle;
+``graph.neighbors`` lists each row's nonzero entries for the code that only
+looks at a node's neighbours.
 """
 
 from __future__ import annotations
@@ -59,6 +61,22 @@ class Graph:
         norm_adj = normalize_adjacency(self)
         norm_adj.flags.writeable = False
         return norm_adj
+
+    @cached_property
+    def neighbors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ã's nonzero columns per row and their weights, both (n, widest row), read-only.
+
+        Rows are padded at the end with column 0 under weight 0.
+        """
+        rows, cols = np.nonzero(self.norm_adj)
+        counts = np.bincount(rows, minlength=self.num_nodes)
+        slot = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+        table = np.zeros((self.num_nodes, counts.max()), dtype=np.int64)
+        weights = np.zeros(table.shape)
+        table[rows, slot] = cols
+        weights[rows, slot] = self.norm_adj[rows, cols]
+        table.flags.writeable = weights.flags.writeable = False
+        return table, weights
 
     @property
     def num_features(self) -> int:
@@ -134,16 +152,20 @@ def normalize_adjacency(graph: Graph) -> np.ndarray:
 
 
 def forward(model: GcnModel, norm_adj: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Score matrix of the GCN: per layer Ã·H, then H·W + b, then ReLU (skipped on the last layer)."""
+    """Score matrix of the GCN: per layer Ã·H, then H·W + b, then ReLU (skipped on the last layer).
+
+    ``features`` is one (n, m0) matrix or a stack of them, shaped (..., n, m0);
+    the scores are stacked alike.
+    """
     h = np.asarray(features, dtype=np.float64)
     n = norm_adj.shape[0]
-    if norm_adj.shape != (n, n) or h.shape[0] != n:
+    if norm_adj.shape != (n, n) or h.ndim < 2 or h.shape[-2] != n:
         raise DimensionError(
             f"adjacency {norm_adj.shape} incompatible with features {h.shape}"
         )
-    if h.shape[1] != model.input_width:
+    if h.shape[-1] != model.input_width:
         raise DimensionError(
-            f"model expects {model.input_width} input features, got {h.shape[1]}"
+            f"model expects {model.input_width} input features, got {h.shape[-1]}"
         )
     for l, layer in enumerate(model.layers):
         h = norm_adj @ h

@@ -4,9 +4,12 @@ The input abstraction bounds the pre-activation values after the first layer
 directly from the perturbation budget (the raw 0/1 input box would be useless:
 every cell could flip). Two variants exist: ``topk`` ranks flip candidates per
 node and globally and is exact for the first layer; ``max`` scales the single
-best candidate by the total budget, cheaper but looser. Later layers use plain
-interval arithmetic. These bounds drive the interval certifier baseline and
-supply the numeric ReLU cases for the polyhedra domain.
+best candidate by the total budget, cheaper but looser. Both look only at each
+node's neighbours (``Graph.neighbors``): a flip elsewhere cannot move the
+node's first layer, so the candidate tensors grow with n times the widest
+neighbourhood, not with n². Later layers use plain interval arithmetic. These
+bounds drive the interval certifier baseline and supply the numeric ReLU
+cases for the polyhedra domain.
 """
 
 from __future__ import annotations
@@ -49,19 +52,19 @@ def interval_input_abstraction(
 
     A flip of cell (k, f) moves output (i, j) by Ã[i,k] * sign[k,f] * W[f,j].
     ``topk``: per source node keep the ``per_node`` best candidates (clamped
-    toward zero), scale by the adjacency row, then keep the ``total`` best
-    overall; this realizes the entrywise extremum exactly. ``max``: bound the
-    deviation by ``total`` times the single best scaled candidate.
+    toward zero), scale them by Ã[i,k] for each neighbour k of node i, then
+    keep the ``total`` best overall; this realizes the entrywise extremum
+    exactly. ``max``: bound the deviation by ``total`` times the single best
+    scaled candidate.
     """
     _check_variant(variant)
-    norm_adj = graph.norm_adj
     layer0 = model.layers[0]
     x = graph.features.astype(np.float64)
     if x.shape[1] != model.input_width:
         raise DimensionError(
             f"model expects {model.input_width} input features, got {x.shape[1]}"
         )
-    base = (norm_adj @ x) @ layer0.weight + layer0.bias
+    base = (graph.norm_adj @ x) @ layer0.weight + layer0.bias
     if budget.per_node == 0 or budget.total == 0:
         return IntervalElement(base.copy(), base.copy())
 
@@ -69,22 +72,24 @@ def interval_input_abstraction(
     m1 = layer0.weight.shape[1]
     # flip deltas per (source node, feature, output): sign[k,f] * W[f,j]
     cand = sign_matrix(graph.features)[:, :, None] * layer0.weight[None, :, :]
+    # only Ã's nonzero entries can move a row; padding weighs 0 like a non-neighbour
+    cols, weights = graph.neighbors
 
     if variant == "topk":
         k_local = min(budget.per_node, m0)
         ordered = np.sort(cand, axis=1)
         neg = np.minimum(ordered[:, :k_local, :], 0.0)
         pos = np.maximum(ordered[:, -k_local:, :], 0.0)
-        scaled_neg = (norm_adj[:, :, None, None] * neg[None, :, :, :]).reshape(n, -1, m1)
-        scaled_pos = (norm_adj[:, :, None, None] * pos[None, :, :, :]).reshape(n, -1, m1)
+        scaled_neg = (weights[:, :, None, None] * neg[cols]).reshape(n, -1, m1)
+        scaled_pos = (weights[:, :, None, None] * pos[cols]).reshape(n, -1, m1)
         k_global = min(budget.total, scaled_neg.shape[1])
         dev_min = np.sort(scaled_neg, axis=1)[:, :k_global, :].sum(axis=1)
         dev_max = np.sort(scaled_pos, axis=1)[:, -k_global:, :].sum(axis=1)
     else:
         best_neg = np.minimum(cand.min(axis=1), 0.0)
         best_pos = np.maximum(cand.max(axis=1), 0.0)
-        dev_min = budget.total * (norm_adj[:, :, None] * best_neg[None, :, :]).min(axis=1)
-        dev_max = budget.total * (norm_adj[:, :, None] * best_pos[None, :, :]).max(axis=1)
+        dev_min = budget.total * (weights[:, :, None] * best_neg[cols]).min(axis=1)
+        dev_max = budget.total * (weights[:, :, None] * best_pos[cols]).max(axis=1)
 
     return IntervalElement(base + dev_min, base + dev_max)
 

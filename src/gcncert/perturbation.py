@@ -9,28 +9,19 @@ and for the ``oracle`` CLI subcommand.
 from __future__ import annotations
 
 import itertools
-import os
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .errors import DataError, OracleInfeasibleError
-from .graph import GcnModel, Graph, predict
+from .graph import GcnModel, Graph, forward, predict
 
 DEFAULT_ORACLE_CAP = 10_000_000
-ORACLE_CAP_ENV = "GCNCERT_ORACLE_CAP"
 
 _FORWARD_CHUNK = 2048
-
-
-def oracle_cap(explicit: int | None = None) -> int:
-    """Candidate cap for enumeration: explicit value, else env override, else default."""
-    if explicit is not None:
-        return explicit
-    return int(os.environ.get(ORACLE_CAP_ENV, DEFAULT_ORACLE_CAP))
 
 
 @dataclass(frozen=True)
@@ -43,10 +34,6 @@ class PerturbationBudget:
     def __post_init__(self):
         if self.per_node < 0 or self.total < 0:
             raise DataError("perturbation budget limits must be non-negative")
-
-    @property
-    def effective_per_node(self) -> int:
-        return min(self.per_node, self.total)
 
 
 @dataclass(frozen=True)
@@ -96,7 +83,7 @@ def apply_flips(features: np.ndarray, flips: FlipSet) -> np.ndarray:
 def enumerate_perturbations(
     features: np.ndarray,
     budget: PerturbationBudget,
-    cap: int | None = None,
+    cap: int = DEFAULT_ORACLE_CAP,
 ) -> Iterator[FlipSet]:
     """Yield every flip set within the budget exactly once, the empty set included.
 
@@ -109,11 +96,10 @@ def enumerate_perturbations(
         yield EMPTY_FLIPSET
         return
     max_size = min(budget.total, n * m, budget.per_node * n)
-    limit = oracle_cap(cap)
     candidates = sum(comb(n * m, size) for size in range(max_size + 1))
-    if candidates > limit:
+    if candidates > cap:
         raise OracleInfeasibleError(
-            f"enumeration needs {candidates} candidates, cap is {limit}"
+            f"enumeration needs {candidates} candidates, cap is {cap}"
         )
     yield EMPTY_FLIPSET
     cells = [(i, j) for i in range(n) for j in range(m)]
@@ -124,22 +110,11 @@ def enumerate_perturbations(
                 yield FlipSet(combo)
 
 
-def _forward_batch(model: GcnModel, norm_adj: np.ndarray, batch: np.ndarray) -> np.ndarray:
-    """Concrete forward pass over a stack of feature matrices, shape (B, n, m0)."""
-    h = batch.astype(np.float64)
-    for l, layer in enumerate(model.layers):
-        h = norm_adj[None, :, :] @ h
-        h = h @ layer.weight + layer.bias
-        if l < model.num_layers - 1:
-            h = np.maximum(h, 0.0)
-    return h
-
-
 def _iter_changed_labels(
     model: GcnModel,
     graph: Graph,
     budget: PerturbationBudget,
-    cap: int | None,
+    cap: int,
 ) -> Iterator[tuple[list[FlipSet], np.ndarray]]:
     """Yield (flip sets, per-node label-changed flags) in batches."""
     base_labels = predict(model, graph).labels
@@ -158,7 +133,7 @@ def _changed_flags(model, graph, base_labels, flip_sets) -> np.ndarray:
     for b, flips in enumerate(flip_sets):
         for i, j in flips:
             batch[b, i, j] = 1 - batch[b, i, j]
-    scores = _forward_batch(model, graph.norm_adj, batch)
+    scores = forward(model, graph.norm_adj, batch)
     return np.argmax(scores, axis=2) != base_labels[None, :]
 
 
@@ -166,7 +141,7 @@ def exact_robust_nodes(
     model: GcnModel,
     graph: Graph,
     budget: PerturbationBudget,
-    cap: int | None = None,
+    cap: int = DEFAULT_ORACLE_CAP,
 ) -> np.ndarray:
     """Boolean vector: node i is robust iff no admissible flip set changes its label."""
     robust = np.ones(graph.num_nodes, dtype=bool)
@@ -182,7 +157,7 @@ def exact_node_robustness(
     graph: Graph,
     budget: PerturbationBudget,
     node: int,
-    cap: int | None = None,
+    cap: int = DEFAULT_ORACLE_CAP,
 ) -> bool:
     if not 0 <= node < graph.num_nodes:
         raise DataError(f"node {node} out of range")
@@ -197,7 +172,7 @@ def oracle_max_robust_limits(
     graph: Graph,
     per_node_budget: int,
     max_total: int,
-    cap: int | None = None,
+    cap: int = DEFAULT_ORACLE_CAP,
 ) -> np.ndarray:
     """Exact maximum robust global limit per node, capped at ``max_total``.
 

@@ -89,14 +89,14 @@ def linear_poly(elem: PolyNodeElement, weight: np.ndarray, bias: np.ndarray) -> 
 
 
 def _relu_cases(
-    lower: np.ndarray, upper: np.ndarray, unstable_lower_slope: float
+    lower: np.ndarray, upper: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-entry ReLU relaxation: lower slope, upper slope, upper intercept.
 
     Stable entries pass through (lower >= 0) or vanish (upper <= 0). Mixed
     entries get the chord s·x + t as upper bound; the lower slope is 1 when
-    the positive side dominates (|up| >= |lo|) and ``unstable_lower_slope``
-    (default 0) otherwise, the two area-minimal choices.
+    the positive side dominates (|up| >= |lo|) and 0 otherwise, whichever
+    bounds the smaller area (DeepPoly's rule).
     """
     lower = np.asarray(lower, dtype=np.float64)
     upper = np.asarray(upper, dtype=np.float64)
@@ -110,7 +110,7 @@ def _relu_cases(
         np.where(
             upper <= 0,
             0.0,
-            np.where(np.abs(upper) >= np.abs(lower), 1.0, unstable_lower_slope),
+            np.where(np.abs(upper) >= np.abs(lower), 1.0, 0.0),
         ),
     )
     upper_slope = np.where(lower >= 0, 1.0, chord_slope)
@@ -140,8 +140,6 @@ def back_substitute_batch(
     graph: Graph,
     nodes: Sequence[int],
     layer_bounds: Sequence[IntervalElement],
-    *,
-    unstable_lower_slope: float = 0.0,
 ) -> PolyBatch:
     """Output-layer bounds of every target in ``nodes``, derived backwards in one pass.
 
@@ -173,9 +171,7 @@ def back_substitute_batch(
             # cross the ReLU that follows layer l: lower rows scale by the
             # lower slope, upper rows by the chord slope plus its intercept
             pre = layer_bounds[l]
-            lo_slope, up_slope, up_shift = _relu_cases(
-                pre.lower[front], pre.upper[front], unstable_lower_slope
-            )
+            lo_slope, up_slope, up_shift = _relu_cases(pre.lower[front], pre.upper[front])
             const = const + (coef[:, :, 1] * up_shift[:, :, None, None]).sum(axis=(1, 4))
             coef = coef * np.stack([lo_slope, up_slope], axis=2)[:, :, :, None, None]
         layer = model.layers[l]
@@ -215,13 +211,9 @@ def back_substitute(
     graph: Graph,
     node: int,
     layer_bounds: Sequence[IntervalElement],
-    *,
-    unstable_lower_slope: float = 0.0,
 ) -> PolyNodeElement:
     """Output-layer element of one node: ``back_substitute_batch`` of that node alone."""
-    batch = back_substitute_batch(
-        model, graph, [node], layer_bounds, unstable_lower_slope=unstable_lower_slope
-    )
+    batch = back_substitute_batch(model, graph, [node], layer_bounds)
     rows = model.num_labels
     return PolyNodeElement(
         var_nodes=batch.fronts[0],

@@ -26,6 +26,8 @@ from .perturbation import PerturbationBudget
 
 DEFAULT_LABELED_MARGIN = math.log(90 / 10)
 DEFAULT_UNLABELED_MARGIN = math.log(60 / 40)
+FD_STEP = 1e-4  # central-difference step on every parameter
+MAX_PARAMETERS = 2000  # 2 certifier calls per parameter per step
 
 
 @dataclass(frozen=True)
@@ -93,8 +95,6 @@ def train_robust(
     variant: str = "max",
     mode: str = "both",
     batch_size: int | None = None,
-    fd_step: float = 1e-4,
-    max_parameters: int = 2000,
     progress: Callable[[int, float], None] | None = None,
 ) -> GcnModel:
     """Gradient-descend the robust loss for ``steps`` steps and return the new model.
@@ -106,10 +106,10 @@ def train_robust(
     ``max`` because the numeric bounds are recomputed at every evaluation.
     """
     count = parameter_count(model)
-    if count > max_parameters:
+    if count > MAX_PARAMETERS:
         raise DataError(
             f"model has {count} parameters, finite-difference training caps at "
-            f"{max_parameters}; shrink the model (fewer or narrower layers)"
+            f"{MAX_PARAMETERS}; shrink the model (fewer or narrower layers)"
         )
     if batch_size is not None and batch_size < 1:
         raise DataError("batch_size must be at least 1")
@@ -168,11 +168,11 @@ def train_robust(
         grad = np.zeros_like(params)
         for p in range(len(params)):
             shifted = params.copy()
-            shifted[p] = params[p] + fd_step
+            shifted[p] = params[p] + FD_STEP
             up = batch_loss(shifted, batch, targets)
-            shifted[p] = params[p] - fd_step
+            shifted[p] = params[p] - FD_STEP
             down = batch_loss(shifted, batch, targets)
-            grad[p] = (up - down) / (2.0 * fd_step)
+            grad[p] = (up - down) / (2.0 * FD_STEP)
         params = params - learning_rate * grad
         if progress is not None:
             progress(step, batch_loss(params, batch, targets))

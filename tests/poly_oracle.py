@@ -81,14 +81,11 @@ def relu_poly(
     elem: PolyNodeElement,
     interval_lower: np.ndarray,
     interval_upper: np.ndarray,
-    unstable_lower_slope: float = 0.0,
 ) -> PolyNodeElement:
     """ReLU relaxation per latent feature, driven by numeric interval bounds."""
     if np.shape(interval_lower) != (elem.rows,) or np.shape(interval_upper) != (elem.rows,):
         raise DimensionError("interval bounds must have one entry per element row")
-    lo_slope, up_slope, up_shift = _relu_cases(
-        interval_lower, interval_upper, unstable_lower_slope
-    )
+    lo_slope, up_slope, up_shift = _relu_cases(interval_lower, interval_upper)
     return PolyNodeElement(
         var_nodes=elem.var_nodes,
         num_features=elem.num_features,
@@ -104,7 +101,6 @@ def forward_poly_propagation(
     graph: Graph,
     norm_adj: np.ndarray,
     layer_bounds: Sequence[IntervalElement],
-    unstable_lower_slope: float = 0.0,
 ) -> PolyElement:
     """Push input abstractions through all layers; output-layer elements per node."""
     elems = poly_input_abstraction(graph)
@@ -113,10 +109,7 @@ def forward_poly_propagation(
         elems = [linear_poly(e, layer.weight, layer.bias) for e in elems]
         if l < model.num_layers - 1:
             pre = layer_bounds[l]
-            elems = [
-                relu_poly(e, pre.lower[i], pre.upper[i], unstable_lower_slope)
-                for i, e in enumerate(elems)
-            ]
+            elems = [relu_poly(e, pre.lower[i], pre.upper[i]) for i, e in enumerate(elems)]
     return elems
 
 

@@ -287,13 +287,15 @@ def test_counterexamples_always_verified(rng):
 
 def test_certify_complete_two_node(two_node):
     graph, model = two_node
-    upper = gc.certify_complete(model, graph, gc.PerturbationBudget(1, 1))
-    assert upper[0] == 1.0
+    budget = gc.PerturbationBudget(1, 1)
+    judgments = gc.certify_sound(model, graph, budget)
+    assert gc.find_counterexamples(model, graph, budget, judgments) == {}
 
 
 def test_certify_complete_flags_broken_node():
     graph, model, budget = helpers.flip_moves_label_example()
-    assert gc.certify_complete(model, graph, budget)[0] == 0.0
+    judgments = gc.certify_sound(model, graph, budget)
+    assert list(gc.find_counterexamples(model, graph, budget, judgments)) == [0]
 
 
 def test_no_node_both_certified_and_broken(rng):
@@ -312,7 +314,7 @@ def test_sound_and_complete_sandwich(rng):
             continue
         robust = helpers.brute_force_robust_nodes(model, graph, budget)
         judgments = gc.certify_sound(model, graph, budget)
-        upper = gc.certify_complete(model, graph, budget, judgments=judgments)
+        broken = gc.find_counterexamples(model, graph, budget, judgments)
         for i, judgment in enumerate(judgments):
             assert not judgment.certified or robust[i]
-            assert not robust[i] or upper[i] == 1.0
+            assert not robust[i] or i not in broken

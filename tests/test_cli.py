@@ -1,5 +1,4 @@
 import csv
-import io
 import json
 from pathlib import Path
 
@@ -149,11 +148,6 @@ def test_oracle_cap_exit_code(tmp_path):
                  "--global", "3", "--cap", "2"]) == 3
 
 
-def test_oracle_cap_env_override(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("GCNCERT_ORACLE_CAP", "2")
-    assert main(["oracle", "--graph", GRAPH, "--model", MODEL, "--global", "3"]) == 3
-
-
 def test_train_roundtrip(tmp_path):
     labels_path = tmp_path / "labels.json"
     labels_path.write_text(json.dumps([1, -1]))
@@ -228,6 +222,11 @@ def test_certify_rejects_non_finite_model(tmp_path):
     ["collective", "--method", "interval-topk", "--mode", "add-only"],
     ["oracle", "--mode", "add-only"],
     ["oracle", "--mode", "delete-only"],
+    ["oracle", "--method", "poly-max"],
+    ["oracle", "--threads", "2"],
+    ["certify", "--seed", "1"],
+    ["collective", "--global", "2"],
+    ["sweep", "--global", "0:3"],  # no prefix match for --global-range
 ])
 def test_ignored_flags_are_usage_errors(monkeypatch, args):
     def never_load(path):

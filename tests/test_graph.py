@@ -44,6 +44,22 @@ def test_norm_adj_is_cached_and_read_only(two_node):
         graph.norm_adj[0, 0] = 1.0
 
 
+def test_neighbor_table_lists_each_rows_nonzero_entries(rng):
+    for _ in range(10):
+        graph, _, _ = helpers.raw_instance(rng)
+        cols, weights = graph.neighbors
+        assert graph.neighbors[0] is cols and graph.neighbors[1] is weights
+        assert not cols.flags.writeable and not weights.flags.writeable
+        live = weights > 0
+        assert (live[:, :-1] >= live[:, 1:]).all()  # padding only at the end of a row
+        assert live.all(axis=1).any()  # padded to the widest row, no wider
+        assert (cols[~live] == 0).all()
+        rebuilt = np.zeros_like(graph.norm_adj)
+        rows = np.repeat(np.arange(graph.num_nodes), cols.shape[1])
+        np.add.at(rebuilt, (rows, cols.ravel()), weights.ravel())
+        assert np.array_equal(rebuilt, graph.norm_adj)
+
+
 def test_forward_two_node_scores(two_node):
     graph, model = two_node
     scores = gc.forward(model, gc.normalize_adjacency(graph), graph.features)
@@ -68,6 +84,19 @@ def test_forward_dimension_mismatch(two_node):
     graph, model = two_node
     with pytest.raises(gc.DimensionError):
         gc.forward(model, gc.normalize_adjacency(graph), graph.features[:, :2])
+    for bad in (graph.features[0], np.stack([graph.features[:1]] * 3)):
+        with pytest.raises(gc.DimensionError):
+            gc.forward(model, gc.normalize_adjacency(graph), bad)
+
+
+def test_forward_on_a_stack_matches_each_matrix(rng):
+    for _ in range(10):
+        graph, model, _ = helpers.raw_instance(rng)
+        stack = (rng.random((2, 3, graph.num_nodes, graph.num_features)) < 0.5).astype(int)
+        scores = gc.forward(model, graph.norm_adj, stack)
+        assert scores.shape == (2, 3, graph.num_nodes, model.num_labels)
+        for index in np.ndindex(2, 3):
+            assert np.array_equal(scores[index], gc.forward(model, graph.norm_adj, stack[index]))
 
 
 def test_forward_permutation_equivariance(rng):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,92 @@ def test_input_abstraction_max_sound_but_looser(rng):
         coarse = gc.interval_input_abstraction(model, graph, budget, "max")
         assert (coarse.lower <= topk.lower + 1e-12).all()
         assert (coarse.upper >= topk.upper - 1e-12).all()
+
+
+def _dense_input_abstraction(model, graph, budget, variant):
+    """Reference first-layer bounds over dense (n, n·k, m1) tensors: every node pair of Ã."""
+    norm_adj = graph.norm_adj
+    layer0 = model.layers[0]
+    base = (norm_adj @ graph.features.astype(np.float64)) @ layer0.weight + layer0.bias
+    if budget.per_node == 0 or budget.total == 0:
+        return base, base
+    n, m0 = graph.features.shape
+    m1 = layer0.weight.shape[1]
+    cand = gc.sign_matrix(graph.features)[:, :, None] * layer0.weight[None, :, :]
+    if variant == "topk":
+        k_local = min(budget.per_node, m0)
+        ordered = np.sort(cand, axis=1)
+        neg = np.minimum(ordered[:, :k_local, :], 0.0)
+        pos = np.maximum(ordered[:, -k_local:, :], 0.0)
+        scaled_neg = (norm_adj[:, :, None, None] * neg[None, :, :, :]).reshape(n, -1, m1)
+        scaled_pos = (norm_adj[:, :, None, None] * pos[None, :, :, :]).reshape(n, -1, m1)
+        k_global = min(budget.total, scaled_neg.shape[1])
+        dev_min = np.sort(scaled_neg, axis=1)[:, :k_global, :].sum(axis=1)
+        dev_max = np.sort(scaled_pos, axis=1)[:, -k_global:, :].sum(axis=1)
+    else:
+        best_neg = np.minimum(cand.min(axis=1), 0.0)
+        best_pos = np.maximum(cand.max(axis=1), 0.0)
+        dev_min = budget.total * (norm_adj[:, :, None] * best_neg[None, :, :]).min(axis=1)
+        dev_max = budget.total * (norm_adj[:, :, None] * best_pos[None, :, :]).max(axis=1)
+    return base + dev_min, base + dev_max
+
+
+def _sparse_instances(rng, count, widths):
+    """Sparse random graphs whose node 0 has itself as its only neighbour, with every
+    budget from zero up to per_node above m0 and total above the candidate count."""
+    for _ in range(count):
+        n, m0 = int(rng.integers(1, 25)), int(rng.integers(1, 6))
+        adj = np.triu(rng.random((n, n)) < 0.15, 1).astype(int)
+        adj = adj + adj.T
+        adj[0] = adj[:, 0] = 0
+        graph = gc.Graph(adjacency=adj, features=(rng.random((n, m0)) < 0.5).astype(int))
+        m1 = int(rng.choice(widths))
+        model = gc.GcnModel((gc.GcnLayer(rng.uniform(-1, 1, (m0, m1)),
+                                         rng.uniform(-0.5, 0.5, m1)),))
+        for per_node in range(m0 + 2):
+            for total in (0, 1, 3, min(per_node, m0) * n + 2):
+                yield graph, model, gc.PerturbationBudget(per_node, total)
+
+
+@pytest.mark.parametrize("variant, widths", [("topk", (2, 3, 4)), ("max", (1, 2, 3, 4))],
+                         ids=["topk", "max"])
+def test_input_abstraction_matches_dense_reference(rng, variant, widths):
+    for graph, model, budget in _sparse_instances(rng, 40, widths):
+        elem = gc.interval_input_abstraction(model, graph, budget, variant)
+        lower, upper = _dense_input_abstraction(model, graph, budget, variant)
+        assert np.array_equal(elem.lower, lower) and np.array_equal(elem.upper, upper)
+
+
+def test_input_abstraction_single_output_matches_dense_reference(rng):
+    # with one output column numpy sums each row pairwise, so the dense rows'
+    # extra zero candidates can regroup the additions once total exceeds the
+    # widest neighbourhood's candidates: equal there up to rounding only
+    for graph, model, budget in _sparse_instances(rng, 40, widths=(1,)):
+        elem = gc.interval_input_abstraction(model, graph, budget, "topk")
+        lower, upper = _dense_input_abstraction(model, graph, budget, "topk")
+        widest = graph.neighbors[0].shape[1] * min(budget.per_node, graph.num_features)
+        if budget.total <= widest:
+            assert np.array_equal(elem.lower, lower) and np.array_equal(elem.upper, upper)
+        else:
+            assert np.allclose(elem.lower, lower, rtol=0, atol=1e-12)
+            assert np.allclose(elem.upper, upper, rtol=0, atol=1e-12)
+
+
+def test_input_abstraction_memory_follows_neighbourhoods(rng):
+    n = 300
+    ring = np.roll(np.eye(n, dtype=int), 1, axis=1)
+    graph = gc.Graph(adjacency=ring + ring.T, features=(rng.random((n, 8)) < 0.5).astype(int))
+    model = gc.GcnModel((gc.GcnLayer(rng.uniform(-1, 1, (8, 8)), rng.uniform(-0.5, 0.5, 8)),))
+    budget = gc.PerturbationBudget(8, 40)
+    gc.interval_input_abstraction(model, graph, budget, "topk")  # builds the graph's caches
+    tracemalloc.start()
+    try:
+        gc.interval_input_abstraction(model, graph, budget, "topk")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # dense (n, n·k, m1) candidate tensors would need over 100 MB here
+    assert peak < 16 * 2**20
 
 
 def test_input_abstraction_unknown_variant(two_node):

@@ -38,7 +38,8 @@ def test_uncertainty_region_two_node_poly_pair(two_node):
     budget = gc.PerturbationBudget(1, 1)
     judgments = gc.certify_sound(model, graph, budget)
     lower = gc.graph_robustness_ratio(judgments)
-    upper = gc.certify_complete(model, graph, budget, judgments=judgments).mean()
+    broken = gc.find_counterexamples(model, graph, budget, judgments)
+    upper = (graph.num_nodes - len(broken)) / graph.num_nodes
     sweep = gc.RobustnessSweep(1, (1,), np.array([lower]), np.array([upper]))
     assert gc.uncertainty_region(sweep) == pytest.approx(0.0)
 

@@ -80,14 +80,6 @@ def test_enumerate_cap_exceeded():
         list(gc.enumerate_perturbations(x, gc.PerturbationBudget(2, 3), cap=10))
 
 
-def test_oracle_cap_env_override(monkeypatch):
-    monkeypatch.setenv(gc.perturbation.ORACLE_CAP_ENV, "5")
-    assert gc.perturbation.oracle_cap() == 5
-    assert gc.perturbation.oracle_cap(77) == 77
-    with pytest.raises(gc.OracleInfeasibleError):
-        list(gc.enumerate_perturbations(np.zeros((3, 3), dtype=int), gc.PerturbationBudget(1, 2)))
-
-
 def test_exact_robustness_zero_budget_always_true(rng):
     graph, model, _ = helpers.raw_instance(rng)
     budget = gc.PerturbationBudget(1, 0)
