@@ -12,6 +12,13 @@ nodes, the minimizing flip set is replayed through the concrete forward pass;
 only flips that demonstrably change the prediction are reported, which makes
 the resulting upper bound complete.
 
+Replay is local: an L-layer GCN's score for node i depends only on the
+features of the nodes within L hops, so ``generate_counterexample`` runs the
+forward pass on that receptive field alone, with the full graph's Ã entries,
+one batch for all of a node's candidate flip sets. Local sums round
+differently from the whole-graph product, so a candidate whose local top two
+scores lie within 1e-9 (relative) is settled by the whole-graph ``forward``.
+
 ``certify_sound`` works in chunks of target nodes, sized by a fixed element
 budget: one ``back_substitute_batch`` call per chunk, the lower form of
 score[label] - score[rival] for every (target, rival) pair sliced out of it as
@@ -31,10 +38,19 @@ import numpy as np
 from .errors import DataError
 from .graph import GcnModel, Graph, forward, predict
 from .intervals import interval_layer_bounds
-from .perturbation import FlipSet, PerturbationBudget, apply_flips, sign_matrix
+from .perturbation import (
+    FlipSet,
+    PerturbationBudget,
+    apply_flips,
+    check_mode,
+    restrict_to_mode,
+    sign_matrix,
+)
 from .polyhedra import PolyNodeElement, back_substitute_batch, linear_poly
 
-MODES = ("both", "add-only", "delete-only")
+# local top-two score gaps within this fraction of the top score are re-checked
+# with the whole-graph forward pass
+_TIE_TOLERANCE = 1e-9
 
 # coefficient entries per chunk of certify_sound targets at the widest
 # possible receptive field: keeps a chunk's tensors at a few MB
@@ -107,11 +123,7 @@ def _minimize_forms(
     t, v, f, m0 = coef.shape
     x = features.astype(np.float64)
     base = (coef.reshape(t, v, f * m0) @ x.reshape(t, f * m0, 1))[:, :, 0] + const
-    theta = coef * sign_matrix(features)[:, None]
-    if mode == "add-only":
-        theta = np.where(features[:, None] == 0, theta, 0.0)
-    elif mode == "delete-only":
-        theta = np.where(features[:, None] == 1, theta, 0.0)
+    theta = restrict_to_mode(coef * sign_matrix(features)[:, None], features[:, None], mode)
     if budget.per_node == 0 or budget.total == 0:
         return base, np.zeros(coef.shape, dtype=bool)
     flat = theta.reshape(t * v, f * m0)
@@ -151,8 +163,7 @@ def minimize_delta(
     feature) pair so the chosen flip set is deterministic. ``mode`` restricts
     candidate flips to feature additions (0 to 1) or deletions (1 to 0).
     """
-    if mode not in MODES:
-        raise DataError(f"unknown mode {mode!r}, expected one of {MODES}")
+    check_mode(mode)
     if elem.rows != 1:
         raise DataError("minimize_delta expects a single-row element")
     shape = (1, 1, len(elem.var_nodes), elem.num_features)
@@ -193,9 +204,8 @@ def certify_sound(
     predictions); robust training uses this to target ground-truth labels.
     ``threads`` spreads the chunks over a pool; it never changes the chunks.
     """
-    if mode not in MODES:
-        raise DataError(f"unknown mode {mode!r}, expected one of {MODES}")
-    layer_bounds = interval_layer_bounds(model, graph, budget, variant)
+    check_mode(mode)
+    layer_bounds = interval_layer_bounds(model, graph, budget, variant, mode=mode)
     if labels is None:
         labels = predict(model, graph).labels
     labels = np.asarray(labels)
@@ -241,6 +251,33 @@ def certify_sound(
     return [j for part in _map_in_order(judge, chunks, threads) for j in part]
 
 
+def _receptive_field(graph: Graph, node: int, depth: int) -> list[np.ndarray]:
+    """Sorted hop sets H_0 = {node}, ..., H_depth; H_{l+1} holds the Ã-neighbours of H_l."""
+    cols, weights = graph.neighbors
+    hops = [np.array([node])]
+    for _ in range(depth):
+        hops.append(np.unique(cols[hops[-1]][weights[hops[-1]] > 0]))
+    return hops
+
+
+def _local_scores(
+    model: GcnModel, graph: Graph, hops: list[np.ndarray], x: np.ndarray
+) -> np.ndarray:
+    """Scores of node H_0 for a stack x of (field, m0) feature matrices over the field H_L.
+
+    Layer l computes only the rows of H_{L-1-l}, from the columns of H_{L-l};
+    the full graph's Ã entries are used, so no degree is renormalized.
+    """
+    h = x.astype(np.float64)
+    depth = model.num_layers
+    for l, layer in enumerate(model.layers):
+        block = graph.norm_adj[np.ix_(hops[depth - 1 - l], hops[depth - l])]
+        h = np.matmul(block, h) @ layer.weight + layer.bias
+        if l < depth - 1:
+            h = np.maximum(h, 0.0)
+    return h[:, 0, :]
+
+
 def generate_counterexample(
     model: GcnModel,
     graph: Graph,
@@ -249,28 +286,47 @@ def generate_counterexample(
 ) -> Counterexample | None:
     """Replay the minimizer's flips for each non-positive rival margin.
 
-    Rivals are tried most promising first. Candidates are only reported after
-    a concrete forward pass confirms the label change; certified nodes are
-    skipped outright (they cannot have counterexamples).
+    Rivals are tried most promising first, and the first flip set that
+    changes the label wins. All candidates go through one forward pass over
+    the node's receptive field (flips outside it cannot move the node's
+    scores and are ignored); a candidate whose local top-two score gap is at
+    most 1e-9 * max(1, |top score|) is settled by the whole-graph ``forward``
+    instead, so the verdict never rests on rounding. Certified nodes are
+    skipped outright (they cannot have counterexamples). Every candidate is
+    checked first: one over the budget raises ``AssertionError``, one with a
+    cell outside the feature matrix raises ``DataError``.
     """
     if judgment.certified:
         return None
-    candidates = sorted(
-        (margin, rival)
-        for rival, margin in judgment.rival_margins.items()
-        if margin <= 0.0
-    )
-    for _, rival in candidates:
+    candidates = []
+    for _, rival in sorted(
+        (margin, rival) for rival, margin in judgment.rival_margins.items() if margin <= 0.0
+    ):
         flips = judgment.rival_flips[rival]
         if len(flips) == 0:
             continue
         if not flips.within(budget):
             raise AssertionError("minimizer produced an out-of-budget flip set")
-        perturbed = apply_flips(graph.features, flips)
-        scores = forward(model, graph.norm_adj, perturbed)
-        new_label = int(np.argmax(scores[judgment.node]))
+        flips.require_inside(graph.features.shape)
+        candidates.append(flips)
+    if not candidates:
+        return None
+    node = judgment.node
+    hops = _receptive_field(graph, node, model.num_layers)
+    field = hops[-1]
+    x = np.repeat(graph.features[field][None], len(candidates), axis=0)
+    for k, flips in enumerate(candidates):
+        rows, cols = np.array(flips.flips).T
+        at = np.minimum(np.searchsorted(field, rows), len(field) - 1)
+        inside = field[at] == rows
+        x[k, at[inside], cols[inside]] ^= 1
+    for flips, scores in zip(candidates, _local_scores(model, graph, hops, x)):
+        top = np.sort(scores)[::-1]
+        if len(top) > 1 and top[0] - top[1] <= _TIE_TOLERANCE * max(1.0, abs(top[0])):
+            scores = forward(model, graph.norm_adj, apply_flips(graph.features, flips))[node]
+        new_label = int(np.argmax(scores))
         if new_label != judgment.label:
-            return Counterexample(judgment.node, flips, new_label)
+            return Counterexample(node, flips, new_label)
     return None
 
 

@@ -22,7 +22,7 @@ from .errors import DataError, OracleInfeasibleError
 from .graph import GcnModel, Graph
 from .intervals import interval_certify
 from .metrics import RobustnessSweep
-from .perturbation import DEFAULT_ORACLE_CAP, PerturbationBudget, exact_robust_nodes
+from .perturbation import DEFAULT_ORACLE_CAP, MODES, PerturbationBudget, exact_robust_nodes
 from .training import RobustLossConfig, train_robust
 
 METHODS = ("poly-topk", "poly-max", "interval-topk", "interval-max")
@@ -236,7 +236,7 @@ def build_parser() -> _Parser:
                        help="max flips overall")
     method = _Parser(add_help=False)
     method.add_argument("--method", choices=METHODS, default="poly-topk")
-    method.add_argument("--mode", choices=("both", "add-only", "delete-only"), default="both",
+    method.add_argument("--mode", choices=MODES, default="both",
                         help="restrict flips to feature additions or deletions")
     method.add_argument("--threads", type=_int_at_least(1), default=1)
 
@@ -258,7 +258,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("collective", parents=[inputs, method],
                        help="maximum robust limit per node")
-    p.add_argument("--cap", type=int, default=100, help="largest budget to search")
+    p.add_argument("--cap", type=_int_at_least(0), default=100, help="largest budget to search")
     p.set_defaults(func=cmd_collective)
 
     p = sub.add_parser("train", parents=[inputs, total, method],
@@ -273,7 +273,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("oracle", parents=[inputs, total], help="exhaustive exact robustness")
-    p.add_argument("--cap", type=int, default=DEFAULT_ORACLE_CAP,
+    p.add_argument("--cap", type=_int_at_least(1), default=DEFAULT_ORACLE_CAP,
                    help="most flip sets to enumerate")
     p.set_defaults(func=cmd_oracle)
 

@@ -7,9 +7,10 @@ node and globally and is exact for the first layer; ``max`` scales the single
 best candidate by the total budget, cheaper but looser. Both look only at each
 node's neighbours (``Graph.neighbors``): a flip elsewhere cannot move the
 node's first layer, so the candidate tensors grow with n times the widest
-neighbourhood, not with n². Later layers use plain interval arithmetic. These
-bounds drive the interval certifier baseline and supply the numeric ReLU
-cases for the polyhedra domain.
+neighbourhood, not with n². A ``mode`` other than ``both`` drops the
+candidates of cells whose flip goes the other way. Later layers use plain
+interval arithmetic. These bounds drive the interval certifier baseline and
+supply the numeric ReLU cases for the polyhedra domain.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import DataError, DimensionError
 from .graph import GcnModel, Graph, predict
-from .perturbation import PerturbationBudget, sign_matrix
+from .perturbation import PerturbationBudget, check_mode, restrict_to_mode, sign_matrix
 
 VARIANTS = ("topk", "max")
 
@@ -47,6 +48,8 @@ def interval_input_abstraction(
     graph: Graph,
     budget: PerturbationBudget,
     variant: str = "topk",
+    *,
+    mode: str = "both",
 ) -> IntervalElement:
     """Bounds on the first layer's pre-activation over every admissible flip set.
 
@@ -55,9 +58,11 @@ def interval_input_abstraction(
     toward zero), scale them by Ã[i,k] for each neighbour k of node i, then
     keep the ``total`` best overall; this realizes the entrywise extremum
     exactly. ``max``: bound the deviation by ``total`` times the single best
-    scaled candidate.
+    scaled candidate. Under ``add-only`` (``delete-only``) a cell whose
+    feature is 1 (0) cannot flip, so its candidates are 0.
     """
     _check_variant(variant)
+    check_mode(mode)
     layer0 = model.layers[0]
     x = graph.features.astype(np.float64)
     if x.shape[1] != model.input_width:
@@ -72,6 +77,7 @@ def interval_input_abstraction(
     m1 = layer0.weight.shape[1]
     # flip deltas per (source node, feature, output): sign[k,f] * W[f,j]
     cand = sign_matrix(graph.features)[:, :, None] * layer0.weight[None, :, :]
+    cand = restrict_to_mode(cand, graph.features[:, :, None], mode)
     # only Ã's nonzero entries can move a row; padding weighs 0 like a non-neighbour
     cols, weights = graph.neighbors
 
@@ -128,9 +134,11 @@ def interval_layer_bounds(
     graph: Graph,
     budget: PerturbationBudget,
     variant: str = "topk",
+    *,
+    mode: str = "both",
 ) -> list[IntervalElement]:
     """Pre-activation interval bounds for every layer, output layer last."""
-    bounds = [interval_input_abstraction(model, graph, budget, variant)]
+    bounds = [interval_input_abstraction(model, graph, budget, variant, mode=mode)]
     for layer in model.layers[1:]:
         elem = relu_interval(bounds[-1])
         elem = gc_interval(elem, graph.norm_adj)

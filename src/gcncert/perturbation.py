@@ -21,6 +21,8 @@ from .graph import GcnModel, Graph, forward, predict
 
 DEFAULT_ORACLE_CAP = 10_000_000
 
+MODES = ("both", "add-only", "delete-only")
+
 _FORWARD_CHUNK = 2048
 
 
@@ -60,6 +62,13 @@ class FlipSet:
         per_node = Counter(i for i, _ in self.flips)
         return all(count <= budget.per_node for count in per_node.values())
 
+    def require_inside(self, shape: tuple[int, int]) -> None:
+        """Raise :class:`DataError` unless every cell lies in an n x m feature matrix."""
+        n, m = shape
+        for i, j in self.flips:
+            if not (0 <= i < n and 0 <= j < m):
+                raise DataError(f"flip ({i}, {j}) outside the {n}x{m} feature matrix")
+
 
 EMPTY_FLIPSET = FlipSet(())
 
@@ -69,13 +78,30 @@ def sign_matrix(features: np.ndarray) -> np.ndarray:
     return np.where(np.asarray(features) == 0, 1.0, -1.0)
 
 
+def check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise DataError(f"unknown mode {mode!r}, expected one of {MODES}")
+
+
+def restrict_to_mode(values: np.ndarray, features: np.ndarray, mode: str) -> np.ndarray:
+    """``values`` with every entry of a cell that ``mode`` may not flip set to 0.
+
+    ``add-only`` flips only 0 features, ``delete-only`` only 1 features;
+    ``features`` must broadcast against ``values``. Under ``both`` the values
+    come back untouched.
+    """
+    if mode == "add-only":
+        return np.where(features == 0, values, 0.0)
+    if mode == "delete-only":
+        return np.where(features == 1, values, 0.0)
+    return values
+
+
 def apply_flips(features: np.ndarray, flips: FlipSet) -> np.ndarray:
     """Return a copy of ``features`` with every listed cell flipped (0↔1)."""
     out = np.array(features, dtype=np.int64, copy=True)
-    n, m = out.shape
+    flips.require_inside(out.shape)
     for i, j in flips:
-        if not (0 <= i < n and 0 <= j < m):
-            raise DataError(f"flip ({i}, {j}) outside the {n}x{m} feature matrix")
         out[i, j] = 1 - out[i, j]
     return out
 

@@ -143,6 +143,14 @@ def iter_flip_combos(n: int, m: int, budget: gc.PerturbationBudget):
                 yield combo
 
 
+def mode_allows(features: np.ndarray, combo, mode: str) -> bool:
+    """Whether every cell of ``combo`` flips in a direction ``mode`` permits."""
+    if mode == "both":
+        return True
+    allowed = 0 if mode == "add-only" else 1
+    return all(features[i, j] == allowed for i, j in combo)
+
+
 def flipped(features: np.ndarray, combo) -> np.ndarray:
     out = features.copy()
     for i, j in combo:
@@ -150,15 +158,37 @@ def flipped(features: np.ndarray, combo) -> np.ndarray:
     return out
 
 
-def brute_force_robust_nodes(model, graph, budget) -> np.ndarray:
+def brute_force_robust_nodes(model, graph, budget, mode="both") -> np.ndarray:
     """Ground-truth robustness flags by replaying every admissible flip tuple."""
     norm_adj = gc.normalize_adjacency(graph)
     base = np.argmax(gc.forward(model, norm_adj, graph.features), axis=1)
     robust = np.ones(graph.num_nodes, dtype=bool)
     for combo in iter_flip_combos(graph.num_nodes, graph.num_features, budget):
+        if not mode_allows(graph.features, combo, mode):
+            continue
         labels = np.argmax(gc.forward(model, norm_adj, flipped(graph.features, combo)), axis=1)
         robust &= labels == base
     return robust
+
+
+def dense_counterexample(model, graph, budget, judgment):
+    """Counterexample replay on the whole graph: one dense forward pass per candidate.
+
+    Rivals with margin <= 0 are tried in (margin, rival) order; the first
+    non-empty flip set whose whole-graph argmax differs from the label wins.
+    """
+    if judgment.certified:
+        return None
+    for _, rival in sorted((m, r) for r, m in judgment.rival_margins.items() if m <= 0.0):
+        flips = judgment.rival_flips[rival]
+        if len(flips) == 0:
+            continue
+        assert flips.within(budget)
+        scores = gc.forward(model, graph.norm_adj, gc.apply_flips(graph.features, flips))
+        new_label = int(np.argmax(scores[judgment.node]))
+        if new_label != judgment.label:
+            return gc.Counterexample(judgment.node, flips, new_label)
+    return None
 
 
 def brute_force_form_minimum(elem, features, budget, mode="both") -> float:
@@ -167,9 +197,7 @@ def brute_force_form_minimum(elem, features, budget, mode="both") -> float:
     n_sub, m = sub.shape
     best = np.inf
     for combo in iter_flip_combos(n_sub, m, budget):
-        if mode == "add-only" and any(sub[i, j] != 0 for i, j in combo):
-            continue
-        if mode == "delete-only" and any(sub[i, j] != 1 for i, j in combo):
+        if not mode_allows(sub, combo, mode):
             continue
         value = elem.lower_coef[0] @ flipped(sub, combo).ravel().astype(float)
         best = min(best, value + elem.lower_const[0])

@@ -149,7 +149,7 @@ def per_node_judgments(
     mode: str = "both",
 ) -> list[NodeJudgment]:
     """``certify_sound`` over every node, rebuilt from forward propagation."""
-    bounds = interval_layer_bounds(model, graph, budget, variant)
+    bounds = interval_layer_bounds(model, graph, budget, variant, mode=mode)
     out = bounds[-1]
     labels = predict(model, graph).labels
     elems = forward_poly_propagation(model, graph, graph.norm_adj, bounds)

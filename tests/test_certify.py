@@ -162,6 +162,33 @@ def test_certify_sound_dominates_interval_box(rng):
         assert set(interval_certified.tolist()) <= certified
 
 
+@pytest.mark.parametrize("mode", ["add-only", "delete-only"])
+def test_certify_sound_restricted_mode_sound_against_bruteforce(rng, mode):
+    checked = 0
+    for _ in range(20):
+        graph, model, budget = helpers.trained_instance(rng)
+        if graph.num_nodes * graph.num_features > 15:
+            continue
+        robust = helpers.brute_force_robust_nodes(model, graph, budget, mode)
+        for judgment in gc.certify_sound(model, graph, budget, mode=mode):
+            assert not judgment.certified or robust[judgment.node]
+            checked += judgment.certified
+    assert checked > 0
+
+
+@pytest.mark.parametrize("mode", ["add-only", "delete-only"])
+def test_certify_sound_restricted_mode_dominates_interval(rng, mode):
+    for _ in range(15):
+        graph, model, budget = helpers.trained_instance(rng)
+        out = gc.interval_layer_bounds(model, graph, budget, "topk", mode=mode)[-1]
+        judgments = gc.certify_sound(model, graph, budget, "topk", mode=mode)
+        for j in judgments:
+            for rival, margin in j.rival_margins.items():
+                assert margin >= out.lower[j.node, j.label] - out.upper[j.node, rival]
+        margins = np.array([j.margin for j in judgments])
+        assert (margins >= gc.interval_certify(model, graph, budget, "topk")).all()
+
+
 def _chunks_of(monkeypatch, model, graph, size):
     """Make certify_sound cut its nodes into chunks of ``size``; returns the chunk lengths seen."""
     monkeypatch.setattr(

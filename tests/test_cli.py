@@ -135,6 +135,13 @@ def test_collective_csv(tmp_path):
     assert rows[0]["never_certified"] == "false"
 
 
+def test_collective_cap_zero_is_accepted(tmp_path):
+    out = tmp_path / "c.csv"
+    assert main(["collective", "--graph", GRAPH, "--model", MODEL,
+                 "--local", "1", "--cap", "0", "--output", str(out)]) == 0
+    assert {r["max_robust_limit"] for r in _rows(out)} == {"0"}
+
+
 def test_oracle_csv(tmp_path):
     out = tmp_path / "o.csv"
     assert main(["oracle", "--graph", GRAPH, "--model", MODEL,
@@ -217,6 +224,9 @@ def test_certify_rejects_non_finite_model(tmp_path):
     ["certify", "--threads", "0"],
     ["certify", "--threads", "-3"],
     ["counterexample", "--threads", "0"],
+    ["oracle", "--cap", "0"],
+    ["oracle", "--cap", "-1"],
+    ["collective", "--cap", "-1"],
     ["certify", "--method", "interval-topk", "--mode", "add-only"],
     ["sweep", "--method", "interval-max", "--mode", "delete-only", "--global-range", "0:2"],
     ["collective", "--method", "interval-topk", "--mode", "add-only"],

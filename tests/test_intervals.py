@@ -80,12 +80,14 @@ def test_input_abstraction_zero_budget_exact(two_node):
         assert np.allclose(elem.lower, base) and np.allclose(elem.upper, base)
 
 
-def _first_layer_extremes(model, graph, budget):
+def _first_layer_extremes(model, graph, budget, mode="both"):
     norm = gc.normalize_adjacency(graph)
     layer = model.layers[0]
     lo = np.full((graph.num_nodes, layer.weight.shape[1]), np.inf)
     hi = -lo.copy()
     for combo in helpers.iter_flip_combos(graph.num_nodes, graph.num_features, budget):
+        if not helpers.mode_allows(graph.features, combo, mode):
+            continue
         h = (norm @ helpers.flipped(graph.features, combo)) @ layer.weight + layer.bias
         lo = np.minimum(lo, h)
         hi = np.maximum(hi, h)
@@ -101,6 +103,27 @@ def test_input_abstraction_topk_exact_for_first_layer(rng):
         lo, hi = _first_layer_extremes(model, graph, budget)
         assert np.allclose(elem.lower, lo, atol=1e-9)
         assert np.allclose(elem.upper, hi, atol=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["add-only", "delete-only"])
+def test_input_abstraction_mode_box_inside_both_box(rng, mode):
+    for _ in range(12):
+        graph, model, budget = helpers.raw_instance(rng)
+        for variant in ("topk", "max"):
+            both = gc.interval_input_abstraction(model, graph, budget, variant)
+            one_way = gc.interval_input_abstraction(model, graph, budget, variant, mode=mode)
+            assert (one_way.lower >= both.lower).all() and (one_way.upper <= both.upper).all()
+        if graph.num_nodes * graph.num_features <= 12:  # topk stays exact under the mode
+            lo, hi = _first_layer_extremes(model, graph, budget, mode)
+            topk = gc.interval_input_abstraction(model, graph, budget, "topk", mode=mode)
+            assert np.allclose(topk.lower, lo, atol=1e-9)
+            assert np.allclose(topk.upper, hi, atol=1e-9)
+
+
+def test_input_abstraction_unknown_mode(two_node):
+    graph, model = two_node
+    with pytest.raises(gc.DataError):
+        gc.interval_input_abstraction(model, graph, gc.PerturbationBudget(1, 1), mode="sideways")
 
 
 def test_input_abstraction_max_sound_but_looser(rng):
