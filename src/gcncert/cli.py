@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
 import time
 from typing import IO, Iterator
@@ -21,7 +20,7 @@ from .collective import compute_robust_limits
 from .errors import DataError, OracleInfeasibleError
 from .graph import GcnModel, Graph
 from .intervals import interval_certify
-from .metrics import RobustnessSweep
+from .metrics import RobustnessSweep, graph_robustness_ratio
 from .perturbation import DEFAULT_ORACLE_CAP, MODES, PerturbationBudget, exact_robust_nodes
 from .training import RobustLossConfig, train_robust
 
@@ -142,7 +141,7 @@ def cmd_sweep(args) -> int:
             judgments = certify_sound(
                 model, graph, budget, variant, mode=args.mode, threads=args.threads
             )
-            lower.append(sum(j.certified for j in judgments) / graph.num_nodes)
+            lower.append(graph_robustness_ratio(judgments))
             fresh = [j for j in judgments if not j.certified and j.node not in broken]
             broken.update(find_counterexamples(model, graph, budget, fresh, args.threads))
             # (n - b) / n, not 1 - b / n: the latter can round one ulp below c / n
@@ -179,19 +178,6 @@ def cmd_collective(args) -> int:
     return 0
 
 
-def _load_labels(path: str, num_nodes: int) -> np.ndarray:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            data = json.load(f)
-    except OSError as exc:
-        raise DataError(f"{path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    if not (isinstance(data, list) and len(data) == num_nodes and all(isinstance(v, int) for v in data)):
-        raise DataError(f"{path}: labels must be a list of {num_nodes} integers (-1 = unlabeled)")
-    return np.array(data, dtype=np.int64)
-
-
 def cmd_train(args) -> int:
     if args.output is None:
         raise _UsageError("train: --output is required (checkpoint destination)")
@@ -200,7 +186,7 @@ def cmd_train(args) -> int:
     family, variant = _split_method(args.method)
     if family != "poly":
         raise _UsageError("train: robust training needs a poly method for its margins")
-    labels = _load_labels(args.labels, graph.num_nodes)
+    labels = fileio.load_labels(args.labels, graph.num_nodes)
     config = RobustLossConfig(kind=args.loss)
     trained = train_robust(
         model, graph, labels, budget, config,
@@ -265,7 +251,8 @@ def build_parser() -> _Parser:
                        help="robust training, writes a checkpoint")
     p.add_argument("--labels", required=True, help="JSON list of labels, -1 = unlabeled")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--loss", choices=("hinge", "bce"), default="hinge")
+    p.add_argument("--loss", choices=("hinge", "bce"), default="hinge",
+                   help="loss on labeled nodes' margins; unlabeled nodes always use hinge")
     p.add_argument("--steps", type=_int_at_least(0), default=100)
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--batch-size", type=_int_at_least(1), default=None)

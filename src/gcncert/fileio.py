@@ -47,20 +47,25 @@ def _check_keys(path: str, data: object, expected: set[str], where: str) -> Mapp
     return data
 
 
+def _is_int(value: object) -> bool:
+    """A JSON integer: Python's ``True`` is an ``int`` too, and is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_graph(path: str) -> Graph:
     """Parse and validate a graph file; edges are deduplicated and symmetrized."""
     data = _check_keys(path, _load_json(path), _GRAPH_KEYS, "graph file")
     n = data["num_nodes"]
     m = data["num_features"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise DataError(f"{path}: num_nodes must be a positive integer")
-    if not isinstance(m, int) or m < 1:
+    if not _is_int(m) or m < 1:
         raise DataError(f"{path}: num_features must be a positive integer")
     adjacency = np.zeros((n, n), dtype=np.int64)
     if not isinstance(data["edges"], list):
         raise DataError(f"{path}: edges must be a list of [i, j] pairs")
     for idx, edge in enumerate(data["edges"]):
-        if not (isinstance(edge, list) and len(edge) == 2 and all(isinstance(e, int) for e in edge)):
+        if not (isinstance(edge, list) and len(edge) == 2 and all(_is_int(e) for e in edge)):
             raise DataError(f"{path}: edges[{idx}] must be a pair of integers")
         i, j = edge
         if not (0 <= i < n and 0 <= j < n):
@@ -75,10 +80,21 @@ def load_graph(path: str) -> Graph:
         if not isinstance(row, list) or len(row) != m:
             raise DataError(f"{path}: features[{i}] must list exactly {m} values")
         for j, value in enumerate(row):
-            if value not in (0, 1):
+            if not _is_int(value) or value not in (0, 1):
                 raise DataError(f"{path}: features[{i}][{j}]: expected 0 or 1, got {value!r}")
             features[i, j] = value
     return Graph(adjacency=adjacency, features=features)
+
+
+def load_labels(path: str, num_nodes: int) -> np.ndarray:
+    """Parse a JSON list of one label index per node, -1 marking an unlabeled node."""
+    data = _load_json(path)
+    if not (isinstance(data, list) and len(data) == num_nodes):
+        raise DataError(f"{path}: labels must be a list of {num_nodes} integers (-1 = unlabeled)")
+    for node, value in enumerate(data):
+        if not _is_int(value) or value < -1:
+            raise DataError(f"{path}: labels[{node}]: expected -1 or a label index, got {value!r}")
+    return np.array(data, dtype=np.int64)
 
 
 def save_graph(graph: Graph, path: str) -> None:

@@ -6,9 +6,12 @@ differences over every parameter: exact enough at toy scale and free of any
 autodiff dependency, but the model must stay small (a few thousand parameters
 at most). Plain gradient descent, no momentum.
 
-Unlabeled nodes (label -1) can join training with the model's own predicted
-label as the target; they always use the hinge loss at the unlabeled
-threshold, while labeled nodes use the configured loss kind.
+Every node trains. A labeled node's target is its label; an unlabeled node's
+(label -1) is the model's own predicted label. The hinge loss pushes each
+margin to a fixed threshold: ``DEFAULT_LABELED_MARGIN`` = log(90/10) for
+labeled nodes, ``DEFAULT_UNLABELED_MARGIN`` = log(60/40) for unlabeled ones.
+The BCE loss, when chosen, applies only to labeled nodes; unlabeled nodes
+always use the hinge loss.
 """
 
 from __future__ import annotations
@@ -32,28 +35,27 @@ MAX_PARAMETERS = 2000  # 2 certifier calls per parameter per step
 
 @dataclass(frozen=True)
 class RobustLossConfig:
-    kind: str = "hinge"  # "hinge" or "bce"
-    hinge_threshold_labeled: float = DEFAULT_LABELED_MARGIN
-    hinge_threshold_unlabeled: float = DEFAULT_UNLABELED_MARGIN
-    use_predicted_labels_for_unlabeled: bool = True
+    kind: str = "hinge"  # "hinge" or "bce" (labeled nodes only)
 
     def __post_init__(self):
         if self.kind not in ("hinge", "bce"):
             raise DataError(f"unknown robust loss kind {self.kind!r}")
-        if not (math.isfinite(self.hinge_threshold_labeled) and math.isfinite(self.hinge_threshold_unlabeled)):
-            raise DataError("hinge thresholds must be finite")
 
 
-def bce_loss(delta_margins: np.ndarray) -> float:
-    """Sum of -log sigmoid(margin): zero when all margins are large, grows as they drop."""
+def bce_loss(delta_margins: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of -log sigmoid(margin): near zero when all margins are large."""
     margins = np.asarray(delta_margins, dtype=np.float64)
-    return float(np.logaddexp(0.0, -margins).sum())
+    return np.logaddexp(0.0, -margins).sum(axis=-1)
 
 
-def hinge_loss(delta_margins: np.ndarray, threshold: float) -> float:
-    """Sum of max(threshold - margin, 0); zero iff every margin reaches the threshold."""
+def hinge_loss(delta_margins: np.ndarray, threshold: float | np.ndarray) -> np.ndarray:
+    """Sum over the last axis of max(threshold - margin, 0); zero iff every margin reaches it.
+
+    ``threshold`` is a scalar or, for a (nodes x rivals) matrix, a column of
+    one threshold per node.
+    """
     margins = np.asarray(delta_margins, dtype=np.float64)
-    return float(np.maximum(threshold - margins, 0.0).sum())
+    return np.maximum(threshold - margins, 0.0).sum(axis=-1)
 
 
 def parameter_count(model: GcnModel) -> int:
@@ -99,11 +101,14 @@ def train_robust(
 ) -> GcnModel:
     """Gradient-descend the robust loss for ``steps`` steps and return the new model.
 
-    ``labels`` holds one integer per node, -1 marking unlabeled nodes. Each
-    step draws a batch (all trainable nodes when ``batch_size`` is None),
-    fixes the per-node target labels from the current model, and averages the
-    per-node robust losses over the batch. The interval variant defaults to
-    ``max`` because the numeric bounds are recomputed at every evaluation.
+    ``labels`` holds one integer per node, -1 marking unlabeled nodes. Every
+    node trains: each step draws a batch (all nodes when ``batch_size`` is
+    None), fixes the targets (the label, or for an unlabeled node the current
+    model's prediction), and averages the per-node losses over the batch.
+    Labeled nodes use ``config.kind`` with the hinge threshold
+    ``DEFAULT_LABELED_MARGIN``; unlabeled nodes use the hinge loss at
+    ``DEFAULT_UNLABELED_MARGIN``. The interval variant defaults to ``max``
+    because the numeric bounds are recomputed at every evaluation.
     """
     count = parameter_count(model)
     if count > MAX_PARAMETERS:
@@ -114,56 +119,44 @@ def train_robust(
     if batch_size is not None and batch_size < 1:
         raise DataError("batch_size must be at least 1")
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (graph.num_nodes,):
+    n = graph.num_nodes
+    if labels.shape != (n,):
         raise DataError("labels must hold one entry per node")
     if (labels >= model.num_labels).any():
         raise DataError("label index exceeds the model's output width")
+    if (labels < -1).any():
+        raise DataError("labels must be -1 (unlabeled) or a label index")
 
     rng = np.random.default_rng(seed)
     params = _pack(model)
-
-    labeled_nodes = np.nonzero(labels >= 0)[0]
-    unlabeled_nodes = np.nonzero(labels < 0)[0]
-    trainable = (
-        np.concatenate([labeled_nodes, unlabeled_nodes])
-        if config.use_predicted_labels_for_unlabeled
-        else labeled_nodes
-    )
-    trainable = np.sort(trainable)
-    if len(trainable) == 0:
-        raise DataError("no trainable nodes: every node is unlabeled and predictions are off")
+    labeled = labels >= 0
+    thresholds = np.where(labeled, DEFAULT_LABELED_MARGIN, DEFAULT_UNLABELED_MARGIN)
+    use_bce = labeled & (config.kind == "bce")
 
     def batch_loss(vec: np.ndarray, batch: np.ndarray, targets: np.ndarray) -> float:
-        candidate = _unpack(model, vec)
         judgments = certify_sound(
-            candidate, graph, budget, variant,
+            _unpack(model, vec), graph, budget, variant,
             labels=targets, nodes=batch.tolist(), mode=mode,
         )
-        total = 0.0
-        for node, judgment in zip(batch, judgments):
-            margins = np.array(list(judgment.rival_margins.values()))
-            if labels[node] >= 0 and config.kind == "bce":
-                total += bce_loss(margins)
-            else:
-                threshold = (
-                    config.hinge_threshold_labeled
-                    if labels[node] >= 0
-                    else config.hinge_threshold_unlabeled
-                )
-                total += hinge_loss(margins, threshold)
-        return total / len(batch)
+        # (batch x rivals); a single-label model has zero rival columns
+        margins = np.array([list(j.rival_margins.values()) for j in judgments], dtype=np.float64)
+        per_node = np.where(
+            use_bce[batch], bce_loss(margins), hinge_loss(margins, thresholds[batch, None])
+        )
+        # Python's sum adds in batch order; np.sum would pair terms differently
+        return sum(per_node.tolist()) / len(batch)
 
     for step in range(steps):
-        if batch_size is None or batch_size >= len(trainable):
-            batch = trainable
+        if batch_size is None or batch_size >= n:
+            batch = np.arange(n)
         else:
-            batch = np.sort(rng.permutation(trainable)[:batch_size])
-        # target labels fixed per step: ground truth where available, else the
+            batch = np.sort(rng.permutation(n)[:batch_size])
+        # targets fixed per step: the label where there is one, else the
         # current model's prediction (held constant across the FD evaluations)
-        targets = labels.copy()
-        if len(unlabeled_nodes) and config.use_predicted_labels_for_unlabeled:
+        targets = labels
+        if not labeled.all():
             predicted = predict(_unpack(model, params), graph).labels
-            targets[unlabeled_nodes] = predicted[unlabeled_nodes]
+            targets = np.where(labeled, labels, predicted)
 
         grad = np.zeros_like(params)
         for p in range(len(params)):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -202,3 +203,21 @@ def brute_force_form_minimum(elem, features, budget, mode="both") -> float:
         value = elem.lower_coef[0] @ flipped(sub, combo).ravel().astype(float)
         best = min(best, value + elem.lower_const[0])
     return float(best)
+
+
+def reference_robust_loss(judgments, labels, kind: str) -> float:
+    """Mean robust loss over ``judgments``, one node at a time.
+
+    A labeled node scores -log sigmoid(margin) summed over its rivals under
+    "bce", else the hinge at log(90/10); an unlabeled node (label -1) always
+    scores the hinge at log(60/40).
+    """
+    total = 0.0
+    for judgment in judgments:
+        margins = np.array(list(judgment.rival_margins.values()), dtype=np.float64)
+        if labels[judgment.node] >= 0 and kind == "bce":
+            total += float(np.logaddexp(0.0, -margins).sum())
+        else:
+            threshold = math.log(90 / 10) if labels[judgment.node] >= 0 else math.log(60 / 40)
+            total += float(np.maximum(threshold - margins, 0.0).sum())
+    return total / len(judgments)

@@ -253,6 +253,32 @@ def test_train_bad_labels_file(tmp_path):
                  "--labels", str(labels_path), "--output", str(tmp_path / "o.json")]) == 2
 
 
+@pytest.mark.parametrize("labels", [[0, -7], [True, False]])
+def test_train_rejects_labels_that_are_not_indices(tmp_path, capsys, labels):
+    labels_path = tmp_path / "labels.json"
+    labels_path.write_text(json.dumps(labels))
+    out = tmp_path / "o.json"
+    assert main(["train", "--graph", GRAPH, "--model", MODEL, "--steps", "1",
+                 "--labels", str(labels_path), "--output", str(out)]) == 2
+    assert f"{labels_path}: labels[" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, where", [
+    ("num_nodes", True, "num_nodes"),
+    ("num_features", True, "num_features"),
+    ("edges", [[0, True]], "edges[0]"),
+    ("features", [[1, 0, True, 1], [1, 0, 1, 0]], "features[0][2]"),
+])
+def test_graph_booleans_are_data_errors(tmp_path, capsys, key, value, where):
+    doc = json.loads(Path(GRAPH).read_text())
+    doc[key] = value
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps(doc))
+    assert main(["certify", "--graph", str(graph_path), "--model", MODEL]) == 2
+    assert f"{graph_path}: {where}" in capsys.readouterr().err
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["certify", "--graph", GRAPH, "--model", MODEL, "--frobnicate"]) == 1
     assert "usage" in capsys.readouterr().err

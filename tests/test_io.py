@@ -73,6 +73,45 @@ def test_graph_rejects_bad_feature_with_field_path(tmp_path):
         fileio.load_graph(_write(tmp_path, doc))
 
 
+_ONE_NODE = {"num_nodes": 1, "num_features": 2, "edges": [], "features": [[0, 1]]}
+_TWO_NODES = {"num_nodes": 2, "num_features": 1, "edges": [], "features": [[0], [1]]}
+
+
+@pytest.mark.parametrize("doc, where", [
+    ({**_ONE_NODE, "num_nodes": True}, "num_nodes"),
+    ({**_ONE_NODE, "num_features": True}, "num_features"),
+    ({**_TWO_NODES, "edges": [[0, True]]}, r"edges\[0\]"),
+    ({**_TWO_NODES, "edges": [[0, 1], [False, 1]]}, r"edges\[1\]"),
+    ({**_ONE_NODE, "features": [[0, True]]}, r"features\[0\]\[1\]"),
+    ({**_ONE_NODE, "features": [[1.0, 0]]}, r"features\[0\]\[0\]"),
+])
+def test_graph_rejects_non_integers_with_position(tmp_path, doc, where):
+    path = _write(tmp_path, doc)
+    with pytest.raises(gc.DataError, match=f"{path}: {where}"):
+        fileio.load_graph(path)
+
+
+def test_load_labels(tmp_path):
+    path = tmp_path / "labels.json"
+    path.write_text("[0, -1, 2]")
+    assert fileio.load_labels(str(path), 3).tolist() == [0, -1, 2]
+
+
+@pytest.mark.parametrize("text, where", [
+    ("[0, -7]", r"labels\[1\]"),
+    ("[true, false]", r"labels\[0\]"),
+    ("[0, 1.0]", r"labels\[1\]"),
+    ("[0, 1, 1]", "list of 2 integers"),
+    ('{"labels": [0, 1]}', "list of 2 integers"),
+    ("[0,\n 1", "line 2, column 3"),
+])
+def test_load_labels_rejects_with_position(tmp_path, text, where):
+    path = tmp_path / "labels.json"
+    path.write_text(text)
+    with pytest.raises(gc.DataError, match=where):
+        fileio.load_labels(str(path), 2)
+
+
 def test_graph_rejects_out_of_range_edge(tmp_path):
     doc = {"num_nodes": 2, "num_features": 1, "edges": [[0, 2]], "features": [[0], [1]]}
     with pytest.raises(gc.DataError, match=r"edges\[0\]"):

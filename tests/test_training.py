@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gcncert as gc
+from gcncert import training
 import helpers
 
 
@@ -70,10 +71,20 @@ def test_loss_derivatives_match_closed_form(rng):
 def test_loss_config_validation():
     with pytest.raises(gc.DataError):
         gc.RobustLossConfig(kind="l2")
-    with pytest.raises(gc.DataError):
-        gc.RobustLossConfig(hinge_threshold_labeled=float("inf"))
-    assert gc.RobustLossConfig().hinge_threshold_labeled == pytest.approx(math.log(9))
-    assert gc.RobustLossConfig().hinge_threshold_unlabeled == pytest.approx(math.log(1.5))
+    assert training.DEFAULT_LABELED_MARGIN == pytest.approx(math.log(9))
+    assert training.DEFAULT_UNLABELED_MARGIN == pytest.approx(math.log(1.5))
+
+
+def test_losses_on_a_matrix_equal_per_row_calls(rng):
+    for rivals in (0, 1, 2, 5, 11):
+        margins = rng.uniform(-3, 3, (7, rivals))
+        thresholds = rng.uniform(-1, 1, 7)
+        bce_rows = gc.bce_loss(margins)
+        hinge_rows = gc.hinge_loss(margins, thresholds[:, None])
+        assert bce_rows.shape == hinge_rows.shape == (7,)
+        for r in range(7):
+            assert bce_rows[r] == gc.bce_loss(margins[r])
+            assert hinge_rows[r] == gc.hinge_loss(margins[r], thresholds[r])
 
 
 def _small_setup(rng):
@@ -128,6 +139,11 @@ def test_label_vector_validation(rng):
     with pytest.raises(gc.DataError):
         gc.train_robust(model, graph, labels + 5, budget, gc.RobustLossConfig(),
                         steps=1, learning_rate=0.1, seed=0)
+    below = labels.copy()
+    below[1] = -7
+    with pytest.raises(gc.DataError, match="-1"):
+        gc.train_robust(model, graph, below, budget, gc.RobustLossConfig(),
+                        steps=1, learning_rate=0.1, seed=0)
 
 
 def test_training_reduces_loss(rng):
@@ -157,9 +173,31 @@ def test_semi_supervised_uses_predictions(rng):
     out = gc.train_robust(model, graph, half, budget, gc.RobustLossConfig(kind="hinge"),
                           steps=2, learning_rate=0.1, seed=0)
     assert out.num_labels == model.num_labels
-    skip = gc.RobustLossConfig(kind="hinge", use_predicted_labels_for_unlabeled=False)
-    out2 = gc.train_robust(model, graph, half, budget, skip, steps=2, learning_rate=0.1, seed=0)
+    out2 = gc.train_robust(model, graph, np.full(graph.num_nodes, -1), budget,
+                           gc.RobustLossConfig(kind="hinge"), steps=1, learning_rate=0.1, seed=0)
     assert out2.num_labels == model.num_labels
-    with pytest.raises(gc.DataError):
-        gc.train_robust(model, graph, np.full(graph.num_nodes, -1), budget, skip,
-                        steps=1, learning_rate=0.1, seed=0)
+
+
+def _model(rng, widths):
+    return gc.GcnModel(tuple(
+        gc.GcnLayer(rng.uniform(-0.7, 0.7, (a, b)), rng.uniform(-0.1, 0.1, b))
+        for a, b in zip(widths, widths[1:])
+    ))
+
+
+@pytest.mark.parametrize("kind", ["hinge", "bce"])
+@pytest.mark.parametrize("unlabeled", ["part", "all"])
+@pytest.mark.parametrize("num_labels", [1, 2, 3])
+def test_reported_loss_equals_per_node_reference(rng, kind, unlabeled, num_labels):
+    graph, _ = helpers.planted_community_graph(rng, n=20, m0=4)
+    model = _model(rng, [4, 3, num_labels])
+    budget = gc.PerturbationBudget(1, 2)
+    labels = rng.integers(0, num_labels, graph.num_nodes)
+    labels[::2 if unlabeled == "part" else 1] = -1
+    reported = []
+    out = gc.train_robust(model, graph, labels, budget, gc.RobustLossConfig(kind=kind),
+                          steps=1, learning_rate=0.3, seed=0,
+                          progress=lambda step, loss: reported.append(loss))
+    targets = np.where(labels >= 0, labels, gc.predict(model, graph).labels)
+    judgments = gc.certify_sound(out, graph, budget, "max", labels=targets)
+    assert reported == [helpers.reference_robust_loss(judgments, labels, kind)]
