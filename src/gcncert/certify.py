@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,14 +55,6 @@ _TIE_TOLERANCE = 1e-9
 # coefficient entries per chunk of certify_sound targets at the widest
 # possible receptive field: keeps a chunk's tensors at a few MB
 _CHUNK_ELEMENTS = 1 << 18
-
-
-def _map_in_order(fn: Callable, items: Iterable, threads: int) -> list:
-    """``[fn(item) for item in items]``, on a pool of ``threads`` threads when above one."""
-    if threads == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -202,7 +194,8 @@ def certify_sound(
 
     ``labels`` overrides the labels to defend (defaults to the model's own
     predictions); robust training uses this to target ground-truth labels.
-    ``threads`` spreads the chunks over a pool; it never changes the chunks.
+    ``threads`` spreads the chunks of this certification kernel over a pool;
+    it never changes the chunks. Counterexample replay always runs serially.
     """
     check_mode(mode)
     layer_bounds = interval_layer_bounds(model, graph, budget, variant, mode=mode)
@@ -248,7 +241,12 @@ def certify_sound(
 
     size = max(1, _CHUNK_ELEMENTS // _target_elements(model, graph))
     chunks = [nodes[start : start + size] for start in range(0, len(nodes), size)]
-    return [j for part in _map_in_order(judge, chunks, threads) for j in part]
+    if threads == 1:
+        parts = [judge(chunk) for chunk in chunks]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(judge, chunks))
+    return [j for part in parts for j in part]
 
 
 def _receptive_field(graph: Graph, node: int, depth: int) -> list[np.ndarray]:
@@ -335,16 +333,12 @@ def find_counterexamples(
     graph: Graph,
     budget: PerturbationBudget,
     judgments: Sequence[NodeJudgment],
-    threads: int = 1,
 ) -> dict[int, Counterexample]:
     """Verified counterexamples keyed by node, searching non-certified nodes only.
 
     This is the complete upper bound: a node with a counterexample is not
     robust, and every other node counts as possibly robust.
     """
-    open_nodes = [j for j in judgments if not j.certified]
-    found = _map_in_order(
-        lambda j: generate_counterexample(model, graph, budget, j), open_nodes, threads
-    )
+    found = (generate_counterexample(model, graph, budget, j) for j in judgments if not j.certified)
     return {ce.node: ce for ce in found if ce is not None}
 

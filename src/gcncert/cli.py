@@ -53,9 +53,15 @@ def _int_at_least(minimum: int):
     return parse
 
 
-def _split_method(method: str) -> tuple[str, str]:
-    family, variant = method.split("-", 1)
-    return family, variant
+def _budget_range(spec: str) -> range:
+    """argparse type: ``LO:HI`` with 0 <= LO <= HI, as the budgets LO, ..., HI."""
+    try:
+        lo, hi = map(int, spec.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects LO:HI, got {spec!r}")
+    if lo < 0 or hi < lo:
+        raise argparse.ArgumentTypeError(f"invalid range {spec!r}")
+    return range(lo, hi + 1)
 
 
 def _check_mode(args) -> None:
@@ -85,7 +91,7 @@ def _budget(args) -> PerturbationBudget:
 def cmd_certify(args) -> int:
     graph, model = _load_inputs(args)
     budget = _budget(args)
-    family, variant = _split_method(args.method)
+    family, variant = args.method.split("-", 1)
     with _open_output(args.output) as out:
         if family == "interval":
             fileio.write_interval_certify_csv(out, interval_certify(model, graph, budget, variant))
@@ -93,7 +99,7 @@ def cmd_certify(args) -> int:
             judgments = certify_sound(
                 model, graph, budget, variant, mode=args.mode, threads=args.threads
             )
-            counterexamples = find_counterexamples(model, graph, budget, judgments, args.threads)
+            counterexamples = find_counterexamples(model, graph, budget, judgments)
             fileio.write_certify_csv(out, judgments, counterexamples)
     return 0
 
@@ -101,33 +107,18 @@ def cmd_certify(args) -> int:
 def cmd_counterexample(args) -> int:
     graph, model = _load_inputs(args)
     budget = _budget(args)
-    family, variant = _split_method(args.method)
-    if family != "poly":
-        raise _UsageError(
-            "counterexample: interval methods cannot produce counterexamples; use a poly method"
-        )
+    variant = args.method.split("-", 1)[1]
     judgments = certify_sound(model, graph, budget, variant, mode=args.mode, threads=args.threads)
-    counterexamples = find_counterexamples(model, graph, budget, judgments, args.threads)
+    counterexamples = find_counterexamples(model, graph, budget, judgments)
     with _open_output(args.output) as out:
         fileio.write_counterexample_csv(out, counterexamples.values())
     return 0
 
 
-def _parse_range(spec: str) -> range:
-    try:
-        lo, hi = spec.split(":")
-        lo, hi = int(lo), int(hi)
-    except ValueError:
-        raise _UsageError(f"sweep: --global-range expects LO:HI, got {spec!r}")
-    if lo < 0 or hi < lo:
-        raise _UsageError(f"sweep: invalid range {spec!r}")
-    return range(lo, hi + 1)
-
-
 def cmd_sweep(args) -> int:
     graph, model = _load_inputs(args)
-    family, variant = _split_method(args.method)
-    budgets = _parse_range(args.global_range)
+    family, variant = args.method.split("-", 1)
+    budgets = args.global_range
     lower, upper, runtime = [], [], []
     broken: set[int] = set()  # a counterexample stays valid at every larger budget
     for total in budgets:
@@ -143,7 +134,7 @@ def cmd_sweep(args) -> int:
             )
             lower.append(graph_robustness_ratio(judgments))
             fresh = [j for j in judgments if not j.certified and j.node not in broken]
-            broken.update(find_counterexamples(model, graph, budget, fresh, args.threads))
+            broken.update(find_counterexamples(model, graph, budget, fresh))
             # (n - b) / n, not 1 - b / n: the latter can round one ulp below c / n
             upper.append((graph.num_nodes - len(broken)) / graph.num_nodes)
         runtime.append((time.perf_counter() - start) * 1000.0)
@@ -161,7 +152,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_collective(args) -> int:
     graph, model = _load_inputs(args)
-    family, variant = _split_method(args.method)
+    family, variant = args.method.split("-", 1)
     limits = compute_robust_limits(
         model, graph, args.local,
         cap=args.cap, variant=variant, family=family, mode=args.mode, threads=args.threads,
@@ -183,9 +174,7 @@ def cmd_train(args) -> int:
         raise _UsageError("train: --output is required (checkpoint destination)")
     graph, model = _load_inputs(args)
     budget = _budget(args)
-    family, variant = _split_method(args.method)
-    if family != "poly":
-        raise _UsageError("train: robust training needs a poly method for its margins")
+    variant = args.method.split("-", 1)[1]
     labels = fileio.load_labels(args.labels, graph.num_nodes)
     config = RobustLossConfig(kind=args.loss)
     trained = train_robust(
@@ -215,16 +204,25 @@ def build_parser() -> _Parser:
     inputs = _Parser(add_help=False)
     inputs.add_argument("--graph", required=True, help="graph JSON file")
     inputs.add_argument("--model", required=True, help="model JSON file")
-    inputs.add_argument("--local", type=int, default=1, help="max flips per node")
+    inputs.add_argument("--local", type=_int_at_least(0), default=1, help="max flips per node")
     inputs.add_argument("--output", help="output path (default: stdout)")
     total = _Parser(add_help=False)
-    total.add_argument("--global", dest="global_budget", type=int, default=1,
+    total.add_argument("--global", dest="global_budget", type=_int_at_least(0), default=1,
                        help="max flips overall")
-    method = _Parser(add_help=False)
-    method.add_argument("--method", choices=METHODS, default="poly-topk")
-    method.add_argument("--mode", choices=MODES, default="both",
-                        help="restrict flips to feature additions or deletions")
-    method.add_argument("--threads", type=_int_at_least(1), default=1)
+
+    def method_flags(methods, note=None) -> _Parser:
+        method = _Parser(add_help=False)
+        method.add_argument("--method", choices=methods, default="poly-topk", help=note)
+        method.add_argument("--mode", choices=MODES, default="both",
+                            help="restrict flips to feature additions or deletions")
+        method.add_argument("--threads", type=_int_at_least(1), default=1,
+                            help="threads that share the certification kernel's node chunks "
+                                 "(train runs on one)")
+        return method
+
+    method = method_flags(METHODS)
+    poly = method_flags([m for m in METHODS if m.startswith("poly-")],
+                        note="poly only: counterexamples and robust training need poly margins")
 
     parser = _Parser(prog="gcncert", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -233,13 +231,13 @@ def build_parser() -> _Parser:
                        help="sound margins plus counterexamples")
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("counterexample", parents=[inputs, total, method],
+    p = sub.add_parser("counterexample", parents=[inputs, total, poly],
                        help="verified counterexamples only")
     p.set_defaults(func=cmd_counterexample)
 
     p = sub.add_parser("sweep", parents=[inputs, method],
                        help="lower/upper ratios over a budget range")
-    p.add_argument("--global-range", required=True, metavar="LO:HI")
+    p.add_argument("--global-range", type=_budget_range, required=True, metavar="LO:HI")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("collective", parents=[inputs, method],
@@ -247,7 +245,7 @@ def build_parser() -> _Parser:
     p.add_argument("--cap", type=_int_at_least(0), default=100, help="largest budget to search")
     p.set_defaults(func=cmd_collective)
 
-    p = sub.add_parser("train", parents=[inputs, total, method],
+    p = sub.add_parser("train", parents=[inputs, total, poly],
                        help="robust training, writes a checkpoint")
     p.add_argument("--labels", required=True, help="JSON list of labels, -1 = unlabeled")
     p.add_argument("--seed", type=int, default=0)

@@ -4,6 +4,11 @@ The oracle enumerates every admissible flip set and replays the concrete
 forward pass, so it is exact but exponential; a candidate cap guards against
 accidentally intractable calls. It exists as ground truth for certifier tests
 and for the ``oracle`` CLI subcommand.
+
+All three oracle functions read one loop, ``_smallest_breaks``: it replays the
+flip sets in enumeration order (by cardinality), a chunk per stacked forward
+pass, records for each node the size of the first flip set that changes its
+label, and stops as soon as every node it watches is broken.
 """
 
 from __future__ import annotations
@@ -136,31 +141,36 @@ def enumerate_perturbations(
                 yield FlipSet(combo)
 
 
-def _iter_changed_labels(
+def _smallest_breaks(
     model: GcnModel,
     graph: Graph,
     budget: PerturbationBudget,
     cap: int,
-) -> Iterator[tuple[list[FlipSet], np.ndarray]]:
-    """Yield (flip sets, per-node label-changed flags) in batches."""
+    watch: int | np.ndarray,
+) -> np.ndarray:
+    """Per node, the size of the smallest flip set that changes its label.
+
+    Nodes no admissible flip set breaks get ``budget.total + 1``. Flip sets are
+    replayed in enumeration order, ``_FORWARD_CHUNK`` per stacked forward pass,
+    until every node in ``watch`` (one index or an index array) is broken;
+    since enumeration goes by cardinality, a node's first break is its smallest.
+    """
     base_labels = predict(model, graph).labels
-    pending: list[FlipSet] = []
-    for flips in enumerate_perturbations(graph.features, budget, cap):
-        pending.append(flips)
-        if len(pending) == _FORWARD_CHUNK:
-            yield pending, _changed_flags(model, graph, base_labels, pending)
-            pending = []
-    if pending:
-        yield pending, _changed_flags(model, graph, base_labels, pending)
-
-
-def _changed_flags(model, graph, base_labels, flip_sets) -> np.ndarray:
-    batch = np.repeat(graph.features[None, :, :], len(flip_sets), axis=0)
-    for b, flips in enumerate(flip_sets):
-        for i, j in flips:
-            batch[b, i, j] = 1 - batch[b, i, j]
-    scores = forward(model, graph.norm_adj, batch)
-    return np.argmax(scores, axis=2) != base_labels[None, :]
+    unbroken = budget.total + 1
+    smallest = np.full(graph.num_nodes, unbroken, dtype=np.int64)
+    flip_sets = enumerate_perturbations(graph.features, budget, cap)
+    while (smallest[watch] == unbroken).any():
+        chunk = list(itertools.islice(flip_sets, _FORWARD_CHUNK))
+        if not chunk:
+            break
+        sizes = np.array([len(fs) for fs in chunk])
+        cells = np.array([cell for fs in chunk for cell in fs], dtype=np.int64).reshape(-1, 2)
+        batch = np.repeat(graph.features[None, :, :], len(chunk), axis=0)
+        batch[np.repeat(np.arange(len(chunk)), sizes), cells[:, 0], cells[:, 1]] ^= 1
+        changed = np.argmax(forward(model, graph.norm_adj, batch), axis=2) != base_labels
+        first = np.where(changed.any(axis=0), sizes[np.argmax(changed, axis=0)], unbroken)
+        smallest = np.minimum(smallest, first)
+    return smallest
 
 
 def exact_robust_nodes(
@@ -170,12 +180,8 @@ def exact_robust_nodes(
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> np.ndarray:
     """Boolean vector: node i is robust iff no admissible flip set changes its label."""
-    robust = np.ones(graph.num_nodes, dtype=bool)
-    for _, changed in _iter_changed_labels(model, graph, budget, cap):
-        robust &= ~changed.any(axis=0)
-        if not robust.any():
-            break
-    return robust
+    watch = np.arange(graph.num_nodes)
+    return _smallest_breaks(model, graph, budget, cap, watch) > budget.total
 
 
 def exact_node_robustness(
@@ -187,10 +193,7 @@ def exact_node_robustness(
 ) -> bool:
     if not 0 <= node < graph.num_nodes:
         raise DataError(f"node {node} out of range")
-    for _, changed in _iter_changed_labels(model, graph, budget, cap):
-        if changed[:, node].any():
-            return False
-    return True
+    return bool(_smallest_breaks(model, graph, budget, cap, node)[node] > budget.total)
 
 
 def oracle_max_robust_limits(
@@ -202,16 +205,10 @@ def oracle_max_robust_limits(
 ) -> np.ndarray:
     """Exact maximum robust global limit per node, capped at ``max_total``.
 
-    A node broken by some flip set of size s is robust exactly up to total
-    budget s - 1, so a single enumeration at the largest budget answers every
-    smaller one.
+    A node broken by some flip set of size s, and by none smaller, is robust
+    exactly up to total budget s - 1, so a single enumeration at the largest
+    budget answers every smaller one.
     """
     budget = PerturbationBudget(per_node=per_node_budget, total=max_total)
-    limits = np.full(graph.num_nodes, max_total, dtype=np.int64)
-    for flip_sets, changed in _iter_changed_labels(model, graph, budget, cap):
-        sizes = np.array([len(fs) for fs in flip_sets])
-        for node in range(graph.num_nodes):
-            hits = changed[:, node]
-            if hits.any():
-                limits[node] = min(limits[node], int(sizes[hits].min()) - 1)
-    return limits
+    watch = np.arange(graph.num_nodes)
+    return _smallest_breaks(model, graph, budget, cap, watch) - 1

@@ -237,6 +237,12 @@ def test_certify_rejects_non_finite_model(tmp_path):
     ["certify", "--seed", "1"],
     ["collective", "--global", "2"],
     ["sweep", "--global", "0:3"],  # no prefix match for --global-range
+    ["train", "--method", "interval-topk", "--labels", "l.json", "--output", "o.json"],
+    ["counterexample", "--method", "interval-max"],
+    ["certify", "--local", "-1"],
+    ["certify", "--global", "-2"],
+    ["sweep", "--global-range", "5:1"],
+    ["sweep", "--global-range", "x"],
 ])
 def test_ignored_flags_are_usage_errors(monkeypatch, args):
     def never_load(path):

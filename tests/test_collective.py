@@ -135,7 +135,7 @@ def test_graph_is_normalized_once(monkeypatch):
     graph, model, budget = helpers.flip_moves_label_example()
     calls = _count_calls(monkeypatch, gcncert.graph, "normalize_adjacency")
     judgments = gc.certify_sound(model, graph, budget, threads=2)
-    counterexamples = gc.find_counterexamples(model, graph, budget, judgments, threads=2)
+    counterexamples = gc.find_counterexamples(model, graph, budget, judgments)
     assert counterexamples  # replay ran and read Ã
     gc.compute_robust_limits(model, graph, 1, cap=3)
     gc.compute_robust_limits(model, graph, 1, cap=3, family="interval")

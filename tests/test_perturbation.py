@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gcncert as gc
+import gcncert.perturbation
 import helpers
 
 
@@ -125,3 +126,85 @@ def test_oracle_max_limits_match_per_budget_enumeration(rng):
                 expected = total - 1
                 break
         assert limits[node] == expected
+
+
+def _smallest_break_reference(model, graph, budget) -> np.ndarray:
+    """Per node, the fewest flips that change its label; ``budget.total + 1`` if none do."""
+    norm_adj = gc.normalize_adjacency(graph)
+    base = np.argmax(gc.forward(model, norm_adj, graph.features), axis=1)
+    smallest = np.full(graph.num_nodes, budget.total + 1)
+    for combo in helpers.iter_flip_combos(graph.num_nodes, graph.num_features, budget):
+        scores = gc.forward(model, norm_adj, helpers.flipped(graph.features, combo))
+        broken = np.argmax(scores, axis=1) != base
+        smallest[broken] = np.minimum(smallest[broken], len(combo))
+    return smallest
+
+
+def _tiny_instance(rng):
+    """Random graph with n * m <= 12 cells and a 1- or 2-layer model over 1 to 3 labels."""
+    n = int(rng.integers(1, 7))
+    m = int(rng.integers(1, 12 // n + 1))
+    upper = np.triu(rng.random((n, n)) < 0.5, 1)
+    graph = gc.Graph(adjacency=(upper | upper.T).astype(int),
+                     features=(rng.random((n, m)) < 0.5).astype(int))
+    widths = [m] + [int(rng.integers(1, 4))] * int(rng.integers(0, 2)) + [int(rng.integers(1, 4))]
+    model = gc.GcnModel(tuple(
+        gc.GcnLayer(rng.uniform(-1, 1, (a, b)), rng.uniform(-0.5, 0.5, b))
+        for a, b in zip(widths, widths[1:])
+    ))
+    budget = gc.PerturbationBudget(per_node=int(rng.integers(0, 3)), total=int(rng.integers(0, 4)))
+    return graph, model, budget
+
+
+def test_oracle_functions_match_smallest_break_reference(rng):
+    sizes = []
+    for _ in range(60):
+        graph, model, budget = _tiny_instance(rng)
+        smallest = _smallest_break_reference(model, graph, budget)
+        robust = smallest > budget.total
+        assert np.array_equal(gc.exact_robust_nodes(model, graph, budget), robust)
+        for node in range(graph.num_nodes):
+            assert gc.exact_node_robustness(model, graph, budget, node) == robust[node]
+        limits = gc.oracle_max_robust_limits(model, graph, budget.per_node, budget.total)
+        assert np.array_equal(limits, smallest - 1)
+        sizes.extend(smallest[~robust].tolist())
+    assert {1, 2, 3} <= set(sizes)  # breaks of every size were compared
+
+
+@pytest.fixture
+def count_oracle_forward(monkeypatch):
+    calls = []
+    batched = gcncert.perturbation.forward
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return batched(*args, **kwargs)
+
+    monkeypatch.setattr(gcncert.perturbation, "forward", spy)
+    monkeypatch.setattr(gcncert.perturbation, "_FORWARD_CHUNK", 4)
+    return calls
+
+
+def test_oracle_stops_at_the_batch_that_breaks_every_watched_node(count_oracle_forward):
+    # three isolated nodes with features [1, 0]: flipping (i, 0) moves node i
+    # from label 0 to label 1, and flipping (i, 1) does nothing
+    graph = gc.Graph(adjacency=np.zeros((3, 3), dtype=int), features=np.array([[1, 0]] * 3))
+    model = gc.GcnModel((gc.GcnLayer(np.array([[0.5, 0.0], [0.0, 0.0]]), np.array([0.0, 0.4])),))
+    budget = gc.PerturbationBudget(per_node=2, total=3)
+    # 42 flip sets in 11 batches of 4; the first holds {}, (0,0), (0,1), (1,0)
+    # and the second (1,1), (2,0), ...
+    assert len(list(gc.enumerate_perturbations(graph.features, budget))) == 42
+    assert np.array_equal(gc.oracle_max_robust_limits(model, graph, 2, 3), [0, 0, 0])
+    assert len(count_oracle_forward) == 2
+    count_oracle_forward.clear()
+    assert not gc.exact_robust_nodes(model, graph, budget).any()
+    assert len(count_oracle_forward) == 2
+    for node, batches in ((0, 1), (1, 1), (2, 2)):
+        count_oracle_forward.clear()
+        assert not gc.exact_node_robustness(model, graph, budget, node)
+        assert len(count_oracle_forward) == batches
+    # a model no flip can move enumerates every batch
+    steady = gc.GcnModel((gc.GcnLayer(np.array([[0.5, 0.0], [0.0, 0.0]]), np.array([0.0, 9.0])),))
+    count_oracle_forward.clear()
+    assert np.array_equal(gc.oracle_max_robust_limits(steady, graph, 2, 3), [3, 3, 3])
+    assert len(count_oracle_forward) == 11
