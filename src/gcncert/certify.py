@@ -25,19 +25,24 @@ score[label] - score[rival] for every (target, rival) pair sliced out of it as
 lower[label] - upper[rival], and one batched greedy minimization of all those
 rows. ``minimize_delta`` and ``label_difference_transform`` are the one-row
 forms of the same steps.
+
+Robust training runs the same chunk kernel through ``rival_margins``, which
+returns the margin matrix together with its pullback: one reverse-mode pass
+through the minimization, ``back_substitute_backward`` and
+``interval_layer_bounds_backward`` to the layer weights and biases.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DataError
-from .graph import GcnModel, Graph, forward, predict
-from .intervals import interval_layer_bounds
+from .graph import GcnModel, Graph, forward, predict, receptive_field
+from .intervals import IntervalElement, interval_layer_bounds, interval_layer_bounds_backward
 from .perturbation import (
     FlipSet,
     PerturbationBudget,
@@ -46,7 +51,13 @@ from .perturbation import (
     restrict_to_mode,
     sign_matrix,
 )
-from .polyhedra import PolyNodeElement, back_substitute_batch, linear_poly
+from .polyhedra import (
+    PolyBatch,
+    PolyNodeElement,
+    back_substitute_backward,
+    back_substitute_batch,
+    linear_poly,
+)
 
 # local top-two score gaps within this fraction of the top score are re-checked
 # with the whole-graph forward pass
@@ -179,6 +190,93 @@ def _target_elements(model: GcnModel, graph: Graph) -> int:
     return int(4 * model.num_labels * width * field.max())
 
 
+@dataclass(frozen=True)
+class _ChunkMargins:
+    """Every (target, rival) margin of one chunk of targets, and how each came about."""
+
+    nodes: np.ndarray  # (targets,)
+    labels: np.ndarray  # (targets,) the label each target defends
+    rivals: np.ndarray  # (targets, labels - 1)
+    margins: np.ndarray  # (targets, labels - 1): the larger of the two bounds below
+    poly_min: np.ndarray  # the symbolic form's exact minimum
+    box_gap: np.ndarray  # the output box's L[node, label] - U[node, rival]
+    pick: np.ndarray  # the symbolic minimizer's flips, (targets, rivals, field, features)
+    batch: PolyBatch
+
+
+def _chunk_margins(
+    model: GcnModel,
+    graph: Graph,
+    budget: PerturbationBudget,
+    mode: str,
+    layer_bounds: list[IntervalElement],
+    labels: np.ndarray,
+    chunk: np.ndarray,
+) -> _ChunkMargins:
+    """The certification kernel on one chunk: back-substitute, minimize, compare with the box."""
+    batch = back_substitute_batch(model, graph, chunk, layer_bounds)
+    own = labels[chunk]
+    num_labels = model.num_labels
+    if ((own < 0) | (own >= num_labels)).any():
+        raise DataError("label index out of range")
+    rivals = np.arange(num_labels - 1) + (np.arange(num_labels - 1) >= own[:, None])
+    at = np.arange(len(chunk))[:, None]
+    # the lower form of score[label] - score[rival] is lower[label] - upper[rival]
+    poly_min, pick = _minimize_forms(
+        batch.lower_coef[at, own[:, None]] - batch.upper_coef[at, rivals],
+        batch.lower_const[at, own[:, None]] - batch.upper_const[at, rivals],
+        graph.features[batch.fronts],
+        budget,
+        mode,
+    )
+    out_box = layer_bounds[-1]
+    box_gap = out_box.lower[chunk, own][:, None] - out_box.upper[chunk[:, None], rivals]
+    margins = np.where(box_gap > poly_min, box_gap, poly_min)
+    return _ChunkMargins(chunk, own, rivals, margins, poly_min, box_gap, pick, batch)
+
+
+def _chunk_margins_backward(
+    model: GcnModel,
+    graph: Graph,
+    layer_bounds: list[IntervalElement],
+    part: _ChunkMargins,
+    margin_grad: np.ndarray,
+    param_grads: list[tuple[np.ndarray, np.ndarray]],
+    bound_grads: list[tuple[np.ndarray, np.ndarray]],
+) -> None:
+    """Reverse-mode pass of ``_chunk_margins``; adds into the two gradient lists.
+
+    Each margin's gradient goes to the side that won (the symbolic minimum on
+    a tie). The box gap is L[node, label] - U[node, rival]. The minimum of a
+    form over the flip budget has, by Danskin's theorem, the minimizing input
+    as its gradient with respect to the coefficients and 1 with respect to
+    the constant.
+    """
+    box_wins = part.box_gap > part.poly_min
+    box_grad = np.where(box_wins, margin_grad, 0.0)
+    poly_grad = np.where(box_wins, 0.0, margin_grad)
+    lower_grad, upper_grad = bound_grads[-1]
+    np.add.at(lower_grad, (part.nodes, part.labels), box_grad.sum(axis=1))
+    np.add.at(upper_grad, (part.nodes[:, None], part.rivals), -box_grad)
+    batch = part.batch
+    x = graph.features[batch.fronts][:, None]
+    point_grad = poly_grad[:, :, None, None] * (x + sign_matrix(x) * part.pick)
+    at = np.arange(len(part.nodes))
+    low_coef, up_coef = np.zeros_like(batch.lower_coef), np.zeros_like(batch.upper_coef)
+    low_const, up_const = np.zeros_like(batch.lower_const), np.zeros_like(batch.upper_const)
+    low_coef[at, part.labels] = point_grad.sum(axis=1)
+    low_const[at, part.labels] = poly_grad.sum(axis=1)
+    up_coef[at[:, None], part.rivals] = -point_grad
+    up_const[at[:, None], part.rivals] = -poly_grad
+    back_substitute_backward(model, batch, layer_bounds,
+                             (low_coef, low_const, up_coef, up_const), param_grads, bound_grads)
+
+
+def _chunks(model: GcnModel, graph: Graph, nodes: np.ndarray) -> list[np.ndarray]:
+    size = max(1, _CHUNK_ELEMENTS // _target_elements(model, graph))
+    return [nodes[start : start + size] for start in range(0, len(nodes), size)]
+
+
 def certify_sound(
     model: GcnModel,
     graph: Graph,
@@ -203,30 +301,13 @@ def certify_sound(
         labels = predict(model, graph).labels
     labels = np.asarray(labels)
     nodes = np.arange(graph.num_nodes) if nodes is None else np.asarray(nodes, dtype=np.int64)
-    num_labels = model.num_labels
-    out_box = layer_bounds[-1]
 
     def judge(chunk: np.ndarray) -> list[NodeJudgment]:
-        batch = back_substitute_batch(model, graph, chunk, layer_bounds)
-        own = labels[chunk]
-        if ((own < 0) | (own >= num_labels)).any():
-            raise DataError("label index out of range")
-        rivals = np.arange(num_labels - 1) + (np.arange(num_labels - 1) >= own[:, None])
-        at = np.arange(len(chunk))[:, None]
-        # the lower form of score[label] - score[rival] is lower[label] - upper[rival]
-        poly_min, pick = _minimize_forms(
-            batch.lower_coef[at, own[:, None]] - batch.upper_coef[at, rivals],
-            batch.lower_const[at, own[:, None]] - batch.upper_const[at, rivals],
-            graph.features[batch.fronts],
-            budget,
-            mode,
-        )
-        box_gap = out_box.lower[chunk, own][:, None] - out_box.upper[chunk[:, None], rivals]
-        margins = np.where(box_gap > poly_min, box_gap, poly_min)
+        part = _chunk_margins(model, graph, budget, mode, layer_bounds, labels, chunk)
         judgments = []
         for node, label, rival_ids, row_margins, row_flips in zip(
-            chunk.tolist(), own.tolist(), rivals.tolist(), margins.tolist(),
-            _flip_sets(pick, batch.fronts),
+            chunk.tolist(), part.labels.tolist(), part.rivals.tolist(), part.margins.tolist(),
+            _flip_sets(part.pick, part.batch.fronts),
         ):
             margin = min(row_margins, default=float("inf"))
             judgments.append(NodeJudgment(
@@ -239,8 +320,7 @@ def certify_sound(
             ))
         return judgments
 
-    size = max(1, _CHUNK_ELEMENTS // _target_elements(model, graph))
-    chunks = [nodes[start : start + size] for start in range(0, len(nodes), size)]
+    chunks = _chunks(model, graph, nodes)
     if threads == 1:
         parts = [judge(chunk) for chunk in chunks]
     else:
@@ -249,13 +329,45 @@ def certify_sound(
     return [j for part in parts for j in part]
 
 
-def _receptive_field(graph: Graph, node: int, depth: int) -> list[np.ndarray]:
-    """Sorted hop sets H_0 = {node}, ..., H_depth; H_{l+1} holds the Ã-neighbours of H_l."""
-    cols, weights = graph.neighbors
-    hops = [np.array([node])]
-    for _ in range(depth):
-        hops.append(np.unique(cols[hops[-1]][weights[hops[-1]] > 0]))
-    return hops
+def rival_margins(
+    model: GcnModel,
+    graph: Graph,
+    budget: PerturbationBudget,
+    variant: str,
+    labels: np.ndarray,
+    nodes: np.ndarray,
+    mode: str = "both",
+) -> tuple[np.ndarray, Callable[[np.ndarray], list[tuple[np.ndarray, np.ndarray]]]]:
+    """The (nodes x rivals) margins of ``certify_sound``'s judgments, and their pullback.
+
+    Row t holds the ``NodeJudgment.rival_margins`` values of ``nodes[t]`` in rival order,
+    bit for bit, because both come from the same kernel. The pullback maps a
+    gradient with respect to the margins, shaped like them, to the gradient
+    with respect to every layer's (weight, bias): one reverse-mode pass
+    through the minimization, back-substitution and interval bounds.
+    """
+    check_mode(mode)
+    layer_bounds = interval_layer_bounds(model, graph, budget, variant, mode=mode)
+    labels = np.asarray(labels)
+    parts = [
+        _chunk_margins(model, graph, budget, mode, layer_bounds, labels, chunk)
+        for chunk in _chunks(model, graph, np.asarray(nodes, dtype=np.int64))
+    ]
+
+    def pullback(margin_grad: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        param_grads = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in model.layers]
+        bound_grads = [(np.zeros_like(b.lower), np.zeros_like(b.upper)) for b in layer_bounds]
+        start = 0
+        for part in parts:
+            rows = margin_grad[start : start + len(part.nodes)]
+            start += len(part.nodes)
+            _chunk_margins_backward(model, graph, layer_bounds, part, rows,
+                                    param_grads, bound_grads)
+        interval_layer_bounds_backward(model, graph, budget, variant, mode, layer_bounds,
+                                       bound_grads, param_grads)
+        return param_grads
+
+    return np.concatenate([part.margins for part in parts]), pullback
 
 
 def _local_scores(
@@ -310,7 +422,7 @@ def generate_counterexample(
     if not candidates:
         return None
     node = judgment.node
-    hops = _receptive_field(graph, node, model.num_layers)
+    hops = receptive_field(graph, node, model.num_layers)
     field = hops[-1]
     x = np.repeat(graph.features[field][None], len(candidates), axis=0)
     for k, flips in enumerate(candidates):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 import time
 from typing import IO, Iterator
@@ -50,6 +51,19 @@ def _int_at_least(minimum: int):
         return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value" messages
+    return parse
+
+
+def _finite_float_at_least(minimum: float):
+    """argparse type: a finite float no smaller than ``minimum`` (no nan, no infinity)."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and value >= minimum):
+            raise argparse.ArgumentTypeError(f"must be a finite number >= {minimum}, got {text}")
+        return value
+
+    parse.__name__ = "float"
     return parse
 
 
@@ -252,7 +266,7 @@ def build_parser() -> _Parser:
     p.add_argument("--loss", choices=("hinge", "bce"), default="hinge",
                    help="loss on labeled nodes' margins; unlabeled nodes always use hinge")
     p.add_argument("--steps", type=_int_at_least(0), default=100)
-    p.add_argument("--lr", type=float, default=0.05)
+    p.add_argument("--lr", type=_finite_float_at_least(0.0), default=0.05)
     p.add_argument("--batch-size", type=_int_at_least(1), default=None)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_train)

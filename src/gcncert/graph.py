@@ -175,6 +175,18 @@ def forward(model: GcnModel, norm_adj: np.ndarray, features: np.ndarray) -> np.n
     return h
 
 
+def receptive_field(graph: Graph, node: int, depth: int) -> list[np.ndarray]:
+    """Sorted hop sets H_0 = {node}, ..., H_depth; H_{l+1} holds the Ã-neighbours of H_l.
+
+    H_L is the receptive field of an L-layer GCN's scores for ``node``.
+    """
+    cols, weights = graph.neighbors
+    hops = [np.array([node])]
+    for _ in range(depth):
+        hops.append(np.unique(cols[hops[-1]][weights[hops[-1]] > 0]))
+    return hops
+
+
 def predict(model: GcnModel, graph: Graph) -> Prediction:
     scores = forward(model, graph.norm_adj, graph.features)
     return Prediction(scores=scores, labels=np.argmax(scores, axis=1))

@@ -11,11 +11,19 @@ neighbourhood, not with n². A ``mode`` other than ``both`` drops the
 candidates of cells whose flip goes the other way. Later layers use plain
 interval arithmetic. These bounds drive the interval certifier baseline and
 supply the numeric ReLU cases for the polyhedra domain.
+
+``interval_layer_bounds_backward`` is the reverse-mode pass of
+``interval_layer_bounds``. It holds each bound's selected flip candidates
+fixed: ``topk``'s ranked candidates and ``max``'s single best one. It
+recomputes the candidate pools with the forward pass's own
+``_flip_deviations`` and ranks them with argsort rather than keeping them,
+so ``interval_layer_bounds`` returns only the bounds and runs as before.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -73,14 +81,27 @@ def interval_input_abstraction(
     if budget.per_node == 0 or budget.total == 0:
         return IntervalElement(base.copy(), base.copy())
 
-    n, m0 = x.shape
-    m1 = layer0.weight.shape[1]
+    dev_min, dev_max, _ = _flip_deviations(model, graph, budget, variant, mode)
+    return IntervalElement(base + dev_min, base + dev_max)
+
+
+def _flip_deviations(
+    model: GcnModel, graph: Graph, budget: PerturbationBudget, variant: str, mode: str
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Extreme first-layer deviations under a non-zero budget, and the pools they come from.
+
+    Returns (dev_min, dev_max, pools). The pools are the flip candidates and
+    the scaled candidates each output entry's min and max deviation draws
+    from: for ``topk`` each neighbour's ``per_node`` most negative (positive)
+    ones, for ``max`` each neighbour's single best.
+    """
+    n, m0 = graph.features.shape
+    m1 = model.layers[0].weight.shape[1]
     # flip deltas per (source node, feature, output): sign[k,f] * W[f,j]
-    cand = sign_matrix(graph.features)[:, :, None] * layer0.weight[None, :, :]
+    cand = sign_matrix(graph.features)[:, :, None] * model.layers[0].weight[None, :, :]
     cand = restrict_to_mode(cand, graph.features[:, :, None], mode)
     # only Ã's nonzero entries can move a row; padding weighs 0 like a non-neighbour
     cols, weights = graph.neighbors
-
     if variant == "topk":
         k_local = min(budget.per_node, m0)
         ordered = np.sort(cand, axis=1)
@@ -94,10 +115,60 @@ def interval_input_abstraction(
     else:
         best_neg = np.minimum(cand.min(axis=1), 0.0)
         best_pos = np.maximum(cand.max(axis=1), 0.0)
-        dev_min = budget.total * (weights[:, :, None] * best_neg[cols]).min(axis=1)
-        dev_max = budget.total * (weights[:, :, None] * best_pos[cols]).max(axis=1)
+        scaled_neg = weights[:, :, None] * best_neg[cols]
+        scaled_pos = weights[:, :, None] * best_pos[cols]
+        dev_min = budget.total * scaled_neg.min(axis=1)
+        dev_max = budget.total * scaled_pos.max(axis=1)
+    return dev_min, dev_max, (cand, scaled_neg, scaled_pos)
 
-    return IntervalElement(base + dev_min, base + dev_max)
+
+def _flip_deviations_backward(
+    model: GcnModel,
+    graph: Graph,
+    budget: PerturbationBudget,
+    variant: str,
+    mode: str,
+    min_grad: np.ndarray,
+    max_grad: np.ndarray,
+) -> np.ndarray:
+    """First-layer weight gradient of sum(min_grad * dev_min + max_grad * dev_max).
+
+    Ranks the forward pass's pools with argsort to find the candidates each
+    deviation took; among tied values any choice gives the same sum.
+    """
+    n, m0 = graph.features.shape
+    cand, scaled_neg, scaled_pos = _flip_deviations(model, graph, budget, variant, mode)[2]
+    m1 = cand.shape[2]
+    cols, weights = graph.neighbors
+    if variant == "topk":
+        k_local = min(budget.per_node, m0)
+        k_global = min(budget.total, scaled_neg.shape[1])
+        order = np.argsort(cand, axis=1)
+        taken_min = np.argsort(scaled_neg, axis=1)[:, :k_global]
+        taken_max = np.argsort(scaled_pos, axis=1)[:, -k_global:]
+        sides = ((order[:, :k_local], taken_min, min_grad, np.less),
+                 (order[:, -k_local:], taken_max, max_grad, np.greater))
+    else:
+        sides = ((cand.argmin(axis=1)[:, None], scaled_neg.argmin(axis=1), min_grad, np.less),
+                 (cand.argmax(axis=1)[:, None], scaled_pos.argmax(axis=1), max_grad, np.greater))
+    cand_grad = np.zeros_like(cand)
+    for ranks, taken, grad, beyond_zero in sides:
+        # gradient on each source node's ranked candidates, summed over neighbours
+        ranked_grad = np.zeros((n,) + ranks.shape[1:])
+        if variant == "topk":
+            scaled_grad = np.zeros((n, cols.shape[1] * ranks.shape[1], m1))
+            np.put_along_axis(scaled_grad, taken, grad[:, None, :], axis=1)
+            np.add.at(ranked_grad, cols,
+                      weights[:, :, None, None] * scaled_grad.reshape(n, cols.shape[1], -1, m1))
+        else:
+            np.add.at(ranked_grad[:, 0], (np.take_along_axis(cols, taken, axis=1), np.arange(m1)),
+                      budget.total * np.take_along_axis(weights, taken, axis=1) * grad)
+        # a candidate clamped to 0 passes nothing on
+        ranked_grad *= beyond_zero(np.take_along_axis(cand, ranks, axis=1), 0.0)
+        side_grad = np.zeros_like(cand)
+        np.put_along_axis(side_grad, ranks, ranked_grad, axis=1)
+        cand_grad += side_grad
+    return np.einsum("kfj,kf->fj", cand_grad, sign_matrix(graph.features))
 
 
 def linear_interval(elem: IntervalElement, weight: np.ndarray, bias: np.ndarray) -> IntervalElement:
@@ -144,6 +215,51 @@ def interval_layer_bounds(
         elem = gc_interval(elem, graph.norm_adj)
         bounds.append(linear_interval(elem, layer.weight, layer.bias))
     return bounds
+
+
+def interval_layer_bounds_backward(
+    model: GcnModel,
+    graph: Graph,
+    budget: PerturbationBudget,
+    variant: str,
+    mode: str,
+    bounds: Sequence[IntervalElement],
+    bound_grads: Sequence[tuple[np.ndarray, np.ndarray]],
+    param_grads: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> None:
+    """Reverse-mode pass of ``interval_layer_bounds``; adds into ``param_grads``.
+
+    ``bound_grads[l]`` holds the gradients with respect to ``bounds[l]``'s
+    lower and upper matrices; the pass adds what reaches each earlier layer
+    into its entry on the way down. Later layers go back through the affine
+    map's sign split, Ã and the ReLU (which passes nothing where its input is
+    <= 0), the first layer through the base value and the chosen candidates.
+    """
+    adj_t = graph.norm_adj.T
+    for l in range(model.num_layers - 1, 0, -1):
+        weight = model.layers[l].weight
+        w_pos, w_neg = np.maximum(weight, 0.0), np.minimum(weight, 0.0)
+        lower_grad, upper_grad = bound_grads[l]
+        # linear_interval's input is Ã·ReLU(previous bounds)
+        at_lower, at_upper = adj_t @ lower_grad, adj_t @ upper_grad
+        prev = bounds[l - 1]
+        relu_lower, relu_upper = np.maximum(prev.lower, 0.0), np.maximum(prev.upper, 0.0)
+        weight_grad, bias_grad = param_grads[l]
+        weight_grad += np.where(weight >= 0,
+                                relu_lower.T @ at_lower + relu_upper.T @ at_upper,
+                                relu_upper.T @ at_lower + relu_lower.T @ at_upper)
+        bias_grad += lower_grad.sum(axis=0) + upper_grad.sum(axis=0)
+        prev_lower, prev_upper = bound_grads[l - 1]
+        prev_lower += (at_lower @ w_pos.T + at_upper @ w_neg.T) * (prev.lower > 0)
+        prev_upper += (at_lower @ w_neg.T + at_upper @ w_pos.T) * (prev.upper > 0)
+    lower_grad, upper_grad = bound_grads[0]
+    weight_grad, bias_grad = param_grads[0]
+    base_grad = lower_grad + upper_grad
+    weight_grad += (graph.norm_adj @ graph.features.astype(np.float64)).T @ base_grad
+    bias_grad += base_grad.sum(axis=0)
+    if budget.per_node > 0 and budget.total > 0:
+        weight_grad += _flip_deviations_backward(
+            model, graph, budget, variant, mode, lower_grad, upper_grad)
 
 
 def interval_certify(

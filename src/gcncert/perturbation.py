@@ -8,7 +8,11 @@ and for the ``oracle`` CLI subcommand.
 All three oracle functions read one loop, ``_smallest_breaks``: it replays the
 flip sets in enumeration order (by cardinality), a chunk per stacked forward
 pass, records for each node the size of the first flip set that changes its
-label, and stops as soon as every node it watches is broken.
+label, and stops as soon as every node it watches is broken. It walks raw
+cell-index combinations from ``_cell_combos``, the generator that
+``enumerate_perturbations`` wraps into ``FlipSet``s. A single node's check
+flips only the cells of its L-hop receptive field: no other flip can move its
+scores, and Ã's zero entries add exact zeros, so its verdict is unchanged.
 """
 
 from __future__ import annotations
@@ -22,13 +26,16 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DataError, OracleInfeasibleError
-from .graph import GcnModel, Graph, forward, predict
+from .graph import GcnModel, Graph, forward, predict, receptive_field
 
 DEFAULT_ORACLE_CAP = 10_000_000
 
 MODES = ("both", "add-only", "delete-only")
 
 _FORWARD_CHUNK = 2048
+
+# cell combinations per vectorized per-node check in _cell_combos
+_COMBO_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -111,6 +118,44 @@ def apply_flips(features: np.ndarray, flips: FlipSet) -> np.ndarray:
     return out
 
 
+def _cell_combos(
+    node_of: np.ndarray, budget: PerturbationBudget, cap: int
+) -> Iterator[tuple[int, ...]]:
+    """Every admissible set of cells as ascending cell indices, the empty set first.
+
+    ``node_of[c]`` is the node of cell c, non-decreasing in c. Order is by
+    size, then lexicographic. Raises :class:`OracleInfeasibleError` when
+    C(cells, <= total) exceeds the cap.
+    """
+    cells = len(node_of)
+    if budget.total == 0 or budget.per_node == 0 or cells == 0:
+        yield ()
+        return
+    max_size = min(budget.total, cells, budget.per_node * len(np.unique(node_of)))
+    candidates = sum(comb(cells, size) for size in range(max_size + 1))
+    if candidates > cap:
+        raise OracleInfeasibleError(
+            f"enumeration needs {candidates} candidates, cap is {cap}"
+        )
+    yield ()
+    p = budget.per_node
+    for size in range(1, max_size + 1):
+        combos = itertools.combinations(range(cells), size)
+        if size <= p:
+            yield from combos
+            continue
+        while True:
+            block = np.fromiter(
+                itertools.chain.from_iterable(itertools.islice(combos, _COMBO_BLOCK)),
+                dtype=np.int64,
+            ).reshape(-1, size)
+            if not len(block):
+                break
+            # a node's cells sit side by side, so p + 1 of one node span a gap of p
+            nodes = node_of[block]
+            yield from map(tuple, block[(nodes[:, p:] != nodes[:, :-p]).all(axis=1)].tolist())
+
+
 def enumerate_perturbations(
     features: np.ndarray,
     budget: PerturbationBudget,
@@ -121,24 +166,10 @@ def enumerate_perturbations(
     Order is by cardinality, then lexicographic over the sorted cell pairs.
     Raises :class:`OracleInfeasibleError` when C(n*m, <=total) exceeds the cap.
     """
-    features = np.asarray(features)
-    n, m = features.shape
-    if budget.total == 0 or budget.per_node == 0 or n * m == 0:
-        yield EMPTY_FLIPSET
-        return
-    max_size = min(budget.total, n * m, budget.per_node * n)
-    candidates = sum(comb(n * m, size) for size in range(max_size + 1))
-    if candidates > cap:
-        raise OracleInfeasibleError(
-            f"enumeration needs {candidates} candidates, cap is {cap}"
-        )
-    yield EMPTY_FLIPSET
+    n, m = np.asarray(features).shape
     cells = [(i, j) for i in range(n) for j in range(m)]
-    for size in range(1, max_size + 1):
-        for combo in itertools.combinations(cells, size):
-            per_node = Counter(i for i, _ in combo)
-            if max(per_node.values()) <= budget.per_node:
-                yield FlipSet(combo)
+    for combo in _cell_combos(np.repeat(np.arange(n), m), budget, cap):
+        yield FlipSet(tuple(cells[c] for c in combo))
 
 
 def _smallest_breaks(
@@ -147,8 +178,9 @@ def _smallest_breaks(
     budget: PerturbationBudget,
     cap: int,
     watch: int | np.ndarray,
+    field: np.ndarray,
 ) -> np.ndarray:
-    """Per node, the size of the smallest flip set that changes its label.
+    """Per node, the size of the smallest flip set of ``field``'s cells that changes its label.
 
     Nodes no admissible flip set breaks get ``budget.total + 1``. Flip sets are
     replayed in enumeration order, ``_FORWARD_CHUNK`` per stacked forward pass,
@@ -158,15 +190,17 @@ def _smallest_breaks(
     base_labels = predict(model, graph).labels
     unbroken = budget.total + 1
     smallest = np.full(graph.num_nodes, unbroken, dtype=np.int64)
-    flip_sets = enumerate_perturbations(graph.features, budget, cap)
+    m = graph.num_features
+    cell_rows, cell_cols = np.repeat(field, m), np.tile(np.arange(m), len(field))
+    combos = _cell_combos(np.repeat(np.arange(len(field)), m), budget, cap)
     while (smallest[watch] == unbroken).any():
-        chunk = list(itertools.islice(flip_sets, _FORWARD_CHUNK))
+        chunk = list(itertools.islice(combos, _FORWARD_CHUNK))
         if not chunk:
             break
-        sizes = np.array([len(fs) for fs in chunk])
-        cells = np.array([cell for fs in chunk for cell in fs], dtype=np.int64).reshape(-1, 2)
+        sizes = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
+        cells = np.fromiter(itertools.chain.from_iterable(chunk), dtype=np.int64)
         batch = np.repeat(graph.features[None, :, :], len(chunk), axis=0)
-        batch[np.repeat(np.arange(len(chunk)), sizes), cells[:, 0], cells[:, 1]] ^= 1
+        batch[np.repeat(np.arange(len(chunk)), sizes), cell_rows[cells], cell_cols[cells]] ^= 1
         changed = np.argmax(forward(model, graph.norm_adj, batch), axis=2) != base_labels
         first = np.where(changed.any(axis=0), sizes[np.argmax(changed, axis=0)], unbroken)
         smallest = np.minimum(smallest, first)
@@ -180,8 +214,8 @@ def exact_robust_nodes(
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> np.ndarray:
     """Boolean vector: node i is robust iff no admissible flip set changes its label."""
-    watch = np.arange(graph.num_nodes)
-    return _smallest_breaks(model, graph, budget, cap, watch) > budget.total
+    every = np.arange(graph.num_nodes)
+    return _smallest_breaks(model, graph, budget, cap, every, every) > budget.total
 
 
 def exact_node_robustness(
@@ -191,9 +225,15 @@ def exact_node_robustness(
     node: int,
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> bool:
+    """Whether no admissible flip set changes ``node``'s label.
+
+    Only the cells of the node's receptive field are flipped, and ``cap``
+    bounds the flip sets over those cells alone.
+    """
     if not 0 <= node < graph.num_nodes:
         raise DataError(f"node {node} out of range")
-    return bool(_smallest_breaks(model, graph, budget, cap, node)[node] > budget.total)
+    field = receptive_field(graph, node, model.num_layers)[-1]
+    return bool(_smallest_breaks(model, graph, budget, cap, node, field)[node] > budget.total)
 
 
 def oracle_max_robust_limits(
@@ -210,5 +250,5 @@ def oracle_max_robust_limits(
     budget answers every smaller one.
     """
     budget = PerturbationBudget(per_node=per_node_budget, total=max_total)
-    watch = np.arange(graph.num_nodes)
-    return _smallest_breaks(model, graph, budget, cap, watch) - 1
+    every = np.arange(graph.num_nodes)
+    return _smallest_breaks(model, graph, budget, cap, every, every) - 1

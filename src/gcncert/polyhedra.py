@@ -13,6 +13,12 @@ one hop per layer and never cover nodes it cannot see. ``back_substitute`` is
 its one-target view. Ã comes from the graph; the interval pre-activation
 bounds come from the caller, which computes them once per budget and shares
 them across all of its nodes.
+
+``back_substitute_backward`` is the reverse-mode pass of the batch kernel: it
+carries gradients with respect to the output forms back through the same
+crossings, in the opposite order, to the layer weights and biases and to the
+interval bounds that set the ReLU slopes. It reads the arrays the forward
+pass kept in ``PolyBatch.tape``.
 """
 
 from __future__ import annotations
@@ -126,6 +132,10 @@ class PolyBatch:
     receptive field in ascending node order. Fields are padded at the end to
     the chunk's widest with node 0 under all-zero coefficients. Coefficients
     are shaped (targets, labels, field, features), constants (targets, labels).
+    ``tape`` holds, per layer in the order the forward pass crossed them, what
+    ``back_substitute_backward`` reads: the front, its padding mask, the
+    coefficients entering the ReLU (None at the output layer) and the affine
+    crossing, and the graph-convolution block.
     """
 
     fronts: np.ndarray
@@ -133,6 +143,7 @@ class PolyBatch:
     lower_const: np.ndarray
     upper_coef: np.ndarray
     upper_const: np.ndarray
+    tape: tuple
 
 
 def back_substitute_batch(
@@ -166,15 +177,19 @@ def back_substitute_batch(
     coef = np.zeros((targets, 1, 2, 2, rows, rows))
     coef[:, 0, 0, 0] = coef[:, 0, 1, 1] = np.eye(rows)
     const = np.zeros((targets, 2, rows))
+    tape = []
     for l in range(model.num_layers - 1, -1, -1):
+        relu_in = None
         if l < model.num_layers - 1:
             # cross the ReLU that follows layer l: lower rows scale by the
             # lower slope, upper rows by the chord slope plus its intercept
             pre = layer_bounds[l]
             lo_slope, up_slope, up_shift = _relu_cases(pre.lower[front], pre.upper[front])
+            relu_in = coef
             const = const + (coef[:, :, 1] * up_shift[:, :, None, None]).sum(axis=(1, 4))
             coef = coef * np.stack([lo_slope, up_slope], axis=2)[:, :, :, None, None]
         layer = model.layers[l]
+        affine_in = coef
         # cross the affine map: positive weights keep the referenced side,
         # negative weights swap it, exactly as in linear_poly
         const = const + (coef[:, :, 0] + coef[:, :, 1]).sum(axis=1) @ layer.bias
@@ -193,6 +208,7 @@ def back_substitute_batch(
         new_front = np.where(new_live, new_front, 0)
         # padded columns get no weight; padded rows already carry none
         adj_sub = graph.norm_adj[front[:, :, None], new_front[:, None, :]] * new_live[:, None, :]
+        tape.append((front, live, relu_in, affine_in, adj_sub))
         coef = adj_sub.transpose(0, 2, 1) @ coef.reshape(targets, front.shape[1], -1)
         coef = coef.reshape((targets, width, 2, 2, rows, -1))
         front, live = new_front, new_live
@@ -203,7 +219,67 @@ def back_substitute_batch(
         lower_const=const[:, 0],
         upper_coef=(coef[:, :, 1, 1] + coef[:, :, 0, 1]).transpose(0, 2, 1, 3),
         upper_const=const[:, 1],
+        tape=tuple(tape),
     )
+
+
+def back_substitute_backward(
+    model: GcnModel,
+    batch: PolyBatch,
+    layer_bounds: Sequence[IntervalElement],
+    form_grads: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    param_grads: Sequence[tuple[np.ndarray, np.ndarray]],
+    bound_grads: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> None:
+    """Reverse-mode pass of ``back_substitute_batch``; adds into the two gradient lists.
+
+    ``form_grads`` holds the gradients with respect to the batch's lower
+    coefficients, lower constants, upper coefficients and upper constants,
+    shaped like them. Per layer, ``param_grads`` gets the (weight, bias)
+    gradients and ``bound_grads`` the (lower, upper) gradients of
+    ``layer_bounds``, which reach the forms only through the chord of each
+    unstable ReLU: slope u/(u-l) and intercept -ul/(u-l). The area-rule
+    lower slope is piecewise constant and passes no gradient to the bounds.
+    """
+    low_coef, low_const, up_coef, up_const = form_grads
+    targets, rows = low_const.shape
+    # both referenced sides feed a bound side, so both get its gradient
+    grad = np.stack([low_coef, up_coef], axis=1).transpose(0, 3, 1, 2, 4)[:, :, None]
+    grad = np.repeat(grad, 2, axis=2)
+    const = np.stack([low_const, up_const], axis=1)  # every crossing adds into it
+    for l, (front, live, relu_in, affine_in, adj_sub) in enumerate(reversed(batch.tape)):
+        # graph convolution: coef = adj_sub^T coef_in, so grad_in = adj_sub grad
+        grad = adj_sub @ grad.reshape(targets, adj_sub.shape[2], -1)
+        grad = grad.reshape(affine_in.shape[:-1] + (-1,)) * live[:, :, None, None, None, None]
+        # affine: positive weights keep the referenced side, negative ones swap it
+        layer = model.layers[l]
+        weight_grad, bias_grad = param_grads[l]
+        flat_in = affine_in.reshape(-1, layer.weight.shape[1])
+        same = grad.reshape(-1, layer.weight.shape[0])
+        swapped = grad[:, :, ::-1].reshape(same.shape)
+        weight_grad += np.where(layer.weight >= 0, same.T @ flat_in, swapped.T @ flat_in)
+        # the bias entered as (sum over front and referenced side) @ bias
+        referenced = (affine_in[:, :, 0] + affine_in[:, :, 1]).sum(axis=1)
+        bias_grad += const.reshape(-1) @ referenced.reshape(-1, layer.bias.size)
+        grad = same @ np.maximum(layer.weight, 0.0) + swapped @ np.minimum(layer.weight, 0.0)
+        grad = grad.reshape(affine_in.shape) + const[:, None, None, :, :, None] * layer.bias
+        if relu_in is None:
+            continue
+        # ReLU: coef = relu_in * slope and const += upper rows * intercept
+        pre = layer_bounds[l]
+        lower, upper = pre.lower[front], pre.upper[front]
+        lo_slope, up_slope, up_shift = _relu_cases(lower, upper)
+        slope_grad = (grad[:, :, 1] * relu_in[:, :, 1]).sum(axis=(2, 3))
+        shift_grad = np.einsum("tsr,tksrj->tkj", const, relu_in[:, :, 1])
+        grad = grad * np.stack([lo_slope, up_slope], axis=2)[:, :, :, None, None]
+        grad[:, :, 1] += const[:, None, :, :, None] * up_shift[:, :, None, None]
+        mixed = (lower < 0) & (upper > 0)
+        width2 = np.where(mixed, (upper - lower) ** 2, 1.0)
+        lower_grad, upper_grad = bound_grads[l]
+        np.add.at(lower_grad, front, np.where(
+            mixed, (slope_grad * upper - shift_grad * upper**2) / width2, 0.0))
+        np.add.at(upper_grad, front, np.where(
+            mixed, (shift_grad * lower**2 - slope_grad * lower) / width2, 0.0))
 
 
 def back_substitute(

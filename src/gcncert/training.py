@@ -1,10 +1,12 @@
-"""Certification-guided robust training at desk scale.
+"""Certification-guided robust training.
 
 The training loss is built from the sound certifier's per-rival margins, so
-minimizing it pushes certified margins up. Gradients come from central finite
-differences over every parameter: exact enough at toy scale and free of any
-autodiff dependency, but the model must stay small (a few thousand parameters
-at most). Plain gradient descent, no momentum.
+minimizing it pushes certified margins up. Each step is one certification
+pass and one reverse-mode pass through it (``certify.rival_margins``): the
+gradient is exact wherever the certifier's discrete choices (the minimizing
+flips, the ReLU cases, the ``topk`` selection, the winner of the symbolic
+minimum and the output box) stay put, and its cost does not grow with the
+number of parameters. Plain gradient descent, no momentum.
 
 Every node trains. A labeled node's target is its label; an unlabeled node's
 (label -1) is the model's own predicted label. The hinge loss pushes each
@@ -22,15 +24,13 @@ from typing import Callable
 
 import numpy as np
 
-from .certify import certify_sound
+from .certify import rival_margins
 from .errors import DataError
 from .graph import GcnLayer, GcnModel, Graph, predict
 from .perturbation import PerturbationBudget
 
 DEFAULT_LABELED_MARGIN = math.log(90 / 10)
 DEFAULT_UNLABELED_MARGIN = math.log(60 / 40)
-FD_STEP = 1e-4  # central-difference step on every parameter
-MAX_PARAMETERS = 2000  # 2 certifier calls per parameter per step
 
 
 @dataclass(frozen=True)
@@ -58,30 +58,34 @@ def hinge_loss(delta_margins: np.ndarray, threshold: float | np.ndarray) -> np.n
     return np.maximum(threshold - margins, 0.0).sum(axis=-1)
 
 
-def parameter_count(model: GcnModel) -> int:
-    return sum(layer.weight.size + layer.bias.size for layer in model.layers)
+def _batch_loss(
+    model: GcnModel,
+    graph: Graph,
+    budget: PerturbationBudget,
+    variant: str,
+    mode: str,
+    batch: np.ndarray,
+    targets: np.ndarray,
+    use_bce: np.ndarray,
+    thresholds: np.ndarray,
+) -> tuple[float, Callable[[], list[tuple[np.ndarray, np.ndarray]]]]:
+    """The batch's mean robust loss and a function returning its (weight, bias) gradients.
 
+    ``targets``, ``use_bce`` and ``thresholds`` hold one entry per graph node.
+    """
+    margins, pullback = rival_margins(model, graph, budget, variant, targets, batch, mode)
+    bce = use_bce[batch, None]
+    threshold = thresholds[batch, None]  # (batch x rivals); a single label has no rival
+    per_node = np.where(bce[:, 0], bce_loss(margins), hinge_loss(margins, threshold))
 
-def _pack(model: GcnModel) -> np.ndarray:
-    parts = []
-    for layer in model.layers:
-        parts.append(layer.weight.ravel())
-        parts.append(layer.bias)
-    return np.concatenate(parts)
+    def gradient() -> list[tuple[np.ndarray, np.ndarray]]:
+        # d/dm -log sigmoid(m) = sigmoid(m) - 1 = -1 / (1 + e^m); the hinge's slope is -1 below
+        slope = np.where(bce, -np.exp(-np.logaddexp(0.0, margins)),
+                         np.where(margins < threshold, -1.0, 0.0))
+        return pullback(slope / len(batch))
 
-
-def _unpack(template: GcnModel, params: np.ndarray) -> GcnModel:
-    layers = []
-    offset = 0
-    for layer in template.layers:
-        w_size = layer.weight.size
-        weight = params[offset : offset + w_size].reshape(layer.weight.shape)
-        offset += w_size
-        b_size = layer.bias.size
-        bias = params[offset : offset + b_size]
-        offset += b_size
-        layers.append(GcnLayer(weight, bias))
-    return GcnModel(tuple(layers))
+    # Python's sum adds in batch order; np.sum would pair terms differently
+    return sum(per_node.tolist()) / len(batch), gradient
 
 
 def train_robust(
@@ -107,15 +111,15 @@ def train_robust(
     model's prediction), and averages the per-node losses over the batch.
     Labeled nodes use ``config.kind`` with the hinge threshold
     ``DEFAULT_LABELED_MARGIN``; unlabeled nodes use the hinge loss at
-    ``DEFAULT_UNLABELED_MARGIN``. The interval variant defaults to ``max``
-    because the numeric bounds are recomputed at every evaluation.
+    ``DEFAULT_UNLABELED_MARGIN``. A step certifies the batch once and takes
+    the loss's exact gradient by one reverse-mode pass, so models of any
+    width train. ``progress``, if given, gets each step's loss after the
+    update, on that step's batch and targets. The interval variant defaults
+    to ``max`` because the numeric bounds are recomputed at every step.
+    ``learning_rate`` must be a finite number >= 0.
     """
-    count = parameter_count(model)
-    if count > MAX_PARAMETERS:
-        raise DataError(
-            f"model has {count} parameters, finite-difference training caps at "
-            f"{MAX_PARAMETERS}; shrink the model (fewer or narrower layers)"
-        )
+    if not (math.isfinite(learning_rate) and learning_rate >= 0):
+        raise DataError(f"learning rate must be a finite number >= 0, got {learning_rate}")
     if batch_size is not None and batch_size < 1:
         raise DataError("batch_size must be at least 1")
     labels = np.asarray(labels, dtype=np.int64)
@@ -128,23 +132,10 @@ def train_robust(
         raise DataError("labels must be -1 (unlabeled) or a label index")
 
     rng = np.random.default_rng(seed)
-    params = _pack(model)
     labeled = labels >= 0
     thresholds = np.where(labeled, DEFAULT_LABELED_MARGIN, DEFAULT_UNLABELED_MARGIN)
     use_bce = labeled & (config.kind == "bce")
-
-    def batch_loss(vec: np.ndarray, batch: np.ndarray, targets: np.ndarray) -> float:
-        judgments = certify_sound(
-            _unpack(model, vec), graph, budget, variant,
-            labels=targets, nodes=batch.tolist(), mode=mode,
-        )
-        # (batch x rivals); a single-label model has zero rival columns
-        margins = np.array([list(j.rival_margins.values()) for j in judgments], dtype=np.float64)
-        per_node = np.where(
-            use_bce[batch], bce_loss(margins), hinge_loss(margins, thresholds[batch, None])
-        )
-        # Python's sum adds in batch order; np.sum would pair terms differently
-        return sum(per_node.tolist()) / len(batch)
+    setting = (graph, budget, variant, mode)
 
     for step in range(steps):
         if batch_size is None or batch_size >= n:
@@ -152,22 +143,18 @@ def train_robust(
         else:
             batch = np.sort(rng.permutation(n)[:batch_size])
         # targets fixed per step: the label where there is one, else the
-        # current model's prediction (held constant across the FD evaluations)
+        # current model's prediction
         targets = labels
         if not labeled.all():
-            predicted = predict(_unpack(model, params), graph).labels
-            targets = np.where(labeled, labels, predicted)
-
-        grad = np.zeros_like(params)
-        for p in range(len(params)):
-            shifted = params.copy()
-            shifted[p] = params[p] + FD_STEP
-            up = batch_loss(shifted, batch, targets)
-            shifted[p] = params[p] - FD_STEP
-            down = batch_loss(shifted, batch, targets)
-            grad[p] = (up - down) / (2.0 * FD_STEP)
-        params = params - learning_rate * grad
+            targets = np.where(labeled, labels, predict(model, graph).labels)
+        fixed = (batch, targets, use_bce, thresholds)
+        _, gradient = _batch_loss(model, *setting, *fixed)
+        model = GcnModel(tuple(
+            GcnLayer(layer.weight - learning_rate * weight_grad,
+                     layer.bias - learning_rate * bias_grad)
+            for layer, (weight_grad, bias_grad) in zip(model.layers, gradient())
+        ))
         if progress is not None:
-            progress(step, batch_loss(params, batch, targets))
+            progress(step, _batch_loss(model, *setting, *fixed)[0])
 
-    return _unpack(model, params)
+    return model

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -221,3 +222,29 @@ def reference_robust_loss(judgments, labels, kind: str) -> float:
             threshold = math.log(90 / 10) if labels[judgment.node] >= 0 else math.log(60 / 40)
             total += float(np.maximum(threshold - margins, 0.0).sum())
     return total / len(judgments)
+
+
+def central_fd_gradient(loss, model, step: float = 1e-4) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Central finite differences of ``loss(model)``, per layer (weight, bias).
+
+    Two loss evaluations per parameter, each moving that one entry by
+    ``step`` up or down: the reference for the exact training gradient.
+    """
+    grads = []
+    for l, layer in enumerate(model.layers):
+        pair = []
+        for name in ("weight", "bias"):
+            values = getattr(layer, name)
+            grad = np.zeros_like(values)
+            for idx in np.ndindex(values.shape):
+                ends = []
+                for shift in (step, -step):
+                    moved = values.copy()
+                    moved[idx] += shift
+                    layers = list(model.layers)
+                    layers[l] = dataclasses.replace(layer, **{name: moved})
+                    ends.append(loss(gc.GcnModel(tuple(layers))))
+                grad[idx] = (ends[0] - ends[1]) / (2.0 * step)
+            pair.append(grad)
+        grads.append(tuple(pair))
+    return grads

@@ -243,6 +243,9 @@ def test_certify_rejects_non_finite_model(tmp_path):
     ["certify", "--global", "-2"],
     ["sweep", "--global-range", "5:1"],
     ["sweep", "--global-range", "x"],
+    ["train", "--lr", "-1", "--labels", "l.json", "--output", "o.json"],
+    ["train", "--lr", "inf", "--labels", "l.json", "--output", "o.json"],
+    ["train", "--lr", "nan", "--labels", "l.json", "--output", "o.json"],
 ])
 def test_ignored_flags_are_usage_errors(monkeypatch, args):
     def never_load(path):

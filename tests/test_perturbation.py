@@ -199,12 +199,39 @@ def test_oracle_stops_at_the_batch_that_breaks_every_watched_node(count_oracle_f
     count_oracle_forward.clear()
     assert not gc.exact_robust_nodes(model, graph, budget).any()
     assert len(count_oracle_forward) == 2
-    for node, batches in ((0, 1), (1, 1), (2, 2)):
+    # a node's check flips only its own two cells here: 4 flip sets, one batch
+    for node in range(3):
         count_oracle_forward.clear()
         assert not gc.exact_node_robustness(model, graph, budget, node)
-        assert len(count_oracle_forward) == batches
+        assert len(count_oracle_forward) == 1
     # a model no flip can move enumerates every batch
     steady = gc.GcnModel((gc.GcnLayer(np.array([[0.5, 0.0], [0.0, 0.0]]), np.array([0.0, 9.0])),))
     count_oracle_forward.clear()
     assert np.array_equal(gc.oracle_max_robust_limits(steady, graph, 2, 3), [3, 3, 3])
     assert len(count_oracle_forward) == 11
+
+
+def test_node_check_enumerates_only_its_receptive_field(monkeypatch):
+    # path 0-1-2-3-4 and a one-layer model: node 0's field is nodes 0 and 1
+    adjacency = np.diag(np.ones(4, dtype=int), 1) + np.diag(np.ones(4, dtype=int), -1)
+    graph = gc.Graph(adjacency=adjacency, features=np.array([[1, 0]] * 5))
+    steady = gc.GcnModel((gc.GcnLayer(np.array([[0.5, 0.0], [0.0, 0.0]]), np.array([0.0, 9.0])),))
+    budget = gc.PerturbationBudget(per_node=1, total=2)
+    stacked = []
+    batched = gcncert.perturbation.forward
+
+    def spy(model, norm_adj, features):
+        stacked.append(len(features))
+        return batched(model, norm_adj, features)
+
+    monkeypatch.setattr(gcncert.perturbation, "forward", spy)
+    assert gc.exact_node_robustness(steady, graph, budget, 0)
+    # {}, 4 single cells and the 4 pairs across the two nodes
+    assert sum(stacked) == 9
+    stacked.clear()
+    assert gc.exact_robust_nodes(steady, graph, budget).all()
+    assert sum(stacked) == len(list(gc.enumerate_perturbations(graph.features, budget))) == 51
+    # the cap counts the field's 4 cells (11 candidates), not the graph's 10 (56)
+    assert gc.exact_node_robustness(steady, graph, budget, 0, cap=11)
+    with pytest.raises(gc.OracleInfeasibleError):
+        gc.exact_robust_nodes(steady, graph, budget, cap=11)

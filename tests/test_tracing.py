@@ -36,8 +36,10 @@ def test_every_traced_name_resolves():
 
 @pytest.mark.parametrize("command, metric, count", [
     (["certify"], "certify.certify_sound_calls", 1),
-    # one step: an up and a down evaluation for each of the model's 16 parameters
-    (["train", "--steps", "1", "--labels", "LABELS"], "training.loss_evals", 32),
+    # a step runs the certification kernel without going through certify_sound
+    (["train", "--steps", "1", "--labels", "LABELS"], "training.loss_evals", 0),
+    # one certification pass per step: the interval bounds are computed once
+    (["train", "--steps", "2", "--labels", "LABELS"], "intervals.input_abstraction_calls", 2),
 ])
 def test_traced_cli_run_counts(tmp_path, command, metric, count):
     labels = tmp_path / "labels.json"

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gcncert as gc
-from gcncert import training
+from gcncert import certify, intervals, training
 import helpers
 
 
@@ -120,15 +120,30 @@ def test_non_positive_batch_size_rejected(rng, batch_size):
                         steps=1, learning_rate=0.1, seed=0, batch_size=batch_size)
 
 
-def test_parameter_cap_rejected(rng):
+@pytest.mark.parametrize("learning_rate", [-1.0, float("inf"), float("nan")])
+def test_nonsensical_learning_rate_rejected_before_training(rng, monkeypatch, learning_rate):
     graph, labels, model, budget = _small_setup(rng)
-    big = gc.GcnModel((
-        gc.GcnLayer(np.zeros((4, 600)), np.zeros(600)),
-        gc.GcnLayer(np.zeros((600, 2)), np.zeros(2)),
+    monkeypatch.setattr(training, "rival_margins", None)  # any step would call it
+    with pytest.raises(gc.DataError, match="learning rate"):
+        gc.train_robust(model, graph, labels, budget, gc.RobustLossConfig(),
+                        steps=1, learning_rate=learning_rate, seed=0)
+
+
+def test_model_beyond_two_thousand_parameters_trains(rng):
+    graph, labels, _, budget = _small_setup(rng)
+    wide = gc.GcnModel((
+        gc.GcnLayer(rng.uniform(-0.5, 0.5, (4, 600)), np.zeros(600)),
+        gc.GcnLayer(rng.uniform(-0.05, 0.05, (600, 2)), np.zeros(2)),
     ))
-    with pytest.raises(gc.DataError, match="shrink"):
-        gc.train_robust(big, graph, labels, budget, gc.RobustLossConfig(),
-                        steps=1, learning_rate=0.1, seed=0)
+    assert sum(l.weight.size + l.bias.size for l in wide.layers) == 4202
+    start = helpers.reference_robust_loss(
+        gc.certify_sound(wide, graph, budget, "max", labels=labels), labels, "hinge")
+    reported = []
+    gc.train_robust(wide, graph, labels, budget, gc.RobustLossConfig(),
+                    steps=2, learning_rate=0.01, seed=0,
+                    progress=lambda step, loss: reported.append(loss))
+    assert len(reported) == 2
+    assert reported[1] < reported[0] < start
 
 
 def test_label_vector_validation(rng):
@@ -201,3 +216,114 @@ def test_reported_loss_equals_per_node_reference(rng, kind, unlabeled, num_label
     targets = np.where(labels >= 0, labels, gc.predict(model, graph).labels)
     judgments = gc.certify_sound(out, graph, budget, "max", labels=targets)
     assert reported == [helpers.reference_robust_loss(judgments, labels, kind)]
+
+
+def _gradient_instance(rng, num_layers: int, num_labels: int):
+    """Random graph and model with ``num_layers`` layers and ``num_labels`` outputs."""
+    graph, model, budget = helpers.raw_instance(rng, num_layers)
+    widths = [l.weight.shape[0] for l in model.layers] + [num_labels]
+    model = gc.GcnModel(tuple(
+        gc.GcnLayer(rng.uniform(-1, 1, (a, b)), rng.uniform(-0.5, 0.5, b))
+        for a, b in zip(widths, widths[1:])
+    ))
+    return graph, model, budget
+
+
+def _choices(model, graph, budget, variant, mode, batch, targets, thresholds):
+    """Every discrete choice the robust loss makes at ``model``, as comparable bytes.
+
+    Weight signs, the ReLU case of every hidden bound, the input abstraction's
+    selected candidates, the minimizing flips, which of the symbolic minimum
+    and the output box wins each margin, and which hinges are active. Where
+    the two bounds agree to rounding the winner is left out: they are then
+    one function of the weights (one layer, one flip set realizing both), and
+    the comparison with central differences still catches a true crossing.
+    """
+    bounds = gc.interval_layer_bounds(model, graph, budget, variant, mode=mode)
+    parts = [layer.weight >= 0 for layer in model.layers]
+    for b in bounds[:-1]:
+        parts += [b.lower >= 0, b.lower > 0, b.upper <= 0, b.upper > 0,
+                  np.abs(b.upper) >= np.abs(b.lower)]
+    if budget.per_node and budget.total:
+        pools = intervals._flip_deviations(model, graph, budget, variant, mode)[2]
+        parts += [np.argsort(pool, axis=1, kind="stable") for pool in pools]
+    for chunk in certify._chunks(model, graph, batch):
+        part = certify._chunk_margins(model, graph, budget, mode, bounds, targets, chunk)
+        tied = np.isclose(part.box_gap, part.poly_min, rtol=1e-12, atol=1e-12)
+        parts += [part.pick, ~tied & (part.box_gap > part.poly_min),
+                  part.margins < thresholds[chunk, None]]
+    return b"".join(np.ascontiguousarray(p).tobytes() for p in parts)
+
+
+@pytest.mark.parametrize("num_layers", [1, 2, 3])
+@pytest.mark.parametrize("variant", ["topk", "max"])
+def test_gradient_matches_central_differences(rng, num_layers, variant):
+    compared, skipped = 0, 0
+    for mode in ("both", "add-only", "delete-only"):
+        for kind in ("hinge", "bce"):
+            for num_labels, unlabeled in ((1, 0.0), (2, 0.0), (3, 0.4), (2, 0.4)):
+                graph, model, budget = _gradient_instance(rng, num_layers, num_labels)
+                n = graph.num_nodes
+                labels = rng.integers(0, num_labels, n)
+                labels[rng.random(n) < unlabeled] = -1
+                targets = np.where(labels >= 0, labels, gc.predict(model, graph).labels)
+                thresholds = np.where(labels >= 0, training.DEFAULT_LABELED_MARGIN,
+                                      training.DEFAULT_UNLABELED_MARGIN)
+                use_bce = (labels >= 0) & (kind == "bce")
+                batch = np.sort(rng.permutation(n)[: int(rng.integers(1, n + 1))])
+                setting = (graph, budget, variant, mode, batch, targets, use_bce, thresholds)
+                at = (graph, budget, variant, mode, batch, targets, thresholds)
+                choices = _choices(model, *at)
+                moved = []
+
+                def loss(shifted):
+                    moved.append(_choices(shifted, *at) != choices)
+                    return training._batch_loss(shifted, *setting)[0]
+
+                reference = helpers.central_fd_gradient(loss, model, step=1e-6)
+                if any(moved):  # a choice flips within the step: no derivative to compare
+                    skipped += 1
+                    continue
+                exact = training._batch_loss(model, *setting)[1]()
+                flat_exact = np.concatenate([np.r_[w.ravel(), b] for w, b in exact])
+                flat_reference = np.concatenate([np.r_[w.ravel(), b] for w, b in reference])
+                scale = np.abs(flat_reference).max()
+                if num_labels == 1:  # no rival, no margin, no loss
+                    assert scale == 0.0 and not flat_exact.any()
+                else:
+                    assert np.abs(flat_exact - flat_reference).max() <= 1e-6 * scale
+                    compared += scale > 0
+    assert skipped <= 4 and compared >= 12
+
+
+def test_gradient_follows_the_output_box_where_it_wins():
+    graph, model, budget = helpers.undershoot_example()
+    # a non-zero weight on score[1], away from the kink of W+ and W- at 0
+    second = gc.GcnLayer(np.array([[1.0, -0.2]]), np.array([0.1, 0.0]))
+    model = gc.GcnModel((model.layers[0], second))
+    batch, targets = np.array([0]), np.array([0])
+    setting = (graph, budget, "topk", "both", batch, targets, np.array([False]),
+               np.array([training.DEFAULT_LABELED_MARGIN]))
+    bounds = gc.interval_layer_bounds(model, graph, budget, "topk")
+    part = certify._chunk_margins(model, graph, budget, "both", bounds, targets, batch)
+    assert part.box_gap[0, 0] == pytest.approx(0.1) and part.poly_min[0, 0] == pytest.approx(-0.5)
+    exact = training._batch_loss(model, *setting)[1]()
+    reference = helpers.central_fd_gradient(lambda m: training._batch_loss(m, *setting)[0],
+                                            model, step=1e-6)
+    for (w, b), (w_ref, b_ref) in zip(exact, reference):
+        assert np.allclose(w, w_ref, rtol=0, atol=1e-8) and np.allclose(b, b_ref, rtol=0, atol=1e-8)
+    assert exact[1][1].tolist() == [-1.0, 1.0]  # the hinge pulls score[0] up, score[1] down
+
+
+def test_gradient_is_the_same_over_chunks_of_the_batch(rng, monkeypatch):
+    graph, model, budget = helpers.trained_instance(rng)
+    labels = rng.integers(0, model.num_labels, graph.num_nodes)
+    n = graph.num_nodes
+    setting = (graph, budget, "topk", "both", np.arange(n), labels, np.zeros(n, dtype=bool),
+               np.full(n, training.DEFAULT_LABELED_MARGIN))
+    whole = training._batch_loss(model, *setting)[1]()
+    monkeypatch.setattr(certify, "_CHUNK_ELEMENTS", certify._target_elements(model, graph))
+    assert len(certify._chunks(model, graph, np.arange(n))) == n  # one node per chunk
+    for (w, b), (w_chunked, b_chunked) in zip(whole, training._batch_loss(model, *setting)[1]()):
+        assert np.allclose(w, w_chunked, rtol=1e-12, atol=1e-12)
+        assert np.allclose(b, b_chunked, rtol=1e-12, atol=1e-12)
