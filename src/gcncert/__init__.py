@@ -39,8 +39,8 @@ from .perturbation import (
     oracle_max_robust_limits,
     sign_matrix,
 )
-from .polyhedra import PolyNodeElement, back_substitute, evaluate_bounds, linear_poly
-from .training import RobustLossConfig, bce_loss, hinge_loss, train_robust
+from .polyhedra import PolyNodeElement, back_substitute
+from .training import bce_loss, hinge_loss, train_robust
 
 __version__ = "0.1.0"
 

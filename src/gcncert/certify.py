@@ -23,8 +23,9 @@ scores lie within 1e-9 (relative) is settled by the whole-graph ``forward``.
 budget: one ``back_substitute_batch`` call per chunk, the lower form of
 score[label] - score[rival] for every (target, rival) pair sliced out of it as
 lower[label] - upper[rival], and one batched greedy minimization of all those
-rows. ``minimize_delta`` and ``label_difference_transform`` are the one-row
-forms of the same steps.
+rows. ``label_difference_transform`` and ``minimize_delta`` are the one-row
+forms of the same two steps, under the same rules; no production path calls
+them.
 
 Robust training runs the same chunk kernel through ``rival_margins``, which
 returns the margin matrix together with its pullback: one reverse-mode pass
@@ -47,17 +48,12 @@ from .perturbation import (
     FlipSet,
     PerturbationBudget,
     apply_flips,
+    check_index,
     check_mode,
     restrict_to_mode,
     sign_matrix,
 )
-from .polyhedra import (
-    PolyBatch,
-    PolyNodeElement,
-    back_substitute_backward,
-    back_substitute_batch,
-    linear_poly,
-)
+from .polyhedra import PolyBatch, PolyNodeElement, back_substitute_backward, back_substitute_batch
 
 # local top-two score gaps within this fraction of the top score are re-checked
 # with the whole-graph forward pass
@@ -97,16 +93,24 @@ class Counterexample:
 def label_difference_transform(
     elem: PolyNodeElement, original_label: int, other_label: int
 ) -> PolyNodeElement:
-    """Single-row element bounding score[original] - score[other]."""
+    """Single-row element bounding score[original] - score[other].
+
+    Its lower form is lower[original] - upper[other] and its upper form
+    upper[original] - lower[other], the rows ``certify_sound`` minimizes.
+    """
     if original_label == other_label:
         raise DataError("label difference requires two distinct labels")
-    num_labels = elem.rows
-    if not (0 <= original_label < num_labels and 0 <= other_label < num_labels):
+    if not (0 <= original_label < elem.rows and 0 <= other_label < elem.rows):
         raise DataError("label index out of range")
-    delta = np.zeros((num_labels, 1))
-    delta[original_label, 0] = 1.0
-    delta[other_label, 0] = -1.0
-    return linear_poly(elem, delta, np.zeros(1))
+    a, b = [original_label], [other_label]
+    return PolyNodeElement(
+        var_nodes=elem.var_nodes,
+        num_features=elem.num_features,
+        lower_coef=elem.lower_coef[a] - elem.upper_coef[b],
+        lower_const=elem.lower_const[a] - elem.upper_const[b],
+        upper_coef=elem.upper_coef[a] - elem.lower_coef[b],
+        upper_const=elem.upper_const[a] - elem.lower_const[b],
+    )
 
 
 def _minimize_forms(
@@ -283,24 +287,23 @@ def certify_sound(
     budget: PerturbationBudget,
     variant: str = "topk",
     *,
-    labels: np.ndarray | None = None,
     nodes: Sequence[int] | None = None,
     mode: str = "both",
     threads: int = 1,
 ) -> list[NodeJudgment]:
     """Judgments for the requested nodes (all by default), in order; certified => robust.
 
-    ``labels`` overrides the labels to defend (defaults to the model's own
-    predictions); robust training uses this to target ground-truth labels.
-    ``threads`` spreads the chunks of this certification kernel over a pool;
-    it never changes the chunks. Counterexample replay always runs serially.
+    Each node defends the model's own predicted label. ``threads`` spreads the
+    chunks of this certification kernel over a pool; it never changes the
+    chunks. Counterexample replay always runs serially.
     """
     check_mode(mode)
+    if nodes is None:
+        nodes = np.arange(graph.num_nodes)
+    else:
+        nodes = np.array([check_index(node, "node index") for node in nodes], dtype=np.int64)
     layer_bounds = interval_layer_bounds(model, graph, budget, variant, mode=mode)
-    if labels is None:
-        labels = predict(model, graph).labels
-    labels = np.asarray(labels)
-    nodes = np.arange(graph.num_nodes) if nodes is None else np.asarray(nodes, dtype=np.int64)
+    labels = predict(model, graph).labels
 
     def judge(chunk: np.ndarray) -> list[NodeJudgment]:
         part = _chunk_margins(model, graph, budget, mode, layer_bounds, labels, chunk)
@@ -338,10 +341,11 @@ def rival_margins(
     nodes: np.ndarray,
     mode: str = "both",
 ) -> tuple[np.ndarray, Callable[[np.ndarray], list[tuple[np.ndarray, np.ndarray]]]]:
-    """The (nodes x rivals) margins of ``certify_sound``'s judgments, and their pullback.
+    """The (nodes x rivals) margins of ``labels`` against their rivals, and their pullback.
 
-    Row t holds the ``NodeJudgment.rival_margins`` values of ``nodes[t]`` in rival order,
-    bit for bit, because both come from the same kernel. The pullback maps a
+    Where ``labels`` are the model's predictions, row t holds the
+    ``NodeJudgment.rival_margins`` values of ``nodes[t]`` in rival order, bit
+    for bit, because both come from the same kernel. The pullback maps a
     gradient with respect to the margins, shaped like them, to the gradient
     with respect to every layer's (weight, bias): one reverse-mode pass
     through the minimization, back-substitution and interval bounds.

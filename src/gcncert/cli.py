@@ -23,7 +23,7 @@ from .graph import GcnModel, Graph
 from .intervals import interval_certify
 from .metrics import RobustnessSweep, graph_robustness_ratio
 from .perturbation import DEFAULT_ORACLE_CAP, MODES, PerturbationBudget, exact_robust_nodes
-from .training import RobustLossConfig, train_robust
+from .training import train_robust
 
 METHODS = ("poly-topk", "poly-max", "interval-topk", "interval-max")
 
@@ -190,11 +190,10 @@ def cmd_train(args) -> int:
     budget = _budget(args)
     variant = args.method.split("-", 1)[1]
     labels = fileio.load_labels(args.labels, graph.num_nodes)
-    config = RobustLossConfig(kind=args.loss)
     trained = train_robust(
-        model, graph, labels, budget, config,
+        model, graph, labels, budget,
         steps=args.steps, learning_rate=args.lr, seed=args.seed,
-        variant=variant, mode=args.mode, batch_size=args.batch_size,
+        loss=args.loss, variant=variant, mode=args.mode, batch_size=args.batch_size,
         progress=(lambda step, loss: print(f"step {step}: loss {loss:.6f}", file=sys.stderr))
         if args.verbose
         else None,

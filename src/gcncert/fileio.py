@@ -98,16 +98,10 @@ def load_labels(path: str, num_nodes: int) -> np.ndarray:
 
 
 def save_graph(graph: Graph, path: str) -> None:
-    edges = [
-        [int(i), int(j)]
-        for i in range(graph.num_nodes)
-        for j in range(i, graph.num_nodes)
-        if graph.adjacency[i, j]
-    ]
     doc = {
         "num_nodes": graph.num_nodes,
         "num_features": graph.num_features,
-        "edges": edges,
+        "edges": np.argwhere(np.triu(graph.adjacency)).tolist(),  # i <= j, row-major
         "features": graph.features.tolist(),
     }
     with open(path, "w", encoding="utf-8") as f:

@@ -17,7 +17,9 @@ scores, and Ã's zero entries add exact zeros, so its verdict is unchanged.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
@@ -38,6 +40,14 @@ _FORWARD_CHUNK = 2048
 _COMBO_BLOCK = 4096
 
 
+def check_index(value: object, what: str) -> int:
+    """``value`` as an int; only Python and numpy integers pass, and bools do not."""
+    if not isinstance(value, (bool, np.bool_)):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise DataError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PerturbationBudget:
     """At most ``per_node`` flips in any one row and ``total`` flips overall."""
@@ -46,6 +56,8 @@ class PerturbationBudget:
     total: int
 
     def __post_init__(self):
+        check_index(self.per_node, "per-node budget")
+        check_index(self.total, "total budget")
         if self.per_node < 0 or self.total < 0:
             raise DataError("perturbation budget limits must be non-negative")
 
@@ -230,7 +242,7 @@ def exact_node_robustness(
     Only the cells of the node's receptive field are flipped, and ``cap``
     bounds the flip sets over those cells alone.
     """
-    if not 0 <= node < graph.num_nodes:
+    if not 0 <= check_index(node, "node index") < graph.num_nodes:
         raise DataError(f"node {node} out of range")
     field = receptive_field(graph, node, model.num_layers)[-1]
     return bool(_smallest_breaks(model, graph, budget, cap, node, field)[node] > budget.total)

@@ -9,10 +9,15 @@ bounding area given numeric pre-activation intervals.
 The forms are derived backwards: ``back_substitute_batch`` starts from the
 output scores of a chunk of target nodes and rewrites them layer by layer,
 each target over its own receptive field, so a target's variables widen by
-one hop per layer and never cover nodes it cannot see. ``back_substitute`` is
-its one-target view. Ã comes from the graph; the interval pre-activation
-bounds come from the caller, which computes them once per budget and shares
-them across all of its nodes.
+one hop per layer and never cover nodes it cannot see. Ã comes from the
+graph; the interval pre-activation bounds come from the caller, which computes
+them once per budget and shares them across all of its nodes.
+
+``back_substitute`` is the kernel's one-target view, returning a
+``PolyNodeElement``; no production path calls it. The forward propagation the
+kernel is tested against (input abstraction, graph convolution, affine and
+ReLU steps on ``PolyNodeElement``s, and their evaluation at a feature matrix)
+lives with the tests, in ``tests/poly_oracle.py``.
 
 ``back_substitute_backward`` is the reverse-mode pass of the batch kernel: it
 carries gradients with respect to the output forms back through the same
@@ -68,30 +73,6 @@ class PolyNodeElement:
     def rows(self) -> int:
         return self.lower_coef.shape[0]
 
-    @property
-    def vars(self) -> list[tuple[int, int]]:
-        """Variable identities as (node, feature) pairs, column order."""
-        return [(int(k), j) for k in self.var_nodes for j in range(self.num_features)]
-
-
-def linear_poly(elem: PolyNodeElement, weight: np.ndarray, bias: np.ndarray) -> PolyNodeElement:
-    """Affine layer on symbolic bounds: positive weights carry the like bound side."""
-    weight = np.asarray(weight, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
-    if weight.shape[0] != elem.rows:
-        raise DimensionError(
-            f"weight rows {weight.shape[0]} do not match element rows {elem.rows}"
-        )
-    wt_pos = np.maximum(weight.T, 0.0)
-    wt_neg = np.minimum(weight.T, 0.0)
-    return PolyNodeElement(
-        var_nodes=elem.var_nodes,
-        num_features=elem.num_features,
-        lower_coef=wt_pos @ elem.lower_coef + wt_neg @ elem.upper_coef,
-        lower_const=wt_pos @ elem.lower_const + wt_neg @ elem.upper_const + bias,
-        upper_coef=wt_pos @ elem.upper_coef + wt_neg @ elem.lower_coef,
-        upper_const=wt_pos @ elem.upper_const + wt_neg @ elem.lower_const + bias,
-    )
 
 
 def _relu_cases(
@@ -191,7 +172,7 @@ def back_substitute_batch(
         layer = model.layers[l]
         affine_in = coef
         # cross the affine map: positive weights keep the referenced side,
-        # negative weights swap it, exactly as in linear_poly
+        # negative weights swap it
         const = const + (coef[:, :, 0] + coef[:, :, 1]).sum(axis=1) @ layer.bias
         flat = coef.reshape(-1, coef.shape[-1])
         pos, neg = (
@@ -299,11 +280,3 @@ def back_substitute(
         upper_coef=batch.upper_coef[0].reshape(rows, -1),
         upper_const=batch.upper_const[0],
     )
-
-
-def evaluate_bounds(elem: PolyNodeElement, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Concrete bound values of an element at a feature matrix."""
-    x = np.asarray(features, dtype=np.float64)[elem.var_nodes].ravel()
-    lower = elem.lower_coef @ x + elem.lower_const
-    upper = elem.upper_coef @ x + elem.upper_const
-    return lower, upper

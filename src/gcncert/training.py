@@ -12,14 +12,13 @@ Every node trains. A labeled node's target is its label; an unlabeled node's
 (label -1) is the model's own predicted label. The hinge loss pushes each
 margin to a fixed threshold: ``DEFAULT_LABELED_MARGIN`` = log(90/10) for
 labeled nodes, ``DEFAULT_UNLABELED_MARGIN`` = log(60/40) for unlabeled ones.
-The BCE loss, when chosen, applies only to labeled nodes; unlabeled nodes
-always use the hinge loss.
+``train_robust``'s ``loss`` picks the labeled nodes' loss, ``"hinge"`` or
+``"bce"``; unlabeled nodes always use the hinge loss.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -31,15 +30,6 @@ from .perturbation import PerturbationBudget
 
 DEFAULT_LABELED_MARGIN = math.log(90 / 10)
 DEFAULT_UNLABELED_MARGIN = math.log(60 / 40)
-
-
-@dataclass(frozen=True)
-class RobustLossConfig:
-    kind: str = "hinge"  # "hinge" or "bce" (labeled nodes only)
-
-    def __post_init__(self):
-        if self.kind not in ("hinge", "bce"):
-            raise DataError(f"unknown robust loss kind {self.kind!r}")
 
 
 def bce_loss(delta_margins: np.ndarray) -> np.ndarray:
@@ -93,11 +83,11 @@ def train_robust(
     graph: Graph,
     labels: np.ndarray,
     budget: PerturbationBudget,
-    config: RobustLossConfig,
     steps: int,
     learning_rate: float,
     seed: int,
     *,
+    loss: str = "hinge",
     variant: str = "max",
     mode: str = "both",
     batch_size: int | None = None,
@@ -109,8 +99,8 @@ def train_robust(
     node trains: each step draws a batch (all nodes when ``batch_size`` is
     None), fixes the targets (the label, or for an unlabeled node the current
     model's prediction), and averages the per-node losses over the batch.
-    Labeled nodes use ``config.kind`` with the hinge threshold
-    ``DEFAULT_LABELED_MARGIN``; unlabeled nodes use the hinge loss at
+    Labeled nodes use ``loss``: ``"hinge"`` at ``DEFAULT_LABELED_MARGIN``, or
+    ``"bce"``; unlabeled nodes use the hinge loss at
     ``DEFAULT_UNLABELED_MARGIN``. A step certifies the batch once and takes
     the loss's exact gradient by one reverse-mode pass, so models of any
     width train. ``progress``, if given, gets each step's loss after the
@@ -118,6 +108,8 @@ def train_robust(
     to ``max`` because the numeric bounds are recomputed at every step.
     ``learning_rate`` must be a finite number >= 0.
     """
+    if loss not in ("hinge", "bce"):
+        raise DataError(f"unknown robust loss {loss!r}")
     if not (math.isfinite(learning_rate) and learning_rate >= 0):
         raise DataError(f"learning rate must be a finite number >= 0, got {learning_rate}")
     if batch_size is not None and batch_size < 1:
@@ -134,7 +126,7 @@ def train_robust(
     rng = np.random.default_rng(seed)
     labeled = labels >= 0
     thresholds = np.where(labeled, DEFAULT_LABELED_MARGIN, DEFAULT_UNLABELED_MARGIN)
-    use_bce = labeled & (config.kind == "bce")
+    use_bce = labeled & (loss == "bce")
     setting = (graph, budget, variant, mode)
 
     for step in range(steps):

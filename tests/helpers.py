@@ -206,22 +206,21 @@ def brute_force_form_minimum(elem, features, budget, mode="both") -> float:
     return float(best)
 
 
-def reference_robust_loss(judgments, labels, kind: str) -> float:
-    """Mean robust loss over ``judgments``, one node at a time.
+def reference_robust_loss(margins, labels, kind: str) -> float:
+    """Mean robust loss over the rows of a (nodes x rivals) margin matrix, one node at a time.
 
-    A labeled node scores -log sigmoid(margin) summed over its rivals under
-    "bce", else the hinge at log(90/10); an unlabeled node (label -1) always
-    scores the hinge at log(60/40).
+    Row i belongs to node i. A labeled node scores -log sigmoid(margin) summed
+    over its rivals under "bce", else the hinge at log(90/10); an unlabeled
+    node (label -1) always scores the hinge at log(60/40).
     """
     total = 0.0
-    for judgment in judgments:
-        margins = np.array(list(judgment.rival_margins.values()), dtype=np.float64)
-        if labels[judgment.node] >= 0 and kind == "bce":
-            total += float(np.logaddexp(0.0, -margins).sum())
+    for label, row in zip(labels, margins):
+        if label >= 0 and kind == "bce":
+            total += float(np.logaddexp(0.0, -row).sum())
         else:
-            threshold = math.log(90 / 10) if labels[judgment.node] >= 0 else math.log(60 / 40)
-            total += float(np.maximum(threshold - margins, 0.0).sum())
-    return total / len(judgments)
+            threshold = math.log(90 / 10) if label >= 0 else math.log(60 / 40)
+            total += float(np.maximum(threshold - row, 0.0).sum())
+    return total / len(margins)
 
 
 def central_fd_gradient(loss, model, step: float = 1e-4) -> list[tuple[np.ndarray, np.ndarray]]:

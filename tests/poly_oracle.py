@@ -2,9 +2,10 @@
 
 Forward polyhedra propagation builds every node's symbolic element layer by
 layer, input to output, one node at a time. It shares no code with the batched
-back-substitution kernel in ``gcncert.polyhedra`` beyond ``linear_poly`` and
+back-substitution kernel in ``gcncert.polyhedra`` beyond the element type and
 the ReLU case split. ``per_node_judgments`` rebuilds ``certify_sound``'s
-judgments from it with a plain per-row greedy minimizer.
+judgments from it: each label difference is one more affine step, through a
++1/-1 weight column, and a plain per-row greedy minimizer takes its minimum.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ from typing import Sequence
 
 import numpy as np
 
-from gcncert.certify import NodeJudgment, label_difference_transform
+from gcncert.certify import NodeJudgment
 from gcncert.errors import DataError, DimensionError
 from gcncert.graph import GcnModel, Graph, predict
 from gcncert.intervals import IntervalElement, interval_layer_bounds
 from gcncert.perturbation import EMPTY_FLIPSET, FlipSet, PerturbationBudget, sign_matrix
-from gcncert.polyhedra import PolyNodeElement, _relu_cases, linear_poly
+from gcncert.polyhedra import PolyNodeElement, _relu_cases
 
 PolyElement = list[PolyNodeElement]
 
@@ -39,6 +40,42 @@ def poly_input_abstraction(graph: Graph) -> PolyElement:
         )
         for i in range(graph.num_nodes)
     ]
+
+
+def linear_poly(elem: PolyNodeElement, weight: np.ndarray, bias: np.ndarray) -> PolyNodeElement:
+    """Affine layer on symbolic bounds: positive weights carry the like bound side."""
+    weight = np.asarray(weight, dtype=np.float64)
+    bias = np.asarray(bias, dtype=np.float64)
+    if weight.shape[0] != elem.rows:
+        raise DimensionError(
+            f"weight rows {weight.shape[0]} do not match element rows {elem.rows}"
+        )
+    wt_pos = np.maximum(weight.T, 0.0)
+    wt_neg = np.minimum(weight.T, 0.0)
+    return PolyNodeElement(
+        var_nodes=elem.var_nodes,
+        num_features=elem.num_features,
+        lower_coef=wt_pos @ elem.lower_coef + wt_neg @ elem.upper_coef,
+        lower_const=wt_pos @ elem.lower_const + wt_neg @ elem.upper_const + bias,
+        upper_coef=wt_pos @ elem.upper_coef + wt_neg @ elem.lower_coef,
+        upper_const=wt_pos @ elem.upper_const + wt_neg @ elem.lower_const + bias,
+    )
+
+
+def evaluate_bounds(elem: PolyNodeElement, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concrete bound values of an element at a feature matrix."""
+    x = np.asarray(features, dtype=np.float64)[elem.var_nodes].ravel()
+    lower = elem.lower_coef @ x + elem.lower_const
+    upper = elem.upper_coef @ x + elem.upper_const
+    return lower, upper
+
+
+def label_difference(elem: PolyNodeElement, label: int, rival: int) -> PolyNodeElement:
+    """Single-row element bounding score[label] - score[rival]: an affine step by a +1/-1 column."""
+    delta = np.zeros((elem.rows, 1))
+    delta[label, 0] = 1.0
+    delta[rival, 0] = -1.0
+    return linear_poly(elem, delta, np.zeros(1))
 
 
 def gc_poly(
@@ -160,7 +197,7 @@ def per_node_judgments(
         for rival in range(model.num_labels):
             if rival == label:
                 continue
-            row = label_difference_transform(elem, label, rival)
+            row = label_difference(elem, label, rival)
             poly_min, flips[rival] = greedy_minimum(row, graph.features, budget, mode)
             margins[rival] = max(poly_min, float(out.lower[node, label] - out.upper[node, rival]))
         margin = min(margins.values(), default=float("inf"))

@@ -255,10 +255,9 @@ def test_criterion_9_robust_training():
         return float((gc.predict(model, graph).labels == labels).mean())
 
     base_ratio, base_acc = certified_ratio(baseline), accuracy(baseline)
-    config = gc.RobustLossConfig(kind="hinge")
     ratios, accuracies = [], []
     for seed in (0, 1, 2):
-        trained = gc.train_robust(baseline, graph, labels, budget, config,
+        trained = gc.train_robust(baseline, graph, labels, budget,
                                   steps=200, learning_rate=0.2, seed=seed, batch_size=8)
         ratios.append(certified_ratio(trained))
         accuracies.append(accuracy(trained))

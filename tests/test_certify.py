@@ -4,7 +4,7 @@ import pytest
 import gcncert as gc
 import gcncert.certify
 import helpers
-from poly_oracle import per_node_judgments
+from poly_oracle import evaluate_bounds, label_difference, per_node_judgments
 
 
 def _delta_row(graph, model, budget, node, label, rival, variant="topk"):
@@ -17,7 +17,7 @@ def test_label_difference_two_node(two_node):
     graph, model = two_node
     row = _delta_row(graph, model, gc.PerturbationBudget(1, 1), 0, 1, 0)
     assert row.rows == 1
-    lo, up = gc.evaluate_bounds(row, graph.features)
+    lo, up = evaluate_bounds(row, graph.features)
     assert lo[0] == pytest.approx(1.0, abs=1e-9)  # 0.5 * (x[0,2] + x[1,2]) at X
     assert up[0] == pytest.approx(1.0, abs=1e-9)
 
@@ -40,6 +40,32 @@ def test_label_difference_swap_negates_and_swaps():
     assert np.allclose(rev.lower_const, -fwd.upper_const)
     assert np.allclose(rev.upper_coef, -fwd.lower_coef)
     assert np.allclose(rev.upper_const, -fwd.lower_const)
+
+
+def test_label_difference_matches_slice_rule_and_affine_reference(rng):
+    # the kernel's rule, lower[a] - upper[b] and upper[a] - lower[b], against
+    # the reference's affine step through a +1/-1 column; == counts -0.0 as 0.0
+    for _ in range(300):
+        rows, field, m = int(rng.integers(2, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 3))
+
+        def draw(*shape):
+            zero = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+            return np.where(rng.random(shape) < 0.3, zero, rng.uniform(-2, 2, shape))
+
+        elem = gc.PolyNodeElement(np.arange(field), m, draw(rows, field * m), draw(rows),
+                                  draw(rows, field * m), draw(rows))
+        a, b = (int(k) for k in rng.choice(rows, 2, replace=False))
+        row = gc.label_difference_transform(elem, a, b)
+        ref = label_difference(elem, a, b)
+        assert row.var_nodes.tolist() == ref.var_nodes.tolist() and row.rows == 1
+        for got, slices, affine in (
+            (row.lower_coef, elem.lower_coef[[a]] - elem.upper_coef[[b]], ref.lower_coef),
+            (row.lower_const, elem.lower_const[[a]] - elem.upper_const[[b]], ref.lower_const),
+            (row.upper_coef, elem.upper_coef[[a]] - elem.lower_coef[[b]], ref.upper_coef),
+            (row.upper_const, elem.upper_const[[a]] - elem.lower_const[[b]], ref.upper_const),
+        ):
+            assert got.shape == affine.shape
+            assert (got == slices).all() and (got == affine).all()
 
 
 def test_label_difference_rejects_same_label():
@@ -260,24 +286,55 @@ def test_output_follows_requested_node_order(rng, monkeypatch):
     order = [n - 1, 0, n - 1, n // 2, 0]
     _chunks_of(monkeypatch, model, graph, 2)
     assert gc.certify_sound(model, graph, budget, nodes=order) == [by_node[i] for i in order]
+    by_numpy_index = gc.certify_sound(model, graph, budget, nodes=np.array(order))
+    assert by_numpy_index == [by_node[i] for i in order]
     assert gc.certify_sound(model, graph, budget, nodes=[]) == []
 
 
-@pytest.mark.parametrize("case", ["node -1", "node n", "label -1", "label past the last",
-                                  "unknown mode", "unknown mode, no nodes"])
+@pytest.mark.parametrize("case", ["node -1", "node n", "unknown mode", "unknown mode, no nodes"])
 def test_certify_sound_rejects_out_of_range_input(two_node, case):
     graph, model = two_node
     budget = gc.PerturbationBudget(1, 1)
     kwargs = {
         "node -1": {"nodes": [0, -1]},
         "node n": {"nodes": [graph.num_nodes]},
-        "label -1": {"labels": np.array([-1, 0])},
-        "label past the last": {"labels": np.array([0, model.num_labels])},
         "unknown mode": {"mode": "downhill"},
         "unknown mode, no nodes": {"mode": "downhill", "nodes": []},
     }[case]
     with pytest.raises(gc.DataError):
         gc.certify_sound(model, graph, budget, **kwargs)
+
+
+@pytest.mark.parametrize("case", ["label -1", "label past the last"])
+def test_rival_margins_rejects_out_of_range_label(two_node, case):
+    graph, model = two_node
+    labels = {
+        "label -1": np.array([-1, 0]),
+        "label past the last": np.array([0, model.num_labels]),
+    }[case]
+    with pytest.raises(gc.DataError, match="label index out of range"):
+        gcncert.certify.rival_margins(model, graph, gc.PerturbationBudget(1, 1), "topk",
+                                      labels, np.arange(graph.num_nodes))
+
+
+@pytest.mark.parametrize("mode", ["both", "add-only", "delete-only"])
+@pytest.mark.parametrize("variant", ["topk", "max"])
+def test_rival_margins_equal_judgment_margins_bit_for_bit(rng, monkeypatch, variant, mode):
+    for trial in range(6):
+        graph, model, budget = helpers.trained_instance(rng)
+        n = graph.num_nodes
+        nodes = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+        labels = gc.predict(model, graph).labels
+        with monkeypatch.context() as patch:
+            if trial % 2:  # one node per chunk
+                _chunks_of(patch, model, graph, 1)
+            margins, _ = gcncert.certify.rival_margins(model, graph, budget, variant,
+                                                       labels, nodes, mode)
+            judgments = gc.certify_sound(model, graph, budget, variant,
+                                         nodes=nodes.tolist(), mode=mode)
+        assert margins.shape == (len(nodes), model.num_labels - 1)
+        rows = np.array([list(j.rival_margins.values()) for j in judgments], dtype=np.float64)
+        assert margins.tobytes() == rows.reshape(margins.shape).tobytes()
 
 
 def test_counterexample_skips_certified(two_node):

@@ -26,12 +26,19 @@ def test_load_shipped_model_reproduces_scores():
 
 
 def test_graph_round_trip(tmp_path, rng):
-    graph, _, _ = helpers.raw_instance(rng)
-    path = tmp_path / "g.json"
-    fileio.save_graph(graph, str(path))
-    loaded = fileio.load_graph(str(path))
-    assert np.array_equal(loaded.adjacency, graph.adjacency)
-    assert np.array_equal(loaded.features, graph.features)
+    upper = np.triu(rng.random((9, 9)) < 0.4)  # diagonal included: self-loops
+    looped = gc.Graph(adjacency=(upper | upper.T).astype(int),
+                      features=rng.integers(0, 2, (9, 3)))
+    assert np.diag(looped.adjacency).any()
+    for graph in (helpers.raw_instance(rng)[0], looped):
+        path = tmp_path / "g.json"
+        fileio.save_graph(graph, str(path))
+        n = graph.num_nodes
+        edges = [[i, j] for i in range(n) for j in range(i, n) if graph.adjacency[i, j]]
+        assert json.loads(path.read_text())["edges"] == edges
+        loaded = fileio.load_graph(str(path))
+        assert np.array_equal(loaded.adjacency, graph.adjacency)
+        assert np.array_equal(loaded.features, graph.features)
 
 
 def test_model_round_trip_is_bit_exact(tmp_path):

@@ -91,6 +91,31 @@ def test_exact_robustness_zero_budget_always_true(rng):
 def test_exact_robustness_two_node_example(two_node):
     graph, model = two_node
     assert gc.exact_node_robustness(model, graph, gc.PerturbationBudget(1, 1), 0)
+    # numpy integers serve as budgets and indices like Python ints
+    budget = gc.PerturbationBudget(np.int64(1), np.int32(1))
+    assert gc.exact_node_robustness(model, graph, budget, np.int64(0))
+
+
+@pytest.mark.parametrize("case", [
+    "budget per-node 1.5", "budget total 2.0", "budget per-node True", "certify node 0.7",
+    "certify node True", "certify float node array", "oracle node 0.5", "oracle node numpy True",
+])
+def test_non_integer_budget_or_index_rejected(two_node, case):
+    graph, model = two_node
+    budget = gc.PerturbationBudget(1, 1)
+    call = {
+        "budget per-node 1.5": lambda: gc.PerturbationBudget(1.5, 2),
+        "budget total 2.0": lambda: gc.PerturbationBudget(1, 2.0),
+        "budget per-node True": lambda: gc.PerturbationBudget(True, 1),
+        "certify node 0.7": lambda: gc.certify_sound(model, graph, budget, nodes=[0.7]),
+        "certify node True": lambda: gc.certify_sound(model, graph, budget, nodes=[True]),
+        "certify float node array":
+            lambda: gc.certify_sound(model, graph, budget, nodes=np.array([1.0])),
+        "oracle node 0.5": lambda: gc.exact_node_robustness(model, graph, budget, 0.5),
+        "oracle node numpy True": lambda: gc.exact_node_robustness(model, graph, budget, np.True_),
+    }[case]
+    with pytest.raises(gc.DataError, match="must be an integer"):
+        call()
 
 
 def test_exact_robustness_matches_independent_bruteforce(rng):

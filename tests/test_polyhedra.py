@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 import gcncert as gc
 import helpers
-from poly_oracle import forward_poly_propagation, gc_poly, poly_input_abstraction, relu_poly
+from poly_oracle import (
+    evaluate_bounds,
+    forward_poly_propagation,
+    gc_poly,
+    linear_poly,
+    poly_input_abstraction,
+    relu_poly,
+)
 
 
 def _exact_element(coef, const=None, var_nodes=(0,), num_features=None):
@@ -21,13 +28,13 @@ def test_input_abstraction_is_identity():
     assert np.allclose(elem.lower_coef, np.eye(2))
     assert np.allclose(elem.upper_coef, np.eye(2))
     assert np.allclose(elem.lower_const, 0) and np.allclose(elem.upper_const, 0)
-    assert elem.vars == [(0, 0), (0, 1)]
+    assert elem.var_nodes.tolist() == [0] and elem.num_features == 2
 
 
 def test_input_abstraction_reproduces_features(rng):
     graph, _, _ = helpers.raw_instance(rng)
     for i, elem in enumerate(poly_input_abstraction(graph)):
-        lo, up = gc.evaluate_bounds(elem, graph.features)
+        lo, up = evaluate_bounds(elem, graph.features)
         assert np.array_equal(lo, graph.features[i])
         assert np.array_equal(up, graph.features[i])
 
@@ -41,7 +48,7 @@ def test_input_abstraction_vars_disjoint(rng):
 
 def test_linear_poly_keeps_exactness():
     elem = _exact_element([[1.0, 1.0]])  # h = x0 + x1
-    out = gc.linear_poly(elem, np.array([[2.0]]), np.array([1.0]))
+    out = linear_poly(elem, np.array([[2.0]]), np.array([1.0]))
     for coef, const in ((out.lower_coef, out.lower_const), (out.upper_coef, out.upper_const)):
         assert np.allclose(coef, [[2.0, 2.0]])
         assert np.allclose(const, [1.0])
@@ -54,18 +61,18 @@ def test_linear_poly_negative_weight_swaps_bounds():
         np.array([[1.0]]), np.array([0.0]),
         np.array([[1.0]]), np.array([1.0]),
     )
-    out = gc.linear_poly(elem, np.array([[-1.0]]), np.zeros(1))
+    out = linear_poly(elem, np.array([[-1.0]]), np.zeros(1))
     assert np.allclose(out.lower_coef, [[-1.0]]) and out.lower_const[0] == pytest.approx(-1.0)
     assert np.allclose(out.upper_coef, [[-1.0]]) and out.upper_const[0] == pytest.approx(0.0)
     for x0 in (0.0, 1.0):
-        lo, up = gc.evaluate_bounds(out, np.array([[x0]]))
+        lo, up = evaluate_bounds(out, np.array([[x0]]))
         for h in (x0, x0 + 1.0):  # anything the input bounds admitted
             assert lo[0] <= -h + 1e-12 <= up[0] + 1e-12
 
 
 def test_linear_poly_zero_weight_gives_constant():
     elem = _exact_element([[1.0, -2.0]])
-    out = gc.linear_poly(elem, np.zeros((1, 2)), np.array([4.0, -1.0]))
+    out = linear_poly(elem, np.zeros((1, 2)), np.array([4.0, -1.0]))
     assert np.allclose(out.lower_coef, 0) and np.allclose(out.upper_coef, 0)
     assert np.allclose(out.lower_const, [4.0, -1.0])
     assert np.allclose(out.upper_const, [4.0, -1.0])
@@ -103,9 +110,9 @@ def test_gc_poly_merges_shared_variables(rng):
     assert merged.var_nodes.tolist() == [0, 1, 2]
     for _ in range(10):
         x = rng.integers(0, 2, (3, 2))
-        lo, up = gc.evaluate_bounds(merged, x)
-        lo_ref = 0.7 * gc.evaluate_bounds(a, x)[0] + 0.3 * gc.evaluate_bounds(b, x)[0]
-        up_ref = 0.7 * gc.evaluate_bounds(a, x)[1] + 0.3 * gc.evaluate_bounds(b, x)[1]
+        lo, up = evaluate_bounds(merged, x)
+        lo_ref = 0.7 * evaluate_bounds(a, x)[0] + 0.3 * evaluate_bounds(b, x)[0]
+        up_ref = 0.7 * evaluate_bounds(a, x)[1] + 0.3 * evaluate_bounds(b, x)[1]
         assert lo[0] == pytest.approx(lo_ref[0])
         assert up[0] == pytest.approx(up_ref[0])
 
@@ -155,7 +162,7 @@ def test_relu_relaxation_pointwise_sound(lo, up):
     elem = _exact_element([[1.0]])
     out = relu_poly(elem, np.array([lo]), np.array([up]))
     for x in np.linspace(lo, up, 9):
-        low, high = gc.evaluate_bounds(out, np.array([[x]]))
+        low, high = evaluate_bounds(out, np.array([[x]]))
         assert low[0] <= max(x, 0.0) + 1e-9
         assert high[0] >= max(x, 0.0) - 1e-9
 
@@ -214,7 +221,7 @@ def test_symbolic_bounds_contain_all_reachable_latents(rng):
         stages = []
         for l, layer in enumerate(model.layers):
             elems = [gc_poly(elems, norm[i], i) for i in range(graph.num_nodes)]
-            elems = [gc.linear_poly(e, layer.weight, layer.bias) for e in elems]
+            elems = [linear_poly(e, layer.weight, layer.bias) for e in elems]
             stages.append((l, "pre", list(elems)))
             if l < model.num_layers - 1:
                 elems = [relu_poly(e, bounds[l].lower[i], bounds[l].upper[i])
@@ -232,7 +239,7 @@ def test_symbolic_bounds_contain_all_reachable_latents(rng):
                     concrete[(l, "post")] = h.copy()
             for l, stage, es in stages:
                 for i, e in enumerate(es):
-                    lo, up = gc.evaluate_bounds(e, x)
+                    lo, up = evaluate_bounds(e, x)
                     assert (concrete[(l, stage)][i] >= lo - 1e-9).all()
                     assert (concrete[(l, stage)][i] <= up + 1e-9).all()
 
@@ -252,7 +259,7 @@ def test_exact_when_all_relus_stable(rng):
             elem = gc.back_substitute(lifted, graph, node, bounds)
             assert np.allclose(elem.lower_coef, elem.upper_coef)
             assert np.allclose(elem.lower_const, elem.upper_const)
-            lo, _ = gc.evaluate_bounds(elem, graph.features)
+            lo, _ = evaluate_bounds(elem, graph.features)
             scores = gc.forward(lifted, norm, graph.features)
             assert np.allclose(lo, scores[node], atol=1e-9)
 

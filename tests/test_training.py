@@ -68,9 +68,12 @@ def test_loss_derivatives_match_closed_form(rng):
                 assert fd_hinge == pytest.approx(-1.0 if margins[i] < t else 0.0, abs=1e-6)
 
 
-def test_loss_config_validation():
-    with pytest.raises(gc.DataError):
-        gc.RobustLossConfig(kind="l2")
+def test_loss_config_validation(rng, monkeypatch):
+    graph, labels, model, budget = _small_setup(rng)
+    monkeypatch.setattr(training, "rival_margins", None)  # any step would call it
+    with pytest.raises(gc.DataError, match="l2"):
+        gc.train_robust(model, graph, labels, budget, steps=1, learning_rate=0.1, seed=0,
+                        loss="l2")
     assert training.DEFAULT_LABELED_MARGIN == pytest.approx(math.log(9))
     assert training.DEFAULT_UNLABELED_MARGIN == pytest.approx(math.log(1.5))
 
@@ -98,7 +101,7 @@ def _small_setup(rng):
 
 def test_zero_steps_returns_equal_model(rng):
     graph, labels, model, budget = _small_setup(rng)
-    out = gc.train_robust(model, graph, labels, budget, gc.RobustLossConfig(),
+    out = gc.train_robust(model, graph, labels, budget,
                           steps=0, learning_rate=0.1, seed=0)
     for a, b in zip(out.layers, model.layers):
         assert np.array_equal(a.weight, b.weight) and np.array_equal(a.bias, b.bias)
@@ -106,7 +109,7 @@ def test_zero_steps_returns_equal_model(rng):
 
 def test_zero_learning_rate_keeps_model(rng):
     graph, labels, model, budget = _small_setup(rng)
-    out = gc.train_robust(model, graph, labels, budget, gc.RobustLossConfig(),
+    out = gc.train_robust(model, graph, labels, budget,
                           steps=3, learning_rate=0.0, seed=0)
     for a, b in zip(out.layers, model.layers):
         assert np.array_equal(a.weight, b.weight) and np.array_equal(a.bias, b.bias)
@@ -116,7 +119,7 @@ def test_zero_learning_rate_keeps_model(rng):
 def test_non_positive_batch_size_rejected(rng, batch_size):
     graph, labels, model, budget = _small_setup(rng)
     with pytest.raises(gc.DataError, match="batch_size"):
-        gc.train_robust(model, graph, labels, budget, gc.RobustLossConfig(),
+        gc.train_robust(model, graph, labels, budget,
                         steps=1, learning_rate=0.1, seed=0, batch_size=batch_size)
 
 
@@ -125,7 +128,7 @@ def test_nonsensical_learning_rate_rejected_before_training(rng, monkeypatch, le
     graph, labels, model, budget = _small_setup(rng)
     monkeypatch.setattr(training, "rival_margins", None)  # any step would call it
     with pytest.raises(gc.DataError, match="learning rate"):
-        gc.train_robust(model, graph, labels, budget, gc.RobustLossConfig(),
+        gc.train_robust(model, graph, labels, budget,
                         steps=1, learning_rate=learning_rate, seed=0)
 
 
@@ -136,10 +139,10 @@ def test_model_beyond_two_thousand_parameters_trains(rng):
         gc.GcnLayer(rng.uniform(-0.05, 0.05, (600, 2)), np.zeros(2)),
     ))
     assert sum(l.weight.size + l.bias.size for l in wide.layers) == 4202
-    start = helpers.reference_robust_loss(
-        gc.certify_sound(wide, graph, budget, "max", labels=labels), labels, "hinge")
+    margins, _ = certify.rival_margins(wide, graph, budget, "max", labels, np.arange(len(labels)))
+    start = helpers.reference_robust_loss(margins, labels, "hinge")
     reported = []
-    gc.train_robust(wide, graph, labels, budget, gc.RobustLossConfig(),
+    gc.train_robust(wide, graph, labels, budget,
                     steps=2, learning_rate=0.01, seed=0,
                     progress=lambda step, loss: reported.append(loss))
     assert len(reported) == 2
@@ -149,22 +152,22 @@ def test_model_beyond_two_thousand_parameters_trains(rng):
 def test_label_vector_validation(rng):
     graph, labels, model, budget = _small_setup(rng)
     with pytest.raises(gc.DataError):
-        gc.train_robust(model, graph, labels[:-1], budget, gc.RobustLossConfig(),
+        gc.train_robust(model, graph, labels[:-1], budget,
                         steps=1, learning_rate=0.1, seed=0)
     with pytest.raises(gc.DataError):
-        gc.train_robust(model, graph, labels + 5, budget, gc.RobustLossConfig(),
+        gc.train_robust(model, graph, labels + 5, budget,
                         steps=1, learning_rate=0.1, seed=0)
     below = labels.copy()
     below[1] = -7
     with pytest.raises(gc.DataError, match="-1"):
-        gc.train_robust(model, graph, below, budget, gc.RobustLossConfig(),
+        gc.train_robust(model, graph, below, budget,
                         steps=1, learning_rate=0.1, seed=0)
 
 
 def test_training_reduces_loss(rng):
     graph, labels, model, budget = _small_setup(rng)
     trace = []
-    gc.train_robust(model, graph, labels, budget, gc.RobustLossConfig(kind="hinge"),
+    gc.train_robust(model, graph, labels, budget,
                     steps=12, learning_rate=0.2, seed=0,
                     progress=lambda step, loss: trace.append(loss))
     assert trace[-1] < trace[0]
@@ -173,7 +176,7 @@ def test_training_reduces_loss(rng):
 def test_training_is_seed_deterministic(rng):
     graph, labels, model, budget = _small_setup(rng)
     runs = [
-        gc.train_robust(model, graph, labels, budget, gc.RobustLossConfig(),
+        gc.train_robust(model, graph, labels, budget,
                         steps=4, learning_rate=0.1, seed=9, batch_size=3)
         for _ in range(2)
     ]
@@ -185,11 +188,11 @@ def test_semi_supervised_uses_predictions(rng):
     graph, labels, model, budget = _small_setup(rng)
     half = labels.copy()
     half[::2] = -1
-    out = gc.train_robust(model, graph, half, budget, gc.RobustLossConfig(kind="hinge"),
+    out = gc.train_robust(model, graph, half, budget,
                           steps=2, learning_rate=0.1, seed=0)
     assert out.num_labels == model.num_labels
     out2 = gc.train_robust(model, graph, np.full(graph.num_nodes, -1), budget,
-                           gc.RobustLossConfig(kind="hinge"), steps=1, learning_rate=0.1, seed=0)
+                           steps=1, learning_rate=0.1, seed=0)
     assert out2.num_labels == model.num_labels
 
 
@@ -210,12 +213,12 @@ def test_reported_loss_equals_per_node_reference(rng, kind, unlabeled, num_label
     labels = rng.integers(0, num_labels, graph.num_nodes)
     labels[::2 if unlabeled == "part" else 1] = -1
     reported = []
-    out = gc.train_robust(model, graph, labels, budget, gc.RobustLossConfig(kind=kind),
+    out = gc.train_robust(model, graph, labels, budget, loss=kind,
                           steps=1, learning_rate=0.3, seed=0,
                           progress=lambda step, loss: reported.append(loss))
     targets = np.where(labels >= 0, labels, gc.predict(model, graph).labels)
-    judgments = gc.certify_sound(out, graph, budget, "max", labels=targets)
-    assert reported == [helpers.reference_robust_loss(judgments, labels, kind)]
+    margins, _ = certify.rival_margins(out, graph, budget, "max", targets, np.arange(len(labels)))
+    assert reported == [helpers.reference_robust_loss(margins, labels, kind)]
 
 
 def _gradient_instance(rng, num_layers: int, num_labels: int):
