@@ -1,16 +1,18 @@
-"""Sound certification judgments and verified counterexamples.
+"""Sound certificates and verified counterexamples.
 
 For each node, the score gap to every rival label is bounded from below by a
 single affine form over input features; minimizing that form over the flip
 budget is exact (a linear objective under per-node and global cardinality
 caps yields to greedy selection). Each rival margin is the better of that
 exact minimum and the output interval box's gap L[i, label] - U[i, rival]:
-both are sound, so their maximum is too, and the judgment never falls below
+both are sound, so their maximum is too, and the margin never falls below
 the interval certifier (the symbolic ReLU lower relaxation can undershoot the
-interval floor of 0). A positive margin certifies the node. For non-certified
-nodes, the minimizing flip set is replayed through the concrete forward pass;
-only flips that demonstrably change the prediction are reported, which makes
-the resulting upper bound complete.
+interval floor of 0). A positive margin certifies the node. ``certify_sound``
+returns one ``Certificate`` of arrays, the minimizer's flips among them as
+flat index arrays. For non-certified nodes, those flips become ``FlipSet``s
+and are replayed through the concrete forward pass; only flips that
+demonstrably change the prediction are reported, which makes the resulting
+upper bound complete.
 
 Replay is local: an L-layer GCN's score for node i depends only on the
 features of the nodes within L hops, so ``generate_counterexample`` runs the
@@ -19,24 +21,22 @@ one batch for all of a node's candidate flip sets. Local sums round
 differently from the whole-graph product, so a candidate whose local top two
 scores lie within 1e-9 (relative) is settled by the whole-graph ``forward``.
 
-``certify_sound`` works in chunks of target nodes, sized by a fixed element
-budget: one ``back_substitute_batch`` call per chunk, the lower form of
+The kernel works in chunks of target nodes, sized by a fixed element budget:
+one ``back_substitute_batch`` call per chunk, the lower form of
 score[label] - score[rival] for every (target, rival) pair sliced out of it as
 lower[label] - upper[rival], and one batched greedy minimization of all those
-rows. ``label_difference_transform`` and ``minimize_delta`` are the one-row
-forms of the same two steps, under the same rules; no production path calls
-them.
-
-Robust training runs the same chunk kernel through ``rival_margins``, which
-returns the margin matrix together with its pullback: one reverse-mode pass
-through the minimization, ``back_substitute_backward`` and
+rows; ``label_difference_transform`` and ``minimize_delta`` are the one-row
+forms, which no production path calls. ``_run_kernel`` runs it for
+``certify_sound`` and for robust training's ``rival_margins``, which also
+returns the margins' pullback: one reverse-mode pass through the
+minimization, ``back_substitute_backward`` and
 ``interval_layer_bounds_backward`` to the layer weights and biases.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,41 +44,53 @@ import numpy as np
 from .errors import DataError
 from .graph import GcnModel, Graph, forward, predict, receptive_field
 from .intervals import IntervalElement, interval_layer_bounds, interval_layer_bounds_backward
-from .perturbation import (
-    FlipSet,
-    PerturbationBudget,
-    apply_flips,
-    check_index,
-    check_mode,
-    restrict_to_mode,
-    sign_matrix,
-)
+from .perturbation import (FlipSet, PerturbationBudget, apply_flips, check_index, check_mode,
+                           restrict_to_mode, sign_matrix)
 from .polyhedra import PolyBatch, PolyNodeElement, back_substitute_backward, back_substitute_batch
 
 # local top-two score gaps within this fraction of the top score are re-checked
 # with the whole-graph forward pass
 _TIE_TOLERANCE = 1e-9
 
-# coefficient entries per chunk of certify_sound targets at the widest
+# coefficient entries per chunk of kernel targets at the widest
 # possible receptive field: keeps a chunk's tensors at a few MB
 _CHUNK_ELEMENTS = 1 << 18
 
 
-@dataclass(frozen=True)
-class NodeJudgment:
-    """Certification outcome for one node: margin > 0 means certified robust.
+@dataclass(frozen=True, eq=False)
+class Certificate:
+    """Sound certification of nodes, one row each: margin > 0 certifies the row's node.
 
-    ``rival_margins[r]`` is the larger of the symbolic form's exact minimum
-    and the output interval box's bound on score[label] - score[r];
-    ``rival_flips[r]`` is always the symbolic minimizer's flip set.
+    ``rival_margins[t, r]`` bounds score[labels[t]] - score[rivals[t, r]]
+    from below. The symbolic minimizer's flips for it are the cells
+    (pick_node[k], pick_feature[k]) of every k with (pick_row[k],
+    pick_rival[k]) = (t, r), sorted by (row, rival, node, feature).
     """
 
-    node: int
-    label: int
-    margin: float
-    certified: bool
-    rival_margins: dict[int, float]
-    rival_flips: dict[int, FlipSet]
+    nodes: np.ndarray  # (rows,)
+    labels: np.ndarray  # (rows,) the label each node defends
+    rivals: np.ndarray  # (rows, labels - 1) every other label, ascending
+    rival_margins: np.ndarray  # (rows, labels - 1)
+    pick_row: np.ndarray  # (picks,)
+    pick_rival: np.ndarray  # (picks,) a column of ``rivals``
+    pick_node: np.ndarray  # (picks,)
+    pick_feature: np.ndarray  # (picks,)
+
+    @property
+    def margin(self) -> np.ndarray:
+        """Each row's smallest rival margin, inf without rivals; of 0.0 and -0.0 the first."""
+        padded = np.hstack([self.rival_margins, np.full((len(self.nodes), 1), np.inf)])
+        return padded[np.arange(len(padded)), padded.argmin(axis=1)]
+
+    @property
+    def certified(self) -> np.ndarray:
+        return self.margin > 0.0
+
+    def flip_set(self, row: int, rival: int) -> FlipSet:
+        """The minimizer's flips against ``rivals[row, rival]``."""
+        lo, hi = np.searchsorted(self.pick_row, [row, row + 1])
+        at = lo + np.flatnonzero(self.pick_rival[lo:hi] == rival)
+        return FlipSet(tuple(zip(self.pick_node[at].tolist(), self.pick_feature[at].tolist())))
 
 
 @dataclass(frozen=True)
@@ -148,14 +160,6 @@ def _minimize_forms(
     return base + gain.reshape(t, v), pick.reshape(coef.shape)
 
 
-def _flip_sets(pick: np.ndarray, fronts: np.ndarray) -> list[list[FlipSet]]:
-    """FlipSets of a (targets, forms, field, features) mask over each target's field."""
-    return [
-        [FlipSet(tuple(zip(front[k].tolist(), j.tolist()))) for k, j in map(np.nonzero, rows)]
-        for front, rows in zip(fronts, pick)
-    ]
-
-
 def minimize_delta(
     elem: PolyNodeElement,
     features: np.ndarray,
@@ -174,14 +178,10 @@ def minimize_delta(
     if elem.rows != 1:
         raise DataError("minimize_delta expects a single-row element")
     shape = (1, 1, len(elem.var_nodes), elem.num_features)
-    value, pick = _minimize_forms(
-        elem.lower_coef.reshape(shape),
-        elem.lower_const.reshape(1, 1),
-        np.asarray(features)[elem.var_nodes][None],
-        budget,
-        mode,
-    )
-    return float(value[0, 0]), _flip_sets(pick, elem.var_nodes[None])[0][0]
+    value, pick = _minimize_forms(elem.lower_coef.reshape(shape), elem.lower_const.reshape(1, 1),
+                                  np.asarray(features)[elem.var_nodes][None], budget, mode)
+    _, _, at, feature = np.nonzero(pick)
+    return float(value[0, 0]), FlipSet(tuple(zip(elem.var_nodes[at].tolist(), feature.tolist())))
 
 
 def _target_elements(model: GcnModel, graph: Graph) -> int:
@@ -281,6 +281,49 @@ def _chunks(model: GcnModel, graph: Graph, nodes: np.ndarray) -> list[np.ndarray
     return [nodes[start : start + size] for start in range(0, len(nodes), size)]
 
 
+def _run_kernel(
+    model: GcnModel,
+    graph: Graph,
+    budget: PerturbationBudget,
+    variant: str,
+    mode: str,
+    nodes: Sequence[int] | None,
+    labels: np.ndarray | None,
+    threads: int,
+    keep: Callable[[int, _ChunkMargins], object],
+) -> tuple[list[IntervalElement], list]:
+    """The interval bounds, and ``keep(start, result)`` of each chunk, ``start`` its first row.
+
+    ``nodes`` defaults to every node and ``labels`` to the predictions. The
+    pool never changes the chunks. ``keep`` runs in the worker, so a chunk's
+    large arrays can go as soon as it is done.
+    """
+    check_mode(mode)
+    if nodes is None:
+        nodes = np.arange(graph.num_nodes)
+    else:
+        nodes = np.array([check_index(node, "node index") for node in nodes], dtype=np.int64)
+    layer_bounds = interval_layer_bounds(model, graph, budget, variant, mode=mode)
+    labels = predict(model, graph).labels if labels is None else np.asarray(labels)
+
+    def run(start: int, chunk: np.ndarray):
+        return keep(start, _chunk_margins(model, graph, budget, mode, layer_bounds, labels, chunk))
+
+    chunks = _chunks(model, graph, nodes)
+    starts = np.cumsum([0] + [len(chunk) for chunk in chunks])
+    if threads == 1:
+        return layer_bounds, list(map(run, starts, chunks))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return layer_bounds, list(pool.map(run, starts, chunks))
+
+
+def _chunk_certificate(start: int, part: _ChunkMargins) -> Certificate:
+    """The certificate rows of one chunk; its picks come from one ``np.nonzero``."""
+    row, rival, at, feature = np.nonzero(part.pick)
+    return Certificate(part.nodes, part.labels, part.rivals, part.margins,
+                       start + row, rival, part.batch.fronts[row, at], feature)
+
+
 def certify_sound(
     model: GcnModel,
     graph: Graph,
@@ -290,46 +333,19 @@ def certify_sound(
     nodes: Sequence[int] | None = None,
     mode: str = "both",
     threads: int = 1,
-) -> list[NodeJudgment]:
-    """Judgments for the requested nodes (all by default), in order; certified => robust.
+) -> Certificate:
+    """The certificate of the requested nodes (all by default), one row each in order.
 
-    Each node defends the model's own predicted label. ``threads`` spreads the
-    chunks of this certification kernel over a pool; it never changes the
-    chunks. Counterexample replay always runs serially.
+    Each node defends the model's own predicted label; certified => robust.
+    ``threads`` spreads the chunks of the certification kernel over a pool;
+    it never changes the chunks. Counterexample replay always runs serially.
     """
-    check_mode(mode)
-    if nodes is None:
-        nodes = np.arange(graph.num_nodes)
-    else:
-        nodes = np.array([check_index(node, "node index") for node in nodes], dtype=np.int64)
-    layer_bounds = interval_layer_bounds(model, graph, budget, variant, mode=mode)
-    labels = predict(model, graph).labels
-
-    def judge(chunk: np.ndarray) -> list[NodeJudgment]:
-        part = _chunk_margins(model, graph, budget, mode, layer_bounds, labels, chunk)
-        judgments = []
-        for node, label, rival_ids, row_margins, row_flips in zip(
-            chunk.tolist(), part.labels.tolist(), part.rivals.tolist(), part.margins.tolist(),
-            _flip_sets(part.pick, part.batch.fronts),
-        ):
-            margin = min(row_margins, default=float("inf"))
-            judgments.append(NodeJudgment(
-                node=node,
-                label=label,
-                margin=margin,
-                certified=margin > 0.0,
-                rival_margins=dict(zip(rival_ids, row_margins)),
-                rival_flips=dict(zip(rival_ids, row_flips)),
-            ))
-        return judgments
-
-    chunks = _chunks(model, graph, nodes)
-    if threads == 1:
-        parts = [judge(chunk) for chunk in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(judge, chunks))
-    return [j for part in parts for j in part]
+    _, parts = _run_kernel(model, graph, budget, variant, mode, nodes, None, threads,
+                           _chunk_certificate)
+    none, no_rivals = np.zeros(0, dtype=np.int64), np.zeros((0, model.num_labels - 1))
+    empty = Certificate(none, none, no_rivals.astype(np.int64), no_rivals, *[none] * 4)
+    return Certificate(*(np.concatenate([getattr(part, f.name) for part in [empty] + parts])
+                         for f in fields(Certificate)))
 
 
 def rival_margins(
@@ -343,35 +359,28 @@ def rival_margins(
 ) -> tuple[np.ndarray, Callable[[np.ndarray], list[tuple[np.ndarray, np.ndarray]]]]:
     """The (nodes x rivals) margins of ``labels`` against their rivals, and their pullback.
 
-    Where ``labels`` are the model's predictions, row t holds the
-    ``NodeJudgment.rival_margins`` values of ``nodes[t]`` in rival order, bit
-    for bit, because both come from the same kernel. The pullback maps a
-    gradient with respect to the margins, shaped like them, to the gradient
-    with respect to every layer's (weight, bias): one reverse-mode pass
-    through the minimization, back-substitution and interval bounds.
+    Where ``labels`` are the model's predictions, the margins equal
+    ``certify_sound(...).rival_margins`` for the same nodes bit for bit,
+    because both come from the same kernel. The pullback maps a gradient with
+    respect to the margins, shaped like them, to the gradient with respect to
+    every layer's (weight, bias): one reverse-mode pass through the
+    minimization, back-substitution and interval bounds.
     """
-    check_mode(mode)
-    layer_bounds = interval_layer_bounds(model, graph, budget, variant, mode=mode)
-    labels = np.asarray(labels)
-    parts = [
-        _chunk_margins(model, graph, budget, mode, layer_bounds, labels, chunk)
-        for chunk in _chunks(model, graph, np.asarray(nodes, dtype=np.int64))
-    ]
+    layer_bounds, parts = _run_kernel(model, graph, budget, variant, mode, nodes, labels, 1,
+                                      lambda start, part: (start, part))
 
     def pullback(margin_grad: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         param_grads = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in model.layers]
         bound_grads = [(np.zeros_like(b.lower), np.zeros_like(b.upper)) for b in layer_bounds]
-        start = 0
-        for part in parts:
+        for start, part in parts:
             rows = margin_grad[start : start + len(part.nodes)]
-            start += len(part.nodes)
             _chunk_margins_backward(model, graph, layer_bounds, part, rows,
                                     param_grads, bound_grads)
         interval_layer_bounds_backward(model, graph, budget, variant, mode, layer_bounds,
                                        bound_grads, param_grads)
         return param_grads
 
-    return np.concatenate([part.margins for part in parts]), pullback
+    return np.concatenate([part.margins for _, part in parts]), pullback
 
 
 def _local_scores(
@@ -396,27 +405,27 @@ def generate_counterexample(
     model: GcnModel,
     graph: Graph,
     budget: PerturbationBudget,
-    judgment: NodeJudgment,
+    certificate: Certificate,
+    row: int,
 ) -> Counterexample | None:
-    """Replay the minimizer's flips for each non-positive rival margin.
+    """Replay the minimizer's flips for each non-positive rival margin of one row.
 
     Rivals are tried most promising first, and the first flip set that
     changes the label wins. All candidates go through one forward pass over
     the node's receptive field (flips outside it cannot move the node's
     scores and are ignored); a candidate whose local top-two score gap is at
     most 1e-9 * max(1, |top score|) is settled by the whole-graph ``forward``
-    instead, so the verdict never rests on rounding. Certified nodes are
-    skipped outright (they cannot have counterexamples). Every candidate is
-    checked first: one over the budget raises ``AssertionError``, one with a
-    cell outside the feature matrix raises ``DataError``.
+    instead, so the verdict never rests on rounding. A certified row has no
+    non-positive margin, so it has no candidate. Every candidate is checked
+    first: one over the budget raises ``AssertionError``, one with a cell
+    outside the feature matrix raises ``DataError``.
     """
-    if judgment.certified:
-        return None
+    margins = certificate.rival_margins[row]
     candidates = []
-    for _, rival in sorted(
-        (margin, rival) for rival, margin in judgment.rival_margins.items() if margin <= 0.0
-    ):
-        flips = judgment.rival_flips[rival]
+    for rival in np.lexsort((certificate.rivals[row], margins)):
+        if margins[rival] > 0.0:
+            break
+        flips = certificate.flip_set(row, rival)
         if len(flips) == 0:
             continue
         if not flips.within(budget):
@@ -425,7 +434,7 @@ def generate_counterexample(
         candidates.append(flips)
     if not candidates:
         return None
-    node = judgment.node
+    node = int(certificate.nodes[row])
     hops = receptive_field(graph, node, model.num_layers)
     field = hops[-1]
     x = np.repeat(graph.features[field][None], len(candidates), axis=0)
@@ -439,7 +448,7 @@ def generate_counterexample(
         if len(top) > 1 and top[0] - top[1] <= _TIE_TOLERANCE * max(1.0, abs(top[0])):
             scores = forward(model, graph.norm_adj, apply_flips(graph.features, flips))[node]
         new_label = int(np.argmax(scores))
-        if new_label != judgment.label:
+        if new_label != certificate.labels[row]:
             return Counterexample(node, flips, new_label)
     return None
 
@@ -448,13 +457,13 @@ def find_counterexamples(
     model: GcnModel,
     graph: Graph,
     budget: PerturbationBudget,
-    judgments: Sequence[NodeJudgment],
+    certificate: Certificate,
 ) -> dict[int, Counterexample]:
-    """Verified counterexamples keyed by node, searching non-certified nodes only.
+    """Verified counterexamples keyed by node, replaying the non-certified rows only.
 
     This is the complete upper bound: a node with a counterexample is not
     robust, and every other node counts as possibly robust.
     """
-    found = (generate_counterexample(model, graph, budget, j) for j in judgments if not j.certified)
+    found = (generate_counterexample(model, graph, budget, certificate, row)
+             for row in np.flatnonzero(~certificate.certified))
     return {ce.node: ce for ce in found if ce is not None}
-

@@ -16,7 +16,7 @@ from typing import IO, Iterator
 import numpy as np
 
 from . import fileio
-from .certify import certify_sound, find_counterexamples
+from .certify import certify_sound, find_counterexamples, generate_counterexample
 from .collective import compute_robust_limits
 from .errors import DataError, OracleInfeasibleError
 from .graph import GcnModel, Graph
@@ -110,11 +110,11 @@ def cmd_certify(args) -> int:
         if family == "interval":
             fileio.write_interval_certify_csv(out, interval_certify(model, graph, budget, variant))
         else:
-            judgments = certify_sound(
+            certificate = certify_sound(
                 model, graph, budget, variant, mode=args.mode, threads=args.threads
             )
-            counterexamples = find_counterexamples(model, graph, budget, judgments)
-            fileio.write_certify_csv(out, judgments, counterexamples)
+            counterexamples = find_counterexamples(model, graph, budget, certificate)
+            fileio.write_certify_csv(out, certificate, counterexamples)
     return 0
 
 
@@ -122,8 +122,8 @@ def cmd_counterexample(args) -> int:
     graph, model = _load_inputs(args)
     budget = _budget(args)
     variant = args.method.split("-", 1)[1]
-    judgments = certify_sound(model, graph, budget, variant, mode=args.mode, threads=args.threads)
-    counterexamples = find_counterexamples(model, graph, budget, judgments)
+    certificate = certify_sound(model, graph, budget, variant, mode=args.mode, threads=args.threads)
+    counterexamples = find_counterexamples(model, graph, budget, certificate)
     with _open_output(args.output) as out:
         fileio.write_counterexample_csv(out, counterexamples.values())
     return 0
@@ -143,12 +143,14 @@ def cmd_sweep(args) -> int:
             lower.append(float((margins > 0).sum()) / graph.num_nodes)
             upper.append(1.0)
         else:
-            judgments = certify_sound(
+            certificate = certify_sound(
                 model, graph, budget, variant, mode=args.mode, threads=args.threads
             )
-            lower.append(graph_robustness_ratio(judgments))
-            fresh = [j for j in judgments if not j.certified and j.node not in broken]
-            broken.update(find_counterexamples(model, graph, budget, fresh))
+            lower.append(graph_robustness_ratio(certificate))
+            fresh = ~certificate.certified & ~np.isin(certificate.nodes, list(broken))
+            found = (generate_counterexample(model, graph, budget, certificate, row)
+                     for row in np.flatnonzero(fresh))
+            broken.update(ce.node for ce in found if ce is not None)
             # (n - b) / n, not 1 - b / n: the latter can round one ulp below c / n
             upper.append((graph.num_nodes - len(broken)) / graph.num_nodes)
         runtime.append((time.perf_counter() - start) * 1000.0)

@@ -20,7 +20,7 @@ from .certify import certify_sound
 from .errors import DataError
 from .graph import GcnModel, Graph
 from .intervals import interval_certify
-from .perturbation import PerturbationBudget
+from .perturbation import PerturbationBudget, check_index
 
 FAMILIES = ("poly", "interval")
 
@@ -56,7 +56,7 @@ def compute_robust_limits(
         raise DataError(f"unknown certifier family {family!r}, expected one of {FAMILIES}")
     if family == "interval" and mode != "both":
         raise DataError("the interval certifier cannot restrict flip direction: mode must be 'both'")
-    if cap < 0:
+    if check_index(cap, "search cap") < 0:
         raise DataError("search cap must be non-negative")
     limits = np.full(graph.num_nodes, cap, dtype=np.int64)
     never = np.zeros(graph.num_nodes, dtype=bool)
@@ -66,10 +66,9 @@ def compute_robust_limits(
             break
         budget = PerturbationBudget(per_node=local_budget, total=total)
         if family == "poly":
-            judgments = certify_sound(
-                model, graph, budget, variant, nodes=surviving.tolist(), mode=mode, threads=threads
-            )
-            certified = np.array([j.certified for j in judgments], dtype=bool)
+            certified = certify_sound(
+                model, graph, budget, variant, nodes=surviving, mode=mode, threads=threads
+            ).certified
         else:
             certified = interval_certify(model, graph, budget, variant)[surviving] > 0
         failed = surviving[~certified]

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import csv
 import json
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Mapping
 
 import numpy as np
 
-from .certify import Counterexample, NodeJudgment
+from .certify import Certificate, Counterexample
 from .collective import RobustLimitVector
 from .errors import DataError
 from .graph import GcnLayer, GcnModel, Graph
@@ -171,19 +171,18 @@ def _writer(stream: IO[str]):
 
 def write_certify_csv(
     stream: IO[str],
-    judgments: Sequence[NodeJudgment],
+    certificate: Certificate,
     counterexamples: Mapping[int, Counterexample],
 ) -> None:
+    """One line per certificate row: node, margin, certified, counterexample flips if any."""
     out = _writer(stream)
     out.writerow(["node", "margin", "certified", "counterexample_flips"])
-    for j in judgments:
-        ce = counterexamples.get(j.node)
-        out.writerow([
-            j.node,
-            _fmt(j.margin),
-            "true" if j.certified else "false",
-            format_flips(ce.flips) if ce else "",
-        ])
+    rows = zip(certificate.nodes.tolist(), certificate.margin.tolist(),
+               certificate.certified.tolist())
+    for node, margin, certified in rows:
+        ce = counterexamples.get(node)
+        out.writerow([node, _fmt(margin), "true" if certified else "false",
+                      format_flips(ce.flips) if ce else ""])
 
 
 def write_interval_certify_csv(stream: IO[str], margins: np.ndarray) -> None:

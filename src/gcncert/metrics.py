@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .certify import NodeJudgment
+from .certify import Certificate
 from .errors import DataError
 
 
@@ -27,11 +26,11 @@ class RobustnessSweep:
             raise DataError("sweep bounds must have one entry per budget")
 
 
-def graph_robustness_ratio(judgments: Sequence[NodeJudgment]) -> float:
-    """Fraction of certified nodes."""
-    if not judgments:
+def graph_robustness_ratio(certificate: Certificate) -> float:
+    """Fraction of the certificate's rows that are certified."""
+    if len(certificate.nodes) == 0:
         raise DataError("cannot compute a robustness ratio over zero nodes")
-    return sum(j.certified for j in judgments) / len(judgments)
+    return int(certificate.certified.sum()) / len(certificate.nodes)
 
 
 def uncertainty_region(sweep: RobustnessSweep) -> float:

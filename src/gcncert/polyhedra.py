@@ -74,7 +74,6 @@ class PolyNodeElement:
         return self.lower_coef.shape[0]
 
 
-
 def _relu_cases(
     lower: np.ndarray, upper: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

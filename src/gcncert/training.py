@@ -26,7 +26,7 @@ import numpy as np
 from .certify import rival_margins
 from .errors import DataError
 from .graph import GcnLayer, GcnModel, Graph, predict
-from .perturbation import PerturbationBudget
+from .perturbation import PerturbationBudget, check_index
 
 DEFAULT_LABELED_MARGIN = math.log(90 / 10)
 DEFAULT_UNLABELED_MARGIN = math.log(60 / 40)
@@ -106,13 +106,16 @@ def train_robust(
     width train. ``progress``, if given, gets each step's loss after the
     update, on that step's batch and targets. The interval variant defaults
     to ``max`` because the numeric bounds are recomputed at every step.
-    ``learning_rate`` must be a finite number >= 0.
+    ``steps`` must be an integer >= 0, ``batch_size`` one >= 1 and
+    ``learning_rate`` a finite number >= 0.
     """
     if loss not in ("hinge", "bce"):
         raise DataError(f"unknown robust loss {loss!r}")
     if not (math.isfinite(learning_rate) and learning_rate >= 0):
         raise DataError(f"learning rate must be a finite number >= 0, got {learning_rate}")
-    if batch_size is not None and batch_size < 1:
+    if check_index(steps, "steps") < 0:
+        raise DataError("steps must be at least 0")
+    if batch_size is not None and check_index(batch_size, "batch_size") < 1:
         raise DataError("batch_size must be at least 1")
     labels = np.asarray(labels, dtype=np.int64)
     n = graph.num_nodes

@@ -173,23 +173,28 @@ def brute_force_robust_nodes(model, graph, budget, mode="both") -> np.ndarray:
     return robust
 
 
-def dense_counterexample(model, graph, budget, judgment):
+def dense_counterexample(model, graph, budget, certificate, row):
     """Counterexample replay on the whole graph: one dense forward pass per candidate.
 
-    Rivals with margin <= 0 are tried in (margin, rival) order; the first
-    non-empty flip set whose whole-graph argmax differs from the label wins.
+    The row's rivals with margin <= 0 are tried in (margin, rival) order; the
+    first non-empty flip set whose whole-graph argmax differs from the label
+    wins.
     """
-    if judgment.certified:
+    if certificate.certified[row]:
         return None
-    for _, rival in sorted((m, r) for r, m in judgment.rival_margins.items() if m <= 0.0):
-        flips = judgment.rival_flips[rival]
+    node, label = int(certificate.nodes[row]), int(certificate.labels[row])
+    margins = certificate.rival_margins[row].tolist()
+    rivals = certificate.rivals[row].tolist()
+    order = sorted((m, r, col) for col, (m, r) in enumerate(zip(margins, rivals)) if m <= 0.0)
+    for _, _, col in order:
+        flips = certificate.flip_set(row, col)
         if len(flips) == 0:
             continue
         assert flips.within(budget)
         scores = gc.forward(model, graph.norm_adj, gc.apply_flips(graph.features, flips))
-        new_label = int(np.argmax(scores[judgment.node]))
-        if new_label != judgment.label:
-            return gc.Counterexample(judgment.node, flips, new_label)
+        new_label = int(np.argmax(scores[node]))
+        if new_label != label:
+            return gc.Counterexample(node, flips, new_label)
     return None
 
 

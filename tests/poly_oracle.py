@@ -4,7 +4,7 @@ Forward polyhedra propagation builds every node's symbolic element layer by
 layer, input to output, one node at a time. It shares no code with the batched
 back-substitution kernel in ``gcncert.polyhedra`` beyond the element type and
 the ReLU case split. ``per_node_judgments`` rebuilds ``certify_sound``'s
-judgments from it: each label difference is one more affine step, through a
+certificate from it: each label difference is one more affine step, through a
 +1/-1 weight column, and a plain per-row greedy minimizer takes its minimum.
 """
 
@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from gcncert.certify import NodeJudgment
+from gcncert.certify import Certificate
 from gcncert.errors import DataError, DimensionError
 from gcncert.graph import GcnModel, Graph, predict
 from gcncert.intervals import IntervalElement, interval_layer_bounds
@@ -184,22 +184,24 @@ def per_node_judgments(
     budget: PerturbationBudget,
     variant: str = "topk",
     mode: str = "both",
-) -> list[NodeJudgment]:
+) -> Certificate:
     """``certify_sound`` over every node, rebuilt from forward propagation."""
     bounds = interval_layer_bounds(model, graph, budget, variant, mode=mode)
     out = bounds[-1]
     labels = predict(model, graph).labels
     elems = forward_poly_propagation(model, graph, graph.norm_adj, bounds)
-    judgments = []
+    rivals, margins, picks = [], [], []
     for node, elem in enumerate(elems):
         label = int(labels[node])
-        margins, flips = {}, {}
-        for rival in range(model.num_labels):
-            if rival == label:
-                continue
+        rivals.append([rival for rival in range(model.num_labels) if rival != label])
+        margins.append([])
+        for col, rival in enumerate(rivals[-1]):
             row = label_difference(elem, label, rival)
-            poly_min, flips[rival] = greedy_minimum(row, graph.features, budget, mode)
-            margins[rival] = max(poly_min, float(out.lower[node, label] - out.upper[node, rival]))
-        margin = min(margins.values(), default=float("inf"))
-        judgments.append(NodeJudgment(node, label, margin, margin > 0.0, margins, flips))
-    return judgments
+            poly_min, flips = greedy_minimum(row, graph.features, budget, mode)
+            margins[-1].append(max(poly_min, out.lower[node, label] - out.upper[node, rival]))
+            picks.extend((node, col, i, j) for i, j in flips)
+    shape = (graph.num_nodes, model.num_labels - 1)
+    picks = np.array(picks, dtype=np.int64).reshape(-1, 4)
+    return Certificate(np.arange(graph.num_nodes), labels,
+                       np.array(rivals, dtype=np.int64).reshape(shape),
+                       np.array(margins, dtype=np.float64).reshape(shape), *picks.T)

@@ -31,7 +31,7 @@ class InstanceResult:
     graph: object
     model: object
     budget: object
-    judgments: list
+    certificate: gc.Certificate
     poly_certified: set
     counterexample_nodes: set
     interval_topk: np.ndarray
@@ -46,14 +46,14 @@ def suite():
     results = []
     for _ in range(SUITE_SIZE):
         graph, model, budget = helpers.trained_instance(rng)
-        judgments = gc.certify_sound(model, graph, budget, "topk")
-        counterexamples = gc.find_counterexamples(model, graph, budget, judgments)
+        certificate = gc.certify_sound(model, graph, budget, "topk")
+        counterexamples = gc.find_counterexamples(model, graph, budget, certificate)
         results.append(InstanceResult(
             graph=graph,
             model=model,
             budget=budget,
-            judgments=judgments,
-            poly_certified={j.node for j in judgments if j.certified},
+            certificate=certificate,
+            poly_certified=set(certificate.nodes[certificate.certified].tolist()),
             counterexample_nodes=set(counterexamples),
             interval_topk=gc.interval_certify(model, graph, budget, "topk"),
             interval_max=gc.interval_certify(model, graph, budget, "max"),
@@ -68,18 +68,18 @@ def test_criterion_1_worked_example_golden(two_node):
     budget = gc.PerturbationBudget(per_node=1, total=1)
     start = time.perf_counter()
     interval_margin = gc.interval_certify(model, graph, budget, "topk")[0]
-    judgment = gc.certify_sound(model, graph, budget, "topk")[0]
+    certificate = gc.certify_sound(model, graph, budget, "topk")
     oracle = gc.exact_node_robustness(model, graph, budget, 0)
     elapsed = time.perf_counter() - start
     ok = (
         abs(interval_margin - (-0.5)) <= 1e-9
         and not interval_margin > 0
-        and abs(judgment.margin - 0.5) <= 1e-9
-        and judgment.certified
+        and abs(certificate.margin[0] - 0.5) <= 1e-9
+        and certificate.certified[0]
         and oracle
         and elapsed < 1.0
     )
-    _report(1, ok, f"interval {interval_margin:+.10f}, poly {judgment.margin:+.10f}, "
+    _report(1, ok, f"interval {interval_margin:+.10f}, poly {certificate.margin[0]:+.10f}, "
                    f"oracle robust={oracle}, {elapsed * 1000:.0f} ms")
 
 
@@ -184,10 +184,12 @@ def test_criterion_7_uncertainty_region_ordering(suite):
         broken: set[int] = set()
         for total in budgets:
             budget = gc.PerturbationBudget(r.budget.per_node, total)
-            judgments = gc.certify_sound(r.model, r.graph, budget, "topk")
-            lowers_poly.append(sum(j.certified for j in judgments) / n)
-            fresh = [j for j in judgments if not j.certified and j.node not in broken]
-            broken |= set(gc.find_counterexamples(r.model, r.graph, budget, fresh))
+            certificate = gc.certify_sound(r.model, r.graph, budget, "topk")
+            lowers_poly.append(int(certificate.certified.sum()) / n)
+            fresh = ~certificate.certified & ~np.isin(certificate.nodes, list(broken))
+            found = (gc.generate_counterexample(r.model, r.graph, budget, certificate, row)
+                     for row in np.flatnonzero(fresh))
+            broken |= {ce.node for ce in found if ce is not None}
             uppers_poly.append((n - len(broken)) / n)
             margins = gc.interval_certify(r.model, r.graph, budget, "topk")
             lowers_interval.append(float((margins > 0).sum()) / n)
@@ -248,8 +250,7 @@ def test_criterion_9_robust_training():
     budget = gc.PerturbationBudget(per_node=1, total=2)
 
     def certified_ratio(model):
-        judgments = gc.certify_sound(model, graph, budget, "topk")
-        return gc.graph_robustness_ratio(judgments)
+        return gc.graph_robustness_ratio(gc.certify_sound(model, graph, budget, "topk"))
 
     def accuracy(model):
         return float((gc.predict(model, graph).labels == labels).mean())

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -136,10 +138,26 @@ def test_minimize_delta_rejects_unknown_mode(two_node):
 
 def test_certify_sound_two_node(two_node):
     graph, model = two_node
-    judgment = gc.certify_sound(model, graph, gc.PerturbationBudget(1, 1))[0]
-    assert judgment.certified
-    assert judgment.margin == pytest.approx(0.5, abs=1e-9)
-    assert judgment.label == 1
+    certificate = gc.certify_sound(model, graph, gc.PerturbationBudget(1, 1))
+    assert certificate.nodes.tolist() == [0, 1]
+    assert certificate.certified[0]
+    assert certificate.margin[0] == pytest.approx(0.5, abs=1e-9)
+    assert certificate.labels[0] == 1
+
+
+def test_certificate_margin_is_the_first_smallest_rival_margin():
+    # the CSV prints repr(margin), so 0.0 and -0.0 must come out as Python's min gives them
+    rows = [[0.0, -0.0], [-0.0, 0.0], [0.5, -2.0], [3.0, 1.5]]
+    none = np.zeros(0, dtype=np.int64)
+    certificate = gc.Certificate(np.arange(4), np.zeros(4, dtype=np.int64),
+                                 np.array([[1, 2]] * 4), np.array(rows), none, none, none, none)
+    assert [repr(m) for m in certificate.margin.tolist()] == [repr(min(row)) for row in rows]
+    assert certificate.certified.tolist() == [False, False, False, True]
+    one_label = gc.Certificate(np.arange(2), np.zeros(2, dtype=np.int64),
+                               np.zeros((2, 0), dtype=np.int64), np.zeros((2, 0)),
+                               none, none, none, none)
+    assert one_label.margin.tolist() == [float("inf")] * 2
+    assert one_label.certified.all()
 
 
 def test_certify_sound_tied_scores_never_certified():
@@ -147,9 +165,9 @@ def test_certify_sound_tied_scores_never_certified():
     graph = gc.Graph(adjacency=np.zeros((1, 1), dtype=int), features=np.array([[1]]))
     model = gcn = gc.GcnModel((gc.GcnLayer(np.array([[1.0, 1.0]]), np.zeros(2)),))
     for total in (0, 1):
-        judgment = gc.certify_sound(gcn, graph, gc.PerturbationBudget(1, total))[0]
-        assert judgment.margin == pytest.approx(0.0)
-        assert not judgment.certified
+        certificate = gc.certify_sound(gcn, graph, gc.PerturbationBudget(1, total))
+        assert certificate.margin[0] == pytest.approx(0.0)
+        assert not certificate.certified[0]
 
 
 def test_certify_sound_subset_of_oracle(rng):
@@ -158,9 +176,8 @@ def test_certify_sound_subset_of_oracle(rng):
         if graph.num_nodes * graph.num_features > 15:
             continue
         robust = helpers.brute_force_robust_nodes(model, graph, budget)
-        for judgment in gc.certify_sound(model, graph, budget):
-            if judgment.certified:
-                assert robust[judgment.node]
+        certificate = gc.certify_sound(model, graph, budget)
+        assert robust[certificate.nodes[certificate.certified]].all()
 
 
 def test_certify_sound_margin_monotone_in_total(rng):
@@ -168,22 +185,25 @@ def test_certify_sound_margin_monotone_in_total(rng):
         graph, model, _ = helpers.trained_instance(rng)
         previous = None
         for total in range(4):
-            judgments = gc.certify_sound(model, graph, gc.PerturbationBudget(2, total))
-            margins = np.array([j.margin for j in judgments])
+            margins = gc.certify_sound(model, graph, gc.PerturbationBudget(2, total)).margin
             if previous is not None:
                 assert (margins <= previous + 1e-12).all()
             previous = margins
+
+
+def _box_gaps(out, certificate):
+    """The output box's L[node, label] - U[node, rival], shaped like the rival margins."""
+    nodes = certificate.nodes[:, None]
+    return out.lower[nodes, certificate.labels[:, None]] - out.upper[nodes, certificate.rivals]
 
 
 def test_certify_sound_dominates_interval_box(rng):
     for _ in range(15):
         graph, model, budget = helpers.trained_instance(rng)
         out = gc.interval_layer_bounds(model, graph, budget, "topk")[-1]
-        judgments = gc.certify_sound(model, graph, budget, "topk")
-        for j in judgments:
-            for rival, margin in j.rival_margins.items():
-                assert margin >= out.lower[j.node, j.label] - out.upper[j.node, rival]
-        certified = {j.node for j in judgments if j.certified}
+        certificate = gc.certify_sound(model, graph, budget, "topk")
+        assert (certificate.rival_margins >= _box_gaps(out, certificate)).all()
+        certified = set(certificate.nodes[certificate.certified].tolist())
         interval_certified = np.nonzero(gc.interval_certify(model, graph, budget, "topk") > 0)[0]
         assert set(interval_certified.tolist()) <= certified
 
@@ -196,9 +216,9 @@ def test_certify_sound_restricted_mode_sound_against_bruteforce(rng, mode):
         if graph.num_nodes * graph.num_features > 15:
             continue
         robust = helpers.brute_force_robust_nodes(model, graph, budget, mode)
-        for judgment in gc.certify_sound(model, graph, budget, mode=mode):
-            assert not judgment.certified or robust[judgment.node]
-            checked += judgment.certified
+        certificate = gc.certify_sound(model, graph, budget, mode=mode)
+        assert robust[certificate.nodes[certificate.certified]].all()
+        checked += certificate.certified.sum()
     assert checked > 0
 
 
@@ -207,12 +227,9 @@ def test_certify_sound_restricted_mode_dominates_interval(rng, mode):
     for _ in range(15):
         graph, model, budget = helpers.trained_instance(rng)
         out = gc.interval_layer_bounds(model, graph, budget, "topk", mode=mode)[-1]
-        judgments = gc.certify_sound(model, graph, budget, "topk", mode=mode)
-        for j in judgments:
-            for rival, margin in j.rival_margins.items():
-                assert margin >= out.lower[j.node, j.label] - out.upper[j.node, rival]
-        margins = np.array([j.margin for j in judgments])
-        assert (margins >= gc.interval_certify(model, graph, budget, "topk")).all()
+        certificate = gc.certify_sound(model, graph, budget, "topk", mode=mode)
+        assert (certificate.rival_margins >= _box_gaps(out, certificate)).all()
+        assert (certificate.margin >= gc.interval_certify(model, graph, budget, "topk")).all()
 
 
 def _chunks_of(monkeypatch, model, graph, size):
@@ -237,18 +254,49 @@ def test_certify_sound_thread_count_does_not_change_results(rng, monkeypatch):
     serial = gc.certify_sound(model, graph, budget, threads=1)
     threaded = gc.certify_sound(model, graph, budget, threads=4)
     assert len(seen) > 2  # several chunks, so the pool really shares them out
-    assert serial == threaded
+    _assert_identical(serial, threaded)
+
+
+_FIELDS = [f.name for f in dataclasses.fields(gc.Certificate)]
+_EXACT = ["nodes", "labels", "rivals", "pick_row", "pick_rival", "pick_node", "pick_feature"]
+
+
+def _assert_identical(got, expected):
+    for name in _FIELDS:
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def _flip_table(certificate):
+    """Every (row, rival) flip set, read back one at a time."""
+    rows, rivals = certificate.rivals.shape
+    return [[certificate.flip_set(t, r) for r in range(rivals)] for t in range(rows)]
+
+
+def _records(certificate):
+    """Per row: node, label, rivals, rival margins, flip sets, margin and flag, compared exactly."""
+    return [
+        (node, label, tuple(rivals), tuple(margins), tuple(flips), margin, certified)
+        for node, label, rivals, margins, flips, margin, certified in zip(
+            certificate.nodes.tolist(), certificate.labels.tolist(),
+            certificate.rivals.tolist(), certificate.rival_margins.tolist(),
+            _flip_table(certificate), certificate.margin.tolist(),
+            certificate.certified.tolist())
+    ]
 
 
 def _assert_same_judgments(got, expected, tol=1e-9):
     # flip sets and flags exactly, margins up to summation order
-    assert [(j.node, j.label, j.certified, j.rival_flips) for j in got] == [
-        (j.node, j.label, j.certified, j.rival_flips) for j in expected
-    ]
-    for a, b in zip(got, expected):
-        assert list(a.rival_margins) == list(b.rival_margins)
-        assert list(a.rival_margins.values()) == pytest.approx(list(b.rival_margins.values()), abs=tol)
-        assert a.margin == pytest.approx(b.margin, abs=tol)
+    for name in _EXACT:
+        assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+    assert _flip_table(got) == _flip_table(expected)
+    # the reference's margin and flag come from its rows here, not from Certificate
+    margins = [min(row, default=float("inf")) for row in expected.rival_margins.tolist()]
+    assert got.certified.tolist() == [margin > 0.0 for margin in margins]
+    assert got.rival_margins.shape == expected.rival_margins.shape
+    assert got.rival_margins.ravel().tolist() == pytest.approx(
+        expected.rival_margins.ravel().tolist(), abs=tol)
+    assert got.margin.tolist() == pytest.approx(margins, abs=tol)
 
 
 @pytest.mark.parametrize("mode", ["both", "add-only", "delete-only"])
@@ -263,8 +311,8 @@ def test_certify_sound_matches_per_node_reference(rng, mode):
         else:
             graph, model, budget = helpers.raw_instance(rng, num_layers=int(rng.integers(1, 4)))
         budget = budgets[trial % len(budgets)] or budget
-        judgments = gc.certify_sound(model, graph, budget, mode=mode)
-        _assert_same_judgments(judgments, per_node_judgments(model, graph, budget, mode=mode))
+        certificate = gc.certify_sound(model, graph, budget, mode=mode)
+        _assert_same_judgments(certificate, per_node_judgments(model, graph, budget, mode=mode))
 
 
 def test_chunk_boundary_does_not_change_judgments(rng, monkeypatch):
@@ -281,14 +329,16 @@ def test_chunk_boundary_does_not_change_judgments(rng, monkeypatch):
 
 def test_output_follows_requested_node_order(rng, monkeypatch):
     graph, model, budget = helpers.trained_instance(rng)
-    by_node = {j.node: j for j in gc.certify_sound(model, graph, budget)}
+    by_node = _records(gc.certify_sound(model, graph, budget))
     n = graph.num_nodes
     order = [n - 1, 0, n - 1, n // 2, 0]
     _chunks_of(monkeypatch, model, graph, 2)
-    assert gc.certify_sound(model, graph, budget, nodes=order) == [by_node[i] for i in order]
-    by_numpy_index = gc.certify_sound(model, graph, budget, nodes=np.array(order))
-    assert by_numpy_index == [by_node[i] for i in order]
-    assert gc.certify_sound(model, graph, budget, nodes=[]) == []
+    expected = [by_node[i] for i in order]
+    assert _records(gc.certify_sound(model, graph, budget, nodes=order)) == expected
+    assert _records(gc.certify_sound(model, graph, budget, nodes=np.array(order))) == expected
+    empty = gc.certify_sound(model, graph, budget, nodes=[])
+    assert _records(empty) == []
+    assert empty.rival_margins.shape == (0, model.num_labels - 1)
 
 
 @pytest.mark.parametrize("case", ["node -1", "node n", "unknown mode", "unknown mode, no nodes"])
@@ -330,26 +380,26 @@ def test_rival_margins_equal_judgment_margins_bit_for_bit(rng, monkeypatch, vari
                 _chunks_of(patch, model, graph, 1)
             margins, _ = gcncert.certify.rival_margins(model, graph, budget, variant,
                                                        labels, nodes, mode)
-            judgments = gc.certify_sound(model, graph, budget, variant,
-                                         nodes=nodes.tolist(), mode=mode)
+            certificate = gc.certify_sound(model, graph, budget, variant,
+                                           nodes=nodes.tolist(), mode=mode)
         assert margins.shape == (len(nodes), model.num_labels - 1)
-        rows = np.array([list(j.rival_margins.values()) for j in judgments], dtype=np.float64)
-        assert margins.tobytes() == rows.reshape(margins.shape).tobytes()
+        assert margins.tobytes() == certificate.rival_margins.tobytes()
 
 
 def test_counterexample_skips_certified(two_node):
     graph, model = two_node
     budget = gc.PerturbationBudget(1, 1)
-    judgment = gc.certify_sound(model, graph, budget)[0]
-    assert gc.generate_counterexample(model, graph, budget, judgment) is None
+    certificate = gc.certify_sound(model, graph, budget)
+    assert certificate.certified[0]
+    assert gc.generate_counterexample(model, graph, budget, certificate, 0) is None
 
 
 def test_counterexample_on_exact_linear_model():
     graph, model, budget = helpers.flip_moves_label_example()
-    judgment = gc.certify_sound(model, graph, budget)[0]
-    assert judgment.label == 0
-    assert judgment.margin == pytest.approx(-0.4, abs=1e-9)
-    ce = gc.generate_counterexample(model, graph, budget, judgment)
+    certificate = gc.certify_sound(model, graph, budget)
+    assert certificate.labels[0] == 0
+    assert certificate.margin[0] == pytest.approx(-0.4, abs=1e-9)
+    ce = gc.generate_counterexample(model, graph, budget, certificate, 0)
     assert ce is not None
     assert ce.flips.flips == ((0, 0),)
     assert ce.flipped_label == 1
@@ -358,10 +408,10 @@ def test_counterexample_on_exact_linear_model():
 def test_counterexamples_always_verified(rng):
     for _ in range(15):
         graph, model, budget = helpers.trained_instance(rng)
-        judgments = gc.certify_sound(model, graph, budget)
+        certificate = gc.certify_sound(model, graph, budget)
         norm = gc.normalize_adjacency(graph)
         base = gc.predict(model, graph).labels
-        for node, ce in gc.find_counterexamples(model, graph, budget, judgments).items():
+        for node, ce in gc.find_counterexamples(model, graph, budget, certificate).items():
             assert ce.flips.within(budget)
             perturbed = gc.apply_flips(graph.features, ce.flips)
             new_label = np.argmax(gc.forward(model, norm, perturbed)[node])
@@ -372,23 +422,23 @@ def test_counterexamples_always_verified(rng):
 def test_certify_complete_two_node(two_node):
     graph, model = two_node
     budget = gc.PerturbationBudget(1, 1)
-    judgments = gc.certify_sound(model, graph, budget)
-    assert gc.find_counterexamples(model, graph, budget, judgments) == {}
+    certificate = gc.certify_sound(model, graph, budget)
+    assert gc.find_counterexamples(model, graph, budget, certificate) == {}
 
 
 def test_certify_complete_flags_broken_node():
     graph, model, budget = helpers.flip_moves_label_example()
-    judgments = gc.certify_sound(model, graph, budget)
-    assert list(gc.find_counterexamples(model, graph, budget, judgments)) == [0]
+    certificate = gc.certify_sound(model, graph, budget)
+    assert list(gc.find_counterexamples(model, graph, budget, certificate)) == [0]
 
 
 def test_no_node_both_certified_and_broken(rng):
     for _ in range(10):
         graph, model, budget = helpers.trained_instance(rng)
-        judgments = gc.certify_sound(model, graph, budget)
-        counterexamples = gc.find_counterexamples(model, graph, budget, judgments)
-        for judgment in judgments:
-            assert not (judgment.certified and judgment.node in counterexamples)
+        certificate = gc.certify_sound(model, graph, budget)
+        counterexamples = gc.find_counterexamples(model, graph, budget, certificate)
+        for node, certified in zip(certificate.nodes.tolist(), certificate.certified.tolist()):
+            assert not (certified and node in counterexamples)
 
 
 def test_sound_and_complete_sandwich(rng):
@@ -397,8 +447,8 @@ def test_sound_and_complete_sandwich(rng):
         if graph.num_nodes * graph.num_features > 15:
             continue
         robust = helpers.brute_force_robust_nodes(model, graph, budget)
-        judgments = gc.certify_sound(model, graph, budget)
-        broken = gc.find_counterexamples(model, graph, budget, judgments)
-        for i, judgment in enumerate(judgments):
-            assert not judgment.certified or robust[i]
+        certificate = gc.certify_sound(model, graph, budget)
+        broken = gc.find_counterexamples(model, graph, budget, certificate)
+        for i, certified in enumerate(certificate.certified.tolist()):
+            assert not certified or robust[i]
             assert not robust[i] or i not in broken

@@ -12,7 +12,7 @@ def _per_node_walk(model, graph, node, cap, family):
     for total in range(cap + 1):
         budget = gc.PerturbationBudget(1, total)
         if family == "poly":
-            certified = gc.certify_sound(model, graph, budget, nodes=[node])[0].certified
+            certified = gc.certify_sound(model, graph, budget, nodes=[node]).certified[0]
         else:
             certified = gc.interval_certify(model, graph, budget)[node] > 0
         if not certified:
@@ -52,7 +52,7 @@ def test_certified_at_every_budget_up_to_limit(rng):
             continue
         for total in range(int(limits.limits[node]) + 1):
             budget = gc.PerturbationBudget(1, total)
-            assert gc.certify_sound(model, graph, budget, nodes=[node])[0].certified
+            assert gc.certify_sound(model, graph, budget, nodes=[node]).certified[0]
 
 
 def test_never_certified_flag_for_tied_scores(monkeypatch):
@@ -134,8 +134,8 @@ def test_one_certifier_call_per_budget(monkeypatch, family):
 def test_graph_is_normalized_once(monkeypatch):
     graph, model, budget = helpers.flip_moves_label_example()
     calls = _count_calls(monkeypatch, gcncert.graph, "normalize_adjacency")
-    judgments = gc.certify_sound(model, graph, budget, threads=2)
-    counterexamples = gc.find_counterexamples(model, graph, budget, judgments)
+    certificate = gc.certify_sound(model, graph, budget, threads=2)
+    counterexamples = gc.find_counterexamples(model, graph, budget, certificate)
     assert counterexamples  # replay ran and read Ã
     gc.compute_robust_limits(model, graph, 1, cap=3)
     gc.compute_robust_limits(model, graph, 1, cap=3, family="interval")

@@ -178,9 +178,9 @@ def test_format_flips():
 
 def test_certify_csv_layout(two_node):
     graph, model = two_node
-    judgments = gc.certify_sound(model, graph, gc.PerturbationBudget(1, 1))
+    certificate = gc.certify_sound(model, graph, gc.PerturbationBudget(1, 1))
     buffer = io.StringIO()
-    fileio.write_certify_csv(buffer, judgments, {})
+    fileio.write_certify_csv(buffer, certificate, {})
     lines = buffer.getvalue().splitlines()
     assert lines[0] == "node,margin,certified,counterexample_flips"
     node, margin, certified, flips = lines[1].split(",")

@@ -5,21 +5,24 @@ import gcncert as gc
 import helpers
 
 
-def _judgment(node, certified):
-    return gc.NodeJudgment(node=node, label=0, margin=1.0 if certified else -1.0,
-                           certified=certified, rival_margins={}, rival_flips={})
+def _judgment(*certified):
+    """A certificate with one row per flag: label 0 against rival 1, margin +1 or -1, no picks."""
+    n = len(certified)
+    margins = np.where(certified, 1.0, -1.0).reshape(n, 1)
+    none = np.zeros(0, dtype=np.int64)
+    labels, rivals = np.zeros(n, dtype=np.int64), np.ones((n, 1), dtype=np.int64)
+    return gc.Certificate(np.arange(n), labels, rivals, margins, none, none, none, none)
 
 
 def test_ratio_examples():
-    assert gc.graph_robustness_ratio([_judgment(i, True) for i in range(3)]) == 1.0
-    assert gc.graph_robustness_ratio([_judgment(i, False) for i in range(3)]) == 0.0
-    mixed = [_judgment(0, True), _judgment(1, True), _judgment(2, True), _judgment(3, False)]
-    assert gc.graph_robustness_ratio(mixed) == 0.75
+    assert gc.graph_robustness_ratio(_judgment(True, True, True)) == 1.0
+    assert gc.graph_robustness_ratio(_judgment(False, False, False)) == 0.0
+    assert gc.graph_robustness_ratio(_judgment(True, True, True, False)) == 0.75
 
 
 def test_ratio_rejects_empty():
     with pytest.raises(gc.DataError):
-        gc.graph_robustness_ratio([])
+        gc.graph_robustness_ratio(_judgment())
 
 
 def test_uncertainty_region_exact_pair_is_zero():
@@ -36,9 +39,9 @@ def test_uncertainty_region_maximal():
 def test_uncertainty_region_two_node_poly_pair(two_node):
     graph, model = two_node
     budget = gc.PerturbationBudget(1, 1)
-    judgments = gc.certify_sound(model, graph, budget)
-    lower = gc.graph_robustness_ratio(judgments)
-    broken = gc.find_counterexamples(model, graph, budget, judgments)
+    certificate = gc.certify_sound(model, graph, budget)
+    lower = gc.graph_robustness_ratio(certificate)
+    broken = gc.find_counterexamples(model, graph, budget, certificate)
     upper = (graph.num_nodes - len(broken)) / graph.num_nodes
     sweep = gc.RobustnessSweep(1, (1,), np.array([lower]), np.array([upper]))
     assert gc.uncertainty_region(sweep) == pytest.approx(0.0)

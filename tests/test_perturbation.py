@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gcncert as gc
+import gcncert.certify
 import gcncert.perturbation
 import helpers
 
@@ -99,6 +100,7 @@ def test_exact_robustness_two_node_example(two_node):
 @pytest.mark.parametrize("case", [
     "budget per-node 1.5", "budget total 2.0", "budget per-node True", "certify node 0.7",
     "certify node True", "certify float node array", "oracle node 0.5", "oracle node numpy True",
+    "margins node 0.7", "margins node True",
 ])
 def test_non_integer_budget_or_index_rejected(two_node, case):
     graph, model = two_node
@@ -113,8 +115,34 @@ def test_non_integer_budget_or_index_rejected(two_node, case):
             lambda: gc.certify_sound(model, graph, budget, nodes=np.array([1.0])),
         "oracle node 0.5": lambda: gc.exact_node_robustness(model, graph, budget, 0.5),
         "oracle node numpy True": lambda: gc.exact_node_robustness(model, graph, budget, np.True_),
+        # rival_margins shares certify_sound's node check
+        "margins node 0.7": lambda: gcncert.certify.rival_margins(
+            model, graph, budget, "topk", np.array([1, 1]), np.array([0.7])),
+        "margins node True": lambda: gcncert.certify.rival_margins(
+            model, graph, budget, "topk", np.array([1, 1]), [True]),
     }[case]
     with pytest.raises(gc.DataError, match="must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize("case, message", [
+    ("train steps 1.5", "must be an integer"),
+    ("train batch_size 1.5", "must be an integer"),
+    ("train steps -1", "at least 0"),
+    ("limits cap 2.5", "must be an integer"),
+])
+def test_non_integer_or_negative_count_rejected(two_node, case, message):
+    graph, model = two_node
+    budget = gc.PerturbationBudget(1, 1)
+    labels = np.array([0, 1])
+    call = {
+        "train steps 1.5": lambda: gc.train_robust(model, graph, labels, budget, 1.5, 0.1, 0),
+        "train batch_size 1.5":
+            lambda: gc.train_robust(model, graph, labels, budget, 1, 0.1, 0, batch_size=1.5),
+        "train steps -1": lambda: gc.train_robust(model, graph, labels, budget, -1, 0.1, 0),
+        "limits cap 2.5": lambda: gc.compute_robust_limits(model, graph, 1, cap=2.5),
+    }[case]
+    with pytest.raises(gc.DataError, match=message):
         call()
 
 

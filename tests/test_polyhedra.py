@@ -280,9 +280,9 @@ def test_mixed_relu_lower_bound_can_undershoot_interval_floor():
     form_min, _ = gc.minimize_delta(row, graph.features, budget)
     assert form_min == pytest.approx(-0.4, abs=1e-9)
     # certify_sound takes the better of the form and the interval box per
-    # rival, so the judgment recovers the interval certificate
-    judgment = gc.certify_sound(model, graph, budget, "topk")[0]
-    assert judgment.margin == pytest.approx(0.1, abs=1e-9)
-    assert judgment.certified
+    # rival, so its certificate recovers the interval one
+    certificate = gc.certify_sound(model, graph, budget, "topk")
+    assert certificate.margin[0] == pytest.approx(0.1, abs=1e-9)
+    assert certificate.certified[0]
     # and a certified node is never given a counterexample
-    assert gc.generate_counterexample(model, graph, budget, judgment) is None
+    assert gc.generate_counterexample(model, graph, budget, certificate, 0) is None

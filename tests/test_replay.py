@@ -48,28 +48,28 @@ def test_local_replay_matches_dense_reference(rng):
     found = 0
     for graph, model, budget in _instances(rng, 60):
         for mode in ("both", "add-only", "delete-only"):
-            judgments = gc.certify_sound(model, graph, budget, mode=mode)
+            certificate = gc.certify_sound(model, graph, budget, mode=mode)
             expected = {}
-            for j in judgments:
-                ce = helpers.dense_counterexample(model, graph, budget, j)
+            for row in range(len(certificate.nodes)):
+                ce = helpers.dense_counterexample(model, graph, budget, certificate, row)
                 if ce is not None:
                     expected[ce.node] = ce
-            assert gc.find_counterexamples(model, graph, budget, judgments) == expected
+            assert gc.find_counterexamples(model, graph, budget, certificate) == expected
             found += len(expected)
     assert found > 50  # the comparison is not vacuous
 
 
 def test_replay_runs_no_whole_graph_forward(rng, count_forward):
     graph, model, budget = helpers.flip_moves_label_example()
-    judgments = gc.certify_sound(model, graph, budget)
+    certificate = gc.certify_sound(model, graph, budget)
     count_forward.clear()
-    assert list(gc.find_counterexamples(model, graph, budget, judgments)) == [0]
+    assert list(gc.find_counterexamples(model, graph, budget, certificate)) == [0]
     assert count_forward == []
     found = 0
     for graph, model, budget in _instances(rng, 30):
-        judgments = gc.certify_sound(model, graph, budget)
+        certificate = gc.certify_sound(model, graph, budget)
         count_forward.clear()
-        found += len(gc.find_counterexamples(model, graph, budget, judgments))
+        found += len(gc.find_counterexamples(model, graph, budget, certificate))
         assert count_forward == []
     assert found > 0
 
@@ -79,10 +79,10 @@ def test_near_tie_is_settled_by_the_dense_forward(count_forward):
     graph = gc.Graph(adjacency=np.zeros((1, 1), dtype=int), features=np.array([[1]]))
     model = gc.GcnModel((gc.GcnLayer(np.array([[1.0, 0.0, 0.0]]), np.array([0.0, 0.5, 0.5])),))
     budget = gc.PerturbationBudget(1, 1)
-    judgment = gc.certify_sound(model, graph, budget)[0]
-    assert judgment.label == 0 and not judgment.certified
+    certificate = gc.certify_sound(model, graph, budget)
+    assert certificate.labels[0] == 0 and not certificate.certified[0]
     count_forward.clear()
-    ce = gc.generate_counterexample(model, graph, budget, judgment)
+    ce = gc.generate_counterexample(model, graph, budget, certificate, 0)
     assert len(count_forward) == 1
     assert ce.flips.flips == ((0, 0),)
     dense = gc.forward(model, graph.norm_adj, gc.apply_flips(graph.features, ce.flips))[0]
@@ -90,13 +90,19 @@ def test_near_tie_is_settled_by_the_dense_forward(count_forward):
 
 
 def _path_graph_judgment(flips, margin=-1.0):
-    """Nodes 0-1 joined, node 2 isolated; a 1-layer model whose label 0 falls if x[0,0] flips."""
+    """Nodes 0-1 joined, node 2 isolated; a 1-layer model whose label 0 falls if x[0,0] flips.
+
+    The certificate holds node 0 alone, defending label 0 against rival 1
+    with ``margin``, and ``flips`` as the minimizer's picks.
+    """
     graph = gc.Graph(adjacency=np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]),
                      features=np.array([[1, 0], [0, 0], [1, 1]]))
     model = gc.GcnModel((gc.GcnLayer(np.array([[2.0, 0.0], [0.0, 0.0]]), np.array([0.0, 0.5])),))
-    judgment = gc.NodeJudgment(node=0, label=0, margin=margin, certified=False,
-                               rival_margins={1: margin}, rival_flips={1: gc.FlipSet(flips)})
-    return graph, model, judgment
+    cells = np.array(sorted(flips), dtype=np.int64).reshape(-1, 2)
+    zeros = np.zeros(len(cells), dtype=np.int64)
+    certificate = gc.Certificate(np.array([0]), np.array([0]), np.array([[1]]),
+                                 np.array([[margin]]), zeros, zeros, cells[:, 0], cells[:, 1])
+    return graph, model, certificate
 
 
 def test_flips_outside_the_field_are_ignored(count_forward):
@@ -104,17 +110,17 @@ def test_flips_outside_the_field_are_ignored(count_forward):
     # node 2 lies outside node 0's field; flipping x[1,0] only raises node 0's lead
     cases = {((0, 0), (2, 1)): 1, ((2, 0), (2, 1)): None, ((1, 0), (2, 0)): None}
     for flips, flipped_label in cases.items():
-        graph, model, judgment = _path_graph_judgment(flips)
-        ce = gc.generate_counterexample(model, graph, budget, judgment)
-        assert ce == helpers.dense_counterexample(model, graph, budget, judgment)
+        graph, model, certificate = _path_graph_judgment(flips)
+        ce = gc.generate_counterexample(model, graph, budget, certificate, 0)
+        assert ce == helpers.dense_counterexample(model, graph, budget, certificate, 0)
         assert (None if ce is None else ce.flipped_label) == flipped_label
     assert count_forward == []
 
 
 def test_invalid_flip_sets_are_rejected():
-    graph, model, judgment = _path_graph_judgment(((0, 0), (1, 0)))
+    graph, model, certificate = _path_graph_judgment(((0, 0), (1, 0)))
     with pytest.raises(AssertionError):
-        gc.generate_counterexample(model, graph, gc.PerturbationBudget(1, 1), judgment)
-    graph, model, judgment = _path_graph_judgment(((0, 0), (3, 0)))
+        gc.generate_counterexample(model, graph, gc.PerturbationBudget(1, 1), certificate, 0)
+    graph, model, certificate = _path_graph_judgment(((0, 0), (3, 0)))
     with pytest.raises(gc.DataError):
-        gc.generate_counterexample(model, graph, gc.PerturbationBudget(1, 2), judgment)
+        gc.generate_counterexample(model, graph, gc.PerturbationBudget(1, 2), certificate, 0)
