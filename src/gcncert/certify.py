@@ -21,21 +21,20 @@ one batch for all of a node's candidate flip sets. Local sums round
 differently from the whole-graph product, so a candidate whose local top two
 scores lie within 1e-9 (relative) is settled by the whole-graph ``forward``.
 
-The kernel works in chunks of target nodes, sized by a fixed element budget:
-one ``back_substitute_batch`` call per chunk, the lower form of
-score[label] - score[rival] for every (target, rival) pair sliced out of it as
-lower[label] - upper[rival], and one batched greedy minimization of all those
-rows; ``label_difference_transform`` and ``minimize_delta`` are the one-row
-forms, which no production path calls. ``_run_kernel`` runs it for
-``certify_sound`` and for robust training's ``rival_margins``, which also
-returns the margins' pullback: one reverse-mode pass through the
-minimization, ``back_substitute_backward`` and
+The kernel works serially, on the calling thread, through chunks of target
+nodes sized by a fixed element budget: one ``back_substitute_batch`` call per
+chunk, the lower form of score[label] - score[rival] for every (target,
+rival) pair sliced out of it as lower[label] - upper[rival], and one batched
+greedy minimization of all those rows; ``label_difference_transform`` and
+``minimize_delta`` are the one-row forms, which no production path calls.
+``_run_kernel`` runs it for ``certify_sound`` and for robust training's
+``rival_margins``, which also returns the margins' pullback: one reverse-mode
+pass through the minimization, ``back_substitute_backward`` and
 ``interval_layer_bounds_backward`` to the layer weights and biases.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
@@ -289,14 +288,13 @@ def _run_kernel(
     mode: str,
     nodes: Sequence[int] | None,
     labels: np.ndarray | None,
-    threads: int,
     keep: Callable[[int, _ChunkMargins], object],
 ) -> tuple[list[IntervalElement], list]:
     """The interval bounds, and ``keep(start, result)`` of each chunk, ``start`` its first row.
 
     ``nodes`` defaults to every node and ``labels`` to the predictions. The
-    pool never changes the chunks. ``keep`` runs in the worker, so a chunk's
-    large arrays can go as soon as it is done.
+    chunks run one after another on the calling thread; ``keep`` runs as each
+    one finishes, so a chunk's large arrays can go before the next starts.
     """
     check_mode(mode)
     if nodes is None:
@@ -306,15 +304,11 @@ def _run_kernel(
     layer_bounds = interval_layer_bounds(model, graph, budget, variant, mode=mode)
     labels = predict(model, graph).labels if labels is None else np.asarray(labels)
 
-    def run(start: int, chunk: np.ndarray):
-        return keep(start, _chunk_margins(model, graph, budget, mode, layer_bounds, labels, chunk))
-
     chunks = _chunks(model, graph, nodes)
     starts = np.cumsum([0] + [len(chunk) for chunk in chunks])
-    if threads == 1:
-        return layer_bounds, list(map(run, starts, chunks))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return layer_bounds, list(pool.map(run, starts, chunks))
+    return layer_bounds, [keep(start, _chunk_margins(model, graph, budget, mode, layer_bounds,
+                                                     labels, chunk))
+                          for start, chunk in zip(starts, chunks)]
 
 
 def _chunk_certificate(start: int, part: _ChunkMargins) -> Certificate:
@@ -332,16 +326,13 @@ def certify_sound(
     *,
     nodes: Sequence[int] | None = None,
     mode: str = "both",
-    threads: int = 1,
 ) -> Certificate:
     """The certificate of the requested nodes (all by default), one row each in order.
 
     Each node defends the model's own predicted label; certified => robust.
-    ``threads`` spreads the chunks of the certification kernel over a pool;
-    it never changes the chunks. Counterexample replay always runs serially.
+    The kernel's chunks run serially, on the calling thread.
     """
-    _, parts = _run_kernel(model, graph, budget, variant, mode, nodes, None, threads,
-                           _chunk_certificate)
+    _, parts = _run_kernel(model, graph, budget, variant, mode, nodes, None, _chunk_certificate)
     none, no_rivals = np.zeros(0, dtype=np.int64), np.zeros((0, model.num_labels - 1))
     empty = Certificate(none, none, no_rivals.astype(np.int64), no_rivals, *[none] * 4)
     return Certificate(*(np.concatenate([getattr(part, f.name) for part in [empty] + parts])
@@ -366,7 +357,7 @@ def rival_margins(
     every layer's (weight, bias): one reverse-mode pass through the
     minimization, back-substitution and interval bounds.
     """
-    layer_bounds, parts = _run_kernel(model, graph, budget, variant, mode, nodes, labels, 1,
+    layer_bounds, parts = _run_kernel(model, graph, budget, variant, mode, nodes, labels,
                                       lambda start, part: (start, part))
 
     def pullback(margin_grad: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -380,7 +371,8 @@ def rival_margins(
                                        bound_grads, param_grads)
         return param_grads
 
-    return np.concatenate([part.margins for _, part in parts]), pullback
+    empty = np.zeros((0, model.num_labels - 1))
+    return np.concatenate([empty] + [part.margins for _, part in parts]), pullback
 
 
 def _local_scores(

@@ -110,9 +110,7 @@ def cmd_certify(args) -> int:
         if family == "interval":
             fileio.write_interval_certify_csv(out, interval_certify(model, graph, budget, variant))
         else:
-            certificate = certify_sound(
-                model, graph, budget, variant, mode=args.mode, threads=args.threads
-            )
+            certificate = certify_sound(model, graph, budget, variant, mode=args.mode)
             counterexamples = find_counterexamples(model, graph, budget, certificate)
             fileio.write_certify_csv(out, certificate, counterexamples)
     return 0
@@ -122,7 +120,7 @@ def cmd_counterexample(args) -> int:
     graph, model = _load_inputs(args)
     budget = _budget(args)
     variant = args.method.split("-", 1)[1]
-    certificate = certify_sound(model, graph, budget, variant, mode=args.mode, threads=args.threads)
+    certificate = certify_sound(model, graph, budget, variant, mode=args.mode)
     counterexamples = find_counterexamples(model, graph, budget, certificate)
     with _open_output(args.output) as out:
         fileio.write_counterexample_csv(out, counterexamples.values())
@@ -143,9 +141,7 @@ def cmd_sweep(args) -> int:
             lower.append(float((margins > 0).sum()) / graph.num_nodes)
             upper.append(1.0)
         else:
-            certificate = certify_sound(
-                model, graph, budget, variant, mode=args.mode, threads=args.threads
-            )
+            certificate = certify_sound(model, graph, budget, variant, mode=args.mode)
             lower.append(graph_robustness_ratio(certificate))
             fresh = ~certificate.certified & ~np.isin(certificate.nodes, list(broken))
             found = (generate_counterexample(model, graph, budget, certificate, row)
@@ -169,10 +165,8 @@ def cmd_sweep(args) -> int:
 def cmd_collective(args) -> int:
     graph, model = _load_inputs(args)
     family, variant = args.method.split("-", 1)
-    limits = compute_robust_limits(
-        model, graph, args.local,
-        cap=args.cap, variant=variant, family=family, mode=args.mode, threads=args.threads,
-    )
+    limits = compute_robust_limits(model, graph, args.local, cap=args.cap, variant=variant,
+                                   family=family, mode=args.mode)
     capped = np.nonzero(~limits.never_certified & (limits.limits == limits.search_cap))[0]
     if len(capped):
         print(
@@ -214,8 +208,8 @@ def cmd_oracle(args) -> int:
 
 
 def build_parser() -> _Parser:
-    # each subcommand takes only the flags it reads, except that train accepts
-    # --threads, which perfbench/run.py passes, and trains on one thread
+    # each subcommand takes only the flags it reads, except --threads on certify
+    # and train, which perfbench/run.py passes; certification runs on one thread
     inputs = _Parser(add_help=False)
     inputs.add_argument("--graph", required=True, help="graph JSON file")
     inputs.add_argument("--model", required=True, help="model JSON file")
@@ -224,15 +218,15 @@ def build_parser() -> _Parser:
     total = _Parser(add_help=False)
     total.add_argument("--global", dest="global_budget", type=_int_at_least(0), default=1,
                        help="max flips overall")
+    threads = _Parser(add_help=False)
+    threads.add_argument("--threads", type=_int_at_least(1), default=1,
+                         help="accepted for compatibility; certification runs on one thread")
 
     def method_flags(methods, note=None) -> _Parser:
         method = _Parser(add_help=False)
         method.add_argument("--method", choices=methods, default="poly-topk", help=note)
         method.add_argument("--mode", choices=MODES, default="both",
                             help="restrict flips to feature additions or deletions")
-        method.add_argument("--threads", type=_int_at_least(1), default=1,
-                            help="threads that share the certification kernel's node chunks "
-                                 "(train runs on one)")
         return method
 
     method = method_flags(METHODS)
@@ -242,7 +236,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="gcncert", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("certify", parents=[inputs, total, method],
+    p = sub.add_parser("certify", parents=[inputs, total, method, threads],
                        help="sound margins plus counterexamples")
     p.set_defaults(func=cmd_certify)
 
@@ -260,7 +254,7 @@ def build_parser() -> _Parser:
     p.add_argument("--cap", type=_int_at_least(0), default=100, help="largest budget to search")
     p.set_defaults(func=cmd_collective)
 
-    p = sub.add_parser("train", parents=[inputs, total, poly],
+    p = sub.add_parser("train", parents=[inputs, total, poly, threads],
                        help="robust training, writes a checkpoint")
     p.add_argument("--labels", required=True, help="JSON list of labels, -1 = unlabeled")
     p.add_argument("--seed", type=int, default=0)

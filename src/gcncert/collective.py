@@ -42,7 +42,6 @@ def compute_robust_limits(
     variant: str = "topk",
     family: str = "poly",
     mode: str = "both",
-    threads: int = 1,
 ) -> RobustLimitVector:
     """Limit vector over all nodes; certification holds at every budget up to each limit.
 
@@ -66,9 +65,8 @@ def compute_robust_limits(
             break
         budget = PerturbationBudget(per_node=local_budget, total=total)
         if family == "poly":
-            certified = certify_sound(
-                model, graph, budget, variant, nodes=surviving, mode=mode, threads=threads
-            ).certified
+            certified = certify_sound(model, graph, budget, variant, nodes=surviving,
+                                      mode=mode).certified
         else:
             certified = interval_certify(model, graph, budget, variant)[surviving] > 0
         failed = surviving[~certified]

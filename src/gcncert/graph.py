@@ -7,7 +7,8 @@ scores keep their sign and margins between labels are meaningful.
 A ``Graph`` owns its normalized adjacency Ã: ``graph.norm_adj`` is computed on
 first use and shared, read-only, by every certifier, replay and the oracle;
 ``graph.neighbors`` lists each row's nonzero entries for the code that only
-looks at a node's neighbours.
+looks at a node's neighbours, such as ``receptive_fields``, the one hop
+routine of back-substitution, replay and the oracle.
 """
 
 from __future__ import annotations
@@ -175,16 +176,36 @@ def forward(model: GcnModel, norm_adj: np.ndarray, features: np.ndarray) -> np.n
     return h
 
 
+def receptive_fields(graph: Graph, nodes: np.ndarray,
+                     depth: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Hops 0, ..., depth of every node in ``nodes`` at once, as (front, live) pairs.
+
+    Row t of hop l's front lists H_l of ``nodes[t]`` ascending, where H_0 =
+    {node} and H_{l+1} holds the Ã-neighbours of H_l. Rows are padded at the
+    end to the hop's widest with node 0, and ``live`` is False there.
+    """
+    cols, weights = graph.neighbors
+    front = np.asarray(nodes, dtype=np.int64).reshape(-1, 1)
+    hops = [(front, np.ones(front.shape, dtype=bool))]
+    sentinel = graph.num_nodes
+    for _ in range(depth):
+        front, live = hops[-1]
+        reach = np.where((weights[front] > 0) & live[:, :, None], cols[front], sentinel)
+        reach = np.sort(reach.reshape(len(front), front.shape[1] * cols.shape[1]), axis=1)
+        reach[:, 1:][reach[:, 1:] == reach[:, :-1]] = sentinel  # keep each node's first entry
+        reach = np.sort(reach, axis=1)
+        counts = (reach < sentinel).sum(axis=1)
+        live = np.arange(counts.max(initial=0)) < counts[:, None]
+        hops.append((np.where(live, reach[:, : live.shape[1]], 0), live))
+    return hops
+
+
 def receptive_field(graph: Graph, node: int, depth: int) -> list[np.ndarray]:
-    """Sorted hop sets H_0 = {node}, ..., H_depth; H_{l+1} holds the Ã-neighbours of H_l.
+    """Sorted hop sets H_0 = {node}, ..., H_depth of ``receptive_fields`` for one node.
 
     H_L is the receptive field of an L-layer GCN's scores for ``node``.
     """
-    cols, weights = graph.neighbors
-    hops = [np.array([node])]
-    for _ in range(depth):
-        hops.append(np.unique(cols[hops[-1]][weights[hops[-1]] > 0]))
-    return hops
+    return [front[0, live[0]] for front, live in receptive_fields(graph, np.array([node]), depth)]
 
 
 def predict(model: GcnModel, graph: Graph) -> Prediction:

@@ -9,9 +9,10 @@ bounding area given numeric pre-activation intervals.
 The forms are derived backwards: ``back_substitute_batch`` starts from the
 output scores of a chunk of target nodes and rewrites them layer by layer,
 each target over its own receptive field, so a target's variables widen by
-one hop per layer and never cover nodes it cannot see. Ã comes from the
-graph; the interval pre-activation bounds come from the caller, which computes
-them once per budget and shares them across all of its nodes.
+one hop per layer and never cover nodes it cannot see. The hops come from
+``receptive_fields``, and Ã is read only between one hop and the next; the
+interval pre-activation bounds come from the caller, which computes them once
+per budget and shares them across all of its nodes.
 
 ``back_substitute`` is the kernel's one-target view, returning a
 ``PolyNodeElement``; no production path calls it. The forward propagation the
@@ -34,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, DimensionError
-from .graph import GcnModel, Graph
+from .graph import GcnModel, Graph, receptive_fields
 from .intervals import IntervalElement
 
 
@@ -140,7 +141,8 @@ def back_substitute_batch(
     below mirror the forward operations' sign splits term for term). The
     result therefore equals forward propagation coefficient for coefficient,
     but never materializes elements outside a target's receptive field: each
-    target's front only widens by one hop per layer.
+    target's front only widens by one hop per layer, to the next hop of
+    ``receptive_fields``.
 
     ``layer_bounds`` holds the interval pre-activation bounds of every layer
     (``interval_layer_bounds``) under the budget being certified.
@@ -149,8 +151,7 @@ def back_substitute_batch(
     if ((nodes < 0) | (nodes >= graph.num_nodes)).any():
         raise DataError(f"node index out of range [0, {graph.num_nodes})")
     targets, rows = len(nodes), model.num_labels
-    front = nodes[:, None]
-    live = np.ones(front.shape, dtype=bool)  # False marks padding
+    hops = receptive_fields(graph, nodes, model.num_layers)  # live is False on padding
     # coef[t, k, ref, side, r, j]: weight that bound side (0 lower, 1 upper)
     # of target t's output row r puts on the referenced (0 lower, 1 upper) row
     # of feature j of front node k in the current layer's element
@@ -159,6 +160,7 @@ def back_substitute_batch(
     const = np.zeros((targets, 2, rows))
     tape = []
     for l in range(model.num_layers - 1, -1, -1):
+        (front, live), (new_front, new_live) = hops[-2 - l], hops[-1 - l]
         relu_in = None
         if l < model.num_layers - 1:
             # cross the ReLU that follows layer l: lower rows scale by the
@@ -179,22 +181,15 @@ def back_substitute_batch(
             for w in (np.maximum(layer.weight, 0.0), np.minimum(layer.weight, 0.0))
         )
         coef = np.stack([pos[:, :, 0] + neg[:, :, 1], neg[:, :, 0] + pos[:, :, 1]], axis=2)
-        # cross graph convolution: g = Ã h, widening each front by one hop
-        reach = ((graph.norm_adj[front] > 0) & live[:, :, None]).any(axis=1)
-        counts = reach.sum(axis=1)
-        width = counts.max()
-        new_live = np.arange(width) < counts[:, None]
-        new_front = np.argsort(~reach, axis=1, kind="stable")[:, :width]
-        new_front = np.where(new_live, new_front, 0)
-        # padded columns get no weight; padded rows already carry none
+        # cross graph convolution: g = Ã h, widening each front by one hop;
+        # padded columns get no weight, padded rows already carry none
         adj_sub = graph.norm_adj[front[:, :, None], new_front[:, None, :]] * new_live[:, None, :]
         tape.append((front, live, relu_in, affine_in, adj_sub))
         coef = adj_sub.transpose(0, 2, 1) @ coef.reshape(targets, front.shape[1], -1)
-        coef = coef.reshape((targets, width, 2, 2, rows, -1))
-        front, live = new_front, new_live
+        coef = coef.reshape((targets, new_front.shape[1], 2, 2, rows, -1))
     # input elements are exact (lower row = upper row = the feature itself)
     return PolyBatch(
-        fronts=front,
+        fronts=hops[-1][0],
         lower_coef=(coef[:, :, 0, 0] + coef[:, :, 1, 0]).transpose(0, 2, 1, 3),
         lower_const=const[:, 0],
         upper_coef=(coef[:, :, 1, 1] + coef[:, :, 0, 1]).transpose(0, 2, 1, 3),

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -248,23 +246,7 @@ def _chunks_of(monkeypatch, model, graph, size):
     return seen
 
 
-def test_certify_sound_thread_count_does_not_change_results(rng, monkeypatch):
-    graph, model, budget = helpers.trained_instance(rng)
-    seen = _chunks_of(monkeypatch, model, graph, 2)
-    serial = gc.certify_sound(model, graph, budget, threads=1)
-    threaded = gc.certify_sound(model, graph, budget, threads=4)
-    assert len(seen) > 2  # several chunks, so the pool really shares them out
-    _assert_identical(serial, threaded)
-
-
-_FIELDS = [f.name for f in dataclasses.fields(gc.Certificate)]
 _EXACT = ["nodes", "labels", "rivals", "pick_row", "pick_rival", "pick_node", "pick_feature"]
-
-
-def _assert_identical(got, expected):
-    for name in _FIELDS:
-        a, b = getattr(got, name), getattr(expected, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def _flip_table(certificate):
@@ -365,6 +347,20 @@ def test_rival_margins_rejects_out_of_range_label(two_node, case):
     with pytest.raises(gc.DataError, match="label index out of range"):
         gcncert.certify.rival_margins(model, graph, gc.PerturbationBudget(1, 1), "topk",
                                       labels, np.arange(graph.num_nodes))
+
+
+def test_rival_margins_of_no_nodes(two_node):
+    # like certify_sound(nodes=[]): an empty (0, labels - 1) block and zero gradients
+    graph, model = two_node
+    margins, pullback = gcncert.certify.rival_margins(
+        model, graph, gc.PerturbationBudget(1, 1), "topk", gc.predict(model, graph).labels,
+        np.zeros(0, dtype=int))
+    assert margins.shape == (0, model.num_labels - 1)
+    grads = pullback(np.zeros(margins.shape))
+    assert len(grads) == model.num_layers
+    for (weight, bias), layer in zip(grads, model.layers):
+        assert weight.shape == layer.weight.shape and bias.shape == layer.bias.shape
+        assert not weight.any() and not bias.any()
 
 
 @pytest.mark.parametrize("mode", ["both", "add-only", "delete-only"])

@@ -234,6 +234,8 @@ def test_certify_rejects_non_finite_model(tmp_path):
     ["oracle", "--mode", "delete-only"],
     ["oracle", "--method", "poly-max"],
     ["oracle", "--threads", "2"],
+    ["sweep", "--threads", "2", "--global-range", "0:2"],
+    ["collective", "--threads", "2"],
     ["certify", "--seed", "1"],
     ["collective", "--global", "2"],
     ["sweep", "--global", "0:3"],  # no prefix match for --global-range

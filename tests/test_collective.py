@@ -109,14 +109,6 @@ def test_interval_family_rejects_a_direction_mode(two_node, mode):
     assert gc.compute_robust_limits(model, graph, 1, cap=2, family="poly", mode=mode).search_cap == 2
 
 
-def test_threads_do_not_change_limits(rng):
-    graph, model, _ = helpers.trained_instance(rng)
-    a = gc.compute_robust_limits(model, graph, 1, cap=3, threads=1)
-    b = gc.compute_robust_limits(model, graph, 1, cap=3, threads=4)
-    assert np.array_equal(a.limits, b.limits)
-    assert np.array_equal(a.never_certified, b.never_certified)
-
-
 @pytest.mark.parametrize("family", ["poly", "interval"])
 def test_one_certifier_call_per_budget(monkeypatch, family):
     # ten nodes that stay certified up to the cap: one call per budget, not per node
@@ -134,7 +126,7 @@ def test_one_certifier_call_per_budget(monkeypatch, family):
 def test_graph_is_normalized_once(monkeypatch):
     graph, model, budget = helpers.flip_moves_label_example()
     calls = _count_calls(monkeypatch, gcncert.graph, "normalize_adjacency")
-    certificate = gc.certify_sound(model, graph, budget, threads=2)
+    certificate = gc.certify_sound(model, graph, budget)
     counterexamples = gc.find_counterexamples(model, graph, budget, certificate)
     assert counterexamples  # replay ran and read Ã
     gc.compute_robust_limits(model, graph, 1, cap=3)

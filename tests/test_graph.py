@@ -3,6 +3,7 @@ import pytest
 
 import gcncert as gc
 import helpers
+from gcncert.graph import receptive_field, receptive_fields
 
 
 def test_normalize_two_node_loop(two_node):
@@ -58,6 +59,47 @@ def test_neighbor_table_lists_each_rows_nonzero_entries(rng):
         rows = np.repeat(np.arange(graph.num_nodes), cols.shape[1])
         np.add.at(rebuilt, (rows, cols.ravel()), weights.ravel())
         assert np.array_equal(rebuilt, graph.norm_adj)
+
+
+def _random_graph(rng):
+    """A small random graph with some isolated nodes and some explicit self-loops."""
+    n = int(rng.integers(1, 10))
+    upper = np.triu(rng.random((n, n)) < 0.3, k=1)
+    adj = (upper | upper.T).astype(int)
+    isolated = rng.random(n) < 0.25
+    adj[isolated] = 0
+    adj[:, isolated] = 0
+    adj[np.diag_indices(n)] = rng.random(n) < 0.4
+    return gc.Graph(adjacency=adj, features=np.zeros((n, 1), dtype=int))
+
+
+def test_receptive_fields_match_dense_reachability(rng):
+    for _ in range(60):
+        graph = _random_graph(rng)
+        n = graph.num_nodes
+        nodes = rng.integers(0, n, size=int(rng.integers(1, 7)))  # repeats allowed
+        depth = int(rng.integers(0, 4))
+        hops = receptive_fields(graph, nodes, depth)
+        assert len(hops) == depth + 1
+        for d, (front, live) in enumerate(hops):
+            # H_d of node i: the nodes j with ((A + I)^d)[i, j] > 0
+            reach = np.linalg.matrix_power(graph.adjacency + np.eye(n, dtype=int), d)[nodes] > 0
+            assert front.shape == live.shape and front.shape[0] == len(nodes)
+            assert (live.sum(axis=1) == reach.sum(axis=1)).all()
+            assert live.shape[1] == reach.sum(axis=1).max()  # cut at the widest live row
+            assert (live[:, :-1] >= live[:, 1:]).all()  # padding only at the end
+            assert (front[~live] == 0).all()
+            for t, node in enumerate(nodes):
+                row = front[t, live[t]]
+                assert row.tolist() == np.flatnonzero(reach[t]).tolist()  # ascending
+                assert np.array_equal(receptive_field(graph, node, depth)[d], row)
+
+
+def test_receptive_fields_of_no_nodes_are_empty(two_node):
+    graph, _ = two_node
+    hops = receptive_fields(graph, np.zeros(0, dtype=int), 2)
+    assert [front.shape for front, _ in hops] == [(0, 1), (0, 0), (0, 0)]
+    assert [live.shape for _, live in hops] == [(0, 1), (0, 0), (0, 0)]
 
 
 def test_forward_two_node_scores(two_node):
