@@ -1,14 +1,17 @@
-"""JSON graph/model files and CSV result export.
+"""JSON graph, model and label files, and CSV result export.
 
 Graphs and models are small JSON documents so golden fixtures stay reviewable;
-floats round-trip exactly (shortest-repr serialization). CSV rows use unix
-line endings and repr floats so identical runs produce identical bytes.
+floats round-trip exactly (shortest-repr serialization); one routine, ``_table``,
+checks every table in them and names the first bad list or cell. CSV rows use
+unix line endings and repr floats so identical runs produce identical bytes.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import reprlib
 from typing import IO, Iterable, Mapping
 
 import numpy as np
@@ -33,6 +36,8 @@ def _load_json(path: str) -> object:
         raise DataError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:  # nested too deep; an integer too long to read
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def _check_keys(path: str, data: object, expected: set[str], where: str) -> Mapping:
@@ -47,54 +52,65 @@ def _check_keys(path: str, data: object, expected: set[str], where: str) -> Mapp
     return data
 
 
-def _is_int(value: object) -> bool:
-    """A JSON integer: Python's ``True`` is an ``int`` too, and is not one."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _cells(cells: list, bounds: tuple[float, float] | None) -> np.ndarray | None:
+    """``cells`` as one array, or None if one is not an int in ``bounds`` (if None: finite)."""
+    if not set(map(type, cells)) <= ({int} if bounds else {int, float}):  # bool is not int
+        return None
+    try:
+        array = np.array(cells, dtype=np.int64 if bounds else np.float64)
+    except OverflowError:  # an integer beyond the dtype's range
+        return None
+    ok = np.isfinite(array) if bounds is None else (bounds[0] <= array) & (array <= bounds[1])
+    return array if ok.all() else None
+
+
+def _table(path: str, value: object, where: str, shape: tuple[int | None, ...],
+           bounds: tuple[float, float] | None = None, expected: str = "a finite number") -> np.ndarray:
+    """``value`` checked as a JSON table and returned as one array of its shape.
+
+    ``shape`` is ``(rows,)`` for a list of cells or ``(rows, width)`` for a list
+    of rows of cells. A ``None`` entry is free; a free width is read off the
+    first row, which must exist. Cells are JSON integers within ``bounds``
+    (inclusive, as int64) or, when ``bounds`` is None, finite numbers (float64).
+    """
+    rows, *width = shape
+    kind = "integers" if bounds else "numbers"
+    if width == [None] and type(value) is list and value and type(value[0]) is list:
+        width = [len(value[0])]
+    if not (type(value) is list and rows in (None, len(value)) and None not in width):
+        count = "one or more " if None in width else "" if rows is None else f"{rows} "
+        raise DataError(f"{path}: {where} must be a list of {count}{'rows' if width else kind}")
+    cells = value
+    if width:
+        if not (set(map(type, value)) <= {list} and set(map(len, value)) <= set(width)):
+            r = next(r for r, x in enumerate(value) if type(x) is not list or len(x) not in width)
+            raise DataError(f"{path}: {where}[{r}] must be a list of {width[0]} {kind}")
+        cells = list(itertools.chain.from_iterable(value))
+    array = _cells(cells, bounds)
+    if array is None:
+        k = next(k for k, cell in enumerate(cells) if _cells([cell], bounds) is None)
+        at = "[{}][{}]".format(*divmod(k, width[0])) if width else f"[{k}]"
+        raise DataError(f"{path}: {where}{at}: expected {expected}, got {reprlib.repr(cells[k])}")
+    return array.reshape(len(value), *width)
 
 
 def load_graph(path: str) -> Graph:
     """Parse and validate a graph file; edges are deduplicated and symmetrized."""
     data = _check_keys(path, _load_json(path), _GRAPH_KEYS, "graph file")
-    n = data["num_nodes"]
-    m = data["num_features"]
-    if not _is_int(n) or n < 1:
-        raise DataError(f"{path}: num_nodes must be a positive integer")
-    if not _is_int(m) or m < 1:
-        raise DataError(f"{path}: num_features must be a positive integer")
+    for key in ("num_nodes", "num_features"):
+        if type(data[key]) is not int or data[key] < 1:
+            raise DataError(f"{path}: {key} must be a positive integer")
+    n, m = data["num_nodes"], data["num_features"]
+    features = _table(path, data["features"], "features", (n, m), (0, 1), "0 or 1")
+    i, j = _table(path, data["edges"], "edges", (None, 2), (0, n - 1), f"a node index below {n}").T
     adjacency = np.zeros((n, n), dtype=np.int64)
-    if not isinstance(data["edges"], list):
-        raise DataError(f"{path}: edges must be a list of [i, j] pairs")
-    for idx, edge in enumerate(data["edges"]):
-        if not (isinstance(edge, list) and len(edge) == 2 and all(_is_int(e) for e in edge)):
-            raise DataError(f"{path}: edges[{idx}] must be a pair of integers")
-        i, j = edge
-        if not (0 <= i < n and 0 <= j < n):
-            raise DataError(f"{path}: edges[{idx}] endpoint out of range for {n} nodes")
-        adjacency[i, j] = 1
-        adjacency[j, i] = 1
-    feats = data["features"]
-    if not isinstance(feats, list) or len(feats) != n:
-        raise DataError(f"{path}: features must list exactly {n} rows")
-    features = np.zeros((n, m), dtype=np.int64)
-    for i, row in enumerate(feats):
-        if not isinstance(row, list) or len(row) != m:
-            raise DataError(f"{path}: features[{i}] must list exactly {m} values")
-        for j, value in enumerate(row):
-            if not _is_int(value) or value not in (0, 1):
-                raise DataError(f"{path}: features[{i}][{j}]: expected 0 or 1, got {value!r}")
-            features[i, j] = value
+    adjacency[i, j] = adjacency[j, i] = 1
     return Graph(adjacency=adjacency, features=features)
 
 
 def load_labels(path: str, num_nodes: int) -> np.ndarray:
     """Parse a JSON list of one label index per node, -1 marking an unlabeled node."""
-    data = _load_json(path)
-    if not (isinstance(data, list) and len(data) == num_nodes):
-        raise DataError(f"{path}: labels must be a list of {num_nodes} integers (-1 = unlabeled)")
-    for node, value in enumerate(data):
-        if not _is_int(value) or value < -1:
-            raise DataError(f"{path}: labels[{node}]: expected -1 or a label index, got {value!r}")
-    return np.array(data, dtype=np.int64)
+    return _table(path, _load_json(path), "labels", (num_nodes,), (-1, np.inf), "-1 or a label index")
 
 
 def save_graph(graph: Graph, path: str) -> None:
@@ -109,19 +125,6 @@ def save_graph(graph: Graph, path: str) -> None:
         f.write("\n")
 
 
-def _as_float_matrix(path: str, value: object, where: str) -> np.ndarray:
-    if not (isinstance(value, list) and value and all(isinstance(row, list) for row in value)):
-        raise DataError(f"{path}: {where} must be a non-empty 2-D array")
-    width = len(value[0])
-    for r, row in enumerate(value):
-        if len(row) != width:
-            raise DataError(f"{path}: {where}[{r}] has length {len(row)}, expected {width}")
-        for c, entry in enumerate(row):
-            if not isinstance(entry, (int, float)) or isinstance(entry, bool):
-                raise DataError(f"{path}: {where}[{r}][{c}] is not a number")
-    return np.asarray(value, dtype=np.float64)
-
-
 def load_model(path: str) -> GcnModel:
     """Parse and validate a model file; the layer dimension chain is checked."""
     data = _check_keys(path, _load_json(path), _MODEL_KEYS, "model file")
@@ -130,12 +133,10 @@ def load_model(path: str) -> GcnModel:
     layers = []
     for idx, entry in enumerate(data["layers"]):
         entry = _check_keys(path, entry, _LAYER_KEYS, f"layers[{idx}]")
-        weight = _as_float_matrix(path, entry["weight"], f"layers[{idx}].weight")
-        bias = entry["bias"]
-        if not (isinstance(bias, list) and all(isinstance(b, (int, float)) and not isinstance(b, bool) for b in bias)):
-            raise DataError(f"{path}: layers[{idx}].bias must be a list of numbers")
+        weight = _table(path, entry["weight"], f"layers[{idx}].weight", (None, None))
+        bias = _table(path, entry["bias"], f"layers[{idx}].bias", (None,))
         try:
-            layers.append(GcnLayer(weight, np.asarray(bias, dtype=np.float64)))
+            layers.append(GcnLayer(weight, bias))
         except DataError as exc:
             raise DataError(f"{path}: layers[{idx}]: {exc}") from exc
     try:

@@ -33,8 +33,8 @@ class Graph:
     features: np.ndarray
 
     def __post_init__(self):
-        adj = np.asarray(self.adjacency, dtype=np.int64)
-        feats = np.asarray(self.features, dtype=np.int64)
+        adj = np.asarray(self.adjacency)  # values are checked before the int64 cast
+        feats = np.asarray(self.features)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise DimensionError(f"adjacency must be square, got shape {adj.shape}")
         if adj.shape[0] < 1:
@@ -43,14 +43,13 @@ class Graph:
             raise DimensionError(
                 f"features must have one row per node, got {feats.shape} for {adj.shape[0]} nodes"
             )
-        if not np.isin(adj, (0, 1)).all():
-            raise DataError("adjacency entries must be 0 or 1")
+        for name, values in (("adjacency", adj), ("feature", feats)):
+            if not ((values == 0) | (values == 1)).all():
+                raise DataError(f"{name} entries must be 0 or 1")
         if (adj != adj.T).any():
             raise DataError("adjacency must be symmetric")
-        if not np.isin(feats, (0, 1)).all():
-            raise DataError("feature entries must be 0 or 1")
-        object.__setattr__(self, "adjacency", adj)
-        object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "adjacency", adj.astype(np.int64, copy=False))
+        object.__setattr__(self, "features", feats.astype(np.int64, copy=False))
 
     @property
     def num_nodes(self) -> int:

@@ -323,3 +323,45 @@ def test_threads_do_not_change_bytes(tmp_path, rng):
                      "--output", str(out)]) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("layer, part, at", [
+    (0, "weight", (1, 0)),
+    (1, "bias", (1,)),
+])
+def test_model_integer_beyond_float_range_is_data_error(tmp_path, capsys, layer, part, at):
+    doc = json.loads(Path(MODEL).read_text())
+    cells = doc["layers"][layer][part]
+    if len(at) == 2:
+        cells = cells[at[0]]
+    cells[at[-1]] = 10**400  # json writes it as a 401-digit integer
+    model_path = tmp_path / "m.json"
+    model_path.write_text(json.dumps(doc))
+    assert main(["certify", "--graph", GRAPH, "--model", str(model_path)]) == 2
+    where = f"layers[{layer}].{part}" + "".join(f"[{i}]" for i in at)
+    assert f"{model_path}: {where}: expected a finite number" in capsys.readouterr().err
+
+
+def test_train_label_beyond_int64_is_data_error(tmp_path, capsys):
+    labels_path = tmp_path / "labels.json"
+    labels_path.write_text(json.dumps([1, 10**30]))
+    out = tmp_path / "o.json"
+    assert main(["train", "--graph", GRAPH, "--model", MODEL, "--steps", "1",
+                 "--labels", str(labels_path), "--output", str(out)]) == 2
+    assert f"{labels_path}: labels[1]: expected -1 or a label index" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# numpy refuses these sizes without allocating, so the parent fails fast too
+@pytest.mark.parametrize("key, size, where", [
+    ("num_nodes", 10**10, "features must be a list of 10000000000 rows"),
+    ("num_nodes", 10**30, f"features must be a list of {10**30} rows"),
+    ("num_features", 10**30, f"features[0] must be a list of {10**30} integers"),
+], ids=["nodes-1e10", "nodes-1e30", "features-1e30"])
+def test_graph_sizes_are_checked_before_allocating(tmp_path, capsys, key, size, where):
+    doc = json.loads(Path(GRAPH).read_text())
+    doc[key] = size
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps(doc))
+    assert main(["certify", "--graph", str(graph_path), "--model", MODEL]) == 2
+    assert f"{graph_path}: {where}" in capsys.readouterr().err

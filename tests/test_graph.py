@@ -222,3 +222,24 @@ def test_layer_rejects_non_finite_parameters(part, value):
     (weight if part == "weight" else bias)[-1] = value
     with pytest.raises(gc.DataError):
         gc.GcnLayer(weight, bias)
+
+
+@pytest.mark.parametrize("adjacency, features, message", [
+    ([[0, 0.5], [0.5, 0]], [[1], [0]], "adjacency"),
+    ([[0, 1], [1, 0]], [[1.7], [0.2]], "feature"),
+    ([[0, np.nan], [np.nan, 0]], [[1], [0]], "adjacency"),
+    ([[0, 1], [1, 0]], [[np.nan], [0]], "feature"),
+])
+def test_graph_checks_values_before_casting(adjacency, features, message):
+    with pytest.raises(gc.DataError, match=f"{message} entries must be 0 or 1"):
+        gc.Graph(adjacency=np.array(adjacency), features=np.array(features))
+
+
+@pytest.mark.parametrize("value", [0, 1, 2, -1, 0.5, 1.0, np.nan, np.inf, True])
+def test_graph_binary_check_matches_isin(value):
+    adjacency = np.array([[0, value], [value, 0]])
+    if np.isin(adjacency, (0, 1)).all():
+        assert gc.Graph(adjacency=adjacency, features=np.zeros((2, 1))).adjacency.dtype == np.int64
+    else:
+        with pytest.raises(gc.DataError, match="adjacency entries must be 0 or 1"):
+            gc.Graph(adjacency=adjacency, features=np.zeros((2, 1)))

@@ -204,3 +204,14 @@ def test_collective_csv_layout():
     buffer = io.StringIO()
     fileio.write_collective_csv(buffer, limits)
     assert buffer.getvalue() == "node,max_robust_limit,never_certified\n0,2,false\n1,0,true\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"num_nodes": 1' + "0" * 5000 + "}", "digits"),  # beyond Python's integer-parsing limit
+    ("[" * 100_000, "recursion"),
+], ids=["long-integer", "deep-nesting"])
+def test_unreadable_json_is_data_error(tmp_path, text, message):
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    with pytest.raises(gc.DataError, match=f"{path}: .*{message}"):
+        fileio.load_graph(str(path))

@@ -1,0 +1,170 @@
+"""Property tests: the JSON loaders against cell-by-cell references, and the
+certifiers' ordering invariants over small random graphs and models.
+
+Every test runs derandomized, so a tier-1 run is reproducible.
+"""
+
+import copy
+import json
+import math
+import re
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gcncert as gc
+from gcncert import fileio
+from gcncert.certify import rival_margins
+from gcncert.perturbation import MODES
+import helpers
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
+
+_NUMBER = st.one_of(st.integers(-10**6, 10**6),
+                    st.floats(allow_nan=False, allow_infinity=False))
+# Invalid in every integer table; tables add their own out-of-range values.
+_NOT_AN_INDEX = [True, False, 0.5, 1.0, -2, 10**30, [0]]
+# Invalid in every number table: JSON writes nan and inf as NaN and Infinity.
+_NOT_A_NUMBER = [True, False, 10**400, math.nan, -math.inf, [0.5], "1"]
+
+
+@st.composite
+def documents(draw):
+    """A valid graph, model and labels document for the same graph."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    bit = st.integers(0, 1)
+    graph = {
+        "num_nodes": n,
+        "num_features": m,
+        "edges": draw(st.lists(st.lists(st.integers(0, n - 1), min_size=2, max_size=2),
+                               max_size=8)),
+        "features": draw(st.lists(st.lists(bit, min_size=m, max_size=m), min_size=n, max_size=n)),
+    }
+    widths = [m] + draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    model = {"layers": [
+        {"weight": draw(st.lists(st.lists(_NUMBER, min_size=cols, max_size=cols),
+                                 min_size=rows, max_size=rows)),
+         "bias": draw(st.lists(_NUMBER, min_size=cols, max_size=cols))}
+        for rows, cols in zip(widths, widths[1:])
+    ]}
+    labels = draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))
+    return graph, model, labels
+
+
+def _load_all(folder: Path, graph: dict, model: dict, labels: list):
+    paths = [folder / name for name in ("graph.json", "model.json", "labels.json")]
+    for path, doc in zip(paths, (graph, model, labels)):
+        path.write_text(json.dumps(doc))
+    loaded = fileio.load_graph(str(paths[0]))
+    return (loaded, fileio.load_model(str(paths[1])),
+            fileio.load_labels(str(paths[2]), loaded.num_nodes))
+
+
+def _assert_same(actual: np.ndarray, expected: np.ndarray):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+@given(documents())
+@PROPERTY
+def test_loaders_match_cell_by_cell_reference(docs):
+    graph_doc, model_doc, labels_doc = docs
+    with tempfile.TemporaryDirectory() as folder:
+        graph, model, labels = _load_all(Path(folder), *docs)
+    n, m = graph_doc["num_nodes"], graph_doc["num_features"]
+    adjacency = np.zeros((n, n), dtype=np.int64)
+    for i, j in graph_doc["edges"]:
+        adjacency[i, j] = adjacency[j, i] = 1
+    features = np.zeros((n, m), dtype=np.int64)
+    for i in range(n):
+        for j in range(m):
+            features[i, j] = graph_doc["features"][i][j]
+    _assert_same(graph.adjacency, adjacency)
+    _assert_same(graph.features, features)
+    for layer, layer_doc in zip(model.layers, model_doc["layers"], strict=True):
+        weight = np.zeros((len(layer_doc["weight"]), len(layer_doc["bias"])))
+        for r, row in enumerate(layer_doc["weight"]):
+            for c, value in enumerate(row):
+                weight[r, c] = float(value)
+        bias = np.array([float(value) for value in layer_doc["bias"]])
+        _assert_same(layer.weight, weight)
+        _assert_same(layer.bias, bias)
+    _assert_same(labels, np.array(labels_doc, dtype=np.int64))
+
+
+def _cells(docs):
+    """(document index, position text, container, key, bad values) of every table cell."""
+    graph, model, labels = docs
+    n = graph["num_nodes"]
+    for k, edge in enumerate(graph["edges"]):
+        for c in range(2):
+            yield 0, f"edges[{k}][{c}]", edge, c, _NOT_AN_INDEX + [n]
+    for i, row in enumerate(graph["features"]):
+        for j in range(len(row)):
+            yield 0, f"features[{i}][{j}]", row, j, _NOT_AN_INDEX + [2]
+    for l, layer in enumerate(model["layers"]):
+        for r, row in enumerate(layer["weight"]):
+            for c in range(len(row)):
+                yield 1, f"layers[{l}].weight[{r}][{c}]", row, c, _NOT_A_NUMBER
+        for c in range(len(layer["bias"])):
+            yield 1, f"layers[{l}].bias[{c}]", layer["bias"], c, _NOT_A_NUMBER
+    for k in range(len(labels)):
+        yield 2, f"labels[{k}]", labels, k, _NOT_AN_INDEX
+
+
+@given(documents(), st.data())
+@PROPERTY
+def test_one_corrupt_cell_is_named(docs, data):
+    docs = copy.deepcopy(docs)
+    which, where, container, key, bad = data.draw(st.sampled_from(list(_cells(docs))))
+    container[key] = data.draw(st.sampled_from(bad))
+    name = ("graph.json", "model.json", "labels.json")[which]
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / name
+        try:
+            _load_all(Path(folder), *docs)
+        except gc.DataError as exc:
+            message = str(exc)
+        else:
+            raise AssertionError(f"{where} = {container[key]!r} was accepted")
+    assert re.match(re.escape(f"{path}: {where}: expected "), message), message
+
+
+_VARIANTS = st.sampled_from(["topk", "max"])
+
+
+@given(st.integers(0, 2**32 - 1), _VARIANTS)
+@settings(derandomize=True, deadline=None, max_examples=60)
+def test_sound_oracle_complete_sandwich(seed, variant):
+    graph, model, budget = helpers.trained_instance(np.random.default_rng(seed))
+    certificate = gc.certify_sound(model, graph, budget, variant)
+    robust = gc.exact_robust_nodes(model, graph, budget)
+    broken = gc.find_counterexamples(model, graph, budget, certificate)
+    assert robust[certificate.nodes[certificate.certified]].all()
+    assert not any(robust[node] for node in broken)
+
+
+@given(st.integers(0, 2**32 - 1), _VARIANTS)
+@settings(derandomize=True, deadline=None, max_examples=60)
+def test_poly_is_at_least_interval(seed, variant):
+    graph, model, budget = helpers.raw_instance(np.random.default_rng(seed))
+    certificate = gc.certify_sound(model, graph, budget, variant)
+    assert (certificate.margin >= gc.interval_certify(model, graph, budget, variant)).all()
+    limits = {family: gc.compute_robust_limits(model, graph, budget.per_node, cap=4,
+                                               variant=variant, family=family).limits
+              for family in ("poly", "interval")}
+    assert (limits["poly"] >= limits["interval"]).all()
+
+
+@given(st.integers(0, 2**32 - 1), _VARIANTS, st.sampled_from(MODES))
+@settings(derandomize=True, deadline=None, max_examples=60)
+def test_rival_margins_equal_certificate_bit_for_bit(seed, variant, mode):
+    graph, model, budget = helpers.raw_instance(np.random.default_rng(seed), num_layers=3)
+    certificate = gc.certify_sound(model, graph, budget, variant, mode=mode)
+    labels = gc.predict(model, graph).labels
+    margins, _ = rival_margins(model, graph, budget, variant, labels, np.arange(graph.num_nodes),
+                               mode=mode)
+    _assert_same(margins, certificate.rival_margins)
