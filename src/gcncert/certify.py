@@ -40,11 +40,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_index
 from .graph import GcnModel, Graph, forward, predict, receptive_field
 from .intervals import IntervalElement, interval_layer_bounds, interval_layer_bounds_backward
-from .perturbation import (FlipSet, PerturbationBudget, apply_flips, check_index, check_mode,
-                           restrict_to_mode, sign_matrix)
+from .perturbation import (FlipSet, PerturbationBudget, apply_flips, check_mode, restrict_to_mode,
+                           sign_matrix)
 from .polyhedra import PolyBatch, PolyNodeElement, back_substitute_backward, back_substitute_batch
 
 # local top-two score gaps within this fraction of the top score are re-checked
@@ -86,7 +86,9 @@ class Certificate:
         return self.margin > 0.0
 
     def flip_set(self, row: int, rival: int) -> FlipSet:
-        """The minimizer's flips against ``rivals[row, rival]``."""
+        """The minimizer's flips against ``rivals[row, rival]``, both indices in range."""
+        row = check_index(row, "certificate row", 0, len(self.nodes))
+        rival = check_index(rival, "rival column", 0, self.rivals.shape[1])
         lo, hi = np.searchsorted(self.pick_row, [row, row + 1])
         at = lo + np.flatnonzero(self.pick_rival[lo:hi] == rival)
         return FlipSet(tuple(zip(self.pick_node[at].tolist(), self.pick_feature[at].tolist())))
@@ -107,13 +109,11 @@ def label_difference_transform(
     """Single-row element bounding score[original] - score[other].
 
     Its lower form is lower[original] - upper[other] and its upper form
-    upper[original] - lower[other], the rows ``certify_sound`` minimizes.
+    upper[original] - lower[other], the rows ``certify_sound`` minimizes; two distinct labels.
     """
-    if original_label == other_label:
+    a, b = check_index([original_label, other_label], "label", 0, elem.rows, many=True)[:, None]
+    if a == b:
         raise DataError("label difference requires two distinct labels")
-    if not (0 <= original_label < elem.rows and 0 <= other_label < elem.rows):
-        raise DataError("label index out of range")
-    a, b = [original_label], [other_label]
     return PolyNodeElement(
         var_nodes=elem.var_nodes,
         num_features=elem.num_features,
@@ -219,10 +219,7 @@ def _chunk_margins(
     """The certification kernel on one chunk: back-substitute, minimize, compare with the box."""
     batch = back_substitute_batch(model, graph, chunk, layer_bounds)
     own = labels[chunk]
-    num_labels = model.num_labels
-    if ((own < 0) | (own >= num_labels)).any():
-        raise DataError("label index out of range")
-    rivals = np.arange(num_labels - 1) + (np.arange(num_labels - 1) >= own[:, None])
+    rivals = np.arange(model.num_labels - 1) + (np.arange(model.num_labels - 1) >= own[:, None])
     at = np.arange(len(chunk))[:, None]
     # the lower form of score[label] - score[rival] is lower[label] - upper[rival]
     poly_min, pick = _minimize_forms(
@@ -292,17 +289,18 @@ def _run_kernel(
 ) -> tuple[list[IntervalElement], list]:
     """The interval bounds, and ``keep(start, result)`` of each chunk, ``start`` its first row.
 
-    ``nodes`` defaults to every node and ``labels`` to the predictions. The
-    chunks run one after another on the calling thread; ``keep`` runs as each
+    ``nodes`` defaults to every node and ``labels`` to the predictions, both checked once.
+    The chunks run one after another on the calling thread; ``keep`` runs as each
     one finishes, so a chunk's large arrays can go before the next starts.
     """
     check_mode(mode)
-    if nodes is None:
-        nodes = np.arange(graph.num_nodes)
-    else:
-        nodes = np.array([check_index(node, "node index") for node in nodes], dtype=np.int64)
+    n = graph.num_nodes
+    nodes = check_index(np.arange(n) if nodes is None else nodes, "node index", 0, n, many=True)
+    labels = predict(model, graph).labels if labels is None else check_index(
+        labels, "label index", 0, model.num_labels, many=True)
+    if np.shape(labels) != (n,):
+        raise DataError("labels must hold one entry per node")
     layer_bounds = interval_layer_bounds(model, graph, budget, variant, mode=mode)
-    labels = predict(model, graph).labels if labels is None else np.asarray(labels)
 
     chunks = _chunks(model, graph, nodes)
     starts = np.cumsum([0] + [len(chunk) for chunk in chunks])
@@ -348,7 +346,7 @@ def rival_margins(
     nodes: np.ndarray,
     mode: str = "both",
 ) -> tuple[np.ndarray, Callable[[np.ndarray], list[tuple[np.ndarray, np.ndarray]]]]:
-    """The (nodes x rivals) margins of ``labels`` against their rivals, and their pullback.
+    """The (nodes x rivals) margins of ``labels``, one per graph node, and their pullback.
 
     Where ``labels`` are the model's predictions, the margins equal
     ``certify_sound(...).rival_margins`` for the same nodes bit for bit,
@@ -410,8 +408,9 @@ def generate_counterexample(
     instead, so the verdict never rests on rounding. A certified row has no
     non-positive margin, so it has no candidate. Every candidate is checked
     first: one over the budget raises ``AssertionError``, one with a cell
-    outside the feature matrix raises ``DataError``.
+    outside the feature matrix raises ``DataError``, and so does a bad ``row``.
     """
+    row = check_index(row, "certificate row", 0, len(certificate.nodes))
     margins = certificate.rival_margins[row]
     candidates = []
     for rival in np.lexsort((certificate.rivals[row], margins)):

@@ -95,7 +95,11 @@ def _open_output(path: str | None) -> Iterator[IO[str]]:
 
 
 def _load_inputs(args) -> tuple[Graph, GcnModel]:
-    return fileio.load_graph(args.graph), fileio.load_model(args.model)
+    graph, model = fileio.load_graph(args.graph), fileio.load_model(args.model)
+    if model.input_width != graph.num_features:
+        raise DataError(f"{args.model}: layers[0].weight has {model.input_width} rows, "
+                        f"but {args.graph} has num_features {graph.num_features}")
+    return graph, model
 
 
 def _budget(args) -> PerturbationBudget:
@@ -257,7 +261,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", parents=[inputs, total, poly, threads],
                        help="robust training, writes a checkpoint")
     p.add_argument("--labels", required=True, help="JSON list of labels, -1 = unlabeled")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--loss", choices=("hinge", "bce"), default="hinge",
                    help="loss on labeled nodes' margins; unlabeled nodes always use hinge")
     p.add_argument("--steps", type=_int_at_least(0), default=100)

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import certify_sound
-from .errors import DataError
+from .errors import DataError, check_index
 from .graph import GcnModel, Graph
 from .intervals import interval_certify
-from .perturbation import PerturbationBudget, check_index
+from .perturbation import PerturbationBudget
 
 FAMILIES = ("poly", "interval")
 
@@ -48,15 +48,14 @@ def compute_robust_limits(
     Walks total budgets 0, 1, ..., ``cap``. A node's limit is the last budget
     before its first failure; a node not certified even at budget 0 reports
     limit 0 with the never-certified flag, and one that never fails reports
-    ``cap``. The walk stops once every node has failed. ``mode`` restricts
-    flip direction for the poly family only; the interval family takes "both".
+    ``cap`` (an integer >= 0). The walk stops once every node has failed. ``mode``
+    restricts flip direction for the poly family only; the interval takes "both".
     """
     if family not in FAMILIES:
         raise DataError(f"unknown certifier family {family!r}, expected one of {FAMILIES}")
     if family == "interval" and mode != "both":
         raise DataError("the interval certifier cannot restrict flip direction: mode must be 'both'")
-    if check_index(cap, "search cap") < 0:
-        raise DataError("search cap must be non-negative")
+    cap = check_index(cap, "search cap")
     limits = np.full(graph.num_nodes, cap, dtype=np.int64)
     never = np.zeros(graph.num_nodes, dtype=bool)
     surviving = np.arange(graph.num_nodes)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .certify import Certificate, Counterexample
 from .collective import RobustLimitVector
-from .errors import DataError
+from .errors import DataError, check_index
 from .graph import GcnLayer, GcnModel, Graph
 from .metrics import RobustnessSweep
 from .perturbation import FlipSet
@@ -97,10 +97,7 @@ def _table(path: str, value: object, where: str, shape: tuple[int | None, ...],
 def load_graph(path: str) -> Graph:
     """Parse and validate a graph file; edges are deduplicated and symmetrized."""
     data = _check_keys(path, _load_json(path), _GRAPH_KEYS, "graph file")
-    for key in ("num_nodes", "num_features"):
-        if type(data[key]) is not int or data[key] < 1:
-            raise DataError(f"{path}: {key} must be a positive integer")
-    n, m = data["num_nodes"], data["num_features"]
+    n, m = (check_index(data[key], f"{path}: {key}", 1) for key in ("num_nodes", "num_features"))
     features = _table(path, data["features"], "features", (n, m), (0, 1), "0 or 1")
     i, j = _table(path, data["edges"], "edges", (None, 2), (0, n - 1), f"a node index below {n}").T
     adjacency = np.zeros((n, n), dtype=np.int64)

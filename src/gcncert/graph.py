@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DataError, DimensionError
+from .errors import DataError, DimensionError, check_index
 
 
 @dataclass(frozen=True)
@@ -180,11 +180,11 @@ def receptive_fields(graph: Graph, nodes: np.ndarray,
     """Hops 0, ..., depth of every node in ``nodes`` at once, as (front, live) pairs.
 
     Row t of hop l's front lists H_l of ``nodes[t]`` ascending, where H_0 =
-    {node} and H_{l+1} holds the Ã-neighbours of H_l. Rows are padded at the
-    end to the hop's widest with node 0, and ``live`` is False there.
+    {node} and H_{l+1} holds the Ã-neighbours of H_l, for integer nodes in [0, n).
+    Rows are padded at the end to the hop's widest with node 0, and ``live`` is False there.
     """
     cols, weights = graph.neighbors
-    front = np.asarray(nodes, dtype=np.int64).reshape(-1, 1)
+    front = np.reshape(check_index(nodes, "node index", 0, graph.num_nodes, many=True), (-1, 1))
     hops = [(front, np.ones(front.shape, dtype=bool))]
     sentinel = graph.num_nodes
     for _ in range(depth):
@@ -204,7 +204,8 @@ def receptive_field(graph: Graph, node: int, depth: int) -> list[np.ndarray]:
 
     H_L is the receptive field of an L-layer GCN's scores for ``node``.
     """
-    return [front[0, live[0]] for front, live in receptive_fields(graph, np.array([node]), depth)]
+    node = check_index(node, "node index", 0, graph.num_nodes)
+    return [front[0, live[0]] for front, live in receptive_fields(graph, node, depth)]
 
 
 def predict(model: GcnModel, graph: Graph) -> Prediction:

@@ -21,9 +21,9 @@ class RobustnessSweep:
     runtime_ms: np.ndarray | None = None
 
     def __post_init__(self):
-        k = len(self.global_budgets)
-        if self.lower.shape != (k,) or self.upper.shape != (k,):
-            raise DataError("sweep bounds must have one entry per budget")
+        columns = (self.lower, self.upper, self.runtime_ms)
+        if {np.shape(c) for c in columns if c is not None} != {(len(self.global_budgets),)}:
+            raise DataError("sweep bounds and runtimes must have one entry per budget")
 
 
 def graph_robustness_ratio(certificate: Certificate) -> float:

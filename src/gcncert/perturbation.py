@@ -17,9 +17,7 @@ scores, and Ã's zero entries add exact zeros, so its verdict is unchanged.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
@@ -27,7 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DataError, OracleInfeasibleError
+from .errors import DataError, OracleInfeasibleError, check_index
 from .graph import GcnModel, Graph, forward, predict, receptive_field
 
 DEFAULT_ORACLE_CAP = 10_000_000
@@ -40,36 +38,27 @@ _FORWARD_CHUNK = 2048
 _COMBO_BLOCK = 4096
 
 
-def check_index(value: object, what: str) -> int:
-    """``value`` as an int; only Python and numpy integers pass, and bools do not."""
-    if not isinstance(value, (bool, np.bool_)):
-        with contextlib.suppress(TypeError):
-            return operator.index(value)
-    raise DataError(f"{what} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class PerturbationBudget:
-    """At most ``per_node`` flips in any one row and ``total`` flips overall."""
+    """At most ``per_node`` flips in any one row and ``total`` flips overall, integers >= 0."""
 
     per_node: int
     total: int
 
     def __post_init__(self):
-        check_index(self.per_node, "per-node budget")
-        check_index(self.total, "total budget")
-        if self.per_node < 0 or self.total < 0:
-            raise DataError("perturbation budget limits must be non-negative")
+        for name in ("per_node", "total"):
+            object.__setattr__(self, name, check_index(getattr(self, name), f"{name} budget"))
 
 
 @dataclass(frozen=True)
 class FlipSet:
-    """A set of (node, feature) cells to flip, kept sorted for determinism."""
+    """A set of (node, feature) cells, integers >= 0, to flip; kept sorted for determinism."""
 
     flips: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        pairs = tuple(sorted((int(i), int(j)) for i, j in self.flips))
+        pairs = tuple(sorted((check_index(i, "flip node"), check_index(j, "flip feature"))
+                             for i, j in self.flips))
         if len(set(pairs)) != len(pairs):
             raise DataError("flip set contains duplicate cells")
         object.__setattr__(self, "flips", pairs)
@@ -137,8 +126,9 @@ def _cell_combos(
 
     ``node_of[c]`` is the node of cell c, non-decreasing in c. Order is by
     size, then lexicographic. Raises :class:`OracleInfeasibleError` when
-    C(cells, <= total) exceeds the cap.
+    C(cells, <= total) exceeds the cap, an integer >= 0.
     """
+    cap = check_index(cap, "oracle cap")
     cells = len(node_of)
     if budget.total == 0 or budget.per_node == 0 or cells == 0:
         yield ()
@@ -240,10 +230,8 @@ def exact_node_robustness(
     """Whether no admissible flip set changes ``node``'s label.
 
     Only the cells of the node's receptive field are flipped, and ``cap``
-    bounds the flip sets over those cells alone.
+    bounds the flip sets over those cells alone. ``node`` is an integer in [0, n).
     """
-    if not 0 <= check_index(node, "node index") < graph.num_nodes:
-        raise DataError(f"node {node} out of range")
     field = receptive_field(graph, node, model.num_layers)[-1]
     return bool(_smallest_breaks(model, graph, budget, cap, node, field)[node] > budget.total)
 

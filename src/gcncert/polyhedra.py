@@ -145,13 +145,10 @@ def back_substitute_batch(
     ``receptive_fields``.
 
     ``layer_bounds`` holds the interval pre-activation bounds of every layer
-    (``interval_layer_bounds``) under the budget being certified.
+    (``interval_layer_bounds``) under the budget; ``receptive_fields`` checks ``nodes``.
     """
-    nodes = np.asarray(nodes, dtype=np.int64)
-    if ((nodes < 0) | (nodes >= graph.num_nodes)).any():
-        raise DataError(f"node index out of range [0, {graph.num_nodes})")
-    targets, rows = len(nodes), model.num_labels
     hops = receptive_fields(graph, nodes, model.num_layers)  # live is False on padding
+    targets, rows = len(hops[0][0]), model.num_labels
     # coef[t, k, ref, side, r, j]: weight that bound side (0 lower, 1 upper)
     # of target t's output row r puts on the referenced (0 lower, 1 upper) row
     # of feature j of front node k in the current layer's element

@@ -24,9 +24,9 @@ from typing import Callable
 import numpy as np
 
 from .certify import rival_margins
-from .errors import DataError
+from .errors import DataError, check_index
 from .graph import GcnLayer, GcnModel, Graph, predict
-from .perturbation import PerturbationBudget, check_index
+from .perturbation import PerturbationBudget
 
 DEFAULT_LABELED_MARGIN = math.log(90 / 10)
 DEFAULT_UNLABELED_MARGIN = math.log(60 / 40)
@@ -106,25 +106,19 @@ def train_robust(
     width train. ``progress``, if given, gets each step's loss after the
     update, on that step's batch and targets. The interval variant defaults
     to ``max`` because the numeric bounds are recomputed at every step.
-    ``steps`` must be an integer >= 0, ``batch_size`` one >= 1 and
-    ``learning_rate`` a finite number >= 0.
+    Labels must lie in [-1, labels), ``steps`` and ``seed`` be integers >= 0,
+    ``batch_size`` one >= 1 and ``learning_rate`` a finite number >= 0.
     """
     if loss not in ("hinge", "bce"):
         raise DataError(f"unknown robust loss {loss!r}")
     if not (math.isfinite(learning_rate) and learning_rate >= 0):
         raise DataError(f"learning rate must be a finite number >= 0, got {learning_rate}")
-    if check_index(steps, "steps") < 0:
-        raise DataError("steps must be at least 0")
-    if batch_size is not None and check_index(batch_size, "batch_size") < 1:
-        raise DataError("batch_size must be at least 1")
-    labels = np.asarray(labels, dtype=np.int64)
+    steps, seed = check_index(steps, "steps"), check_index(seed, "seed")
+    batch_size = batch_size if batch_size is None else check_index(batch_size, "batch_size", 1)
+    labels = check_index(labels, "label", -1, model.num_labels, many=True)
     n = graph.num_nodes
-    if labels.shape != (n,):
+    if np.shape(labels) != (n,):
         raise DataError("labels must hold one entry per node")
-    if (labels >= model.num_labels).any():
-        raise DataError("label index exceeds the model's output width")
-    if (labels < -1).any():
-        raise DataError("labels must be -1 (unlabeled) or a label index")
 
     rng = np.random.default_rng(seed)
     labeled = labels >= 0

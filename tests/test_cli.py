@@ -248,6 +248,7 @@ def test_certify_rejects_non_finite_model(tmp_path):
     ["train", "--lr", "-1", "--labels", "l.json", "--output", "o.json"],
     ["train", "--lr", "inf", "--labels", "l.json", "--output", "o.json"],
     ["train", "--lr", "nan", "--labels", "l.json", "--output", "o.json"],
+    ["train", "--seed", "-1", "--labels", "l.json", "--output", "o.json"],
 ])
 def test_ignored_flags_are_usage_errors(monkeypatch, args):
     def never_load(path):
@@ -288,6 +289,20 @@ def test_graph_booleans_are_data_errors(tmp_path, capsys, key, value, where):
     graph_path.write_text(json.dumps(doc))
     assert main(["certify", "--graph", str(graph_path), "--model", MODEL]) == 2
     assert f"{graph_path}: {where}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["certify"], ["oracle"], ["collective"], ["counterexample"], ["sweep", "--global-range", "0:1"],
+])
+def test_model_that_does_not_fit_the_graph_names_both_files(tmp_path, capsys, command):
+    doc = json.loads(Path(MODEL).read_text())
+    doc["layers"][0]["weight"] = doc["layers"][0]["weight"][:2]
+    model_path = tmp_path / "bad.json"
+    model_path.write_text(json.dumps(doc))
+    assert main(command + ["--graph", GRAPH, "--model", str(model_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{model_path}: layers[0].weight has 2 rows, but {GRAPH} has num_features 4" in err
+    assert "Traceback" not in err
 
 
 def test_unknown_flag_is_usage_error(capsys):

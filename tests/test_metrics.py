@@ -56,6 +56,9 @@ def test_uncertainty_region_rejects_inverted_bounds():
 def test_sweep_shape_validation():
     with pytest.raises(gc.DataError):
         gc.RobustnessSweep(1, (1, 2), np.zeros(3), np.ones(3))
+    # a short runtime column would make write_sweep_csv drop a budget's row
+    with pytest.raises(gc.DataError):
+        gc.RobustnessSweep(1, (1, 2), np.zeros(2), np.ones(2), runtime_ms=np.array([3.0]))
 
 
 def test_oracle_pair_region_is_zero(rng):

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 import gcncert as gc
 import gcncert.certify
+import gcncert.graph
 import gcncert.perturbation
+import gcncert.polyhedra
 import helpers
 
 
@@ -101,10 +103,16 @@ def test_exact_robustness_two_node_example(two_node):
     "budget per-node 1.5", "budget total 2.0", "budget per-node True", "certify node 0.7",
     "certify node True", "certify float node array", "oracle node 0.5", "oracle node numpy True",
     "margins node 0.7", "margins node True",
+    "batch node 0.7", "batch node True", "back_substitute node 0.7", "fields node 0.9",
+    "counterexample row True", "margins float labels", "margins bool labels",
+    "train float labels", "flip node 0.7", "flip node True",
 ])
 def test_non_integer_budget_or_index_rejected(two_node, case):
     graph, model = two_node
     budget = gc.PerturbationBudget(1, 1)
+    bounds = gc.interval_layer_bounds(model, graph, budget, "topk")
+    certificate = gc.certify_sound(model, graph, budget)
+    margins = gcncert.certify.rival_margins
     call = {
         "budget per-node 1.5": lambda: gc.PerturbationBudget(1.5, 2),
         "budget total 2.0": lambda: gc.PerturbationBudget(1, 2.0),
@@ -120,6 +128,22 @@ def test_non_integer_budget_or_index_rejected(two_node, case):
             model, graph, budget, "topk", np.array([1, 1]), np.array([0.7])),
         "margins node True": lambda: gcncert.certify.rival_margins(
             model, graph, budget, "topk", np.array([1, 1]), [True]),
+        "batch node 0.7":
+            lambda: gcncert.polyhedra.back_substitute_batch(model, graph, [0.7], bounds),
+        "batch node True":
+            lambda: gcncert.polyhedra.back_substitute_batch(model, graph, [True], bounds),
+        "back_substitute node 0.7": lambda: gc.back_substitute(model, graph, 0.7, bounds),
+        "fields node 0.9": lambda: gcncert.graph.receptive_fields(graph, [0.9], 1),
+        "counterexample row True":
+            lambda: gc.generate_counterexample(model, graph, budget, certificate, True),
+        "margins float labels":
+            lambda: margins(model, graph, budget, "topk", np.array([1.0, 1.0]), np.arange(2)),
+        "margins bool labels":
+            lambda: margins(model, graph, budget, "topk", np.array([True, True]), np.arange(2)),
+        "train float labels":
+            lambda: gc.train_robust(model, graph, np.array([0.7, 1.0]), budget, 1, 0.1, 0),
+        "flip node 0.7": lambda: gc.FlipSet(((0.7, 1),)),
+        "flip node True": lambda: gc.FlipSet(((True, 0),)),
     }[case]
     with pytest.raises(gc.DataError, match="must be an integer"):
         call()
@@ -130,6 +154,16 @@ def test_non_integer_budget_or_index_rejected(two_node, case):
     ("train batch_size 1.5", "must be an integer"),
     ("train steps -1", "at least 0"),
     ("limits cap 2.5", "must be an integer"),
+    ("oracle cap 2.5", "must be an integer"),
+    ("oracle cap True", "must be an integer"),
+    ("oracle cap -1", "at least 0"),
+    ("oracle cap '9'", "must be an integer"),
+    ("node oracle cap 2.5", "must be an integer"),
+    ("oracle limits cap -1", "at least 0"),
+    ("enumeration cap True", "must be an integer"),
+    ("train seed -1", "at least 0"),
+    ("train seed 1.5", "must be an integer"),
+    ("train seed True", "must be an integer"),
 ])
 def test_non_integer_or_negative_count_rejected(two_node, case, message):
     graph, model = two_node
@@ -141,9 +175,84 @@ def test_non_integer_or_negative_count_rejected(two_node, case, message):
             lambda: gc.train_robust(model, graph, labels, budget, 1, 0.1, 0, batch_size=1.5),
         "train steps -1": lambda: gc.train_robust(model, graph, labels, budget, -1, 0.1, 0),
         "limits cap 2.5": lambda: gc.compute_robust_limits(model, graph, 1, cap=2.5),
+        "oracle cap 2.5": lambda: gc.exact_robust_nodes(model, graph, budget, cap=2.5),
+        "oracle cap True": lambda: gc.exact_robust_nodes(model, graph, budget, cap=True),
+        "oracle cap -1": lambda: gc.exact_robust_nodes(model, graph, budget, cap=-1),
+        "oracle cap '9'": lambda: gc.exact_robust_nodes(model, graph, budget, cap="9"),
+        "node oracle cap 2.5": lambda: gc.exact_node_robustness(model, graph, budget, 0, cap=2.5),
+        "oracle limits cap -1": lambda: gc.oracle_max_robust_limits(model, graph, 1, 1, cap=-1),
+        "enumeration cap True":
+            lambda: list(gc.enumerate_perturbations(graph.features, budget, cap=True)),
+        "train seed -1": lambda: gc.train_robust(model, graph, labels, budget, 1, 0.1, -1),
+        "train seed 1.5": lambda: gc.train_robust(model, graph, labels, budget, 1, 0.1, 1.5),
+        "train seed True": lambda: gc.train_robust(model, graph, labels, budget, 1, 0.1, True),
     }[case]
     with pytest.raises(gc.DataError, match=message):
         call()
+
+
+@pytest.mark.parametrize("case, message", [
+    ("field node -1", "node index"),
+    ("field node 2", "node index"),
+    ("flip_set row -1", "certificate row"),
+    ("flip_set rival 7", "rival column"),
+    ("flip_set row 5", "certificate row"),
+    ("counterexample row -1", "certificate row"),
+    ("counterexample row 2", "certificate row"),
+    ("margins short labels", "labels"),
+])
+def test_out_of_range_index_or_short_labels_rejected(two_node, case, message):
+    # each of these used to answer for another node, or to fail inside numpy
+    graph, model = two_node
+    budget = gc.PerturbationBudget(1, 1)
+    certificate = gc.certify_sound(model, graph, budget)
+    call = {
+        "field node -1": lambda: gcncert.graph.receptive_field(graph, -1, 2),
+        "field node 2": lambda: gcncert.graph.receptive_field(graph, 2, 2),
+        "flip_set row -1": lambda: certificate.flip_set(-1, 0),
+        "flip_set rival 7": lambda: certificate.flip_set(0, 7),
+        "flip_set row 5": lambda: certificate.flip_set(5, 0),
+        "counterexample row -1":
+            lambda: gc.generate_counterexample(model, graph, budget, certificate, -1),
+        "counterexample row 2":
+            lambda: gc.generate_counterexample(model, graph, budget, certificate, 2),
+        "margins short labels": lambda: gcncert.certify.rival_margins(
+            model, graph, budget, "topk", np.array([1]), np.arange(2)),
+    }[case]
+    with pytest.raises(gc.DataError, match=message):
+        call()
+
+
+def test_numpy_integers_give_the_same_results_as_python_ints(two_node):
+    graph, model = two_node
+    budget = gc.PerturbationBudget(np.int64(1), np.int64(1))
+    assert budget == gc.PerturbationBudget(1, 1)
+    assert type(budget.per_node) is int and type(budget.total) is int
+    want = gc.certify_sound(model, graph, gc.PerturbationBudget(1, 1), nodes=[1, 0])
+    labels = gc.predict(model, graph).labels
+    want_margins, _ = gcncert.certify.rival_margins(model, graph, budget, "topk",
+                                                    labels.tolist(), [1, 0])
+    for dtype in (np.int32, np.uint8):
+        nodes = np.array([1, 0], dtype=dtype)
+        got = gc.certify_sound(model, graph, budget, nodes=nodes)
+        assert got.nodes.dtype == np.int64 and got.nodes.tolist() == [1, 0]
+        assert got.rival_margins.tobytes() == want.rival_margins.tobytes()
+        margins, _ = gcncert.certify.rival_margins(model, graph, budget, "topk",
+                                                   labels.astype(dtype), nodes)
+        assert margins.tobytes() == want_margins.tobytes()
+        fields = gcncert.graph.receptive_fields(graph, nodes, 2)
+        assert [front.tolist() for front, _ in fields] == [
+            front.tolist() for front, _ in gcncert.graph.receptive_fields(graph, [1, 0], 2)]
+    for row in range(2):
+        assert want.flip_set(np.int64(row), np.int64(0)) == want.flip_set(row, 0)
+        assert (gc.generate_counterexample(model, graph, budget, want, np.int64(row))
+                == gc.generate_counterexample(model, graph, budget, want, row))
+    flips = gc.FlipSet(((np.int64(1), np.uint8(2)),))
+    assert flips == gc.FlipSet(((1, 2),)) and all(type(c) is int for c in flips.flips[0])
+    trained = [gc.train_robust(model, graph, given, budget, 1, 0.1, seed)
+               for given, seed in ((np.array([1, -1], dtype=np.int32), np.int64(3)), ([1, -1], 3))]
+    for a, b in zip(*(t.layers for t in trained)):
+        assert a.weight.tobytes() == b.weight.tobytes() and a.bias.tobytes() == b.bias.tobytes()
 
 
 def test_exact_robustness_matches_independent_bruteforce(rng):
