@@ -22,10 +22,14 @@ differently from the whole-graph product, so a candidate whose local top two
 scores lie within 1e-9 (relative) is settled by the whole-graph ``forward``.
 
 The kernel works serially, on the calling thread, through chunks of target
-nodes sized by a fixed element budget: one ``back_substitute_batch`` call per
-chunk, the lower form of score[label] - score[rival] for every (target,
-rival) pair sliced out of it as lower[label] - upper[rival], and one batched
-greedy minimization of all those rows; ``label_difference_transform`` and
+nodes: the targets are sorted by receptive-field width, widest first, and
+each chunk is sized by the field of its first target under a fixed element
+budget, then the rows go back to the requested order. Per chunk it makes one
+``back_substitute_batch`` call, which carries each target's own label's
+lower form and every rival's upper form, one form per label; the lower form
+of score[label] - score[rival] for every (target, rival) pair is lower[label]
+- upper[rival]. One batched greedy minimization of all those rows follows,
+and it returns its flips as index arrays. ``label_difference_transform`` and
 ``minimize_delta`` are the one-row forms, which no production path calls.
 ``_run_kernel`` runs it for ``certify_sound`` and for robust training's
 ``rival_margins``, which also returns the margins' pullback: one reverse-mode
@@ -36,12 +40,12 @@ pass through the minimization, ``back_substitute_backward`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DataError, check_index
-from .graph import GcnModel, Graph, forward, predict, receptive_field
+from .graph import GcnModel, Graph, forward, predict, receptive_field, receptive_fields
 from .intervals import IntervalElement, interval_layer_bounds, interval_layer_bounds_backward
 from .perturbation import (FlipSet, PerturbationBudget, apply_flips, check_mode, restrict_to_mode,
                            sign_matrix)
@@ -51,9 +55,11 @@ from .polyhedra import PolyBatch, PolyNodeElement, back_substitute_backward, bac
 # with the whole-graph forward pass
 _TIE_TOLERANCE = 1e-9
 
-# coefficient entries per chunk of kernel targets at the widest
-# possible receptive field: keeps a chunk's tensors at a few MB
-_CHUNK_ELEMENTS = 1 << 18
+# coefficient entries per chunk of kernel targets, counted at the chunk's
+# widest receptive field and widest layer: keeps a chunk's tensors near half a
+# MB; 1 << 18 raised the peak RSS of a whole `collective` run on a 120-node
+# graph from 33.1 to 36.9 MB, for no speed
+_CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,20 +136,21 @@ def _minimize_forms(
     features: np.ndarray,
     budget: PerturbationBudget,
     mode: str,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Exact minima of many lower-bound forms over the flip budget at once.
 
     ``coef`` (targets, forms, field, features) and ``const`` (targets, forms)
     hold each target's forms over ``features`` (targets, field, features), the
-    input features of its receptive field. Returns the minima and a boolean
-    mask, shaped like ``coef``, of the flips that realize them.
+    input features of its receptive field. Returns the minima and the flips
+    that realize them as four index arrays (target, form, field slot,
+    feature), sorted in that order.
     """
     t, v, f, m0 = coef.shape
     x = features.astype(np.float64)
     base = (coef.reshape(t, v, f * m0) @ x.reshape(t, f * m0, 1))[:, :, 0] + const
     theta = restrict_to_mode(coef * sign_matrix(features)[:, None], features[:, None], mode)
     if budget.per_node == 0 or budget.total == 0:
-        return base, np.zeros(coef.shape, dtype=bool)
+        return base, tuple(np.zeros((4, 0), dtype=np.int64))
     flat = theta.reshape(t * v, f * m0)
     # each field node's per_node most negative changes, ties toward the lower
     # feature, listed node by node; a stable sort of that list then ranks
@@ -151,12 +158,12 @@ def _minimize_forms(
     local = np.argsort(theta, axis=3, kind="stable")[..., : budget.per_node]
     cells = (local + m0 * np.arange(f)[:, None]).reshape(t * v, f * local.shape[3])
     ranked = np.argsort(np.take_along_axis(flat, cells, axis=1), axis=1, kind="stable")
-    top = np.take_along_axis(cells, ranked[:, : budget.total], axis=1)
-    pick = np.zeros(flat.shape, dtype=bool)
-    np.put_along_axis(pick, top, np.take_along_axis(flat, top, axis=1) < 0, axis=1)
+    top = np.sort(np.take_along_axis(cells, ranked[:, : budget.total], axis=1), axis=1)
+    change = np.take_along_axis(flat, top, axis=1)
     # a running sum adds the chosen changes one by one in (node, feature) order
-    gain = np.cumsum(np.where(pick, flat, 0.0), axis=1)[:, -1]
-    return base + gain.reshape(t, v), pick.reshape(coef.shape)
+    gain = np.cumsum(np.where(change < 0, change, 0.0), axis=1)[:, -1]
+    form, at = np.nonzero(change < 0)
+    return base + gain.reshape(t, v), (*divmod(form, v), *divmod(top[form, at], m0))
 
 
 def minimize_delta(
@@ -177,20 +184,10 @@ def minimize_delta(
     if elem.rows != 1:
         raise DataError("minimize_delta expects a single-row element")
     shape = (1, 1, len(elem.var_nodes), elem.num_features)
-    value, pick = _minimize_forms(elem.lower_coef.reshape(shape), elem.lower_const.reshape(1, 1),
-                                  np.asarray(features)[elem.var_nodes][None], budget, mode)
-    _, _, at, feature = np.nonzero(pick)
+    value, (_, _, at, feature) = _minimize_forms(
+        elem.lower_coef.reshape(shape), elem.lower_const.reshape(1, 1),
+        np.asarray(features)[elem.var_nodes][None], budget, mode)
     return float(value[0, 0]), FlipSet(tuple(zip(elem.var_nodes[at].tolist(), feature.tolist())))
-
-
-def _target_elements(model: GcnModel, graph: Graph) -> int:
-    """Coefficient entries one target can need: 4 per label, layer width and field node."""
-    cols, weights = graph.neighbors
-    field = np.ones(graph.num_nodes)
-    for _ in model.layers:  # one more hop reaches at most the neighbours' fields
-        field = np.minimum(np.where(weights > 0, field[cols], 0.0).sum(axis=1), len(field))
-    width = max([model.input_width] + [layer.weight.shape[1] for layer in model.layers])
-    return int(4 * model.num_labels * width * field.max())
 
 
 @dataclass(frozen=True)
@@ -203,7 +200,7 @@ class _ChunkMargins:
     margins: np.ndarray  # (targets, labels - 1): the larger of the two bounds below
     poly_min: np.ndarray  # the symbolic form's exact minimum
     box_gap: np.ndarray  # the output box's L[node, label] - U[node, rival]
-    pick: np.ndarray  # the symbolic minimizer's flips, (targets, rivals, field, features)
+    picks: tuple  # the symbolic minimizer's flips: (target, rival, field slot, feature) arrays
     batch: PolyBatch
 
 
@@ -214,25 +211,33 @@ def _chunk_margins(
     mode: str,
     layer_bounds: list[IntervalElement],
     labels: np.ndarray,
-    chunk: np.ndarray,
+    hops: list[tuple[np.ndarray, np.ndarray]],
 ) -> _ChunkMargins:
-    """The certification kernel on one chunk: back-substitute, minimize, compare with the box."""
-    batch = back_substitute_batch(model, graph, chunk, layer_bounds)
+    """The certification kernel on one chunk, given its hops: back-substitute, minimize, compare.
+
+    A symbolic minimum or box gap that is not finite raises ``DataError``.
+    """
+    chunk = hops[0][0][:, 0]
     own = labels[chunk]
     rivals = np.arange(model.num_labels - 1) + (np.arange(model.num_labels - 1) >= own[:, None])
+    # the lower form of score[label] - score[rival] is lower[label] - upper[rival],
+    # so each target needs its own label's lower form and every other upper form
+    batch = back_substitute_batch(model, graph, hops, layer_bounds,
+                                  np.arange(model.num_labels) != own[:, None])
     at = np.arange(len(chunk))[:, None]
-    # the lower form of score[label] - score[rival] is lower[label] - upper[rival]
-    poly_min, pick = _minimize_forms(
-        batch.lower_coef[at, own[:, None]] - batch.upper_coef[at, rivals],
-        batch.lower_const[at, own[:, None]] - batch.upper_const[at, rivals],
+    poly_min, picks = _minimize_forms(
+        batch.coef[at, own[:, None]] - batch.coef[at, rivals],
+        batch.const[at, own[:, None]] - batch.const[at, rivals],
         graph.features[batch.fronts],
         budget,
         mode,
     )
     out_box = layer_bounds[-1]
     box_gap = out_box.lower[chunk, own][:, None] - out_box.upper[chunk[:, None], rivals]
+    if not (np.isfinite(poly_min).all() and np.isfinite(box_gap).all()):
+        raise DataError("margin bounds are not finite: the model overflows float64 on this graph")
     margins = np.where(box_gap > poly_min, box_gap, poly_min)
-    return _ChunkMargins(chunk, own, rivals, margins, poly_min, box_gap, pick, batch)
+    return _ChunkMargins(chunk, own, rivals, margins, poly_min, box_gap, picks, batch)
 
 
 def _chunk_margins_backward(
@@ -260,21 +265,45 @@ def _chunk_margins_backward(
     np.add.at(upper_grad, (part.nodes[:, None], part.rivals), -box_grad)
     batch = part.batch
     x = graph.features[batch.fronts][:, None]
-    point_grad = poly_grad[:, :, None, None] * (x + sign_matrix(x) * part.pick)
+    pick = np.zeros(part.rivals.shape + x.shape[2:], dtype=bool)
+    pick[part.picks] = True
+    point_grad = poly_grad[:, :, None, None] * (x + sign_matrix(x) * pick)
     at = np.arange(len(part.nodes))
-    low_coef, up_coef = np.zeros_like(batch.lower_coef), np.zeros_like(batch.upper_coef)
-    low_const, up_const = np.zeros_like(batch.lower_const), np.zeros_like(batch.upper_const)
-    low_coef[at, part.labels] = point_grad.sum(axis=1)
-    low_const[at, part.labels] = poly_grad.sum(axis=1)
-    up_coef[at[:, None], part.rivals] = -point_grad
-    up_const[at[:, None], part.rivals] = -poly_grad
-    back_substitute_backward(model, batch, layer_bounds,
-                             (low_coef, low_const, up_coef, up_const), param_grads, bound_grads)
+    coef_grad, const_grad = np.zeros_like(batch.coef), np.zeros_like(batch.const)
+    coef_grad[at, part.labels] = point_grad.sum(axis=1)
+    const_grad[at, part.labels] = poly_grad.sum(axis=1)
+    coef_grad[at[:, None], part.rivals] = -point_grad
+    const_grad[at[:, None], part.rivals] = -poly_grad
+    back_substitute_backward(model, batch, layer_bounds, (coef_grad, const_grad),
+                             param_grads, bound_grads)
 
 
-def _chunks(model: GcnModel, graph: Graph, nodes: np.ndarray) -> list[np.ndarray]:
-    size = max(1, _CHUNK_ELEMENTS // _target_elements(model, graph))
-    return [nodes[start : start + size] for start in range(0, len(nodes), size)]
+def _chunks(
+    model: GcnModel, graph: Graph, nodes: np.ndarray
+) -> Iterator[tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]]:
+    """The rows of ``nodes`` in chunks, widest receptive field first, each with its hops.
+
+    A chunk's first target sets its size: about ``_CHUNK_ELEMENTS`` coefficient
+    entries, 2 referenced sides per label, widest layer and field node. Its hops
+    are the shared ones trimmed to its widest row: the fronts that
+    ``receptive_fields`` gives for the chunk alone.
+    """
+    hops = receptive_fields(graph, nodes, model.num_layers)
+    width = hops[-1][1].sum(axis=1)
+    order = np.argsort(-width, kind="stable")
+    per_field_node = 2 * model.num_labels * max(
+        [model.input_width] + [layer.weight.shape[1] for layer in model.layers])
+    start = 0
+    while start < len(order):
+        size = max(1, _CHUNK_ELEMENTS // (per_field_node * int(width[order[start]])))
+        rows = order[start : start + size]
+        chunk_hops = []
+        for front, live in hops:  # a row's live entries come first
+            live = live[rows]
+            widest = live.sum(axis=1).max()
+            chunk_hops.append((front[rows, :widest], live[:, :widest]))
+        yield rows, chunk_hops
+        start += size
 
 
 def _run_kernel(
@@ -285,13 +314,15 @@ def _run_kernel(
     mode: str,
     nodes: Sequence[int] | None,
     labels: np.ndarray | None,
-    keep: Callable[[int, _ChunkMargins], object],
-) -> tuple[list[IntervalElement], list]:
-    """The interval bounds, and ``keep(start, result)`` of each chunk, ``start`` its first row.
+    keep: Callable[[np.ndarray, _ChunkMargins], object],
+) -> tuple[list[IntervalElement], np.ndarray, list]:
+    """The interval bounds, the row order the chunks ran in, and ``keep(rows, result)`` of each.
 
-    ``nodes`` defaults to every node and ``labels`` to the predictions, both checked once.
-    The chunks run one after another on the calling thread; ``keep`` runs as each
-    one finishes, so a chunk's large arrays can go before the next starts.
+    ``nodes`` defaults to every node and ``labels`` to the predictions, both
+    checked once; ``rows`` are the positions in ``nodes`` of a chunk's
+    targets. The chunks run one after another on the calling thread; ``keep``
+    runs as each one finishes, so a chunk's large arrays can go before the
+    next starts.
     """
     check_mode(mode)
     n = graph.num_nodes
@@ -300,20 +331,21 @@ def _run_kernel(
         labels, "label index", 0, model.num_labels, many=True)
     if np.shape(labels) != (n,):
         raise DataError("labels must hold one entry per node")
-    layer_bounds = interval_layer_bounds(model, graph, budget, variant, mode=mode)
+    order, parts = [np.zeros(0, dtype=np.int64)], []
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises DataError instead
+        layer_bounds = interval_layer_bounds(model, graph, budget, variant, mode=mode)
+        for rows, hops in _chunks(model, graph, nodes):
+            order.append(rows)
+            parts.append(keep(rows, _chunk_margins(model, graph, budget, mode, layer_bounds,
+                                                   labels, hops)))
+    return layer_bounds, np.concatenate(order), parts
 
-    chunks = _chunks(model, graph, nodes)
-    starts = np.cumsum([0] + [len(chunk) for chunk in chunks])
-    return layer_bounds, [keep(start, _chunk_margins(model, graph, budget, mode, layer_bounds,
-                                                     labels, chunk))
-                          for start, chunk in zip(starts, chunks)]
 
-
-def _chunk_certificate(start: int, part: _ChunkMargins) -> Certificate:
-    """The certificate rows of one chunk; its picks come from one ``np.nonzero``."""
-    row, rival, at, feature = np.nonzero(part.pick)
+def _chunk_certificate(rows: np.ndarray, part: _ChunkMargins) -> Certificate:
+    """The certificate rows of one chunk, its picks' rows given as positions in the request."""
+    row, rival, at, feature = part.picks
     return Certificate(part.nodes, part.labels, part.rivals, part.margins,
-                       start + row, rival, part.batch.fronts[row, at], feature)
+                       rows[row], rival, part.batch.fronts[row, at], feature)
 
 
 def certify_sound(
@@ -330,11 +362,16 @@ def certify_sound(
     Each node defends the model's own predicted label; certified => robust.
     The kernel's chunks run serially, on the calling thread.
     """
-    _, parts = _run_kernel(model, graph, budget, variant, mode, nodes, None, _chunk_certificate)
+    _, order, parts = _run_kernel(model, graph, budget, variant, mode, nodes, None,
+                                  _chunk_certificate)
     none, no_rivals = np.zeros(0, dtype=np.int64), np.zeros((0, model.num_labels - 1))
     empty = Certificate(none, none, no_rivals.astype(np.int64), no_rivals, *[none] * 4)
-    return Certificate(*(np.concatenate([getattr(part, f.name) for part in [empty] + parts])
-                         for f in fields(Certificate)))
+    whole = {f.name: np.concatenate([getattr(part, f.name) for part in [empty] + parts])
+             for f in fields(Certificate)}
+    # the chunks ran widest field first: put rows and picks back in the requested order
+    rows, picks = np.argsort(order), np.argsort(whole["pick_row"], kind="stable")
+    return Certificate(**{name: values[picks if name.startswith("pick_") else rows]
+                          for name, values in whole.items()})
 
 
 def rival_margins(
@@ -355,22 +392,22 @@ def rival_margins(
     every layer's (weight, bias): one reverse-mode pass through the
     minimization, back-substitution and interval bounds.
     """
-    layer_bounds, parts = _run_kernel(model, graph, budget, variant, mode, nodes, labels,
-                                      lambda start, part: (start, part))
+    layer_bounds, order, parts = _run_kernel(model, graph, budget, variant, mode, nodes, labels,
+                                             lambda rows, part: (rows, part))
 
     def pullback(margin_grad: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         param_grads = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in model.layers]
         bound_grads = [(np.zeros_like(b.lower), np.zeros_like(b.upper)) for b in layer_bounds]
-        for start, part in parts:
-            rows = margin_grad[start : start + len(part.nodes)]
-            _chunk_margins_backward(model, graph, layer_bounds, part, rows,
+        for rows, part in parts:
+            _chunk_margins_backward(model, graph, layer_bounds, part, margin_grad[rows],
                                     param_grads, bound_grads)
         interval_layer_bounds_backward(model, graph, budget, variant, mode, layer_bounds,
                                        bound_grads, param_grads)
         return param_grads
 
     empty = np.zeros((0, model.num_labels - 1))
-    return np.concatenate([empty] + [part.margins for _, part in parts]), pullback
+    margins = np.concatenate([empty] + [part.margins for _, part in parts])
+    return margins[np.argsort(order)], pullback
 
 
 def _local_scores(

@@ -26,11 +26,16 @@ class OracleInfeasibleError(GcnCertError):
 
 def check_index(values: object, what: str, lo: int = 0, hi: int | None = None, *,
                 many: bool = False) -> int | np.ndarray:
-    """``values`` as an int in [lo, hi); with ``many``, a sequence as 1-D int64, checked whole first."""
+    """``values`` as an int in [lo, hi); with ``many``, a sequence (never a scalar) as 1-D int64.
+
+    A sequence is checked whole first.
+    """
     try:
         value = operator.index(values)
     except TypeError:
         value = None
+    if many and value is not None:
+        raise DataError(f"{what} must be a sequence of integers, got {values!r}")
     if value is not None and type(values) not in (bool, np.bool_):
         if lo <= value and (hi is None or value < hi):
             return value

@@ -155,7 +155,8 @@ def forward(model: GcnModel, norm_adj: np.ndarray, features: np.ndarray) -> np.n
     """Score matrix of the GCN: per layer Ã·H, then H·W + b, then ReLU (skipped on the last layer).
 
     ``features`` is one (n, m0) matrix or a stack of them, shaped (..., n, m0);
-    the scores are stacked alike.
+    the scores are stacked alike. Scores that overflow to infinity or NaN
+    raise ``DataError``.
     """
     h = np.asarray(features, dtype=np.float64)
     n = norm_adj.shape[0]
@@ -167,11 +168,14 @@ def forward(model: GcnModel, norm_adj: np.ndarray, features: np.ndarray) -> np.n
         raise DimensionError(
             f"model expects {model.input_width} input features, got {h.shape[-1]}"
         )
-    for l, layer in enumerate(model.layers):
-        h = norm_adj @ h
-        h = h @ layer.weight + layer.bias
-        if l < model.num_layers - 1:
-            h = np.maximum(h, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for l, layer in enumerate(model.layers):
+            h = norm_adj @ h
+            h = h @ layer.weight + layer.bias
+            if l < model.num_layers - 1:
+                h = np.maximum(h, 0.0)
+    if not np.isfinite(h).all():
+        raise DataError("scores are not finite: the model overflows float64 on this graph")
     return h
 
 
@@ -205,7 +209,7 @@ def receptive_field(graph: Graph, node: int, depth: int) -> list[np.ndarray]:
     H_L is the receptive field of an L-layer GCN's scores for ``node``.
     """
     node = check_index(node, "node index", 0, graph.num_nodes)
-    return [front[0, live[0]] for front, live in receptive_fields(graph, node, depth)]
+    return [front[0, live[0]] for front, live in receptive_fields(graph, [node], depth)]
 
 
 def predict(model: GcnModel, graph: Graph) -> Prediction:

@@ -272,8 +272,12 @@ def interval_certify(
 
     r_i > 0 certifies node i (sound). This baseline never produces
     counterexamples: the box at the output has lost which inputs realize it.
+    An output box that overflows to infinity or NaN raises ``DataError``.
     """
-    out = interval_layer_bounds(model, graph, budget, variant)[-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        out = interval_layer_bounds(model, graph, budget, variant)[-1]
+    if not (np.isfinite(out.lower).all() and np.isfinite(out.upper).all()):
+        raise DataError("output bounds are not finite: the model overflows float64 on this graph")
     labels = predict(model, graph).labels
     nodes = np.arange(len(labels))
     rival_upper = out.upper.copy()

@@ -9,13 +9,18 @@ bounding area given numeric pre-activation intervals.
 The forms are derived backwards: ``back_substitute_batch`` starts from the
 output scores of a chunk of target nodes and rewrites them layer by layer,
 each target over its own receptive field, so a target's variables widen by
-one hop per layer and never cover nodes it cannot see. The hops come from
-``receptive_fields``, and Ã is read only between one hop and the next; the
-interval pre-activation bounds come from the caller, which computes them once
-per budget and shares them across all of its nodes.
+one hop per layer and never cover nodes it cannot see. It carries one form
+per (target, label), the lower or the upper one as the caller asks: a
+certificate needs only its own label's lower form and each rival's upper
+form (CROWN's back-substitution of the specification rows alone; Zhang et
+al., NeurIPS 2018). The hops come from the caller's ``receptive_fields``,
+and Ã is read only between one hop and the next; the interval pre-activation
+bounds come from the caller, which computes them once per budget and shares
+them across all of its nodes.
 
 ``back_substitute`` is the kernel's one-target view, returning a
-``PolyNodeElement``; no production path calls it. The forward propagation the
+``PolyNodeElement`` from two kernel passes, all rows lower and all rows
+upper; no production path calls it. The forward propagation the
 kernel is tested against (input abstraction, graph convolution, affine and
 ReLU steps on ``PolyNodeElement``s, and their evaluation at a feature matrix)
 lives with the tests, in ``tests/poly_oracle.py``.
@@ -107,54 +112,56 @@ def _relu_cases(
 
 @dataclass(frozen=True)
 class PolyBatch:
-    """Output-layer symbolic bounds of a chunk of target nodes.
+    """Output-layer symbolic bounds of a chunk of target nodes, one form per label.
 
     Target t's variables are the input features of ``fronts[t]``, its
     receptive field in ascending node order. Fields are padded at the end to
-    the chunk's widest with node 0 under all-zero coefficients. Coefficients
-    are shaped (targets, labels, field, features), constants (targets, labels).
-    ``tape`` holds, per layer in the order the forward pass crossed them, what
+    the chunk's widest with node 0 under all-zero coefficients. Row q of
+    target t is label q's upper form where the kernel's ``upper[t, q]`` is
+    true and its lower form otherwise; coefficients are shaped (targets,
+    labels, field, features), constants (targets, labels). ``tape`` holds,
+    per layer in the order the forward pass crossed them, what
     ``back_substitute_backward`` reads: the front, its padding mask, the
     coefficients entering the ReLU (None at the output layer) and the affine
     crossing, and the graph-convolution block.
     """
 
     fronts: np.ndarray
-    lower_coef: np.ndarray
-    lower_const: np.ndarray
-    upper_coef: np.ndarray
-    upper_const: np.ndarray
+    coef: np.ndarray
+    const: np.ndarray
     tape: tuple
 
 
 def back_substitute_batch(
     model: GcnModel,
     graph: Graph,
-    nodes: Sequence[int],
+    hops: Sequence[tuple[np.ndarray, np.ndarray]],
     layer_bounds: Sequence[IntervalElement],
+    upper: np.ndarray,
 ) -> PolyBatch:
-    """Output-layer bounds of every target in ``nodes``, derived backwards in one pass.
+    """One output form per (target, label), derived backwards in one pass.
 
-    Rewrites the targets' output rows layer by layer as combinations of the
-    current layer's element rows, keeping, per bound side, separate weights on
-    the referenced lower rows and upper rows (the affine and ReLU crossings
+    ``hops`` are the targets' ``receptive_fields`` and ``upper`` (targets,
+    labels) picks each row's side: label q's upper form where ``upper[t, q]``
+    is true, its lower form otherwise. Rewrites each row layer by layer as a
+    combination of the current layer's element rows, keeping separate weights
+    on the referenced lower rows and upper rows (the affine and ReLU crossings
     below mirror the forward operations' sign splits term for term). The
     result therefore equals forward propagation coefficient for coefficient,
     but never materializes elements outside a target's receptive field: each
-    target's front only widens by one hop per layer, to the next hop of
-    ``receptive_fields``.
+    target's front only widens by one hop per layer, to the next hop.
 
     ``layer_bounds`` holds the interval pre-activation bounds of every layer
-    (``interval_layer_bounds``) under the budget; ``receptive_fields`` checks ``nodes``.
+    (``interval_layer_bounds``) under the budget.
     """
-    hops = receptive_fields(graph, nodes, model.num_layers)  # live is False on padding
-    targets, rows = len(hops[0][0]), model.num_labels
-    # coef[t, k, ref, side, r, j]: weight that bound side (0 lower, 1 upper)
-    # of target t's output row r puts on the referenced (0 lower, 1 upper) row
-    # of feature j of front node k in the current layer's element
-    coef = np.zeros((targets, 1, 2, 2, rows, rows))
-    coef[:, 0, 0, 0] = coef[:, 0, 1, 1] = np.eye(rows)
-    const = np.zeros((targets, 2, rows))
+    targets, rows = upper.shape
+    # coef[t, k, ref, q, j]: weight that row q of target t puts on the
+    # referenced (0 lower, 1 upper) row of feature j of front node k in the
+    # current layer's element; each output row references its own side
+    coef = np.zeros((targets, 1, 2, rows, rows))
+    label = np.arange(rows)
+    coef[np.arange(targets)[:, None], 0, upper.astype(np.intp), label, label] = 1.0
+    const = np.zeros((targets, rows))
     tape = []
     for l in range(model.num_layers - 1, -1, -1):
         (front, live), (new_front, new_live) = hops[-2 - l], hops[-1 - l]
@@ -165,8 +172,8 @@ def back_substitute_batch(
             pre = layer_bounds[l]
             lo_slope, up_slope, up_shift = _relu_cases(pre.lower[front], pre.upper[front])
             relu_in = coef
-            const = const + (coef[:, :, 1] * up_shift[:, :, None, None]).sum(axis=(1, 4))
-            coef = coef * np.stack([lo_slope, up_slope], axis=2)[:, :, :, None, None]
+            const = const + (coef[:, :, 1] * up_shift[:, :, None]).sum(axis=(1, 3))
+            coef = coef * np.stack([lo_slope, up_slope], axis=2)[:, :, :, None]
         layer = model.layers[l]
         affine_in = coef
         # cross the affine map: positive weights keep the referenced side,
@@ -183,46 +190,38 @@ def back_substitute_batch(
         adj_sub = graph.norm_adj[front[:, :, None], new_front[:, None, :]] * new_live[:, None, :]
         tape.append((front, live, relu_in, affine_in, adj_sub))
         coef = adj_sub.transpose(0, 2, 1) @ coef.reshape(targets, front.shape[1], -1)
-        coef = coef.reshape((targets, new_front.shape[1], 2, 2, rows, -1))
+        coef = coef.reshape((targets, new_front.shape[1], 2, rows, -1))
     # input elements are exact (lower row = upper row = the feature itself)
-    return PolyBatch(
-        fronts=hops[-1][0],
-        lower_coef=(coef[:, :, 0, 0] + coef[:, :, 1, 0]).transpose(0, 2, 1, 3),
-        lower_const=const[:, 0],
-        upper_coef=(coef[:, :, 1, 1] + coef[:, :, 0, 1]).transpose(0, 2, 1, 3),
-        upper_const=const[:, 1],
-        tape=tuple(tape),
-    )
+    return PolyBatch(fronts=hops[-1][0], coef=(coef[:, :, 0] + coef[:, :, 1]).transpose(0, 2, 1, 3),
+                     const=const, tape=tuple(tape))
 
 
 def back_substitute_backward(
     model: GcnModel,
     batch: PolyBatch,
     layer_bounds: Sequence[IntervalElement],
-    form_grads: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    form_grads: tuple[np.ndarray, np.ndarray],
     param_grads: Sequence[tuple[np.ndarray, np.ndarray]],
     bound_grads: Sequence[tuple[np.ndarray, np.ndarray]],
 ) -> None:
     """Reverse-mode pass of ``back_substitute_batch``; adds into the two gradient lists.
 
-    ``form_grads`` holds the gradients with respect to the batch's lower
-    coefficients, lower constants, upper coefficients and upper constants,
-    shaped like them. Per layer, ``param_grads`` gets the (weight, bias)
-    gradients and ``bound_grads`` the (lower, upper) gradients of
-    ``layer_bounds``, which reach the forms only through the chord of each
-    unstable ReLU: slope u/(u-l) and intercept -ul/(u-l). The area-rule
-    lower slope is piecewise constant and passes no gradient to the bounds.
+    ``form_grads`` holds the gradients with respect to the batch's
+    coefficients and constants, shaped like them. Per layer, ``param_grads``
+    gets the (weight, bias) gradients and ``bound_grads`` the (lower, upper)
+    gradients of ``layer_bounds``, which reach the forms only through the
+    chord of each unstable ReLU: slope u/(u-l) and intercept -ul/(u-l). The
+    area-rule lower slope is piecewise constant and passes no gradient to the
+    bounds.
     """
-    low_coef, low_const, up_coef, up_const = form_grads
-    targets, rows = low_const.shape
-    # both referenced sides feed a bound side, so both get its gradient
-    grad = np.stack([low_coef, up_coef], axis=1).transpose(0, 3, 1, 2, 4)[:, :, None]
-    grad = np.repeat(grad, 2, axis=2)
-    const = np.stack([low_const, up_const], axis=1)  # every crossing adds into it
+    coef_grad, const = form_grads  # every crossing adds into const
+    targets = len(const)
+    # both referenced sides feed an input form, so both get its gradient
+    grad = np.repeat(coef_grad.transpose(0, 2, 1, 3)[:, :, None], 2, axis=2)
     for l, (front, live, relu_in, affine_in, adj_sub) in enumerate(reversed(batch.tape)):
         # graph convolution: coef = adj_sub^T coef_in, so grad_in = adj_sub grad
         grad = adj_sub @ grad.reshape(targets, adj_sub.shape[2], -1)
-        grad = grad.reshape(affine_in.shape[:-1] + (-1,)) * live[:, :, None, None, None, None]
+        grad = grad.reshape(affine_in.shape[:-1] + (-1,)) * live[:, :, None, None, None]
         # affine: positive weights keep the referenced side, negative ones swap it
         layer = model.layers[l]
         weight_grad, bias_grad = param_grads[l]
@@ -234,17 +233,17 @@ def back_substitute_backward(
         referenced = (affine_in[:, :, 0] + affine_in[:, :, 1]).sum(axis=1)
         bias_grad += const.reshape(-1) @ referenced.reshape(-1, layer.bias.size)
         grad = same @ np.maximum(layer.weight, 0.0) + swapped @ np.minimum(layer.weight, 0.0)
-        grad = grad.reshape(affine_in.shape) + const[:, None, None, :, :, None] * layer.bias
+        grad = grad.reshape(affine_in.shape) + const[:, None, None, :, None] * layer.bias
         if relu_in is None:
             continue
         # ReLU: coef = relu_in * slope and const += upper rows * intercept
         pre = layer_bounds[l]
         lower, upper = pre.lower[front], pre.upper[front]
         lo_slope, up_slope, up_shift = _relu_cases(lower, upper)
-        slope_grad = (grad[:, :, 1] * relu_in[:, :, 1]).sum(axis=(2, 3))
-        shift_grad = np.einsum("tsr,tksrj->tkj", const, relu_in[:, :, 1])
-        grad = grad * np.stack([lo_slope, up_slope], axis=2)[:, :, :, None, None]
-        grad[:, :, 1] += const[:, None, :, :, None] * up_shift[:, :, None, None]
+        slope_grad = (grad[:, :, 1] * relu_in[:, :, 1]).sum(axis=2)
+        shift_grad = np.einsum("tq,tkqj->tkj", const, relu_in[:, :, 1])
+        grad = grad * np.stack([lo_slope, up_slope], axis=2)[:, :, :, None]
+        grad[:, :, 1] += const[:, None, :, None] * up_shift[:, :, None]
         mixed = (lower < 0) & (upper > 0)
         width2 = np.where(mixed, (upper - lower) ** 2, 1.0)
         lower_grad, upper_grad = bound_grads[l]
@@ -260,14 +259,18 @@ def back_substitute(
     node: int,
     layer_bounds: Sequence[IntervalElement],
 ) -> PolyNodeElement:
-    """Output-layer element of one node: ``back_substitute_batch`` of that node alone."""
-    batch = back_substitute_batch(model, graph, [node], layer_bounds)
+    """Output-layer element of one node: its all-lower and all-upper ``back_substitute_batch``."""
+    hops = receptive_fields(graph, [node], model.num_layers)
     rows = model.num_labels
+    lower, upper = (
+        back_substitute_batch(model, graph, hops, layer_bounds, np.full((1, rows), side))
+        for side in (False, True)
+    )
     return PolyNodeElement(
-        var_nodes=batch.fronts[0],
+        var_nodes=lower.fronts[0],
         num_features=graph.num_features,
-        lower_coef=batch.lower_coef[0].reshape(rows, -1),
-        lower_const=batch.lower_const[0],
-        upper_coef=batch.upper_coef[0].reshape(rows, -1),
-        upper_const=batch.upper_const[0],
+        lower_coef=lower.coef[0].reshape(rows, -1),
+        lower_const=lower.const[0],
+        upper_coef=upper.coef[0].reshape(rows, -1),
+        upper_const=upper.const[0],
     )

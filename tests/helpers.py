@@ -252,3 +252,26 @@ def central_fd_gradient(loss, model, step: float = 1e-4) -> list[tuple[np.ndarra
             pair.append(grad)
         grads.append(tuple(pair))
     return grads
+
+
+def chunks_of(monkeypatch, model, graph, size):
+    """Make the kernel's first, widest chunk hold ``size`` targets; returns the chunk lengths seen.
+
+    ``size`` 1 puts every target in a chunk of its own and None all targets
+    in one chunk. Otherwise later chunks, whose fields are narrower, may hold
+    more targets than the first.
+    """
+    hops = gc.graph.receptive_fields(graph, np.arange(graph.num_nodes), model.num_layers)
+    widest = max([model.input_width] + [layer.weight.shape[1] for layer in model.layers])
+    per_target = 2 * model.num_labels * widest * int(hops[-1][1].sum(axis=1).max())
+    elements = 1 << 62 if size is None else 1 if size == 1 else size * per_target
+    monkeypatch.setattr(gc.certify, "_CHUNK_ELEMENTS", elements)
+    seen = []
+    kernel = gc.certify.back_substitute_batch
+
+    def spy(model, graph, hops, *args, **kwargs):
+        seen.append(len(hops[0][0]))
+        return kernel(model, graph, hops, *args, **kwargs)
+
+    monkeypatch.setattr(gc.certify, "back_substitute_batch", spy)
+    return seen

@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -230,22 +233,6 @@ def test_certify_sound_restricted_mode_dominates_interval(rng, mode):
         assert (certificate.margin >= gc.interval_certify(model, graph, budget, "topk")).all()
 
 
-def _chunks_of(monkeypatch, model, graph, size):
-    """Make certify_sound cut its nodes into chunks of ``size``; returns the chunk lengths seen."""
-    monkeypatch.setattr(
-        gcncert.certify, "_CHUNK_ELEMENTS", size * gcncert.certify._target_elements(model, graph)
-    )
-    seen = []
-    kernel = gcncert.certify.back_substitute_batch
-
-    def spy(model, graph, nodes, *args, **kwargs):
-        seen.append(len(nodes))
-        return kernel(model, graph, nodes, *args, **kwargs)
-
-    monkeypatch.setattr(gcncert.certify, "back_substitute_batch", spy)
-    return seen
-
-
 _EXACT = ["nodes", "labels", "rivals", "pick_row", "pick_rival", "pick_node", "pick_feature"]
 
 
@@ -267,7 +254,7 @@ def _records(certificate):
     ]
 
 
-def _assert_same_judgments(got, expected, tol=1e-9):
+def _assert_same_judgments(got, expected):
     # flip sets and flags exactly, margins up to summation order
     for name in _EXACT:
         assert np.array_equal(getattr(got, name), getattr(expected, name)), name
@@ -277,8 +264,8 @@ def _assert_same_judgments(got, expected, tol=1e-9):
     assert got.certified.tolist() == [margin > 0.0 for margin in margins]
     assert got.rival_margins.shape == expected.rival_margins.shape
     assert got.rival_margins.ravel().tolist() == pytest.approx(
-        expected.rival_margins.ravel().tolist(), abs=tol)
-    assert got.margin.tolist() == pytest.approx(margins, abs=tol)
+        expected.rival_margins.ravel().tolist(), abs=1e-9)
+    assert got.margin.tolist() == pytest.approx(margins, abs=1e-9)
 
 
 @pytest.mark.parametrize("mode", ["both", "add-only", "delete-only"])
@@ -301,12 +288,45 @@ def test_chunk_boundary_does_not_change_judgments(rng, monkeypatch):
     for _ in range(5):
         graph, model, budget = helpers.trained_instance(rng)
         whole = gc.certify_sound(model, graph, budget)
-        with monkeypatch.context() as patch:
-            seen = _chunks_of(patch, model, graph, 3)
-            chunked = gc.certify_sound(model, graph, budget)
         n = graph.num_nodes
-        assert seen == [3] * (n // 3) + ([n % 3] if n % 3 else [])
-        _assert_same_judgments(chunked, whole, tol=1e-12)
+        for size in (1, 3, None):
+            with monkeypatch.context() as patch:
+                seen = helpers.chunks_of(patch, model, graph, size)
+                chunked = gc.certify_sound(model, graph, budget)
+            assert sum(seen) == n and seen[0] == {1: 1, 3: min(3, n), None: n}[size]
+            assert size != 1 or len(seen) == n
+            assert min(seen[:-1], default=seen[0]) >= seen[0]  # narrower fields, fuller chunks
+            for field in fields(gc.Certificate):
+                got, expected = getattr(chunked, field.name), getattr(whole, field.name)
+                assert got.dtype == expected.dtype and got.shape == expected.shape, field.name
+                assert got.tobytes() == expected.tobytes(), field.name
+
+
+def test_certify_sound_peak_memory_stays_small():
+    # a 300-node graph of mean degree 5 and 32 features, a 32-16-4 model, budget 2/4;
+    # the peak beyond the inputs is 5.3 MB (the interval bounds), and 18.8 MB if a
+    # kernel chunk may hold 1 << 20 coefficient entries
+    rng = np.random.default_rng(0)
+    n, m0, hidden, labels = 300, 32, 16, 4
+    upper = np.triu(rng.random((n, n)) < 5.0 / n, 1)
+    graph = gc.Graph(adjacency=(upper | upper.T).astype(int),
+                     features=(rng.random((n, m0)) < 0.1).astype(int))
+    model = gc.GcnModel(tuple(
+        gc.GcnLayer(rng.uniform(-1, 1, (a, b)), rng.uniform(-0.5, 0.5, b))
+        for a, b in ((m0, hidden), (hidden, labels))))
+    graph.norm_adj, graph.neighbors  # cached inputs, not working memory
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        certificate = gc.certify_sound(model, graph, gc.PerturbationBudget(2, 4))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert len(certificate.nodes) == n
+    assert peak < 11 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_output_follows_requested_node_order(rng, monkeypatch):
@@ -314,7 +334,7 @@ def test_output_follows_requested_node_order(rng, monkeypatch):
     by_node = _records(gc.certify_sound(model, graph, budget))
     n = graph.num_nodes
     order = [n - 1, 0, n - 1, n // 2, 0]
-    _chunks_of(monkeypatch, model, graph, 2)
+    helpers.chunks_of(monkeypatch, model, graph, 2)
     expected = [by_node[i] for i in order]
     assert _records(gc.certify_sound(model, graph, budget, nodes=order)) == expected
     assert _records(gc.certify_sound(model, graph, budget, nodes=np.array(order))) == expected
@@ -373,7 +393,7 @@ def test_rival_margins_equal_judgment_margins_bit_for_bit(rng, monkeypatch, vari
         labels = gc.predict(model, graph).labels
         with monkeypatch.context() as patch:
             if trial % 2:  # one node per chunk
-                _chunks_of(patch, model, graph, 1)
+                helpers.chunks_of(patch, model, graph, 1)
             margins, _ = gcncert.certify.rival_margins(model, graph, budget, variant,
                                                        labels, nodes, mode)
             certificate = gc.certify_sound(model, graph, budget, variant,

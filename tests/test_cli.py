@@ -220,6 +220,31 @@ def test_certify_rejects_non_finite_model(tmp_path):
     assert main(["certify", "--graph", GRAPH, "--model", str(bad), "--output", str(out)]) == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["certify"], ["certify", "--method", "interval-topk"], ["counterexample"],
+    ["sweep", "--global-range", "0:1"],
+    ["sweep", "--global-range", "0:1", "--method", "interval-max"],
+    ["collective", "--cap", "2"], ["collective", "--cap", "2", "--method", "interval-topk"],
+    ["oracle"], ["train", "--steps", "1", "--labels", "LABELS"],
+])
+def test_overflowing_model_is_data_error(tmp_path, capsys, command):
+    # finite weights whose scores and bounds overflow float64
+    doc = json.loads(Path(MODEL).read_text())
+    for layer in doc["layers"]:
+        layer["weight"] = [[w * 1e300 for w in row] for row in layer["weight"]]
+        layer["bias"] = [b * 1e300 for b in layer["bias"]]
+    model_path, labels_path = tmp_path / "m.json", tmp_path / "labels.json"
+    model_path.write_text(json.dumps(doc))
+    labels_path.write_text("[0, 1]")
+    out = tmp_path / "out"
+    argv = [str(labels_path) if a == "LABELS" else a for a in command]
+    assert main(argv + ["--graph", GRAPH, "--model", str(model_path), "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "overflows float64" in captured.err and "Traceback" not in captured.err
+    written = out.read_text() if out.exists() else ""
+    assert "nan" not in (written + captured.out).lower()
+
+
 @pytest.mark.parametrize("args", [
     ["certify", "--threads", "0"],
     ["certify", "--threads", "-3"],

@@ -7,7 +7,6 @@ import gcncert as gc
 import gcncert.certify
 import gcncert.graph
 import gcncert.perturbation
-import gcncert.polyhedra
 import helpers
 
 
@@ -128,10 +127,9 @@ def test_non_integer_budget_or_index_rejected(two_node, case):
             model, graph, budget, "topk", np.array([1, 1]), np.array([0.7])),
         "margins node True": lambda: gcncert.certify.rival_margins(
             model, graph, budget, "topk", np.array([1, 1]), [True]),
-        "batch node 0.7":
-            lambda: gcncert.polyhedra.back_substitute_batch(model, graph, [0.7], bounds),
-        "batch node True":
-            lambda: gcncert.polyhedra.back_substitute_batch(model, graph, [True], bounds),
+        # the batch kernel takes its targets as hops, which its chunker builds
+        "batch node 0.7": lambda: list(gcncert.certify._chunks(model, graph, [0.7])),
+        "batch node True": lambda: list(gcncert.certify._chunks(model, graph, [True])),
         "back_substitute node 0.7": lambda: gc.back_substitute(model, graph, 0.7, bounds),
         "fields node 0.9": lambda: gcncert.graph.receptive_fields(graph, [0.9], 1),
         "counterexample row True":
@@ -253,6 +251,27 @@ def test_numpy_integers_give_the_same_results_as_python_ints(two_node):
                for given, seed in ((np.array([1, -1], dtype=np.int32), np.int64(3)), ([1, -1], 3))]
     for a, b in zip(*(t.layers for t in trained)):
         assert a.weight.tobytes() == b.weight.tobytes() and a.bias.tobytes() == b.bias.tobytes()
+
+
+@pytest.mark.parametrize("scalar", [1, np.int64(1)])
+def test_a_bare_integer_is_not_a_node_sequence(two_node, scalar):
+    # one rule for every entry point that takes a sequence of nodes or labels
+    graph, model = two_node
+    budget = gc.PerturbationBudget(1, 1)
+    labels = gc.predict(model, graph).labels
+    calls = [
+        lambda: gc.certify_sound(model, graph, budget, nodes=scalar),
+        lambda: gcncert.certify.rival_margins(model, graph, budget, "topk", labels, scalar),
+        lambda: gcncert.graph.receptive_fields(graph, scalar, 1),
+        lambda: gc.train_robust(model, graph, scalar, budget, 1, 0.1, 0),
+    ]
+    for call in calls:
+        with pytest.raises(gc.DataError, match="must be a sequence"):
+            call()
+    # one node goes in a list; receptive_field takes the node itself
+    assert gc.certify_sound(model, graph, budget, nodes=[1]).nodes.tolist() == [1]
+    hops = gcncert.graph.receptive_field(graph, scalar, 1)
+    assert [hop.tolist() for hop in hops] == [[1], [0, 1]]
 
 
 def test_exact_robustness_matches_independent_bruteforce(rng):

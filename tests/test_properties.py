@@ -168,3 +168,24 @@ def test_rival_margins_equal_certificate_bit_for_bit(seed, variant, mode):
     margins, _ = rival_margins(model, graph, budget, variant, labels, np.arange(graph.num_nodes),
                                mode=mode)
     _assert_same(margins, certificate.rival_margins)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.sampled_from([2, 3, 4, 5]), _VARIANTS)
+@settings(derandomize=True, deadline=None, max_examples=60)
+def test_kernel_rows_are_the_all_lower_or_all_upper_rows(seed, num_layers, num_labels, variant):
+    rng = np.random.default_rng(seed)
+    graph, model, budget = helpers.raw_instance(rng, num_layers)
+    last = model.layers[-1].weight.shape[0]
+    model = gc.GcnModel(model.layers[:-1] + (gc.GcnLayer(
+        rng.uniform(-1, 1, (last, num_labels)), rng.uniform(-0.5, 0.5, num_labels)),))
+    bounds = gc.interval_layer_bounds(model, graph, budget, variant)
+    nodes = rng.permutation(graph.num_nodes)[: int(rng.integers(1, graph.num_nodes + 1))]
+    hops = gc.graph.receptive_fields(graph, nodes, num_layers)
+    upper = rng.random((len(nodes), num_labels)) < 0.5
+    mixed, lower_only, upper_only = (
+        gc.polyhedra.back_substitute_batch(model, graph, hops, bounds, mask)
+        for mask in (upper, np.zeros_like(upper), np.ones_like(upper)))
+    _assert_same(mixed.fronts, lower_only.fronts)
+    side = upper[:, :, None, None]
+    _assert_same(mixed.coef, np.where(side, upper_only.coef, lower_only.coef))
+    _assert_same(mixed.const, np.where(upper, upper_only.const, lower_only.const))

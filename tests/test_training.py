@@ -250,11 +250,11 @@ def _choices(model, graph, budget, variant, mode, batch, targets, thresholds):
     if budget.per_node and budget.total:
         pools = intervals._flip_deviations(model, graph, budget, variant, mode)[2]
         parts += [np.argsort(pool, axis=1, kind="stable") for pool in pools]
-    for chunk in certify._chunks(model, graph, batch):
-        part = certify._chunk_margins(model, graph, budget, mode, bounds, targets, chunk)
+    for _, hops in certify._chunks(model, graph, batch):
+        part = certify._chunk_margins(model, graph, budget, mode, bounds, targets, hops)
         tied = np.isclose(part.box_gap, part.poly_min, rtol=1e-12, atol=1e-12)
-        parts += [part.pick, ~tied & (part.box_gap > part.poly_min),
-                  part.margins < thresholds[chunk, None]]
+        parts += [np.stack(part.picks), ~tied & (part.box_gap > part.poly_min),
+                  part.margins < thresholds[part.nodes, None]]
     return b"".join(np.ascontiguousarray(p).tobytes() for p in parts)
 
 
@@ -308,7 +308,8 @@ def test_gradient_follows_the_output_box_where_it_wins():
     setting = (graph, budget, "topk", "both", batch, targets, np.array([False]),
                np.array([training.DEFAULT_LABELED_MARGIN]))
     bounds = gc.interval_layer_bounds(model, graph, budget, "topk")
-    part = certify._chunk_margins(model, graph, budget, "both", bounds, targets, batch)
+    hops = gc.graph.receptive_fields(graph, batch, model.num_layers)
+    part = certify._chunk_margins(model, graph, budget, "both", bounds, targets, hops)
     assert part.box_gap[0, 0] == pytest.approx(0.1) and part.poly_min[0, 0] == pytest.approx(-0.5)
     exact = training._batch_loss(model, *setting)[1]()
     reference = helpers.central_fd_gradient(lambda m: training._batch_loss(m, *setting)[0],
@@ -325,8 +326,12 @@ def test_gradient_is_the_same_over_chunks_of_the_batch(rng, monkeypatch):
     setting = (graph, budget, "topk", "both", np.arange(n), labels, np.zeros(n, dtype=bool),
                np.full(n, training.DEFAULT_LABELED_MARGIN))
     whole = training._batch_loss(model, *setting)[1]()
-    monkeypatch.setattr(certify, "_CHUNK_ELEMENTS", certify._target_elements(model, graph))
-    assert len(certify._chunks(model, graph, np.arange(n))) == n  # one node per chunk
-    for (w, b), (w_chunked, b_chunked) in zip(whole, training._batch_loss(model, *setting)[1]()):
-        assert np.allclose(w, w_chunked, rtol=1e-12, atol=1e-12)
-        assert np.allclose(b, b_chunked, rtol=1e-12, atol=1e-12)
+    for size in (1, 3, None):
+        with monkeypatch.context() as patch:
+            seen = helpers.chunks_of(patch, model, graph, size)
+            chunked = training._batch_loss(model, *setting)[1]()
+        assert sum(seen) == n and seen[0] == {1: 1, 3: min(3, n), None: n}[size]
+        assert size != 1 or len(seen) == n
+        for (w, b), (w_chunked, b_chunked) in zip(whole, chunked):
+            assert np.allclose(w, w_chunked, rtol=1e-12, atol=1e-12)
+            assert np.allclose(b, b_chunked, rtol=1e-12, atol=1e-12)
