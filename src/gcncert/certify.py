@@ -16,8 +16,9 @@ upper bound complete.
 
 Replay is local: an L-layer GCN's score for node i depends only on the
 features of the nodes within L hops, so ``generate_counterexample`` runs the
-forward pass on that receptive field alone, with the full graph's Ã entries,
-one batch for all of a node's candidate flip sets. Local sums round
+forward pass on that receptive field alone, with the full graph's Ã entries
+gathered as dense blocks from its neighbour table (``graph.norm_adj``), one
+batch for all of a node's candidate flip sets. Local sums round
 differently from the whole-graph product, so a candidate whose local top two
 scores lie within 1e-9 (relative) is settled by the whole-graph ``forward``.
 
@@ -421,7 +422,7 @@ def _local_scores(
     h = x.astype(np.float64)
     depth = model.num_layers
     for l, layer in enumerate(model.layers):
-        block = graph.norm_adj[np.ix_(hops[depth - 1 - l], hops[depth - l])]
+        block = graph.norm_adj.block(*np.ix_(hops[depth - 1 - l], hops[depth - l]))
         h = np.matmul(block, h) @ layer.weight + layer.bias
         if l < depth - 1:
             h = np.maximum(h, 0.0)

@@ -99,10 +99,8 @@ def load_graph(path: str) -> Graph:
     data = _check_keys(path, _load_json(path), _GRAPH_KEYS, "graph file")
     n, m = (check_index(data[key], f"{path}: {key}", 1) for key in ("num_nodes", "num_features"))
     features = _table(path, data["features"], "features", (n, m), (0, 1), "0 or 1")
-    i, j = _table(path, data["edges"], "edges", (None, 2), (0, n - 1), f"a node index below {n}").T
-    adjacency = np.zeros((n, n), dtype=np.int64)
-    adjacency[i, j] = adjacency[j, i] = 1
-    return Graph(adjacency=adjacency, features=features)
+    edges = _table(path, data["edges"], "edges", (None, 2), (0, n - 1), f"a node index below {n}")
+    return Graph(edges, features)
 
 
 def load_labels(path: str, num_nodes: int) -> np.ndarray:
@@ -114,7 +112,7 @@ def save_graph(graph: Graph, path: str) -> None:
     doc = {
         "num_nodes": graph.num_nodes,
         "num_features": graph.num_features,
-        "edges": np.argwhere(np.triu(graph.adjacency)).tolist(),  # i <= j, row-major
+        "edges": graph.edges.tolist(),  # unique, i <= j, row-major
         "features": graph.features.tolist(),
     }
     with open(path, "w", encoding="utf-8") as f:

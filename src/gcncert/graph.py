@@ -4,10 +4,14 @@ A classifier applies, per layer, graph convolution with the normalized
 adjacency, an affine map, and ReLU; the final layer stays linear so output
 scores keep their sign and margins between labels are meaningful.
 
-A ``Graph`` owns its normalized adjacency Ã: ``graph.norm_adj`` is computed on
-first use and shared, read-only, by every certifier, replay and the oracle;
-``graph.neighbors`` lists each row's nonzero entries for the code that only
-looks at a node's neighbours, such as ``receptive_fields``, the one hop
+A ``Graph`` holds its edge list, never an n×n matrix. Its normalized
+adjacency Ã, ``graph.norm_adj``, is a ``NeighborTable`` built from the edges
+on first use and shared, read-only, by every certifier, replay and the
+oracle: each row's nonzero columns and weights, padded to the widest row.
+``table @ h`` is the graph convolution Ã·h, one multiply-add per slot
+(sparse propagation as in Kipf & Welling, ICLR 2017), and
+``table.block(rows, cols)`` gathers a dense block of Ã for the code that
+works on one receptive field at a time. ``receptive_fields`` is the one hop
 routine of back-substitution, replay and the oracle.
 """
 
@@ -21,62 +25,100 @@ import numpy as np
 from .errors import DataError, DimensionError, check_index
 
 
+@dataclass(frozen=True, eq=False)
+class NeighborTable:
+    """Ã as a read-only table of each row's nonzero entries, ``cols`` and ``weights``.
+
+    Both are (n, widest row); row i lists its columns ascending and is padded
+    at the end with column 0 under weight 0. ``table @ h`` is Ã·h and
+    ``block(rows, cols)`` the dense Ã[rows, cols], so no n×n array is needed.
+    """
+
+    cols: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        self.cols.flags.writeable = self.weights.flags.writeable = False
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.cols), len(self.cols))
+
+    def __matmul__(self, h: np.ndarray) -> np.ndarray:
+        """Ã·h for h shaped (..., n, m), one multiply-add per slot of the table.
+
+        Each row sums its terms in column order, so the result can differ
+        from a dense product by rounding.
+        """
+        h = np.asarray(h, dtype=np.float64)
+        out = self.weights[:, :1] * h[..., self.cols[:, 0], :]
+        for slot in range(1, self.cols.shape[1]):
+            out += self.weights[:, slot, None] * h[..., self.cols[:, slot], :]
+        return out
+
+    @cached_property
+    def _lookup(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending keys i * (n + 1) + j of the slots, padding as j = n, and their weights.
+
+        A last key beyond every (i, j) under weight 0 ends both arrays.
+        """
+        n = len(self.cols)
+        keys = np.arange(n)[:, None] * (n + 1) + np.where(self.weights > 0, self.cols, n)
+        return np.append(keys, n * (n + 1)), np.append(self.weights, 0.0)
+
+    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Dense Ã[rows, cols] for broadcasting node index arrays, the entries Ã holds."""
+        keys, weights = self._lookup
+        key = rows * (len(self.cols) + 1) + cols
+        at = np.searchsorted(keys, key)
+        return np.where(keys[at] == key, weights[at], 0.0)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph with binary node features.
 
-    ``adjacency`` is a symmetric 0/1 matrix (self-loops allowed),
-    ``features`` a 0/1 matrix with one row per node.
+    ``edges`` lists [i, j] node pairs in either orientation: each pair joins
+    both directions, repeated pairs count once and [i, i] is a self-loop.
+    ``features`` is a 0/1 matrix with one row per node, so it sets the node
+    count. The graph keeps its edges unique and read-only, as [i, j] rows
+    with i <= j in ascending order.
     """
 
-    adjacency: np.ndarray
+    edges: np.ndarray
     features: np.ndarray
 
     def __post_init__(self):
-        adj = np.asarray(self.adjacency)  # values are checked before the int64 cast
-        feats = np.asarray(self.features)
-        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-            raise DimensionError(f"adjacency must be square, got shape {adj.shape}")
-        if adj.shape[0] < 1:
+        feats = np.asarray(self.features)  # values are checked before the int64 cast
+        if feats.ndim != 2:
+            raise DimensionError(f"features must be a matrix, got shape {feats.shape}")
+        n = feats.shape[0]
+        if n < 1:
             raise DataError("graph must have at least one node")
-        if feats.ndim != 2 or feats.shape[0] != adj.shape[0]:
-            raise DimensionError(
-                f"features must have one row per node, got {feats.shape} for {adj.shape[0]} nodes"
-            )
-        for name, values in (("adjacency", adj), ("feature", feats)):
-            if not ((values == 0) | (values == 1)).all():
-                raise DataError(f"{name} entries must be 0 or 1")
-        if (adj != adj.T).any():
-            raise DataError("adjacency must be symmetric")
-        object.__setattr__(self, "adjacency", adj.astype(np.int64, copy=False))
+        if not ((feats == 0) | (feats == 1)).all():
+            raise DataError("feature entries must be 0 or 1")
+        edges = np.asarray(self.edges)
+        if edges.size == 0:
+            edges = edges.reshape(0, 2)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise DimensionError(f"edges must be a list of [i, j] pairs, got shape {edges.shape}")
+        i, j = check_index(edges.ravel(), "edge node", 0, n, many=True).reshape(-1, 2).T
+        key = np.sort(np.minimum(i, j) * n + np.maximum(i, j))
+        # np.unique would do, but it imports numpy.ma, which adds 1 MB to every process
+        key = key[np.diff(key, prepend=-1) != 0]
+        edges = np.stack(divmod(key, n), axis=1)
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "features", feats.astype(np.int64, copy=False))
 
     @property
     def num_nodes(self) -> int:
-        return self.adjacency.shape[0]
+        return self.features.shape[0]
 
     @cached_property
-    def norm_adj(self) -> np.ndarray:
-        """Ã = normalize_adjacency(self), computed once and read-only."""
-        norm_adj = normalize_adjacency(self)
-        norm_adj.flags.writeable = False
-        return norm_adj
-
-    @cached_property
-    def neighbors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ã's nonzero columns per row and their weights, both (n, widest row), read-only.
-
-        Rows are padded at the end with column 0 under weight 0.
-        """
-        rows, cols = np.nonzero(self.norm_adj)
-        counts = np.bincount(rows, minlength=self.num_nodes)
-        slot = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
-        table = np.zeros((self.num_nodes, counts.max()), dtype=np.int64)
-        weights = np.zeros(table.shape)
-        table[rows, slot] = cols
-        weights[rows, slot] = self.norm_adj[rows, cols]
-        table.flags.writeable = weights.flags.writeable = False
-        return table, weights
+    def norm_adj(self) -> NeighborTable:
+        """Ã = normalize_adjacency(self), computed once."""
+        return normalize_adjacency(self)
 
     @property
     def num_features(self) -> int:
@@ -144,16 +186,38 @@ class Prediction:
     labels: np.ndarray  # (n,), row-wise argmax, lowest index on ties
 
 
-def normalize_adjacency(graph: Graph) -> np.ndarray:
-    """D^{-1/2} (A + I) D^{-1/2}; the +I self-loop keeps all degrees positive."""
-    a_hat = graph.adjacency.astype(np.float64) + np.eye(graph.num_nodes)
-    inv_sqrt_deg = 1.0 / np.sqrt(a_hat.sum(axis=1))
-    return a_hat * inv_sqrt_deg[:, None] * inv_sqrt_deg[None, :]
+def normalize_adjacency(graph: Graph) -> NeighborTable:
+    """Ã = D^{-1/2} (A + I) D^{-1/2} as a neighbour table, built from the edge list.
+
+    The +I keeps all degrees positive, and an explicit self-loop makes â_ii = 2.
+    Each weight is (â_ij · d_i^{-1/2}) · d_j^{-1/2} from integer degrees, the
+    float that the dense product D^{-1/2} Â D^{-1/2} holds at (i, j).
+    """
+    n = graph.num_nodes
+    i, j = graph.edges.T
+    off = i != j
+    loops = np.bincount(i[~off], minlength=n)
+    rows = np.concatenate([i[off], j[off], np.arange(n)])
+    cols = np.concatenate([j[off], i[off], np.arange(n)])
+    a_hat = np.concatenate([np.ones(2 * off.sum()), 1.0 + loops])
+    order = np.argsort(rows * n + cols)  # row by row, columns ascending
+    rows, cols, a_hat = rows[order], cols[order], a_hat[order]
+    counts = np.bincount(rows, minlength=n)
+    inv_sqrt_deg = 1.0 / np.sqrt(counts + loops)
+    slot = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+    table = np.zeros((n, counts.max()), dtype=np.int64)
+    weights = np.zeros(table.shape)
+    table[rows, slot] = cols
+    weights[rows, slot] = a_hat * inv_sqrt_deg[rows] * inv_sqrt_deg[cols]
+    return NeighborTable(table, weights)
 
 
-def forward(model: GcnModel, norm_adj: np.ndarray, features: np.ndarray) -> np.ndarray:
+def forward(model: GcnModel, norm_adj: NeighborTable | np.ndarray,
+            features: np.ndarray) -> np.ndarray:
     """Score matrix of the GCN: per layer Ã·H, then H·W + b, then ReLU (skipped on the last layer).
 
+    ``norm_adj`` is Ã as a graph's ``norm_adj`` table or as a dense (n, n)
+    array; the oracle passes a dense block to keep stacked products in BLAS.
     ``features`` is one (n, m0) matrix or a stack of them, shaped (..., n, m0);
     the scores are stacked alike. Scores that overflow to infinity or NaN
     raise ``DataError``.
@@ -187,7 +251,7 @@ def receptive_fields(graph: Graph, nodes: np.ndarray,
     {node} and H_{l+1} holds the Ã-neighbours of H_l, for integer nodes in [0, n).
     Rows are padded at the end to the hop's widest with node 0, and ``live`` is False there.
     """
-    cols, weights = graph.neighbors
+    cols, weights = graph.norm_adj.cols, graph.norm_adj.weights
     front = np.reshape(check_index(nodes, "node index", 0, graph.num_nodes, many=True), (-1, 1))
     hops = [(front, np.ones(front.shape, dtype=bool))]
     sentinel = graph.num_nodes

@@ -5,12 +5,14 @@ directly from the perturbation budget (the raw 0/1 input box would be useless:
 every cell could flip). Two variants exist: ``topk`` ranks flip candidates per
 node and globally and is exact for the first layer; ``max`` scales the single
 best candidate by the total budget, cheaper but looser. Both look only at each
-node's neighbours (``Graph.neighbors``): a flip elsewhere cannot move the
-node's first layer, so the candidate tensors grow with n times the widest
-neighbourhood, not with n². A ``mode`` other than ``both`` drops the
-candidates of cells whose flip goes the other way. Later layers use plain
-interval arithmetic. These bounds drive the interval certifier baseline and
-supply the numeric ReLU cases for the polyhedra domain.
+node's neighbours, the columns of Ã's neighbour table (``graph.norm_adj``): a
+flip elsewhere cannot move the node's first layer, so the candidate tensors
+grow with n times the widest neighbourhood, not with n². A ``mode`` other
+than ``both`` drops the candidates of cells whose flip goes the other way.
+Later layers use plain interval arithmetic, with the table's product for the
+graph convolution, so no step holds an n×n array. These bounds drive the
+interval certifier baseline and supply the numeric ReLU cases for the
+polyhedra domain.
 
 ``interval_layer_bounds_backward`` is the reverse-mode pass of
 ``interval_layer_bounds``. It holds each bound's selected flip candidates
@@ -28,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, DimensionError
-from .graph import GcnModel, Graph, predict
+from .graph import GcnModel, Graph, NeighborTable, predict
 from .perturbation import PerturbationBudget, check_mode, restrict_to_mode, sign_matrix
 
 VARIANTS = ("topk", "max")
@@ -101,7 +103,7 @@ def _flip_deviations(
     cand = sign_matrix(graph.features)[:, :, None] * model.layers[0].weight[None, :, :]
     cand = restrict_to_mode(cand, graph.features[:, :, None], mode)
     # only Ã's nonzero entries can move a row; padding weighs 0 like a non-neighbour
-    cols, weights = graph.neighbors
+    cols, weights = graph.norm_adj.cols, graph.norm_adj.weights
     if variant == "topk":
         k_local = min(budget.per_node, m0)
         ordered = np.sort(cand, axis=1)
@@ -139,7 +141,7 @@ def _flip_deviations_backward(
     n, m0 = graph.features.shape
     cand, scaled_neg, scaled_pos = _flip_deviations(model, graph, budget, variant, mode)[2]
     m1 = cand.shape[2]
-    cols, weights = graph.neighbors
+    cols, weights = graph.norm_adj.cols, graph.norm_adj.weights
     if variant == "topk":
         k_local = min(budget.per_node, m0)
         k_global = min(budget.total, scaled_neg.shape[1])
@@ -186,11 +188,15 @@ def linear_interval(elem: IntervalElement, weight: np.ndarray, bias: np.ndarray)
     return IntervalElement(lower, upper)
 
 
-def gc_interval(elem: IntervalElement, norm_adj: np.ndarray) -> IntervalElement:
-    """Graph convolution on both bounds; sound only because Ã is entrywise >= 0."""
-    norm_adj = np.asarray(norm_adj, dtype=np.float64)
-    if (norm_adj < 0).any():
-        raise DataError("graph convolution bounds require a non-negative adjacency")
+def gc_interval(elem: IntervalElement, norm_adj: NeighborTable | np.ndarray) -> IntervalElement:
+    """Graph convolution on both bounds; sound only because Ã is entrywise >= 0.
+
+    ``norm_adj`` is Ã as a graph's ``norm_adj`` table or as a dense (n, n) array.
+    """
+    if not isinstance(norm_adj, NeighborTable):  # a table's weights are >= 0 by construction
+        norm_adj = np.asarray(norm_adj, dtype=np.float64)
+        if (norm_adj < 0).any():
+            raise DataError("graph convolution bounds require a non-negative adjacency")
     if norm_adj.shape[1] != elem.lower.shape[0]:
         raise DimensionError("adjacency size does not match interval rows")
     return IntervalElement(norm_adj @ elem.lower, norm_adj @ elem.upper)
@@ -235,7 +241,7 @@ def interval_layer_bounds_backward(
     map's sign split, Ã and the ReLU (which passes nothing where its input is
     <= 0), the first layer through the base value and the chosen candidates.
     """
-    adj_t = graph.norm_adj.T
+    adj_t = graph.norm_adj  # Ã is symmetric, up to the rounding of its entries
     for l in range(model.num_layers - 1, 0, -1):
         weight = model.layers[l].weight
         w_pos, w_neg = np.maximum(weight, 0.0), np.minimum(weight, 0.0)

@@ -13,6 +13,9 @@ cell-index combinations from ``_cell_combos``, the generator that
 ``enumerate_perturbations`` wraps into ``FlipSet``s. A single node's check
 flips only the cells of its L-hop receptive field: no other flip can move its
 scores, and Ã's zero entries add exact zeros, so its verdict is unchanged.
+Each stacked pass multiplies by Ã gathered as one dense n×n block, which
+keeps the products in BLAS and is smaller than the pass's own feature stack;
+the oracle is the one path that builds it.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DataError, OracleInfeasibleError, check_index
-from .graph import GcnModel, Graph, forward, predict, receptive_field
+from .graph import GcnModel, Graph, forward, receptive_field
 
 DEFAULT_ORACLE_CAP = 10_000_000
 
@@ -189,7 +192,10 @@ def _smallest_breaks(
     until every node in ``watch`` (one index or an index array) is broken;
     since enumeration goes by cardinality, a node's first break is its smallest.
     """
-    base_labels = predict(model, graph).labels
+    every = np.arange(graph.num_nodes)
+    norm_adj = graph.norm_adj.block(*np.ix_(every, every))  # dense, for BLAS
+    x = graph.features.astype(np.float64)
+    base_labels = None
     unbroken = budget.total + 1
     smallest = np.full(graph.num_nodes, unbroken, dtype=np.int64)
     m = graph.num_features
@@ -201,9 +207,13 @@ def _smallest_breaks(
             break
         sizes = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
         cells = np.fromiter(itertools.chain.from_iterable(chunk), dtype=np.int64)
-        batch = np.repeat(graph.features[None, :, :], len(chunk), axis=0)
-        batch[np.repeat(np.arange(len(chunk)), sizes), cell_rows[cells], cell_cols[cells]] ^= 1
-        changed = np.argmax(forward(model, graph.norm_adj, batch), axis=2) != base_labels
+        batch = np.repeat(x[None, :, :], len(chunk), axis=0)
+        at = (np.repeat(np.arange(len(chunk)), sizes), cell_rows[cells], cell_cols[cells])
+        batch[at] = 1.0 - batch[at]
+        labels = np.argmax(forward(model, norm_adj, batch), axis=2)
+        if base_labels is None:  # the empty flip set comes first
+            base_labels = labels[0]
+        changed = labels != base_labels
         first = np.where(changed.any(axis=0), sizes[np.argmax(changed, axis=0)], unbroken)
         smallest = np.minimum(smallest, first)
     return smallest

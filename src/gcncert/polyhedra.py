@@ -14,9 +14,11 @@ per (target, label), the lower or the upper one as the caller asks: a
 certificate needs only its own label's lower form and each rival's upper
 form (CROWN's back-substitution of the specification rows alone; Zhang et
 al., NeurIPS 2018). The hops come from the caller's ``receptive_fields``,
-and Ã is read only between one hop and the next; the interval pre-activation
-bounds come from the caller, which computes them once per budget and shares
-them across all of its nodes.
+and Ã is read only between one hop and the next, as dense (front, next
+front) blocks gathered from the graph's neighbour table: the kernel's
+arithmetic is a dense Ã's, and no n×n array is built. The interval
+pre-activation bounds come from the caller, which computes them once per
+budget and shares them across all of its nodes.
 
 ``back_substitute`` is the kernel's one-target view, returning a
 ``PolyNodeElement`` from two kernel passes, all rows lower and all rows
@@ -187,7 +189,8 @@ def back_substitute_batch(
         coef = np.stack([pos[:, :, 0] + neg[:, :, 1], neg[:, :, 0] + pos[:, :, 1]], axis=2)
         # cross graph convolution: g = Ã h, widening each front by one hop;
         # padded columns get no weight, padded rows already carry none
-        adj_sub = graph.norm_adj[front[:, :, None], new_front[:, None, :]] * new_live[:, None, :]
+        adj_sub = graph.norm_adj.block(front[:, :, None], new_front[:, None, :])
+        adj_sub = adj_sub * new_live[:, None, :]
         tape.append((front, live, relu_in, affine_in, adj_sub))
         coef = adj_sub.transpose(0, 2, 1) @ coef.reshape(targets, front.shape[1], -1)
         coef = coef.reshape((targets, new_front.shape[1], 2, rows, -1))

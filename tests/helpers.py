@@ -12,6 +12,66 @@ import numpy as np
 import gcncert as gc
 
 
+def graph_from_dense(adjacency, features) -> gc.Graph:
+    """The graph of a symmetric 0/1 adjacency matrix: its upper triangle as the edge list."""
+    adjacency = np.asarray(adjacency)
+    assert np.isin(adjacency, (0, 1)).all() and (adjacency == adjacency.T).all()
+    return gc.Graph(np.argwhere(np.triu(adjacency)), features)
+
+
+def dense_adjacency(graph: gc.Graph) -> np.ndarray:
+    """The symmetric 0/1 adjacency matrix of the graph's edges, self-loops on the diagonal."""
+    adjacency = np.zeros((graph.num_nodes,) * 2, dtype=np.int64)
+    i, j = graph.edges.T
+    adjacency[i, j] = adjacency[j, i] = 1
+    return adjacency
+
+
+def dense_norm_adj(graph: gc.Graph) -> np.ndarray:
+    """Dense D^{-1/2} (A + I) D^{-1/2}, the reference for the graph's neighbour table."""
+    a_hat = dense_adjacency(graph).astype(np.float64) + np.eye(graph.num_nodes)
+    inv_sqrt_deg = 1.0 / np.sqrt(a_hat.sum(axis=1))
+    return a_hat * inv_sqrt_deg[:, None] * inv_sqrt_deg[None, :]
+
+
+def densify(table) -> np.ndarray:
+    """The dense matrix a neighbour table lists, rebuilt by scattering its slots."""
+    n = len(table.cols)
+    dense = np.zeros((n, n))
+    rows = np.repeat(np.arange(n), table.cols.shape[1])
+    np.add.at(dense, (rows, table.cols.ravel()), table.weights.ravel())
+    return dense
+
+
+class DenseNormAdj:
+    """Ã as the dense matrix ``dense_norm_adj`` behind the neighbour table's interface.
+
+    Products are dense matrix products and blocks are fancy-indexed, the
+    arithmetic of a dense Ã; ``cols`` and ``weights`` are the graph's table.
+    """
+
+    def __init__(self, graph: gc.Graph):
+        self.matrix = dense_norm_adj(graph)
+        self.shape = self.matrix.shape
+        self.cols, self.weights = graph.norm_adj.cols, graph.norm_adj.weights
+
+    def __array__(self, dtype=None, copy=None):
+        return self.matrix
+
+    def __matmul__(self, h):
+        return self.matrix @ np.asarray(h, dtype=np.float64)
+
+    def block(self, rows, cols):
+        return self.matrix[rows, cols]
+
+
+def dense_graph(graph: gc.Graph) -> gc.Graph:
+    """A copy of ``graph`` whose Ã is a ``DenseNormAdj``: every library call on it runs dense."""
+    copy = gc.Graph(graph.edges, graph.features)
+    copy.__dict__["norm_adj"] = DenseNormAdj(graph)  # fills the cached property
+    return copy
+
+
 def two_node_loop() -> tuple[gc.Graph, gc.GcnModel]:
     """Two connected nodes, four binary features, a hand-checkable 2-layer classifier.
 
@@ -19,10 +79,7 @@ def two_node_loop() -> tuple[gc.Graph, gc.GcnModel]:
     o1 - o0 reduces to 0.5 * (x[0,2] + x[1,2]), so interval analysis misses
     the certificate (margin -0.5) while the symbolic one lands it (+0.5).
     """
-    graph = gc.Graph(
-        adjacency=np.array([[0, 1], [1, 0]]),
-        features=np.array([[1, 0, 1, 1], [1, 0, 1, 0]]),
-    )
+    graph = gc.Graph([[0, 1]], np.array([[1, 0, 1, 1], [1, 0, 1, 0]]))
     model = gc.GcnModel((
         gc.GcnLayer(np.array([[0.0, 1], [0, 0], [1, 0], [0, 1]]), np.zeros(2)),
         gc.GcnLayer(np.array([[0.0, 1], [1, 1]]), np.zeros(2)),
@@ -38,7 +95,7 @@ def undershoot_example() -> tuple[gc.Graph, gc.GcnModel, gc.PerturbationBudget]:
     the raw pre-activation and admits -0.5 where the interval floor is 0.
     The node is truly robust: interval margin +0.1, symbolic margin -0.4.
     """
-    graph = gc.Graph(adjacency=np.array([[0]]), features=np.array([[0]]))
+    graph = gc.Graph([], np.array([[0]]))
     model = gc.GcnModel((
         gc.GcnLayer(np.array([[1.5]]), np.array([-0.5])),
         gc.GcnLayer(np.array([[1.0, 0.0]]), np.array([0.1, 0.0])),
@@ -48,7 +105,7 @@ def undershoot_example() -> tuple[gc.Graph, gc.GcnModel, gc.PerturbationBudget]:
 
 def flip_moves_label_example() -> tuple[gc.Graph, gc.GcnModel, gc.PerturbationBudget]:
     """One node, one linear layer: decision margin 0.1, one flip swings it by -0.5."""
-    graph = gc.Graph(adjacency=np.array([[0]]), features=np.array([[1]]))
+    graph = gc.Graph([], np.array([[1]]))
     model = gc.GcnModel((
         gc.GcnLayer(np.array([[0.5, 0.0]]), np.array([0.0, 0.4])),
     ))
@@ -75,7 +132,7 @@ def raw_instance(rng, num_layers: int = 2):
         )
         for k in range(num_layers)
     )
-    graph = gc.Graph(adjacency=adj, features=feats)
+    graph = graph_from_dense(adj, features=feats)
     budget = gc.PerturbationBudget(
         per_node=int(rng.integers(1, 3)), total=int(rng.integers(1, 4))
     )
@@ -97,7 +154,7 @@ def trained_instance(rng, steps: int = 30, lr: float = 0.3):
     graph, model, budget = raw_instance(rng)
     labels = rng.integers(0, model.num_labels, graph.num_nodes)
     onehot = np.eye(model.num_labels)[labels]
-    norm_adj = gc.normalize_adjacency(graph)
+    norm_adj = dense_norm_adj(graph)
     x = graph.features.astype(float)
     (w1, b1), (w2, b2) = [(l.weight.copy(), l.bias.copy()) for l in model.layers]
     for _ in range(steps):
@@ -131,7 +188,7 @@ def planted_community_graph(rng, n: int = 20, m0: int = 6):
         for j in range(i + 1, n):
             if rng.random() < (0.35 if labels[i] == labels[j] else 0.08):
                 adj[i, j] = adj[j, i] = 1
-    return gc.Graph(adjacency=adj, features=feats), labels
+    return graph_from_dense(adj, features=feats), labels
 
 
 def iter_flip_combos(n: int, m: int, budget: gc.PerturbationBudget):
@@ -162,7 +219,7 @@ def flipped(features: np.ndarray, combo) -> np.ndarray:
 
 def brute_force_robust_nodes(model, graph, budget, mode="both") -> np.ndarray:
     """Ground-truth robustness flags by replaying every admissible flip tuple."""
-    norm_adj = gc.normalize_adjacency(graph)
+    norm_adj = dense_norm_adj(graph)
     base = np.argmax(gc.forward(model, norm_adj, graph.features), axis=1)
     robust = np.ones(graph.num_nodes, dtype=bool)
     for combo in iter_flip_combos(graph.num_nodes, graph.num_features, budget):
@@ -191,7 +248,7 @@ def dense_counterexample(model, graph, budget, certificate, row):
         if len(flips) == 0:
             continue
         assert flips.within(budget)
-        scores = gc.forward(model, graph.norm_adj, gc.apply_flips(graph.features, flips))
+        scores = gc.forward(model, dense_norm_adj(graph), gc.apply_flips(graph.features, flips))
         new_label = int(np.argmax(scores[node]))
         if new_label != label:
             return gc.Counterexample(node, flips, new_label)

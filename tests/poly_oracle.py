@@ -14,6 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+from helpers import dense_norm_adj
+
 from gcncert.certify import Certificate
 from gcncert.errors import DataError, DimensionError
 from gcncert.graph import GcnModel, Graph, predict
@@ -189,7 +191,7 @@ def per_node_judgments(
     bounds = interval_layer_bounds(model, graph, budget, variant, mode=mode)
     out = bounds[-1]
     labels = predict(model, graph).labels
-    elems = forward_poly_propagation(model, graph, graph.norm_adj, bounds)
+    elems = forward_poly_propagation(model, graph, dense_norm_adj(graph), bounds)
     rivals, margins, picks = [], [], []
     for node, elem in enumerate(elems):
         label = int(labels[node])

@@ -141,7 +141,7 @@ def test_criterion_5_back_substitution_equivalence():
     for _ in range(50):
         graph, model, budget = helpers.trained_instance(rng)
         bounds = gc.interval_layer_bounds(model, graph, budget, "topk")
-        norm = gc.normalize_adjacency(graph)
+        norm = helpers.dense_norm_adj(graph)
         fwd = forward_poly_propagation(model, graph, norm, bounds)
         for node in range(graph.num_nodes):
             back = gc.back_substitute(model, graph, node, bounds)

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from dataclasses import fields
 
@@ -6,6 +7,7 @@ import pytest
 
 import gcncert as gc
 import gcncert.certify
+from gcncert import fileio
 import helpers
 from poly_oracle import evaluate_bounds, label_difference, per_node_judgments
 
@@ -163,7 +165,7 @@ def test_certificate_margin_is_the_first_smallest_rival_margin():
 
 def test_certify_sound_tied_scores_never_certified():
     # identical score columns keep the rival margin pinned at zero
-    graph = gc.Graph(adjacency=np.zeros((1, 1), dtype=int), features=np.array([[1]]))
+    graph = gc.Graph([], np.array([[1]]))
     model = gcn = gc.GcnModel((gc.GcnLayer(np.array([[1.0, 1.0]]), np.zeros(2)),))
     for total in (0, 1):
         certificate = gc.certify_sound(gcn, graph, gc.PerturbationBudget(1, total))
@@ -309,12 +311,12 @@ def test_certify_sound_peak_memory_stays_small():
     rng = np.random.default_rng(0)
     n, m0, hidden, labels = 300, 32, 16, 4
     upper = np.triu(rng.random((n, n)) < 5.0 / n, 1)
-    graph = gc.Graph(adjacency=(upper | upper.T).astype(int),
-                     features=(rng.random((n, m0)) < 0.1).astype(int))
+    graph = helpers.graph_from_dense((upper | upper.T).astype(int),
+                                     features=(rng.random((n, m0)) < 0.1).astype(int))
     model = gc.GcnModel(tuple(
         gc.GcnLayer(rng.uniform(-1, 1, (a, b)), rng.uniform(-0.5, 0.5, b))
         for a, b in ((m0, hidden), (hidden, labels))))
-    graph.norm_adj, graph.neighbors  # cached inputs, not working memory
+    graph.norm_adj  # cached input, not working memory
     was_tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     tracemalloc.reset_peak()
@@ -327,6 +329,37 @@ def test_certify_sound_peak_memory_stays_small():
             tracemalloc.stop()
     assert len(certificate.nodes) == n
     assert peak < 11 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_ring_of_4000_nodes_certifies_without_a_dense_matrix(tmp_path):
+    # a dense n x n int64 adjacency alone would be 128 MB at this size
+    n, m0 = 4000, 4
+    rng = np.random.default_rng(3)
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({
+        "num_nodes": n, "num_features": m0,
+        "edges": [[i, (i + 1) % n] for i in range(n)],
+        "features": (rng.random((n, m0)) < 0.5).astype(int).tolist(),
+    }))
+    model = gc.GcnModel(tuple(
+        gc.GcnLayer(rng.uniform(-1, 1, (a, b)), rng.uniform(-0.5, 0.5, b))
+        for a, b in ((m0, 4), (4, 2))))
+    budget = gc.PerturbationBudget(1, 3)
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        graph = fileio.load_graph(str(path))
+        certificate = gc.certify_sound(model, graph, budget, nodes=np.arange(0, n, 400))
+        broken = gc.find_counterexamples(model, graph, budget, certificate)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    # 7 of the 10 nodes are certified, and replay breaks 2 of the other 3
+    assert certificate.certified.sum() == 7 and len(broken) == 2
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_output_follows_requested_node_order(rng, monkeypatch):
@@ -425,7 +458,7 @@ def test_counterexamples_always_verified(rng):
     for _ in range(15):
         graph, model, budget = helpers.trained_instance(rng)
         certificate = gc.certify_sound(model, graph, budget)
-        norm = gc.normalize_adjacency(graph)
+        norm = helpers.dense_norm_adj(graph)
         base = gc.predict(model, graph).labels
         for node, ce in gc.find_counterexamples(model, graph, budget, certificate).items():
             assert ce.flips.within(budget)

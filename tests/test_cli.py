@@ -102,8 +102,7 @@ def test_sweep_rows(tmp_path):
 def test_sweep_ratios_sandwich_when_every_node_is_decided(tmp_path, n):
     # n - 1 isolated nodes break under one flip, the last is certified; in
     # float64 1 - (n-1)/n rounds one ulp below 1/n for n = 5 and n = 6
-    graph = gc.Graph(adjacency=np.zeros((n, n), dtype=int),
-                     features=np.array([[1, 0]] * (n - 1) + [[1, 1]]))
+    graph = gc.Graph([], np.array([[1, 0]] * (n - 1) + [[1, 1]]))
     model = gc.GcnModel((gc.GcnLayer(np.array([[0.5, 0.0], [2.0, 0.0]]), np.array([0.0, 0.4])),))
     gpath, mpath = tmp_path / "g.json", tmp_path / "m.json"
     fileio.save_graph(graph, str(gpath))

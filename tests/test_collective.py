@@ -56,7 +56,7 @@ def test_certified_at_every_budget_up_to_limit(rng):
 
 
 def test_never_certified_flag_for_tied_scores(monkeypatch):
-    graph = gc.Graph(adjacency=np.zeros((1, 1), dtype=int), features=np.array([[1]]))
+    graph = gc.Graph([], np.array([[1]]))
     model = gc.GcnModel((gc.GcnLayer(np.array([[1.0, 1.0]]), np.zeros(2)),))
     calls = _count_calls(monkeypatch, gcncert.collective, "certify_sound")
     limits = gc.compute_robust_limits(model, graph, 1, cap=3)
@@ -84,7 +84,7 @@ def test_limits_never_exceed_oracle(rng):
 
 def test_cap_reported_for_permanently_robust_node():
     # constant positive margin that no flip can touch: the walk hits the cap
-    graph = gc.Graph(adjacency=np.zeros((1, 1), dtype=int), features=np.array([[1]]))
+    graph = gc.Graph([], np.array([[1]]))
     model = gc.GcnModel((gc.GcnLayer(np.array([[0.0, 0.0]]), np.array([0.3, 0.0])),))
     limits = gc.compute_robust_limits(model, graph, 1, cap=7)
     assert limits.limits[0] == 7 and not limits.never_certified[0]
@@ -112,8 +112,7 @@ def test_interval_family_rejects_a_direction_mode(two_node, mode):
 @pytest.mark.parametrize("family", ["poly", "interval"])
 def test_one_certifier_call_per_budget(monkeypatch, family):
     # ten nodes that stay certified up to the cap: one call per budget, not per node
-    graph = gc.Graph(adjacency=np.zeros((10, 10), dtype=int),
-                     features=np.ones((10, 1), dtype=int))
+    graph = gc.Graph([], np.ones((10, 1), dtype=int))
     model = gc.GcnModel((gc.GcnLayer(np.array([[0.0, 0.0]]), np.array([0.3, 0.0])),))
     poly_calls = _count_calls(monkeypatch, gcncert.collective, "certify_sound")
     interval_calls = _count_calls(monkeypatch, gcncert.collective, "interval_certify")

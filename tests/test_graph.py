@@ -8,18 +8,18 @@ from gcncert.graph import receptive_field, receptive_fields
 
 def test_normalize_two_node_loop(two_node):
     graph, _ = two_node
-    assert np.allclose(gc.normalize_adjacency(graph), [[0.5, 0.5], [0.5, 0.5]])
+    assert np.allclose(helpers.densify(gc.normalize_adjacency(graph)), [[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_normalize_isolated_node():
-    graph = gc.Graph(adjacency=np.zeros((1, 1), dtype=int), features=np.array([[1]]))
-    assert np.allclose(gc.normalize_adjacency(graph), [[1.0]])
+    graph = gc.Graph([], np.array([[1]]))
+    assert np.allclose(helpers.densify(gc.normalize_adjacency(graph)), [[1.0]])
 
 
 def test_normalize_three_node_path():
     adj = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
-    graph = gc.Graph(adjacency=adj, features=np.zeros((3, 1), dtype=int))
-    norm = gc.normalize_adjacency(graph)
+    graph = helpers.graph_from_dense(adj, features=np.zeros((3, 1), dtype=int))
+    norm = helpers.densify(gc.normalize_adjacency(graph))
     assert norm[0, 1] == pytest.approx(1 / np.sqrt(6))
     assert norm[1, 1] == pytest.approx(1 / 3)
     # independent reconstruction through the defining matrix product
@@ -31,7 +31,7 @@ def test_normalize_three_node_path():
 def test_normalize_symmetric_and_unit_range(rng):
     for _ in range(20):
         graph, _, _ = helpers.raw_instance(rng)
-        norm = gc.normalize_adjacency(graph)
+        norm = helpers.densify(gc.normalize_adjacency(graph))
         assert np.allclose(norm, norm.T)
         assert (norm >= 0).all() and (norm <= 1).all()
 
@@ -39,26 +39,28 @@ def test_normalize_symmetric_and_unit_range(rng):
 def test_norm_adj_is_cached_and_read_only(two_node):
     graph, _ = two_node
     assert graph.norm_adj is graph.norm_adj
-    assert np.array_equal(graph.norm_adj, gc.normalize_adjacency(graph))
-    assert not graph.norm_adj.flags.writeable
-    with pytest.raises(ValueError):
-        graph.norm_adj[0, 0] = 1.0
+    fresh = gc.normalize_adjacency(graph)
+    for name in ("cols", "weights"):
+        table = getattr(graph.norm_adj, name)
+        assert np.array_equal(table, getattr(fresh, name))
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
 
 
 def test_neighbor_table_lists_each_rows_nonzero_entries(rng):
     for _ in range(10):
         graph, _, _ = helpers.raw_instance(rng)
-        cols, weights = graph.neighbors
-        assert graph.neighbors[0] is cols and graph.neighbors[1] is weights
+        cols, weights = graph.norm_adj.cols, graph.norm_adj.weights
         assert not cols.flags.writeable and not weights.flags.writeable
         live = weights > 0
         assert (live[:, :-1] >= live[:, 1:]).all()  # padding only at the end of a row
         assert live.all(axis=1).any()  # padded to the widest row, no wider
         assert (cols[~live] == 0).all()
-        rebuilt = np.zeros_like(graph.norm_adj)
-        rows = np.repeat(np.arange(graph.num_nodes), cols.shape[1])
-        np.add.at(rebuilt, (rows, cols.ravel()), weights.ravel())
-        assert np.array_equal(rebuilt, graph.norm_adj)
+        for row in range(graph.num_nodes):  # columns ascending
+            assert (np.diff(cols[row, live[row]]) > 0).all()
+        # the same floats as the dense D^{-1/2} (A + I) D^{-1/2}, bit for bit
+        assert np.array_equal(helpers.densify(graph.norm_adj), helpers.dense_norm_adj(graph))
 
 
 def _random_graph(rng):
@@ -70,7 +72,7 @@ def _random_graph(rng):
     adj[isolated] = 0
     adj[:, isolated] = 0
     adj[np.diag_indices(n)] = rng.random(n) < 0.4
-    return gc.Graph(adjacency=adj, features=np.zeros((n, 1), dtype=int))
+    return helpers.graph_from_dense(adj, features=np.zeros((n, 1), dtype=int))
 
 
 def test_receptive_fields_match_dense_reachability(rng):
@@ -83,7 +85,8 @@ def test_receptive_fields_match_dense_reachability(rng):
         assert len(hops) == depth + 1
         for d, (front, live) in enumerate(hops):
             # H_d of node i: the nodes j with ((A + I)^d)[i, j] > 0
-            reach = np.linalg.matrix_power(graph.adjacency + np.eye(n, dtype=int), d)[nodes] > 0
+            a_hat = helpers.dense_adjacency(graph) + np.eye(n, dtype=int)
+            reach = np.linalg.matrix_power(a_hat, d)[nodes] > 0
             assert front.shape == live.shape and front.shape[0] == len(nodes)
             assert (live.sum(axis=1) == reach.sum(axis=1)).all()
             assert live.shape[1] == reach.sum(axis=1).max()  # cut at the widest live row
@@ -116,7 +119,7 @@ def test_forward_zero_features_zero_bias(rng):
 
 
 def test_forward_single_node_identity():
-    graph = gc.Graph(adjacency=np.zeros((1, 1), dtype=int), features=np.array([[1]]))
+    graph = gc.Graph([], np.array([[1]]))
     model = gc.GcnModel((gc.GcnLayer(np.array([[1.0]]), np.zeros(1)),))
     scores = gc.forward(model, gc.normalize_adjacency(graph), graph.features)
     assert scores[0, 0] == pytest.approx(1.0)
@@ -155,8 +158,8 @@ def test_forward_permutation_equivariance(rng):
             gc.GcnLayer(rng.uniform(-1, 1, (3, 2)), rng.uniform(-1, 1, 2)),
         ))
         perm = rng.permutation(n)
-        g1 = gc.Graph(adjacency=adj, features=feats)
-        g2 = gc.Graph(adjacency=adj[np.ix_(perm, perm)], features=feats[perm])
+        g1 = helpers.graph_from_dense(adj, features=feats)
+        g2 = helpers.graph_from_dense(adj[np.ix_(perm, perm)], features=feats[perm])
         s1 = gc.forward(model, gc.normalize_adjacency(g1), g1.features)
         s2 = gc.forward(model, gc.normalize_adjacency(g2), g2.features)
         assert np.allclose(s1[perm], s2)
@@ -183,13 +186,13 @@ def test_predict_two_node_label(two_node):
 
 
 def test_predict_tie_breaks_to_lowest_label():
-    graph = gc.Graph(adjacency=np.zeros((1, 1), dtype=int), features=np.array([[1]]))
+    graph = gc.Graph([], np.array([[1]]))
     model = gc.GcnModel((gc.GcnLayer(np.array([[0.0, 0.0]]), np.array([2.0, 2.0])),))
     assert gc.predict(model, graph).labels[0] == 0
 
 
 def test_predict_rowwise_argmax():
-    graph = gc.Graph(adjacency=np.zeros((2, 2), dtype=int), features=np.array([[1], [0]]))
+    graph = gc.Graph([], np.array([[1], [0]]))
     model = gc.GcnModel((gc.GcnLayer(np.array([[3.0, -4.0]]), np.array([0.0, 5.0])),))
     pred = gc.predict(model, graph)
     assert np.allclose(pred.scores, [[3, 1], [0, 5]])
@@ -197,12 +200,13 @@ def test_predict_rowwise_argmax():
 
 
 def test_graph_rejects_broken_invariants():
+    for edges in ([[0, 2]], [[-1, 0]], [[0, 1, 1]], [0, 1]):
+        with pytest.raises(gc.DataError):
+            gc.Graph(edges, np.zeros((2, 1), dtype=int))
     with pytest.raises(gc.DataError):
-        gc.Graph(adjacency=np.array([[0, 1], [0, 0]]), features=np.zeros((2, 1), dtype=int))
+        gc.Graph([], np.zeros((0, 1), dtype=int))
     with pytest.raises(gc.DataError):
-        gc.Graph(adjacency=np.array([[0, 2], [2, 0]]), features=np.zeros((2, 1), dtype=int))
-    with pytest.raises(gc.DataError):
-        gc.Graph(adjacency=np.zeros((2, 2), dtype=int), features=np.array([[0], [2]]))
+        gc.Graph([], np.array([[0], [2]]))
 
 
 def test_model_rejects_broken_chain():
@@ -225,21 +229,24 @@ def test_layer_rejects_non_finite_parameters(part, value):
 
 
 @pytest.mark.parametrize("adjacency, features, message", [
-    ([[0, 0.5], [0.5, 0]], [[1], [0]], "adjacency"),
-    ([[0, 1], [1, 0]], [[1.7], [0.2]], "feature"),
-    ([[0, np.nan], [np.nan, 0]], [[1], [0]], "adjacency"),
-    ([[0, 1], [1, 0]], [[np.nan], [0]], "feature"),
+    ([[0, 0.5]], [[1], [0]], "adjacency"),
+    ([[0, 1]], [[1.7], [0.2]], "feature"),
+    ([[0, np.nan]], [[1], [0]], "adjacency"),
+    ([[0, 1]], [[np.nan], [0]], "feature"),
 ])
 def test_graph_checks_values_before_casting(adjacency, features, message):
-    with pytest.raises(gc.DataError, match=f"{message} entries must be 0 or 1"):
-        gc.Graph(adjacency=np.array(adjacency), features=np.array(features))
+    # the adjacency is an edge list, and edge node 0.5 must not truncate to node 0
+    expected = {"adjacency": "edge node must be an integer",
+                "feature": "feature entries must be 0 or 1"}[message]
+    with pytest.raises(gc.DataError, match=expected):
+        gc.Graph(np.array(adjacency), np.array(features))
 
 
 @pytest.mark.parametrize("value", [0, 1, 2, -1, 0.5, 1.0, np.nan, np.inf, True])
 def test_graph_binary_check_matches_isin(value):
-    adjacency = np.array([[0, value], [value, 0]])
-    if np.isin(adjacency, (0, 1)).all():
-        assert gc.Graph(adjacency=adjacency, features=np.zeros((2, 1))).adjacency.dtype == np.int64
+    features = np.array([[0], [value]])
+    if np.isin(features, (0, 1)).all():
+        assert gc.Graph([[0, 1]], features).features.dtype == np.int64
     else:
-        with pytest.raises(gc.DataError, match="adjacency entries must be 0 or 1"):
-            gc.Graph(adjacency=adjacency, features=np.zeros((2, 1)))
+        with pytest.raises(gc.DataError, match="feature entries must be 0 or 1"):
+            gc.Graph([[0, 1]], features)

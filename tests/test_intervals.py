@@ -76,12 +76,12 @@ def test_input_abstraction_zero_budget_exact(two_node):
     graph, model = two_node
     for variant in ("topk", "max"):
         elem = gc.interval_input_abstraction(model, graph, gc.PerturbationBudget(0, 3), variant)
-        base = (gc.normalize_adjacency(graph) @ graph.features) @ model.layers[0].weight
+        base = (helpers.dense_norm_adj(graph) @ graph.features) @ model.layers[0].weight
         assert np.allclose(elem.lower, base) and np.allclose(elem.upper, base)
 
 
 def _first_layer_extremes(model, graph, budget, mode="both"):
-    norm = gc.normalize_adjacency(graph)
+    norm = helpers.dense_norm_adj(graph)
     layer = model.layers[0]
     lo = np.full((graph.num_nodes, layer.weight.shape[1]), np.inf)
     hi = -lo.copy()
@@ -136,10 +136,14 @@ def test_input_abstraction_max_sound_but_looser(rng):
 
 
 def _dense_input_abstraction(model, graph, budget, variant):
-    """Reference first-layer bounds over dense (n, n·k, m1) tensors: every node pair of Ã."""
-    norm_adj = graph.norm_adj
+    """Reference first-layer bounds over dense (n, n·k, m1) tensors: every node pair of Ã.
+
+    The unperturbed term takes Ã·X from the graph's table, like the code under
+    test; the property tests hold that product against the dense one.
+    """
+    norm_adj = helpers.dense_norm_adj(graph)
     layer0 = model.layers[0]
-    base = (norm_adj @ graph.features.astype(np.float64)) @ layer0.weight + layer0.bias
+    base = (graph.norm_adj @ graph.features) @ layer0.weight + layer0.bias
     if budget.per_node == 0 or budget.total == 0:
         return base, base
     n, m0 = graph.features.shape
@@ -171,7 +175,7 @@ def _sparse_instances(rng, count, widths):
         adj = np.triu(rng.random((n, n)) < 0.15, 1).astype(int)
         adj = adj + adj.T
         adj[0] = adj[:, 0] = 0
-        graph = gc.Graph(adjacency=adj, features=(rng.random((n, m0)) < 0.5).astype(int))
+        graph = helpers.graph_from_dense(adj, features=(rng.random((n, m0)) < 0.5).astype(int))
         m1 = int(rng.choice(widths))
         model = gc.GcnModel((gc.GcnLayer(rng.uniform(-1, 1, (m0, m1)),
                                          rng.uniform(-0.5, 0.5, m1)),))
@@ -196,7 +200,7 @@ def test_input_abstraction_single_output_matches_dense_reference(rng):
     for graph, model, budget in _sparse_instances(rng, 40, widths=(1,)):
         elem = gc.interval_input_abstraction(model, graph, budget, "topk")
         lower, upper = _dense_input_abstraction(model, graph, budget, "topk")
-        widest = graph.neighbors[0].shape[1] * min(budget.per_node, graph.num_features)
+        widest = graph.norm_adj.cols.shape[1] * min(budget.per_node, graph.num_features)
         if budget.total <= widest:
             assert np.array_equal(elem.lower, lower) and np.array_equal(elem.upper, upper)
         else:
@@ -207,7 +211,7 @@ def test_input_abstraction_single_output_matches_dense_reference(rng):
 def test_input_abstraction_memory_follows_neighbourhoods(rng):
     n = 300
     ring = np.roll(np.eye(n, dtype=int), 1, axis=1)
-    graph = gc.Graph(adjacency=ring + ring.T, features=(rng.random((n, 8)) < 0.5).astype(int))
+    graph = helpers.graph_from_dense(ring + ring.T, features=(rng.random((n, 8)) < 0.5).astype(int))
     model = gc.GcnModel((gc.GcnLayer(rng.uniform(-1, 1, (8, 8)), rng.uniform(-0.5, 0.5, 8)),))
     budget = gc.PerturbationBudget(8, 40)
     gc.interval_input_abstraction(model, graph, budget, "topk")  # builds the graph's caches
@@ -260,7 +264,7 @@ def test_interval_bounds_contain_all_reachable_latents(rng):
         if graph.num_nodes * graph.num_features > 12:
             continue
         bounds = gc.interval_layer_bounds(model, graph, budget, "topk")
-        norm = gc.normalize_adjacency(graph)
+        norm = helpers.dense_norm_adj(graph)
         for combo in helpers.iter_flip_combos(graph.num_nodes, graph.num_features, budget):
             h = helpers.flipped(graph.features, combo).astype(float)
             for l, layer in enumerate(model.layers):

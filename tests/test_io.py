@@ -15,7 +15,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 def test_load_shipped_graph():
     graph = fileio.load_graph(str(FIXTURES / "two_node_loop.graph.json"))
     assert graph.num_nodes == 2 and graph.num_features == 4
-    assert graph.adjacency[0, 1] == 1 and graph.adjacency[1, 0] == 1
+    assert helpers.dense_adjacency(graph).tolist() == [[0, 1], [1, 0]]
 
 
 def test_load_shipped_model_reproduces_scores():
@@ -27,18 +27,44 @@ def test_load_shipped_model_reproduces_scores():
 
 def test_graph_round_trip(tmp_path, rng):
     upper = np.triu(rng.random((9, 9)) < 0.4)  # diagonal included: self-loops
-    looped = gc.Graph(adjacency=(upper | upper.T).astype(int),
-                      features=rng.integers(0, 2, (9, 3)))
-    assert np.diag(looped.adjacency).any()
+    looped = helpers.graph_from_dense((upper | upper.T).astype(int),
+                                      features=rng.integers(0, 2, (9, 3)))
+    assert np.diag(helpers.dense_adjacency(looped)).any()
     for graph in (helpers.raw_instance(rng)[0], looped):
         path = tmp_path / "g.json"
         fileio.save_graph(graph, str(path))
-        n = graph.num_nodes
-        edges = [[i, j] for i in range(n) for j in range(i, n) if graph.adjacency[i, j]]
+        n, adjacency = graph.num_nodes, helpers.dense_adjacency(graph)
+        edges = [[i, j] for i in range(n) for j in range(i, n) if adjacency[i, j]]
         assert json.loads(path.read_text())["edges"] == edges
         loaded = fileio.load_graph(str(path))
-        assert np.array_equal(loaded.adjacency, graph.adjacency)
+        assert np.array_equal(helpers.dense_adjacency(loaded), helpers.dense_adjacency(graph))
         assert np.array_equal(loaded.features, graph.features)
+
+
+@pytest.mark.parametrize("source", ["fixture", "loop, duplicate and isolated node"])
+def test_save_graph_round_trip_bytes(tmp_path, source):
+    if source == "fixture":
+        graph = fileio.load_graph(str(FIXTURES / "two_node_loop.graph.json"))
+    else:  # node 3 is isolated, [2, 2] a self-loop, and [1, 0] repeats [0, 1]
+        graph = gc.Graph([[2, 1], [0, 1], [2, 2], [1, 0]], np.array([[1], [0], [1], [0]]))
+        assert graph.edges.tolist() == [[0, 1], [1, 2], [2, 2]]
+    # the bytes of a dense upper-triangle scan, the format's reference writer
+    expected = json.dumps({
+        "num_nodes": graph.num_nodes,
+        "num_features": graph.num_features,
+        "edges": np.argwhere(np.triu(helpers.dense_adjacency(graph))).tolist(),
+        "features": graph.features.tolist(),
+    }, indent=2) + "\n"
+    path = tmp_path / "g.json"
+    fileio.save_graph(graph, str(path))
+    assert path.read_text() == expected
+    loaded = fileio.load_graph(str(path))
+    assert np.array_equal(loaded.edges, graph.edges)
+    assert np.array_equal(loaded.features, graph.features)
+    for name in ("cols", "weights"):
+        assert np.array_equal(getattr(loaded.norm_adj, name), getattr(graph.norm_adj, name))
+    fileio.save_graph(loaded, str(path))
+    assert path.read_text() == expected
 
 
 def test_model_round_trip_is_bit_exact(tmp_path):
@@ -59,7 +85,7 @@ def test_graph_empty_edges_is_isolated(tmp_path):
         "features": [[0], [1], [0]],
     }))
     graph = fileio.load_graph(str(path))
-    assert graph.adjacency.sum() == 0
+    assert helpers.dense_adjacency(graph).sum() == 0
 
 
 def _write(tmp_path, doc):
@@ -129,7 +155,7 @@ def test_graph_edges_deduplicated_and_symmetrized(tmp_path):
     doc = {"num_nodes": 2, "num_features": 1, "edges": [[0, 1], [1, 0], [0, 1]],
            "features": [[0], [1]]}
     graph = fileio.load_graph(_write(tmp_path, doc))
-    assert graph.adjacency.tolist() == [[0, 1], [1, 0]]
+    assert helpers.dense_adjacency(graph).tolist() == [[0, 1], [1, 0]]
 
 
 def test_parse_error_reports_line(tmp_path):

@@ -311,7 +311,7 @@ def test_oracle_max_limits_match_per_budget_enumeration(rng):
 
 def _smallest_break_reference(model, graph, budget) -> np.ndarray:
     """Per node, the fewest flips that change its label; ``budget.total + 1`` if none do."""
-    norm_adj = gc.normalize_adjacency(graph)
+    norm_adj = helpers.dense_norm_adj(graph)
     base = np.argmax(gc.forward(model, norm_adj, graph.features), axis=1)
     smallest = np.full(graph.num_nodes, budget.total + 1)
     for combo in helpers.iter_flip_combos(graph.num_nodes, graph.num_features, budget):
@@ -326,8 +326,8 @@ def _tiny_instance(rng):
     n = int(rng.integers(1, 7))
     m = int(rng.integers(1, 12 // n + 1))
     upper = np.triu(rng.random((n, n)) < 0.5, 1)
-    graph = gc.Graph(adjacency=(upper | upper.T).astype(int),
-                     features=(rng.random((n, m)) < 0.5).astype(int))
+    graph = helpers.graph_from_dense((upper | upper.T).astype(int),
+                                     features=(rng.random((n, m)) < 0.5).astype(int))
     widths = [m] + [int(rng.integers(1, 4))] * int(rng.integers(0, 2)) + [int(rng.integers(1, 4))]
     model = gc.GcnModel(tuple(
         gc.GcnLayer(rng.uniform(-1, 1, (a, b)), rng.uniform(-0.5, 0.5, b))
@@ -369,7 +369,7 @@ def count_oracle_forward(monkeypatch):
 def test_oracle_stops_at_the_batch_that_breaks_every_watched_node(count_oracle_forward):
     # three isolated nodes with features [1, 0]: flipping (i, 0) moves node i
     # from label 0 to label 1, and flipping (i, 1) does nothing
-    graph = gc.Graph(adjacency=np.zeros((3, 3), dtype=int), features=np.array([[1, 0]] * 3))
+    graph = gc.Graph([], np.array([[1, 0]] * 3))
     model = gc.GcnModel((gc.GcnLayer(np.array([[0.5, 0.0], [0.0, 0.0]]), np.array([0.0, 0.4])),))
     budget = gc.PerturbationBudget(per_node=2, total=3)
     # 42 flip sets in 11 batches of 4; the first holds {}, (0,0), (0,1), (1,0)
@@ -395,7 +395,7 @@ def test_oracle_stops_at_the_batch_that_breaks_every_watched_node(count_oracle_f
 def test_node_check_enumerates_only_its_receptive_field(monkeypatch):
     # path 0-1-2-3-4 and a one-layer model: node 0's field is nodes 0 and 1
     adjacency = np.diag(np.ones(4, dtype=int), 1) + np.diag(np.ones(4, dtype=int), -1)
-    graph = gc.Graph(adjacency=adjacency, features=np.array([[1, 0]] * 5))
+    graph = helpers.graph_from_dense(adjacency, features=np.array([[1, 0]] * 5))
     steady = gc.GcnModel((gc.GcnLayer(np.array([[0.5, 0.0], [0.0, 0.0]]), np.array([0.0, 9.0])),))
     budget = gc.PerturbationBudget(per_node=1, total=2)
     stacked = []

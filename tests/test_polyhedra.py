@@ -23,7 +23,7 @@ def _exact_element(coef, const=None, var_nodes=(0,), num_features=None):
 
 
 def test_input_abstraction_is_identity():
-    graph = gc.Graph(adjacency=np.zeros((1, 1), dtype=int), features=np.array([[1, 0]]))
+    graph = gc.Graph([], np.array([[1, 0]]))
     elem = poly_input_abstraction(graph)[0]
     assert np.allclose(elem.lower_coef, np.eye(2))
     assert np.allclose(elem.upper_coef, np.eye(2))
@@ -81,7 +81,7 @@ def test_linear_poly_zero_weight_gives_constant():
 def test_gc_poly_two_node_average(two_node):
     graph, _ = two_node
     elems = poly_input_abstraction(graph)
-    norm = gc.normalize_adjacency(graph)
+    norm = helpers.dense_norm_adj(graph)
     merged = gc_poly(elems, norm[0], 0)
     assert merged.var_nodes.tolist() == [0, 1]
     assert np.allclose(merged.lower_coef, np.hstack([0.5 * np.eye(4), 0.5 * np.eye(4)]))
@@ -89,9 +89,9 @@ def test_gc_poly_two_node_average(two_node):
 
 
 def test_gc_poly_isolated_self_loop_is_identity():
-    graph = gc.Graph(adjacency=np.zeros((1, 1), dtype=int), features=np.array([[1, 0]]))
+    graph = gc.Graph([], np.array([[1, 0]]))
     elems = poly_input_abstraction(graph)
-    out = gc_poly(elems, gc.normalize_adjacency(graph)[0], 0)
+    out = gc_poly(elems, helpers.dense_norm_adj(graph)[0], 0)
     assert np.allclose(out.lower_coef, elems[0].lower_coef)
     assert np.allclose(out.upper_const, elems[0].upper_const)
 
@@ -185,7 +185,7 @@ def test_back_substitute_matches_forward(rng):
         layers = int(rng.integers(1, 4))
         graph, model, budget = helpers.raw_instance(rng, num_layers=layers)
         bounds = gc.interval_layer_bounds(model, graph, budget, "topk")
-        norm = gc.normalize_adjacency(graph)
+        norm = helpers.dense_norm_adj(graph)
         fwd = forward_poly_propagation(model, graph, norm, bounds)
         for node in range(graph.num_nodes):
             back = gc.back_substitute(model, graph, node, bounds)
@@ -216,7 +216,7 @@ def test_symbolic_bounds_contain_all_reachable_latents(rng):
         if graph.num_nodes * graph.num_features > 12:
             continue
         bounds = gc.interval_layer_bounds(model, graph, budget, "topk")
-        norm = gc.normalize_adjacency(graph)
+        norm = helpers.dense_norm_adj(graph)
         elems = poly_input_abstraction(graph)
         stages = []
         for l, layer in enumerate(model.layers):
@@ -254,7 +254,7 @@ def test_exact_when_all_relus_stable(rng):
         ))
         bounds = gc.interval_layer_bounds(lifted, graph, budget, "topk")
         assert all((b.lower >= 0).all() for b in bounds[:-1])
-        norm = gc.normalize_adjacency(graph)
+        norm = helpers.dense_norm_adj(graph)
         for node in range(graph.num_nodes):
             elem = gc.back_substitute(lifted, graph, node, bounds)
             assert np.allclose(elem.lower_coef, elem.upper_coef)

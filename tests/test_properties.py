@@ -1,5 +1,6 @@
-"""Property tests: the JSON loaders against cell-by-cell references, and the
-certifiers' ordering invariants over small random graphs and models.
+"""Property tests: the JSON loaders against cell-by-cell references, the
+certifiers' ordering invariants over small random graphs and models, and the
+neighbour table of Ã against the dense matrix.
 
 Every test runs derandomized, so a tier-1 run is reproducible.
 """
@@ -82,7 +83,7 @@ def test_loaders_match_cell_by_cell_reference(docs):
     for i in range(n):
         for j in range(m):
             features[i, j] = graph_doc["features"][i][j]
-    _assert_same(graph.adjacency, adjacency)
+    _assert_same(helpers.dense_adjacency(graph), adjacency)
     _assert_same(graph.features, features)
     for layer, layer_doc in zip(model.layers, model_doc["layers"], strict=True):
         weight = np.zeros((len(layer_doc["weight"]), len(layer_doc["bias"])))
@@ -189,3 +190,60 @@ def test_kernel_rows_are_the_all_lower_or_all_upper_rows(seed, num_layers, num_l
     side = upper[:, :, None, None]
     _assert_same(mixed.coef, np.where(side, upper_only.coef, lower_only.coef))
     _assert_same(mixed.const, np.where(upper, upper_only.const, lower_only.const))
+
+
+@st.composite
+def edge_list_instances(draw):
+    """A graph from a raw edge list, a 2-layer model and a budget.
+
+    The edges come in both orientations and always include a repeated pair
+    (the first edge reversed), a self-loop, and an isolated last node.
+    """
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.lists(node, min_size=2, max_size=2), min_size=1, max_size=12))
+    edges += [edges[0][::-1], [draw(node)] * 2]
+    features = draw(st.lists(st.lists(st.integers(0, 1), min_size=m, max_size=m),
+                             min_size=n + 1, max_size=n + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    widths = [m, int(rng.integers(1, 4)), int(rng.integers(2, 4))]
+    model = gc.GcnModel(tuple(
+        gc.GcnLayer(rng.uniform(-1, 1, (a, b)), rng.uniform(-0.5, 0.5, b))
+        for a, b in zip(widths, widths[1:])))
+    budget = gc.PerturbationBudget(draw(st.integers(1, 2)), draw(st.integers(1, 3)))
+    return gc.Graph(edges, np.array(features)), model, budget
+
+
+def _close(actual: np.ndarray, expected: np.ndarray):
+    assert actual.shape == expected.shape
+    assert np.allclose(actual, expected, rtol=1e-12, atol=1e-12)
+
+
+@given(edge_list_instances(), _VARIANTS)
+@PROPERTY
+def test_neighbor_table_matches_dense_adjacency(instance, variant):
+    graph, model, budget = instance
+    dense = helpers.dense_graph(graph)
+    assert graph.num_nodes - 1 not in graph.edges  # the isolated node
+    _assert_same(helpers.densify(graph.norm_adj), helpers.dense_norm_adj(graph))
+    _close(gc.forward(model, graph.norm_adj, graph.features),
+           gc.forward(model, dense.norm_adj, graph.features))
+    for sparse_bounds, dense_bounds in zip(
+            gc.interval_layer_bounds(model, graph, budget, variant),
+            gc.interval_layer_bounds(model, dense, budget, variant), strict=True):
+        _close(sparse_bounds.lower, dense_bounds.lower)
+        _close(sparse_bounds.upper, dense_bounds.upper)
+    certificate = gc.certify_sound(model, graph, budget, variant)
+    reference = gc.certify_sound(model, dense, budget, variant)
+    _close(certificate.rival_margins, reference.rival_margins)
+    _assert_same(certificate.certified, reference.certified)
+    for name in ("nodes", "labels", "rivals", "pick_row", "pick_rival", "pick_node",
+                 "pick_feature"):
+        _assert_same(getattr(certificate, name), getattr(reference, name))
+    replayed, replayed_dense = (
+        {node: (ce.flips, ce.flipped_label) for node, ce in
+         gc.find_counterexamples(model, g, budget, cert).items()}
+        for g, cert in ((graph, certificate), (dense, reference)))
+    assert replayed == replayed_dense
+    _assert_same(gc.exact_robust_nodes(model, graph, budget),
+                 gc.exact_robust_nodes(model, dense, budget))

@@ -9,9 +9,9 @@ import helpers
 
 
 def _with_isolated_node(graph: gc.Graph, node: int) -> gc.Graph:
-    adj = graph.adjacency.copy()
+    adj = helpers.dense_adjacency(graph)
     adj[node, :] = adj[:, node] = 0
-    return gc.Graph(adjacency=adj, features=graph.features)
+    return helpers.graph_from_dense(adj, features=graph.features)
 
 
 def _single_label(model: gc.GcnModel) -> gc.GcnModel:
@@ -76,7 +76,7 @@ def test_replay_runs_no_whole_graph_forward(rng, count_forward):
 
 def test_near_tie_is_settled_by_the_dense_forward(count_forward):
     # flipping x[0,0] to 0 leaves scores (0, 0.5, 0.5): rivals 1 and 2 tie exactly
-    graph = gc.Graph(adjacency=np.zeros((1, 1), dtype=int), features=np.array([[1]]))
+    graph = gc.Graph([], np.array([[1]]))
     model = gc.GcnModel((gc.GcnLayer(np.array([[1.0, 0.0, 0.0]]), np.array([0.0, 0.5, 0.5])),))
     budget = gc.PerturbationBudget(1, 1)
     certificate = gc.certify_sound(model, graph, budget)
@@ -85,7 +85,8 @@ def test_near_tie_is_settled_by_the_dense_forward(count_forward):
     ce = gc.generate_counterexample(model, graph, budget, certificate, 0)
     assert len(count_forward) == 1
     assert ce.flips.flips == ((0, 0),)
-    dense = gc.forward(model, graph.norm_adj, gc.apply_flips(graph.features, ce.flips))[0]
+    flipped = gc.apply_flips(graph.features, ce.flips)
+    dense = gc.forward(model, helpers.dense_norm_adj(graph), flipped)[0]
     assert ce.flipped_label == int(np.argmax(dense)) == 1
 
 
@@ -95,8 +96,8 @@ def _path_graph_judgment(flips, margin=-1.0):
     The certificate holds node 0 alone, defending label 0 against rival 1
     with ``margin``, and ``flips`` as the minimizer's picks.
     """
-    graph = gc.Graph(adjacency=np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]),
-                     features=np.array([[1, 0], [0, 0], [1, 1]]))
+    graph = helpers.graph_from_dense(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]),
+                                     features=np.array([[1, 0], [0, 0], [1, 1]]))
     model = gc.GcnModel((gc.GcnLayer(np.array([[2.0, 0.0], [0.0, 0.0]]), np.array([0.0, 0.5])),))
     cells = np.array(sorted(flips), dtype=np.int64).reshape(-1, 2)
     zeros = np.zeros(len(cells), dtype=np.int64)
