@@ -14,13 +14,10 @@ and are replayed through the concrete forward pass; only flips that
 demonstrably change the prediction are reported, which makes the resulting
 upper bound complete.
 
-Replay is local: an L-layer GCN's score for node i depends only on the
-features of the nodes within L hops, so ``generate_counterexample`` runs the
-forward pass on that receptive field alone, with the full graph's Ã entries
-gathered as dense blocks from its neighbour table (``graph.norm_adj``), one
-batch for all of a node's candidate flip sets. Local sums round
-differently from the whole-graph product, so a candidate whose local top two
-scores lie within 1e-9 (relative) is settled by the whole-graph ``forward``.
+Replay is local: ``generate_counterexample`` passes all of a node's
+candidate flip sets to ``graph.field_labels`` in one call, the evaluator the
+exact oracle uses too. It scores the node on its receptive field alone and
+settles near ties with the whole-graph ``forward``.
 
 The kernel works serially, on the calling thread, through chunks of target
 nodes: the targets are sorted by receptive-field width, widest first, and
@@ -46,15 +43,10 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import DataError, check_index
-from .graph import GcnModel, Graph, forward, predict, receptive_field, receptive_fields
+from .graph import GcnModel, Graph, field_labels, predict, receptive_field, receptive_fields
 from .intervals import IntervalElement, interval_layer_bounds, interval_layer_bounds_backward
-from .perturbation import (FlipSet, PerturbationBudget, apply_flips, check_mode, restrict_to_mode,
-                           sign_matrix)
+from .perturbation import FlipSet, PerturbationBudget, check_mode, restrict_to_mode, sign_matrix
 from .polyhedra import PolyBatch, PolyNodeElement, back_substitute_backward, back_substitute_batch
-
-# local top-two score gaps within this fraction of the top score are re-checked
-# with the whole-graph forward pass
-_TIE_TOLERANCE = 1e-9
 
 # coefficient entries per chunk of kernel targets, counted at the chunk's
 # widest receptive field and widest layer: keeps a chunk's tensors near half a
@@ -411,24 +403,6 @@ def rival_margins(
     return margins[np.argsort(order)], pullback
 
 
-def _local_scores(
-    model: GcnModel, graph: Graph, hops: list[np.ndarray], x: np.ndarray
-) -> np.ndarray:
-    """Scores of node H_0 for a stack x of (field, m0) feature matrices over the field H_L.
-
-    Layer l computes only the rows of H_{L-1-l}, from the columns of H_{L-l};
-    the full graph's Ã entries are used, so no degree is renormalized.
-    """
-    h = x.astype(np.float64)
-    depth = model.num_layers
-    for l, layer in enumerate(model.layers):
-        block = graph.norm_adj.block(*np.ix_(hops[depth - 1 - l], hops[depth - l]))
-        h = np.matmul(block, h) @ layer.weight + layer.bias
-        if l < depth - 1:
-            h = np.maximum(h, 0.0)
-    return h[:, 0, :]
-
-
 def generate_counterexample(
     model: GcnModel,
     graph: Graph,
@@ -439,14 +413,11 @@ def generate_counterexample(
     """Replay the minimizer's flips for each non-positive rival margin of one row.
 
     Rivals are tried most promising first, and the first flip set that
-    changes the label wins. All candidates go through one forward pass over
-    the node's receptive field (flips outside it cannot move the node's
-    scores and are ignored); a candidate whose local top-two score gap is at
-    most 1e-9 * max(1, |top score|) is settled by the whole-graph ``forward``
-    instead, so the verdict never rests on rounding. A certified row has no
-    non-positive margin, so it has no candidate. Every candidate is checked
-    first: one over the budget raises ``AssertionError``, one with a cell
-    outside the feature matrix raises ``DataError``, and so does a bad ``row``.
+    changes the label wins; all candidates are scored by one ``field_labels``
+    call. A certified row has no non-positive margin, so it has no candidate.
+    Every candidate is checked first: one over the budget raises
+    ``AssertionError``, one with a cell outside the feature matrix raises
+    ``DataError``, and so does a bad ``row``.
     """
     row = check_index(row, "certificate row", 0, len(certificate.nodes))
     margins = certificate.rival_margins[row]
@@ -464,22 +435,14 @@ def generate_counterexample(
     if not candidates:
         return None
     node = int(certificate.nodes[row])
-    hops = receptive_field(graph, node, model.num_layers)
-    field = hops[-1]
-    x = np.repeat(graph.features[field][None], len(candidates), axis=0)
-    for k, flips in enumerate(candidates):
-        rows, cols = np.array(flips.flips).T
-        at = np.minimum(np.searchsorted(field, rows), len(field) - 1)
-        inside = field[at] == rows
-        x[k, at[inside], cols[inside]] ^= 1
-    for flips, scores in zip(candidates, _local_scores(model, graph, hops, x)):
-        top = np.sort(scores)[::-1]
-        if len(top) > 1 and top[0] - top[1] <= _TIE_TOLERANCE * max(1.0, abs(top[0])):
-            scores = forward(model, graph.norm_adj, apply_flips(graph.features, flips))[node]
-        new_label = int(np.argmax(scores))
-        if new_label != certificate.labels[row]:
-            return Counterexample(node, flips, new_label)
-    return None
+    rows, cols = np.array([cell for flips in candidates for cell in flips]).T
+    which = np.repeat(np.arange(len(candidates)), [len(flips) for flips in candidates])
+    labels = field_labels(model, graph, receptive_field(graph, node, model.num_layers),
+                          len(candidates), (which, rows, cols))
+    broken = np.flatnonzero(labels != certificate.labels[row])
+    if not len(broken):
+        return None
+    return Counterexample(node, candidates[broken[0]], int(labels[broken[0]]))
 
 
 def find_counterexamples(

@@ -272,7 +272,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("oracle", parents=[inputs, total], help="exhaustive exact robustness")
     p.add_argument("--cap", type=_int_at_least(1), default=DEFAULT_ORACLE_CAP,
-                   help="most flip sets to enumerate")
+                   help="most flip sets to enumerate in any one node's receptive field")
     p.set_defaults(func=cmd_oracle)
 
     return parser

@@ -13,6 +13,10 @@ oracle: each row's nonzero columns and weights, padded to the widest row.
 ``table.block(rows, cols)`` gathers a dense block of Ã for the code that
 works on one receptive field at a time. ``receptive_fields`` is the one hop
 routine of back-substitution, replay and the oracle.
+
+``field_labels`` scores a node under a batch of flip sets, for replay and the
+exact oracle alike: an L-layer GCN's scores for a node depend only on the
+features within L hops, so it runs the forward pass on that field alone.
 """
 
 from __future__ import annotations
@@ -23,6 +27,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError, DimensionError, check_index
+
+# local top-two score gaps within this fraction of the top score (at least 1)
+# are re-checked with the whole-graph forward pass
+_TIE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,7 +225,7 @@ def forward(model: GcnModel, norm_adj: NeighborTable | np.ndarray,
     """Score matrix of the GCN: per layer Ã·H, then H·W + b, then ReLU (skipped on the last layer).
 
     ``norm_adj`` is Ã as a graph's ``norm_adj`` table or as a dense (n, n)
-    array; the oracle passes a dense block to keep stacked products in BLAS.
+    array.
     ``features`` is one (n, m0) matrix or a stack of them, shaped (..., n, m0);
     the scores are stacked alike. Scores that overflow to infinity or NaN
     raise ``DataError``.
@@ -274,6 +282,47 @@ def receptive_field(graph: Graph, node: int, depth: int) -> list[np.ndarray]:
     """
     node = check_index(node, "node index", 0, graph.num_nodes)
     return [front[0, live[0]] for front, live in receptive_fields(graph, [node], depth)]
+
+
+def field_labels(model: GcnModel, graph: Graph, hops: list[np.ndarray], sets: int,
+                 cells: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """Node H_0's label under each of ``sets`` flip sets, scored on its receptive field H_L.
+
+    ``hops`` are the node's ``receptive_field`` hops for the model's depth and
+    ``cells`` the sets' cells as flat (set, node, feature) arrays, in range and
+    unique per set; cells outside H_L are ignored. Layer l computes only the
+    rows of H_{L-1-l}, from the columns of H_{L-l}, with the full graph's Ã
+    entries. Local sums round differently from the whole-graph product, so
+    sets whose top two local scores lie within ``_TIE_TOLERANCE`` are settled
+    by one stacked whole-graph ``forward``. Overflowing scores raise ``DataError``.
+    """
+    which, nodes, feats = cells
+    field, depth = hops[-1], model.num_layers
+    at = np.minimum(np.searchsorted(field, nodes), len(field) - 1)
+    inside = field[at] == nodes
+    h = np.repeat(graph.features[field][None].astype(np.float64), sets, axis=0)
+    flip = which[inside], at[inside], feats[inside]
+    h[flip] = 1.0 - h[flip]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for l, layer in enumerate(model.layers):
+            block = graph.norm_adj.block(*np.ix_(hops[depth - 1 - l], hops[depth - l]))
+            h = np.matmul(block, h) @ layer.weight + layer.bias
+            if l < depth - 1:
+                h = np.maximum(h, 0.0)
+    scores = h[:, 0, :]
+    if not np.isfinite(scores).all():
+        raise DataError("scores are not finite: the model overflows float64 on this graph")
+    labels = np.argmax(scores, axis=1)
+    ordered = np.sort(scores, axis=1)
+    top = ordered[:, -1]
+    second = ordered[:, -2] if ordered.shape[1] > 1 else -np.inf  # one label never ties
+    tied = np.flatnonzero(top - second <= _TIE_TOLERANCE * np.maximum(1.0, np.abs(top)))
+    if len(tied):
+        x = np.repeat(graph.features[None], len(tied), axis=0)
+        pick = np.isin(which, tied)
+        x[np.searchsorted(tied, which[pick]), nodes[pick], feats[pick]] ^= 1
+        labels[tied] = np.argmax(forward(model, graph.norm_adj, x)[:, hops[0][0]], axis=1)
+    return labels
 
 
 def predict(model: GcnModel, graph: Graph) -> Prediction:

@@ -5,17 +5,14 @@ forward pass, so it is exact but exponential; a candidate cap guards against
 accidentally intractable calls. It exists as ground truth for certifier tests
 and for the ``oracle`` CLI subcommand.
 
-All three oracle functions read one loop, ``_smallest_breaks``: it replays the
-flip sets in enumeration order (by cardinality), a chunk per stacked forward
-pass, records for each node the size of the first flip set that changes its
-label, and stops as soon as every node it watches is broken. It walks raw
-cell-index combinations from ``_cell_combos``, the generator that
-``enumerate_perturbations`` wraps into ``FlipSet``s. A single node's check
-flips only the cells of its L-hop receptive field: no other flip can move its
-scores, and Ã's zero entries add exact zeros, so its verdict is unchanged.
-Each stacked pass multiplies by Ã gathered as one dense n×n block, which
-keeps the products in BLAS and is smaller than the pass's own feature stack;
-the oracle is the one path that builds it.
+All three oracle functions read one loop, ``_smallest_breaks``, a walk over
+nodes. Only the cells of a node's L-hop receptive field can move its label,
+so each node enumerates those alone with ``_cell_combos`` (the generator that
+``enumerate_perturbations`` wraps into ``FlipSet``s), and ``cap`` bounds each
+node's count; every count is checked before any enumeration starts. The sets
+go in enumeration order, by cardinality, a ``_COMBO_BLOCK`` at a time, to
+``graph.field_labels``, replay's evaluator, and a node stops at its first
+break. It defends the model's predicted label, as certify and replay do.
 """
 
 from __future__ import annotations
@@ -29,16 +26,16 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DataError, OracleInfeasibleError, check_index
-from .graph import GcnModel, Graph, forward, receptive_field
+from .graph import GcnModel, Graph, field_labels, predict, receptive_fields
 
 DEFAULT_ORACLE_CAP = 10_000_000
 
 MODES = ("both", "add-only", "delete-only")
 
-_FORWARD_CHUNK = 2048
-
-# cell combinations per vectorized per-node check in _cell_combos
-_COMBO_BLOCK = 4096
+# cell combinations per block of _cell_combos, so at most as many flip sets per
+# field_labels call: 512 took 18 s and 35 MB peak RSS on a 120-node, 24-feature
+# graph at local 1, global 2, where 256 took 24 s and 2048 took 22-27 s and 49 MB
+_COMBO_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -122,43 +119,39 @@ def apply_flips(features: np.ndarray, flips: FlipSet) -> np.ndarray:
     return out
 
 
-def _cell_combos(
-    node_of: np.ndarray, budget: PerturbationBudget, cap: int
-) -> Iterator[tuple[int, ...]]:
-    """Every admissible set of cells as ascending cell indices, the empty set first.
+def _largest_set(nodes: int, m: int, budget: PerturbationBudget, cap: int, what: str) -> int:
+    """The most cells an admissible flip set over ``nodes`` rows of ``m`` cells holds.
 
-    ``node_of[c]`` is the node of cell c, non-decreasing in c. Order is by
-    size, then lexicographic. Raises :class:`OracleInfeasibleError` when
-    C(cells, <= total) exceeds the cap, an integer >= 0.
+    Raises :class:`OracleInfeasibleError` when the sets to try, C(nodes * m,
+    <= that many), exceed ``cap``, an integer >= 0; the empty set alone never does.
     """
     cap = check_index(cap, "oracle cap")
-    cells = len(node_of)
-    if budget.total == 0 or budget.per_node == 0 or cells == 0:
-        yield ()
-        return
-    max_size = min(budget.total, cells, budget.per_node * len(np.unique(node_of)))
-    candidates = sum(comb(cells, size) for size in range(max_size + 1))
-    if candidates > cap:
-        raise OracleInfeasibleError(
-            f"enumeration needs {candidates} candidates, cap is {cap}"
-        )
-    yield ()
-    p = budget.per_node
-    for size in range(1, max_size + 1):
-        combos = itertools.combinations(range(cells), size)
-        if size <= p:
-            yield from combos
-            continue
-        while True:
-            block = np.fromiter(
-                itertools.chain.from_iterable(itertools.islice(combos, _COMBO_BLOCK)),
-                dtype=np.int64,
-            ).reshape(-1, size)
-            if not len(block):
-                break
-            # a node's cells sit side by side, so p + 1 of one node span a gap of p
-            nodes = node_of[block]
-            yield from map(tuple, block[(nodes[:, p:] != nodes[:, :-p]).all(axis=1)].tolist())
+    largest = min(budget.total, nodes * min(m, budget.per_node))
+    candidates = sum(comb(nodes * m, size) for size in range(largest + 1))
+    if largest and candidates > cap:
+        raise OracleInfeasibleError(f"{what} needs {candidates} candidates, cap is {cap}")
+    return largest
+
+
+def _cell_combos(nodes: int, m: int, per_node: int, largest: int) -> Iterator[np.ndarray]:
+    """Each set of 1 to ``largest`` cells of ``nodes`` rows of ``m``, <= ``per_node`` a row.
+
+    Sets are rows of ascending cell indices, cell c in row c // m, yielded in
+    blocks of one size and at most ``_COMBO_BLOCK`` rows. Order is by size,
+    then lexicographic.
+    """
+    node_of = np.repeat(np.arange(nodes), m)
+    p = per_node
+    for size in range(1, largest + 1):
+        cells = itertools.chain.from_iterable(itertools.combinations(range(nodes * m), size))
+        while len(block := np.fromiter(itertools.islice(cells, _COMBO_BLOCK * size),
+                                       dtype=np.int64).reshape(-1, size)):
+            if size > p:
+                # a node's cells sit side by side, so p + 1 of one node span a gap of p
+                rows = node_of[block]
+                block = block[(rows[:, p:] != rows[:, :-p]).all(axis=1)]
+            if len(block):
+                yield block
 
 
 def enumerate_perturbations(
@@ -172,50 +165,36 @@ def enumerate_perturbations(
     Raises :class:`OracleInfeasibleError` when C(n*m, <=total) exceeds the cap.
     """
     n, m = np.asarray(features).shape
+    largest = _largest_set(n, m, budget, cap, "enumeration")
     cells = [(i, j) for i in range(n) for j in range(m)]
-    for combo in _cell_combos(np.repeat(np.arange(n), m), budget, cap):
-        yield FlipSet(tuple(cells[c] for c in combo))
+    yield EMPTY_FLIPSET
+    for block in _cell_combos(n, m, budget.per_node, largest):
+        yield from (FlipSet(tuple(cells[c] for c in combo)) for combo in block.tolist())
 
 
-def _smallest_breaks(
-    model: GcnModel,
-    graph: Graph,
-    budget: PerturbationBudget,
-    cap: int,
-    watch: int | np.ndarray,
-    field: np.ndarray,
-) -> np.ndarray:
-    """Per node, the size of the smallest flip set of ``field``'s cells that changes its label.
+def _smallest_breaks(model: GcnModel, graph: Graph, budget: PerturbationBudget, cap: int,
+                     nodes: np.ndarray) -> np.ndarray:
+    """Per node of ``nodes``, the size of the smallest flip set that changes its predicted label.
 
-    Nodes no admissible flip set breaks get ``budget.total + 1``. Flip sets are
-    replayed in enumeration order, ``_FORWARD_CHUNK`` per stacked forward pass,
-    until every node in ``watch`` (one index or an index array) is broken;
-    since enumeration goes by cardinality, a node's first break is its smallest.
+    Nodes no admissible flip set breaks get ``budget.total + 1``. Enumeration
+    goes by cardinality, so a node's first break is its smallest.
     """
-    every = np.arange(graph.num_nodes)
-    norm_adj = graph.norm_adj.block(*np.ix_(every, every))  # dense, for BLAS
-    x = graph.features.astype(np.float64)
-    base_labels = None
-    unbroken = budget.total + 1
-    smallest = np.full(graph.num_nodes, unbroken, dtype=np.int64)
     m = graph.num_features
-    cell_rows, cell_cols = np.repeat(field, m), np.tile(np.arange(m), len(field))
-    combos = _cell_combos(np.repeat(np.arange(len(field)), m), budget, cap)
-    while (smallest[watch] == unbroken).any():
-        chunk = list(itertools.islice(combos, _FORWARD_CHUNK))
-        if not chunk:
-            break
-        sizes = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
-        cells = np.fromiter(itertools.chain.from_iterable(chunk), dtype=np.int64)
-        batch = np.repeat(x[None, :, :], len(chunk), axis=0)
-        at = (np.repeat(np.arange(len(chunk)), sizes), cell_rows[cells], cell_cols[cells])
-        batch[at] = 1.0 - batch[at]
-        labels = np.argmax(forward(model, norm_adj, batch), axis=2)
-        if base_labels is None:  # the empty flip set comes first
-            base_labels = labels[0]
-        changed = labels != base_labels
-        first = np.where(changed.any(axis=0), sizes[np.argmax(changed, axis=0)], unbroken)
-        smallest = np.minimum(smallest, first)
+    hops = receptive_fields(graph, nodes, model.num_layers)
+    widths = hops[-1][1].sum(axis=1).tolist()
+    largest = [_largest_set(width, m, budget, cap, f"node {node}'s receptive field")
+               for node, width in zip(nodes, widths)]
+    labels = predict(model, graph).labels
+    smallest = np.full(len(nodes), budget.total + 1, dtype=np.int64)
+    for t, node in enumerate(nodes):
+        node_hops = [front[t, live[t]] for front, live in hops]
+        for block in _cell_combos(widths[t], m, budget.per_node, largest[t]):
+            (sets, size), cells = block.shape, block.ravel()
+            new = field_labels(model, graph, node_hops, sets, (
+                np.repeat(np.arange(sets), size), node_hops[-1][cells // m], cells % m))
+            if (new != labels[node]).any():
+                smallest[t] = size
+                break
     return smallest
 
 
@@ -226,8 +205,7 @@ def exact_robust_nodes(
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> np.ndarray:
     """Boolean vector: node i is robust iff no admissible flip set changes its label."""
-    every = np.arange(graph.num_nodes)
-    return _smallest_breaks(model, graph, budget, cap, every, every) > budget.total
+    return _smallest_breaks(model, graph, budget, cap, np.arange(graph.num_nodes)) > budget.total
 
 
 def exact_node_robustness(
@@ -242,8 +220,8 @@ def exact_node_robustness(
     Only the cells of the node's receptive field are flipped, and ``cap``
     bounds the flip sets over those cells alone. ``node`` is an integer in [0, n).
     """
-    field = receptive_field(graph, node, model.num_layers)[-1]
-    return bool(_smallest_breaks(model, graph, budget, cap, node, field)[node] > budget.total)
+    node = check_index(node, "node index", 0, graph.num_nodes)
+    return bool(_smallest_breaks(model, graph, budget, cap, np.array([node]))[0] > budget.total)
 
 
 def oracle_max_robust_limits(
@@ -260,5 +238,4 @@ def oracle_max_robust_limits(
     budget answers every smaller one.
     """
     budget = PerturbationBudget(per_node=per_node_budget, total=max_total)
-    every = np.arange(graph.num_nodes)
-    return _smallest_breaks(model, graph, budget, cap, every, every) - 1
+    return _smallest_breaks(model, graph, budget, cap, np.arange(graph.num_nodes)) - 1

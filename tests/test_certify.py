@@ -332,7 +332,7 @@ def test_certify_sound_peak_memory_stays_small():
 
 
 def test_ring_of_4000_nodes_certifies_without_a_dense_matrix(tmp_path):
-    # a dense n x n int64 adjacency alone would be 128 MB at this size
+    # a dense n x n int64 adjacency, or float Ã, alone would be 128 MB at this size
     n, m0 = 4000, 4
     rng = np.random.default_rng(3)
     path = tmp_path / "ring.json"
@@ -353,12 +353,17 @@ def test_ring_of_4000_nodes_certifies_without_a_dense_matrix(tmp_path):
         graph = fileio.load_graph(str(path))
         certificate = gc.certify_sound(model, graph, budget, nodes=np.arange(0, n, 400))
         broken = gc.find_counterexamples(model, graph, budget, certificate)
+        undecided = [node for node in certificate.nodes[~certificate.certified]
+                     if node not in broken]
+        robust = gc.exact_node_robustness(model, graph, budget, undecided[0])
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         if not was_tracing:
             tracemalloc.stop()
-    # 7 of the 10 nodes are certified, and replay breaks 2 of the other 3
+    # 7 of the 10 nodes are certified, and replay breaks 2 of the other 3; the
+    # exact oracle, on the last one's receptive field, finds a flip set that breaks it
     assert certificate.certified.sum() == 7 and len(broken) == 2
+    assert undecided == [3600] and not robust
     assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 

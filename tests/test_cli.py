@@ -149,9 +149,11 @@ def test_oracle_csv(tmp_path):
     assert [r["robust"] for r in rows] == ["true", "true"]
 
 
-def test_oracle_cap_exit_code(tmp_path):
+def test_oracle_cap_exit_code(tmp_path, capsys):
     assert main(["oracle", "--graph", GRAPH, "--model", MODEL,
                  "--global", "3", "--cap", "2"]) == 3
+    # both nodes' fields hold all 8 cells: C(8, <= 2) = 37 candidates
+    assert "node 0's receptive field needs 37 candidates" in capsys.readouterr().err
 
 
 def test_train_roundtrip(tmp_path):

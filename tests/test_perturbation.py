@@ -353,43 +353,43 @@ def test_oracle_functions_match_smallest_break_reference(rng):
 
 
 @pytest.fixture
-def count_oracle_forward(monkeypatch):
-    calls = []
-    batched = gcncert.perturbation.forward
+def count_oracle_batches(monkeypatch):
+    """The number of flip sets in each ``field_labels`` batch the oracle evaluates."""
+    batches = []
+    evaluate = gcncert.perturbation.field_labels
 
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return batched(*args, **kwargs)
+    def spy(model, graph, hops, sets, cells):
+        batches.append(sets)
+        return evaluate(model, graph, hops, sets, cells)
 
-    monkeypatch.setattr(gcncert.perturbation, "forward", spy)
-    monkeypatch.setattr(gcncert.perturbation, "_FORWARD_CHUNK", 4)
-    return calls
+    monkeypatch.setattr(gcncert.perturbation, "field_labels", spy)
+    return batches
 
 
-def test_oracle_stops_at_the_batch_that_breaks_every_watched_node(count_oracle_forward):
+def test_oracle_stops_at_the_batch_that_breaks_every_watched_node(count_oracle_batches,
+                                                                  monkeypatch):
     # three isolated nodes with features [1, 0]: flipping (i, 0) moves node i
     # from label 0 to label 1, and flipping (i, 1) does nothing
+    monkeypatch.setattr(gcncert.perturbation, "_COMBO_BLOCK", 2)
     graph = gc.Graph([], np.array([[1, 0]] * 3))
     model = gc.GcnModel((gc.GcnLayer(np.array([[0.5, 0.0], [0.0, 0.0]]), np.array([0.0, 0.4])),))
     budget = gc.PerturbationBudget(per_node=2, total=3)
-    # 42 flip sets in 11 batches of 4; the first holds {}, (0,0), (0,1), (1,0)
-    # and the second (1,1), (2,0), ...
-    assert len(list(gc.enumerate_perturbations(graph.features, budget))) == 42
+    # a node's field is itself: its flip sets (i,0), (i,1) come in one batch of
+    # 2 and (i,0)+(i,1) in a second, which a node broken in the first never runs
     assert np.array_equal(gc.oracle_max_robust_limits(model, graph, 2, 3), [0, 0, 0])
-    assert len(count_oracle_forward) == 2
-    count_oracle_forward.clear()
+    assert count_oracle_batches == [2, 2, 2]
+    count_oracle_batches.clear()
     assert not gc.exact_robust_nodes(model, graph, budget).any()
-    assert len(count_oracle_forward) == 2
-    # a node's check flips only its own two cells here: 4 flip sets, one batch
+    assert count_oracle_batches == [2, 2, 2]
     for node in range(3):
-        count_oracle_forward.clear()
+        count_oracle_batches.clear()
         assert not gc.exact_node_robustness(model, graph, budget, node)
-        assert len(count_oracle_forward) == 1
-    # a model no flip can move enumerates every batch
+        assert count_oracle_batches == [2]
+    # a model no flip can move enumerates every batch of every node
     steady = gc.GcnModel((gc.GcnLayer(np.array([[0.5, 0.0], [0.0, 0.0]]), np.array([0.0, 9.0])),))
-    count_oracle_forward.clear()
+    count_oracle_batches.clear()
     assert np.array_equal(gc.oracle_max_robust_limits(steady, graph, 2, 3), [3, 3, 3])
-    assert len(count_oracle_forward) == 11
+    assert count_oracle_batches == [2, 1] * 3
 
 
 def test_node_check_enumerates_only_its_receptive_field(monkeypatch):
@@ -398,21 +398,27 @@ def test_node_check_enumerates_only_its_receptive_field(monkeypatch):
     graph = helpers.graph_from_dense(adjacency, features=np.array([[1, 0]] * 5))
     steady = gc.GcnModel((gc.GcnLayer(np.array([[0.5, 0.0], [0.0, 0.0]]), np.array([0.0, 9.0])),))
     budget = gc.PerturbationBudget(per_node=1, total=2)
-    stacked = []
-    batched = gcncert.perturbation.forward
+    stacked, flipped = [], set()
+    evaluate = gcncert.perturbation.field_labels
 
-    def spy(model, norm_adj, features):
-        stacked.append(len(features))
-        return batched(model, norm_adj, features)
+    def spy(model, graph, hops, sets, cells):
+        stacked.append(sets)
+        flipped.update(cells[1].tolist())
+        return evaluate(model, graph, hops, sets, cells)
 
-    monkeypatch.setattr(gcncert.perturbation, "forward", spy)
+    monkeypatch.setattr(gcncert.perturbation, "field_labels", spy)
     assert gc.exact_node_robustness(steady, graph, budget, 0)
-    # {}, 4 single cells and the 4 pairs across the two nodes
-    assert sum(stacked) == 9
+    # the 4 single cells, then the 4 pairs across the two nodes; the empty set changes nothing
+    assert stacked == [4, 4] and flipped == {0, 1}
     stacked.clear()
     assert gc.exact_robust_nodes(steady, graph, budget).all()
-    assert sum(stacked) == len(list(gc.enumerate_perturbations(graph.features, budget))) == 51
+    # one batch per size and node: 4 and 4 at each end, and 6 single cells and
+    # 12 pairs across nodes in each 3-node field between
+    assert stacked == [4, 4] + [6, 12] * 3 + [4, 4]
     # the cap counts the field's 4 cells (11 candidates), not the graph's 10 (56)
     assert gc.exact_node_robustness(steady, graph, budget, 0, cap=11)
-    with pytest.raises(gc.OracleInfeasibleError):
+    # node 1's field has 6 cells (22 candidates)
+    with pytest.raises(gc.OracleInfeasibleError, match="node 1's receptive field needs 22"):
         gc.exact_robust_nodes(steady, graph, budget, cap=11)
+    # every field fits under 22, so the whole graph's 56 candidates do not count
+    assert gc.exact_robust_nodes(steady, graph, budget, cap=22).all()

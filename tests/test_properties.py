@@ -1,6 +1,7 @@
 """Property tests: the JSON loaders against cell-by-cell references, the
-certifiers' ordering invariants over small random graphs and models, and the
-neighbour table of Ã against the dense matrix.
+certifiers' ordering invariants over small random graphs and models, the
+neighbour table of Ã against the dense matrix, and the field-local evaluator
+against the whole-graph forward pass.
 
 Every test runs derandomized, so a tier-1 run is reproducible.
 """
@@ -247,3 +248,29 @@ def test_neighbor_table_matches_dense_adjacency(instance, variant):
     assert replayed == replayed_dense
     _assert_same(gc.exact_robust_nodes(model, graph, budget),
                  gc.exact_robust_nodes(model, dense, budget))
+
+
+@given(edge_list_instances(), st.booleans(), st.data())
+@PROPERTY
+def test_field_labels_match_whole_graph_forward(instance, tie, data):
+    graph, model, _ = instance
+    if tie:  # labels 0 and 1 score alike on every input, so they tie whenever they lead
+        last = model.layers[-1]
+        weight, bias = last.weight.copy(), last.bias.copy()
+        weight[:, 1], bias[1] = weight[:, 0], bias[0]
+        model = gc.GcnModel(model.layers[:-1] + (gc.GcnLayer(weight, bias),))
+    n, m = graph.features.shape
+    node = data.draw(st.integers(0, n - 1))
+    sets = data.draw(st.lists(st.sets(st.integers(0, n * m - 1), max_size=n * m),
+                              min_size=1, max_size=8))
+    which = np.repeat(np.arange(len(sets)), [len(cells) for cells in sets])
+    cells = np.array([cell for chosen in sets for cell in sorted(chosen)], dtype=np.int64)
+    hops = gc.graph.receptive_field(graph, node, model.num_layers)
+    labels = gc.graph.field_labels(model, graph, hops, len(sets), (which, cells // m, cells % m))
+    expected = []
+    for chosen in sets:
+        x = graph.features.copy()
+        for cell in chosen:
+            x[divmod(cell, m)] ^= 1
+        expected.append(np.argmax(gc.forward(model, graph.norm_adj, x)[node]))
+    _assert_same(labels, np.array(expected))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gcncert as gc
-import gcncert.certify
+import gcncert.graph
 import helpers
 
 
@@ -32,15 +32,15 @@ def _instances(rng, count: int):
 
 @pytest.fixture
 def count_forward(monkeypatch):
-    """Count whole-graph forward passes made from gcncert.certify."""
+    """Count whole-graph forward passes made from gcncert.graph, where replay's evaluator runs."""
     calls = []
-    dense = gcncert.certify.forward
+    dense = gcncert.graph.forward
 
     def spy(*args, **kwargs):
         calls.append(1)
         return dense(*args, **kwargs)
 
-    monkeypatch.setattr(gcncert.certify, "forward", spy)
+    monkeypatch.setattr(gcncert.graph, "forward", spy)
     return calls
 
 
