@@ -278,8 +278,10 @@ def _chunks(
 
     A chunk's first target sets its size: about ``_CHUNK_ELEMENTS`` coefficient
     entries, 2 referenced sides per label, widest layer and field node. Its hops
-    are the shared ones trimmed to its widest row: the fronts that
-    ``receptive_fields`` gives for the chunk alone.
+    are those of one ``receptive_fields`` call over all of ``nodes``, trimmed
+    to its widest row: the fronts that ``receptive_fields`` gives for the chunk
+    alone. That call works in row blocks, so beyond a chunk only the hops
+    themselves, one padded row per node, grow with ``len(nodes)``.
     """
     hops = receptive_fields(graph, nodes, model.num_layers)
     width = hops[-1][1].sum(axis=1)

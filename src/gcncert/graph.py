@@ -12,7 +12,9 @@ oracle: each row's nonzero columns and weights, padded to the widest row.
 (sparse propagation as in Kipf & Welling, ICLR 2017), and
 ``table.block(rows, cols)`` gathers a dense block of Ã for the code that
 works on one receptive field at a time. ``receptive_fields`` is the one hop
-routine of back-substitution, replay and the oracle.
+routine of back-substitution, replay and the oracle; it walks long node lists
+a block of rows at a time, so its working memory beyond the hops it returns
+stays bounded.
 
 ``field_labels`` scores a node under a batch of flip sets, for replay and the
 exact oracle alike: an L-layer GCN's scores for a node depend only on the
@@ -31,6 +33,9 @@ from .errors import DataError, DimensionError, check_index
 # local top-two score gaps within this fraction of the top score (at least 1)
 # are re-checked with the whole-graph forward pass
 _TIE_TOLERANCE = 1e-9
+
+# reached entries, hop width times table width, of one block of rows in ``receptive_fields``
+_HOP_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,6 +256,19 @@ def forward(model: GcnModel, norm_adj: NeighborTable | np.ndarray,
     return h
 
 
+def _next_hop(cols: np.ndarray, weights: np.ndarray, front: np.ndarray,
+              live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (front, live) pair of the hop after (front, live), padded to its widest row."""
+    sentinel = len(cols)
+    reach = np.where((weights[front] > 0) & live[:, :, None], cols[front], sentinel)
+    reach = np.sort(reach.reshape(len(front), front.shape[1] * cols.shape[1]), axis=1)
+    reach[:, 1:][reach[:, 1:] == reach[:, :-1]] = sentinel  # keep each node's first entry
+    reach = np.sort(reach, axis=1)
+    counts = (reach < sentinel).sum(axis=1)
+    live = np.arange(counts.max(initial=0)) < counts[:, None]
+    return np.where(live, reach[:, : live.shape[1]], 0), live
+
+
 def receptive_fields(graph: Graph, nodes: np.ndarray,
                      depth: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Hops 0, ..., depth of every node in ``nodes`` at once, as (front, live) pairs.
@@ -258,20 +276,26 @@ def receptive_fields(graph: Graph, nodes: np.ndarray,
     Row t of hop l's front lists H_l of ``nodes[t]`` ascending, where H_0 =
     {node} and H_{l+1} holds the Ã-neighbours of H_l, for integer nodes in [0, n).
     Rows are padded at the end to the hop's widest with node 0, and ``live`` is False there.
+    Each hop is computed a block of rows at a time, about ``_HOP_ELEMENTS``
+    reached entries per block, so only the result grows with ``len(nodes)``.
     """
     cols, weights = graph.norm_adj.cols, graph.norm_adj.weights
     front = np.reshape(check_index(nodes, "node index", 0, graph.num_nodes, many=True), (-1, 1))
     hops = [(front, np.ones(front.shape, dtype=bool))]
-    sentinel = graph.num_nodes
     for _ in range(depth):
         front, live = hops[-1]
-        reach = np.where((weights[front] > 0) & live[:, :, None], cols[front], sentinel)
-        reach = np.sort(reach.reshape(len(front), front.shape[1] * cols.shape[1]), axis=1)
-        reach[:, 1:][reach[:, 1:] == reach[:, :-1]] = sentinel  # keep each node's first entry
-        reach = np.sort(reach, axis=1)
-        counts = (reach < sentinel).sum(axis=1)
-        live = np.arange(counts.max(initial=0)) < counts[:, None]
-        hops.append((np.where(live, reach[:, : live.shape[1]], 0), live))
+        size = max(1, _HOP_ELEMENTS // max(1, front.shape[1] * cols.shape[1]))
+        starts = range(0, len(front), size)
+        blocks = [_next_hop(cols, weights, front[start : start + size], live[start : start + size])
+                  for start in starts]
+        if len(blocks) != 1:  # one block is already the hop, padded to its widest row
+            shape = (len(front), max((block[0].shape[1] for block in blocks), default=0))
+            front, live = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=bool)
+            for start, (block_front, block_live) in zip(starts, blocks):
+                front[start : start + size, : block_front.shape[1]] = block_front
+                live[start : start + size, : block_live.shape[1]] = block_live
+            blocks = [(front, live)]
+        hops.append(blocks[0])
     return hops
 
 

@@ -6,9 +6,11 @@ every cell could flip). Two variants exist: ``topk`` ranks flip candidates per
 node and globally and is exact for the first layer; ``max`` scales the single
 best candidate by the total budget, cheaper but looser. Both look only at each
 node's neighbours, the columns of Ã's neighbour table (``graph.norm_adj``): a
-flip elsewhere cannot move the node's first layer, so the candidate tensors
-grow with n times the widest neighbourhood, not with n². A ``mode`` other
-than ``both`` drops the candidates of cells whose flip goes the other way.
+flip elsewhere cannot move the node's first layer. Every row's bound is exact
+on its own, so the candidates are ranked and pooled a block of rows at a time
+(``_POOL_ELEMENTS``): the working memory is fixed by the block, and only the
+(n, k, m1) clamped candidates and the (n, m1) bounds grow with n. A ``mode``
+other than ``both`` drops the candidates of cells whose flip goes the other way.
 Later layers use plain interval arithmetic, with the table's product for the
 graph convolution, so no step holds an n×n array. These bounds drive the
 interval certifier baseline and supply the numeric ReLU cases for the
@@ -16,16 +18,16 @@ polyhedra domain.
 
 ``interval_layer_bounds_backward`` is the reverse-mode pass of
 ``interval_layer_bounds``. It holds each bound's selected flip candidates
-fixed: ``topk``'s ranked candidates and ``max``'s single best one. It
-recomputes the candidate pools with the forward pass's own
-``_flip_deviations`` and ranks them with argsort rather than keeping them,
-so ``interval_layer_bounds`` returns only the bounds and runs as before.
+fixed: ``topk``'s ranked candidates and ``max``'s single best one. It walks
+the same row blocks as the forward pass, through the shared
+``_scaled_pools``, and ranks each block with argsort rather than keeping the
+pools, so ``interval_layer_bounds`` returns only the bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +36,9 @@ from .graph import GcnModel, Graph, NeighborTable, predict
 from .perturbation import PerturbationBudget, check_mode, restrict_to_mode, sign_matrix
 
 VARIANTS = ("topk", "max")
+
+# elements of one block of rows in the flip-candidate pools
+_POOL_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -83,45 +88,79 @@ def interval_input_abstraction(
     if budget.per_node == 0 or budget.total == 0:
         return IntervalElement(base.copy(), base.copy())
 
-    dev_min, dev_max, _ = _flip_deviations(model, graph, budget, variant, mode)
+    dev_min, dev_max = _flip_deviations(model, graph, budget, variant, mode)
     return IntervalElement(base + dev_min, base + dev_max)
+
+
+def _row_blocks(n: int, per_row: int) -> Iterator[slice]:
+    """Consecutive slices of range(n), about ``_POOL_ELEMENTS`` elements of ``per_row`` each."""
+    size = max(1, _POOL_ELEMENTS // max(1, per_row))
+    for start in range(0, n, size):
+        yield slice(start, start + size)
+
+
+def _candidates(model: GcnModel, graph: Graph, mode: str, sources: slice) -> np.ndarray:
+    """Flip deltas sign[k,f] * W[f,j] of source nodes ``sources``, 0 where ``mode`` bars a flip."""
+    features = graph.features[sources]
+    cand = sign_matrix(features)[:, :, None] * model.layers[0].weight[None, :, :]
+    return restrict_to_mode(cand, features[:, :, None], mode)
+
+
+def _scaled_pools(
+    model: GcnModel, graph: Graph, budget: PerturbationBudget, variant: str, mode: str
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """The pools each output row's extreme deviations draw from, a block of rows at a time.
+
+    Yields (rows, scaled_neg, scaled_pos), each pool shaped (rows, width ·
+    k_local, m1): Ã[i,k] times each neighbour k's ``k_local`` most negative
+    (positive) flip candidates, clamped toward zero, with ``k_local`` =
+    min(per_node, m0) for ``topk`` and 1, the single best, for ``max``. Only
+    the clamped candidates, (n, k_local, m1) per side, are kept for the whole
+    graph; they are ranked a block of source nodes at a time, and no other
+    array grows with n.
+    """
+    n, m0 = graph.features.shape
+    m1 = model.layers[0].weight.shape[1]
+    k_local = min(budget.per_node, m0) if variant == "topk" else 1
+    neg, pos = np.empty((n, k_local, m1)), np.empty((n, k_local, m1))
+    for sources in _row_blocks(n, m0 * m1):
+        cand = _candidates(model, graph, mode, sources)
+        if variant == "topk":
+            ordered = np.sort(cand, axis=1)
+            neg[sources] = np.minimum(ordered[:, :k_local, :], 0.0)
+            pos[sources] = np.maximum(ordered[:, -k_local:, :], 0.0)
+        else:
+            neg[sources, 0] = np.minimum(cand.min(axis=1), 0.0)
+            pos[sources, 0] = np.maximum(cand.max(axis=1), 0.0)
+    # only Ã's nonzero entries can move a row; padding weighs 0 like a non-neighbour
+    cols, weights = graph.norm_adj.cols, graph.norm_adj.weights
+    for rows in _row_blocks(n, cols.shape[1] * k_local * m1):
+        scale = weights[rows, :, None, None]
+        yield (rows, (scale * neg[cols[rows]]).reshape(len(scale), -1, m1),
+               (scale * pos[cols[rows]]).reshape(len(scale), -1, m1))
 
 
 def _flip_deviations(
     model: GcnModel, graph: Graph, budget: PerturbationBudget, variant: str, mode: str
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Extreme first-layer deviations under a non-zero budget, and the pools they come from.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Extreme first-layer deviations (dev_min, dev_max) under a non-zero budget.
 
-    Returns (dev_min, dev_max, pools). The pools are the flip candidates and
-    the scaled candidates each output entry's min and max deviation draws
-    from: for ``topk`` each neighbour's ``per_node`` most negative (positive)
-    ones, for ``max`` each neighbour's single best.
+    ``topk`` sums each row's ``total`` most negative (positive) scaled
+    candidates, ``max`` scales the single best by ``total``. Rows are
+    independent, so ``_scaled_pools`` hands them over a block at a time and
+    each block's bounds are written straight into the (n, m1) outputs.
     """
-    n, m0 = graph.features.shape
-    m1 = model.layers[0].weight.shape[1]
-    # flip deltas per (source node, feature, output): sign[k,f] * W[f,j]
-    cand = sign_matrix(graph.features)[:, :, None] * model.layers[0].weight[None, :, :]
-    cand = restrict_to_mode(cand, graph.features[:, :, None], mode)
-    # only Ã's nonzero entries can move a row; padding weighs 0 like a non-neighbour
-    cols, weights = graph.norm_adj.cols, graph.norm_adj.weights
-    if variant == "topk":
-        k_local = min(budget.per_node, m0)
-        ordered = np.sort(cand, axis=1)
-        neg = np.minimum(ordered[:, :k_local, :], 0.0)
-        pos = np.maximum(ordered[:, -k_local:, :], 0.0)
-        scaled_neg = (weights[:, :, None, None] * neg[cols]).reshape(n, -1, m1)
-        scaled_pos = (weights[:, :, None, None] * pos[cols]).reshape(n, -1, m1)
-        k_global = min(budget.total, scaled_neg.shape[1])
-        dev_min = np.sort(scaled_neg, axis=1)[:, :k_global, :].sum(axis=1)
-        dev_max = np.sort(scaled_pos, axis=1)[:, -k_global:, :].sum(axis=1)
-    else:
-        best_neg = np.minimum(cand.min(axis=1), 0.0)
-        best_pos = np.maximum(cand.max(axis=1), 0.0)
-        scaled_neg = weights[:, :, None] * best_neg[cols]
-        scaled_pos = weights[:, :, None] * best_pos[cols]
-        dev_min = budget.total * scaled_neg.min(axis=1)
-        dev_max = budget.total * scaled_pos.max(axis=1)
-    return dev_min, dev_max, (cand, scaled_neg, scaled_pos)
+    dev_min = np.empty((graph.num_nodes, model.layers[0].weight.shape[1]))
+    dev_max = np.empty_like(dev_min)
+    for rows, scaled_neg, scaled_pos in _scaled_pools(model, graph, budget, variant, mode):
+        if variant == "topk":
+            k_global = min(budget.total, scaled_neg.shape[1])
+            dev_min[rows] = np.sort(scaled_neg, axis=1)[:, :k_global, :].sum(axis=1)
+            dev_max[rows] = np.sort(scaled_pos, axis=1)[:, -k_global:, :].sum(axis=1)
+        else:
+            dev_min[rows] = budget.total * scaled_neg.min(axis=1)
+            dev_max[rows] = budget.total * scaled_pos.max(axis=1)
+    return dev_min, dev_max
 
 
 def _flip_deviations_backward(
@@ -135,41 +174,51 @@ def _flip_deviations_backward(
 ) -> np.ndarray:
     """First-layer weight gradient of sum(min_grad * dev_min + max_grad * dev_max).
 
-    Ranks the forward pass's pools with argsort to find the candidates each
-    deviation took; among tied values any choice gives the same sum.
+    Ranks each block of ``_scaled_pools`` with argsort to find the scaled
+    candidates each deviation took, and adds their gradient onto the source
+    nodes' ranked candidates; among tied values any choice gives the same
+    sum. A second walk over the source nodes ranks their flip candidates
+    again to place it. Only the candidate gradient, (n, m0, m1), spans the
+    graph, so the final contraction sums over nodes in one order.
     """
     n, m0 = graph.features.shape
-    cand, scaled_neg, scaled_pos = _flip_deviations(model, graph, budget, variant, mode)[2]
-    m1 = cand.shape[2]
+    m1 = model.layers[0].weight.shape[1]
+    k_local = min(budget.per_node, m0) if variant == "topk" else 1
     cols, weights = graph.norm_adj.cols, graph.norm_adj.weights
-    if variant == "topk":
-        k_local = min(budget.per_node, m0)
-        k_global = min(budget.total, scaled_neg.shape[1])
-        order = np.argsort(cand, axis=1)
-        taken_min = np.argsort(scaled_neg, axis=1)[:, :k_global]
-        taken_max = np.argsort(scaled_pos, axis=1)[:, -k_global:]
-        sides = ((order[:, :k_local], taken_min, min_grad, np.less),
-                 (order[:, -k_local:], taken_max, max_grad, np.greater))
-    else:
-        sides = ((cand.argmin(axis=1)[:, None], scaled_neg.argmin(axis=1), min_grad, np.less),
-                 (cand.argmax(axis=1)[:, None], scaled_pos.argmax(axis=1), max_grad, np.greater))
-    cand_grad = np.zeros_like(cand)
-    for ranks, taken, grad, beyond_zero in sides:
-        # gradient on each source node's ranked candidates, summed over neighbours
-        ranked_grad = np.zeros((n,) + ranks.shape[1:])
+    # gradient on each source node's ranked candidates, summed over neighbours
+    ranked_grads = np.zeros((2, n, k_local, m1))
+    for rows, scaled_neg, scaled_pos in _scaled_pools(model, graph, budget, variant, mode):
+        block_cols, block_weights = cols[rows], weights[rows]
+        for ranked_grad, pool, grad, low in ((ranked_grads[0], scaled_neg, min_grad[rows], True),
+                                             (ranked_grads[1], scaled_pos, max_grad[rows], False)):
+            if variant == "topk":
+                k_global = min(budget.total, pool.shape[1])
+                order = np.argsort(pool, axis=1)
+                taken = order[:, :k_global] if low else order[:, -k_global:]
+                scaled_grad = np.zeros(pool.shape)
+                np.put_along_axis(scaled_grad, taken, grad[:, None, :], axis=1)
+                np.add.at(ranked_grad, block_cols, block_weights[:, :, None, None]
+                          * scaled_grad.reshape(len(pool), cols.shape[1], -1, m1))
+            else:
+                taken = pool.argmin(axis=1) if low else pool.argmax(axis=1)
+                np.add.at(ranked_grad[:, 0],
+                          (np.take_along_axis(block_cols, taken, axis=1), np.arange(m1)),
+                          budget.total * np.take_along_axis(block_weights, taken, axis=1) * grad)
+    cand_grad = np.zeros((n, m0, m1))
+    for sources in _row_blocks(n, m0 * m1):
+        cand = _candidates(model, graph, mode, sources)
         if variant == "topk":
-            scaled_grad = np.zeros((n, cols.shape[1] * ranks.shape[1], m1))
-            np.put_along_axis(scaled_grad, taken, grad[:, None, :], axis=1)
-            np.add.at(ranked_grad, cols,
-                      weights[:, :, None, None] * scaled_grad.reshape(n, cols.shape[1], -1, m1))
+            order = np.argsort(cand, axis=1)
+            sides = (order[:, :k_local], order[:, -k_local:])
         else:
-            np.add.at(ranked_grad[:, 0], (np.take_along_axis(cols, taken, axis=1), np.arange(m1)),
-                      budget.total * np.take_along_axis(weights, taken, axis=1) * grad)
-        # a candidate clamped to 0 passes nothing on
-        ranked_grad *= beyond_zero(np.take_along_axis(cand, ranks, axis=1), 0.0)
-        side_grad = np.zeros_like(cand)
-        np.put_along_axis(side_grad, ranks, ranked_grad, axis=1)
-        cand_grad += side_grad
+            sides = (cand.argmin(axis=1)[:, None], cand.argmax(axis=1)[:, None])
+        for ranks, ranked_grad, beyond_zero in zip(sides, ranked_grads[:, sources],
+                                                   (np.less, np.greater)):
+            # a candidate clamped to 0 passes nothing on
+            ranked_grad = ranked_grad * beyond_zero(np.take_along_axis(cand, ranks, axis=1), 0.0)
+            side_grad = np.zeros_like(cand)
+            np.put_along_axis(side_grad, ranks, ranked_grad, axis=1)
+            cand_grad[sources] += side_grad
     return np.einsum("kfj,kf->fj", cand_grad, sign_matrix(graph.features))
 
 

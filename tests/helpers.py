@@ -10,6 +10,7 @@ from collections import Counter
 import numpy as np
 
 import gcncert as gc
+from gcncert.perturbation import restrict_to_mode
 
 
 def graph_from_dense(adjacency, features) -> gc.Graph:
@@ -332,3 +333,89 @@ def chunks_of(monkeypatch, model, graph, size):
 
     monkeypatch.setattr(gc.certify, "back_substitute_batch", spy)
     return seen
+
+
+def reference_flip_deviations(model, graph, budget, variant, mode):
+    """The library's first-layer deviations computed over the whole graph at once.
+
+    Returns (dev_min, dev_max, (cand, scaled_neg, scaled_pos)): the (n, m0,
+    m1) flip candidates and the (n, width · k_local, m1) scaled pools every
+    row draws from, built in one piece where the library streams row blocks.
+    """
+    n, m0 = graph.features.shape
+    m1 = model.layers[0].weight.shape[1]
+    cand = gc.sign_matrix(graph.features)[:, :, None] * model.layers[0].weight[None, :, :]
+    cand = restrict_to_mode(cand, graph.features[:, :, None], mode)
+    cols, weights = graph.norm_adj.cols, graph.norm_adj.weights
+    if variant == "topk":
+        k_local = min(budget.per_node, m0)
+        ordered = np.sort(cand, axis=1)
+        neg = np.minimum(ordered[:, :k_local, :], 0.0)
+        pos = np.maximum(ordered[:, -k_local:, :], 0.0)
+        scaled_neg = (weights[:, :, None, None] * neg[cols]).reshape(n, -1, m1)
+        scaled_pos = (weights[:, :, None, None] * pos[cols]).reshape(n, -1, m1)
+        k_global = min(budget.total, scaled_neg.shape[1])
+        dev_min = np.sort(scaled_neg, axis=1)[:, :k_global, :].sum(axis=1)
+        dev_max = np.sort(scaled_pos, axis=1)[:, -k_global:, :].sum(axis=1)
+    else:
+        best_neg = np.minimum(cand.min(axis=1), 0.0)
+        best_pos = np.maximum(cand.max(axis=1), 0.0)
+        scaled_neg = weights[:, :, None] * best_neg[cols]
+        scaled_pos = weights[:, :, None] * best_pos[cols]
+        dev_min = budget.total * scaled_neg.min(axis=1)
+        dev_max = budget.total * scaled_pos.max(axis=1)
+    return dev_min, dev_max, (cand, scaled_neg, scaled_pos)
+
+
+def reference_flip_deviations_backward(model, graph, budget, variant, mode, min_grad, max_grad):
+    """Weight gradient of sum(min_grad * dev_min + max_grad * dev_max) over the whole pools."""
+    n, m0 = graph.features.shape
+    cand, scaled_neg, scaled_pos = reference_flip_deviations(model, graph, budget, variant,
+                                                             mode)[2]
+    m1 = cand.shape[2]
+    cols, weights = graph.norm_adj.cols, graph.norm_adj.weights
+    if variant == "topk":
+        k_local = min(budget.per_node, m0)
+        k_global = min(budget.total, scaled_neg.shape[1])
+        order = np.argsort(cand, axis=1)
+        taken_min = np.argsort(scaled_neg, axis=1)[:, :k_global]
+        taken_max = np.argsort(scaled_pos, axis=1)[:, -k_global:]
+        sides = ((order[:, :k_local], taken_min, min_grad, np.less),
+                 (order[:, -k_local:], taken_max, max_grad, np.greater))
+    else:
+        sides = ((cand.argmin(axis=1)[:, None], scaled_neg.argmin(axis=1), min_grad, np.less),
+                 (cand.argmax(axis=1)[:, None], scaled_pos.argmax(axis=1), max_grad, np.greater))
+    cand_grad = np.zeros_like(cand)
+    for ranks, taken, grad, beyond_zero in sides:
+        ranked_grad = np.zeros((n,) + ranks.shape[1:])
+        if variant == "topk":
+            scaled_grad = np.zeros((n, cols.shape[1] * ranks.shape[1], m1))
+            np.put_along_axis(scaled_grad, taken, grad[:, None, :], axis=1)
+            np.add.at(ranked_grad, cols,
+                      weights[:, :, None, None] * scaled_grad.reshape(n, cols.shape[1], -1, m1))
+        else:
+            np.add.at(ranked_grad[:, 0], (np.take_along_axis(cols, taken, axis=1), np.arange(m1)),
+                      budget.total * np.take_along_axis(weights, taken, axis=1) * grad)
+        ranked_grad *= beyond_zero(np.take_along_axis(cand, ranks, axis=1), 0.0)
+        side_grad = np.zeros_like(cand)
+        np.put_along_axis(side_grad, ranks, ranked_grad, axis=1)
+        cand_grad += side_grad
+    return np.einsum("kfj,kf->fj", cand_grad, gc.sign_matrix(graph.features))
+
+
+def reference_receptive_fields(graph, nodes, depth):
+    """The library's (front, live) hops of ``nodes``, each hop computed for all rows at once."""
+    cols, weights = graph.norm_adj.cols, graph.norm_adj.weights
+    front = np.asarray(nodes, dtype=np.int64).reshape(-1, 1)
+    hops = [(front, np.ones(front.shape, dtype=bool))]
+    sentinel = graph.num_nodes
+    for _ in range(depth):
+        front, live = hops[-1]
+        reach = np.where((weights[front] > 0) & live[:, :, None], cols[front], sentinel)
+        reach = np.sort(reach.reshape(len(front), front.shape[1] * cols.shape[1]), axis=1)
+        reach[:, 1:][reach[:, 1:] == reach[:, :-1]] = sentinel
+        reach = np.sort(reach, axis=1)
+        counts = (reach < sentinel).sum(axis=1)
+        live = np.arange(counts.max(initial=0)) < counts[:, None]
+        hops.append((np.where(live, reach[:, : live.shape[1]], 0), live))
+    return hops

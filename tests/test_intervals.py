@@ -225,6 +225,32 @@ def test_input_abstraction_memory_follows_neighbourhoods(rng):
     assert peak < 16 * 2**20
 
 
+@pytest.mark.parametrize("variant", ["topk", "max"])
+def test_interval_bounds_working_memory_is_bounded_at_4000_nodes(variant):
+    # mean degree 5 (table width 15), a 32-16-4 model, budget 2/4: the whole-graph
+    # candidate tensors and pools peaked at 79.6 MB (topk) and 40.1 MB (max) here;
+    # row blocks leave about 6 MB, mostly the bounds themselves
+    rng = np.random.default_rng(0)
+    n, m0, hidden, labels = 4000, 32, 16, 4
+    graph = gc.Graph(rng.integers(0, n, (n * 5 // 2, 2)), (rng.random((n, m0)) < 0.1).astype(int))
+    model = gc.GcnModel(tuple(
+        gc.GcnLayer(rng.uniform(-1, 1, (a, b)), rng.uniform(-0.5, 0.5, b))
+        for a, b in ((m0, hidden), (hidden, labels))))
+    graph.norm_adj  # cached input, not working memory
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        bounds = gc.interval_layer_bounds(model, graph, gc.PerturbationBudget(2, 4), variant)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert bounds[-1].lower.shape == (n, labels)
+    assert peak < 12 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
 def test_input_abstraction_unknown_variant(two_node):
     graph, model = two_node
     with pytest.raises(gc.DataError):

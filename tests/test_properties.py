@@ -1,7 +1,8 @@
 """Property tests: the JSON loaders against cell-by-cell references, the
 certifiers' ordering invariants over small random graphs and models, the
-neighbour table of Ã against the dense matrix, and the field-local evaluator
-against the whole-graph forward pass.
+neighbour table of Ã against the dense matrix, the field-local evaluator
+against the whole-graph forward pass, and the row-blocked flip-candidate
+pools and hop routine against their whole-graph references.
 
 Every test runs derandomized, so a tier-1 run is reproducible.
 """
@@ -14,6 +15,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -274,3 +276,72 @@ def test_field_labels_match_whole_graph_forward(instance, tie, data):
             x[divmod(cell, m)] ^= 1
         expected.append(np.argmax(gc.forward(model, graph.norm_adj, x)[node]))
     _assert_same(labels, np.array(expected))
+
+
+@st.composite
+def hub_instances(draw):
+    """A graph with one hub row far wider than the rest, a model of 2 or 3 layers and a budget.
+
+    The hub joins every node but the last, which stays isolated, and has a
+    self-loop. ``per_node`` is 1, m0 or beyond m0, and ``total`` reaches past
+    the widest row's pool of scaled candidates.
+    """
+    n, m0, m1 = draw(st.integers(4, 12)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    node = st.integers(0, n - 2)
+    hub = draw(node)
+    edges = draw(st.lists(st.lists(node, min_size=2, max_size=2), max_size=n // 2))
+    edges += [[hub, other] for other in range(n - 1)] + [[draw(node)] * 2]
+    features = draw(st.lists(st.lists(st.integers(0, 1), min_size=m0, max_size=m0),
+                             min_size=n, max_size=n))
+    graph = gc.Graph(edges, np.array(features))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    widths = [m0, m1] + [int(rng.integers(1, 4)) for _ in range(draw(st.integers(1, 2)))]
+    model = gc.GcnModel(tuple(
+        gc.GcnLayer(rng.uniform(-1, 1, (a, b)), rng.uniform(-0.5, 0.5, b))
+        for a, b in zip(widths, widths[1:])))
+    per_node = draw(st.sampled_from([1, m0, m0 + draw(st.integers(1, 2))]))
+    pool = graph.norm_adj.cols.shape[1] * min(per_node, m0)
+    budget = gc.PerturbationBudget(per_node, draw(st.integers(1, pool + 2)))
+    return graph, model, budget, rng
+
+
+def _bounds_and_gradients(model, graph, budget, variant, mode, rng):
+    """``interval_layer_bounds`` and its backward pass's parameter gradients for random seeds."""
+    bounds = gc.interval_layer_bounds(model, graph, budget, variant, mode=mode)
+    bound_grads = [(rng.standard_normal(b.lower.shape), rng.standard_normal(b.upper.shape))
+                   for b in bounds]
+    param_grads = [(np.zeros_like(layer.weight), np.zeros_like(layer.bias))
+                   for layer in model.layers]
+    gc.intervals.interval_layer_bounds_backward(model, graph, budget, variant, mode, bounds,
+                                                bound_grads, param_grads)
+    return [x for b in bounds for x in (b.lower, b.upper)] + [x for p in param_grads for x in p]
+
+
+@given(hub_instances(), _VARIANTS, st.sampled_from(MODES), st.data())
+@PROPERTY
+def test_row_blocks_match_whole_graph_reference(instance, variant, mode, data):
+    graph, model, budget, rng = instance
+    n, m0 = graph.features.shape
+    table_width, m1 = graph.norm_adj.cols.shape[1], model.layers[0].weight.shape[1]
+    seed = int(rng.integers(2**32))
+    nodes = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=4, max_size=3 * n)))
+    depth = data.draw(st.integers(1, 3))
+    with pytest.MonkeyPatch.context() as patch:  # blocks of 1 to 3 source rows and node rows
+        patch.setattr(gc.intervals, "_POOL_ELEMENTS", data.draw(st.integers(1, 3 * m0 * m1)))
+        patch.setattr(gc.graph, "_HOP_ELEMENTS", data.draw(st.integers(1, 3 * table_width)))
+        blocked = _bounds_and_gradients(model, graph, budget, variant, mode,
+                                        np.random.default_rng(seed))
+        hops = gc.graph.receptive_fields(graph, nodes, depth)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gc.intervals, "_flip_deviations",
+                      lambda *args: helpers.reference_flip_deviations(*args)[:2])
+        patch.setattr(gc.intervals, "_flip_deviations_backward",
+                      helpers.reference_flip_deviations_backward)
+        reference = _bounds_and_gradients(model, graph, budget, variant, mode,
+                                          np.random.default_rng(seed))
+    for actual, expected in zip(blocked, reference, strict=True):
+        _assert_same(actual, expected)
+    for (front, live), (ref_front, ref_live) in zip(
+            hops, helpers.reference_receptive_fields(graph, nodes, depth), strict=True):
+        _assert_same(front, ref_front)
+        _assert_same(live, ref_live)

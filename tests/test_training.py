@@ -248,8 +248,12 @@ def _choices(model, graph, budget, variant, mode, batch, targets, thresholds):
         parts += [b.lower >= 0, b.lower > 0, b.upper <= 0, b.upper > 0,
                   np.abs(b.upper) >= np.abs(b.lower)]
     if budget.per_node and budget.total:
-        pools = intervals._flip_deviations(model, graph, budget, variant, mode)[2]
-        parts += [np.argsort(pool, axis=1, kind="stable") for pool in pools]
+        # row blocks split axis 0 and the ranks run along axis 1, so the blocks'
+        # bytes in order are the whole pools' bytes
+        cand = intervals._candidates(model, graph, mode, slice(None))
+        parts.append(np.argsort(cand, axis=1, kind="stable"))
+        for _, *pools in intervals._scaled_pools(model, graph, budget, variant, mode):
+            parts += [np.argsort(pool, axis=1, kind="stable") for pool in pools]
     for _, hops in certify._chunks(model, graph, batch):
         part = certify._chunk_margins(model, graph, budget, mode, bounds, targets, hops)
         tied = np.isclose(part.box_gap, part.poly_min, rtol=1e-12, atol=1e-12)
