@@ -9,15 +9,14 @@ both are sound, so their maximum is too, and the margin never falls below
 the interval certifier (the symbolic ReLU lower relaxation can undershoot the
 interval floor of 0). A positive margin certifies the node. ``certify_sound``
 returns one ``Certificate`` of arrays, the minimizer's flips among them as
-flat index arrays. For non-certified nodes, those flips become ``FlipSet``s
-and are replayed through the concrete forward pass; only flips that
-demonstrably change the prediction are reported, which makes the resulting
-upper bound complete.
+flat index arrays. For non-certified nodes, those flips are replayed through
+the concrete forward pass; only flips that demonstrably change the prediction
+are reported, which makes the resulting upper bound complete.
 
-Replay is local: ``generate_counterexample`` passes all of a node's
-candidate flip sets to ``graph.field_labels`` in one call, the evaluator the
-exact oracle uses too. It scores the node on its receptive field alone and
-settles near ties with the whole-graph ``forward``.
+Replay is one batched pass, ``_replay``, for one row or all open rows alike:
+it reads the candidates from the pick arrays and scores each of the kernel's
+chunks with one ``graph.field_labels`` call, the oracle's evaluator too, on
+the rows' receptive fields; near ties go to the whole-graph ``forward``.
 
 The kernel works serially, on the calling thread, through chunks of target
 nodes: the targets are sorted by receptive-field width, widest first, and
@@ -43,7 +42,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import DataError, check_index
-from .graph import GcnModel, Graph, field_labels, predict, receptive_field, receptive_fields
+from .graph import GcnModel, Graph, field_labels, predict, receptive_fields
 from .intervals import IntervalElement, interval_layer_bounds, interval_layer_bounds_backward
 from .perturbation import FlipSet, PerturbationBudget, check_mode, restrict_to_mode, sign_matrix
 from .polyhedra import PolyBatch, PolyNodeElement, back_substitute_backward, back_substitute_batch
@@ -405,59 +404,68 @@ def rival_margins(
     return margins[np.argsort(order)], pullback
 
 
-def generate_counterexample(
-    model: GcnModel,
-    graph: Graph,
-    budget: PerturbationBudget,
-    certificate: Certificate,
-    row: int,
-) -> Counterexample | None:
-    """Replay the minimizer's flips for each non-positive rival margin of one row.
+def _replay(model: GcnModel, graph: Graph, budget: PerturbationBudget, certificate: Certificate,
+            rows: np.ndarray) -> dict[int, Counterexample]:
+    """Verified counterexamples of the certificate's ``rows``, ascending and in range, by node.
 
-    Rivals are tried most promising first, and the first flip set that
-    changes the label wins; all candidates are scored by one ``field_labels``
-    call. A certified row has no non-positive margin, so it has no candidate.
-    Every candidate is checked first: one over the budget raises
-    ``AssertionError``, one with a cell outside the feature matrix raises
-    ``DataError``, and so does a bad ``row``.
+    A row's candidates are the minimizer's flips against each rival of margin
+    <= 0 in (margin, rival) order, empty ones skipped. Before any is scored, one
+    over the budget raises ``AssertionError`` and one with a cell outside the
+    features ``DataError``. The rows go through the kernel's ``_chunks``, one
+    ``field_labels`` call each; a row's first candidate that changes its label
+    wins. Nodes come in row order, the last row of a repeated node winning.
     """
+    cert, v, n = certificate, certificate.rivals.shape[1], graph.num_nodes
+    group = cert.pick_row * v + cert.pick_rival
+    count = np.bincount(group, minlength=len(cert.nodes) * v).reshape(len(cert.nodes), v)
+    margins = cert.rival_margins[rows]
+    candidate = (margins <= 0.0) & (count[rows] > 0)
+    order = np.lexsort((cert.rivals[rows], margins, ~candidate), axis=1)  # candidates first
+    sizes = candidate.sum(axis=1)
+    rank = np.full((len(cert.nodes), v), -1)  # the place of each candidate in its row's order
+    rank[rows] = np.where(candidate, np.argsort(order, axis=1), -1)
+    rank = rank[cert.pick_row, cert.pick_rival]
+    keep = rank >= 0
+    group, rank, pick_row = group[keep], rank[keep], cert.pick_row[keep]
+    nodes, feats = cert.pick_node[keep], cert.pick_feature[keep]
+    check_index(nodes, "flip node", 0, n, many=True)
+    check_index(feats, "flip feature", 0, graph.num_features, many=True)
+    p, cell = budget.per_node, group * n + nodes  # cells node by node: p + 1 of one lie p apart
+    if (count.ravel()[group] > budget.total).any() or (cell[p:] == cell[: -p or None]).any():
+        raise AssertionError("minimizer produced an out-of-budget flip set")
+    rows, order, sizes, found = rows[sizes > 0], order[sizes > 0], sizes[sizes > 0], {}
+    start, stop = np.searchsorted(pick_row, rows), np.searchsorted(pick_row, rows + 1)
+    for chunk, hops in _chunks(model, graph, cert.nodes[rows]):
+        (field, live), sets, span = hops[-1], sizes[chunk].max(), stop[chunk] - start[chunk]
+        t = np.repeat(np.arange(len(chunk)), span)  # the chunk's picks, row by row
+        at = np.arange(len(t)) + np.repeat(start[chunk] - np.cumsum(span) + span, span)
+        # their field slots; cells outside a row's field cannot move its label
+        keys = (np.arange(len(chunk))[:, None] * (n + 1) + np.where(live, field, n)).ravel()
+        key = t * (n + 1) + nodes[at]
+        place = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        mine = keys[place] == key
+        labels = field_labels(model, graph, hops, sets, (
+            (t * sets + rank[at])[mine], place[mine] % field.shape[1], feats[at][mine]))
+        broken = (labels >= 0) & (labels != cert.labels[rows[chunk], None])
+        for i in np.flatnonzero(broken.any(axis=1)):
+            k, row = broken[i].argmax(), rows[chunk[i]]
+            found[row] = Counterexample(int(cert.nodes[row]),
+                                        cert.flip_set(row, order[chunk[i], k]), int(labels[i, k]))
+    return {ce.node: ce for _, ce in sorted(found.items())}
+
+
+def generate_counterexample(model: GcnModel, graph: Graph, budget: PerturbationBudget,
+                            certificate: Certificate, row: int) -> Counterexample | None:
+    """``find_counterexamples``' replay of one row, None if it finds none; ``row`` is checked."""
     row = check_index(row, "certificate row", 0, len(certificate.nodes))
-    margins = certificate.rival_margins[row]
-    candidates = []
-    for rival in np.lexsort((certificate.rivals[row], margins)):
-        if margins[rival] > 0.0:
-            break
-        flips = certificate.flip_set(row, rival)
-        if len(flips) == 0:
-            continue
-        if not flips.within(budget):
-            raise AssertionError("minimizer produced an out-of-budget flip set")
-        flips.require_inside(graph.features.shape)
-        candidates.append(flips)
-    if not candidates:
-        return None
-    node = int(certificate.nodes[row])
-    rows, cols = np.array([cell for flips in candidates for cell in flips]).T
-    which = np.repeat(np.arange(len(candidates)), [len(flips) for flips in candidates])
-    labels = field_labels(model, graph, receptive_field(graph, node, model.num_layers),
-                          len(candidates), (which, rows, cols))
-    broken = np.flatnonzero(labels != certificate.labels[row])
-    if not len(broken):
-        return None
-    return Counterexample(node, candidates[broken[0]], int(labels[broken[0]]))
+    return next(iter(_replay(model, graph, budget, certificate, np.array([row])).values()), None)
 
 
-def find_counterexamples(
-    model: GcnModel,
-    graph: Graph,
-    budget: PerturbationBudget,
-    certificate: Certificate,
-) -> dict[int, Counterexample]:
+def find_counterexamples(model: GcnModel, graph: Graph, budget: PerturbationBudget,
+                         certificate: Certificate) -> dict[int, Counterexample]:
     """Verified counterexamples keyed by node, replaying the non-certified rows only.
 
     This is the complete upper bound: a node with a counterexample is not
     robust, and every other node counts as possibly robust.
     """
-    found = (generate_counterexample(model, graph, budget, certificate, row)
-             for row in np.flatnonzero(~certificate.certified))
-    return {ce.node: ce for ce in found if ce is not None}
+    return _replay(model, graph, budget, certificate, np.flatnonzero(~certificate.certified))

@@ -16,7 +16,7 @@ from typing import IO, Iterator
 import numpy as np
 
 from . import fileio
-from .certify import certify_sound, find_counterexamples, generate_counterexample
+from .certify import certify_sound, find_counterexamples
 from .collective import compute_robust_limits
 from .errors import DataError, OracleInfeasibleError
 from .graph import GcnModel, Graph
@@ -147,10 +147,7 @@ def cmd_sweep(args) -> int:
         else:
             certificate = certify_sound(model, graph, budget, variant, mode=args.mode)
             lower.append(graph_robustness_ratio(certificate))
-            fresh = ~certificate.certified & ~np.isin(certificate.nodes, list(broken))
-            found = (generate_counterexample(model, graph, budget, certificate, row)
-                     for row in np.flatnonzero(fresh))
-            broken.update(ce.node for ce in found if ce is not None)
+            broken.update(find_counterexamples(model, graph, budget, certificate))
             # (n - b) / n, not 1 - b / n: the latter can round one ulp below c / n
             upper.append((graph.num_nodes - len(broken)) / graph.num_nodes)
         runtime.append((time.perf_counter() - start) * 1000.0)

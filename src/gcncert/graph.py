@@ -16,9 +16,9 @@ routine of back-substitution, replay and the oracle; it walks long node lists
 a block of rows at a time, so its working memory beyond the hops it returns
 stays bounded.
 
-``field_labels`` scores a node under a batch of flip sets, for replay and the
-exact oracle alike: an L-layer GCN's scores for a node depend only on the
-features within L hops, so it runs the forward pass on that field alone.
+``field_labels`` scores nodes under batches of flip sets, for replay and the
+oracle alike: an L-layer GCN's scores for a node depend only on the features
+within L hops, so each row runs on its own field, in that routine's layout.
 """
 
 from __future__ import annotations
@@ -73,14 +73,14 @@ class NeighborTable:
     def _lookup(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending keys i * (n + 1) + j of the slots, padding as j = n, and their weights.
 
-        A last key beyond every (i, j) under weight 0 ends both arrays.
+        A last key beyond every (i, j) with i, j <= n ends both arrays under weight 0.
         """
         n = len(self.cols)
         keys = np.arange(n)[:, None] * (n + 1) + np.where(self.weights > 0, self.cols, n)
-        return np.append(keys, n * (n + 1)), np.append(self.weights, 0.0)
+        return np.append(keys, (n + 1) ** 2), np.append(self.weights, 0.0)
 
     def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Dense Ã[rows, cols] for broadcasting node index arrays, the entries Ã holds."""
+        """Dense Ã[rows, cols] for broadcasting node index arrays, node n reading as 0."""
         keys, weights = self._lookup
         key = rows * (len(self.cols) + 1) + cols
         at = np.searchsorted(keys, key)
@@ -299,54 +299,49 @@ def receptive_fields(graph: Graph, nodes: np.ndarray,
     return hops
 
 
-def receptive_field(graph: Graph, node: int, depth: int) -> list[np.ndarray]:
-    """Sorted hop sets H_0 = {node}, ..., H_depth of ``receptive_fields`` for one node.
+def field_labels(model: GcnModel, graph: Graph, hops: list[tuple[np.ndarray, np.ndarray]],
+                 sets: int, cells: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """The (rows, sets) labels of each row's node H_0 under ``sets`` flip sets, on its field H_L.
 
-    H_L is the receptive field of an L-layer GCN's scores for ``node``.
+    ``hops`` are the rows' ``receptive_fields`` for the model's depth, and
+    ``cells`` flat (set, slot, feature) arrays: set s of row s // ``sets`` flips
+    the feature of the node at that live slot of the row's H_L, each cell once;
+    a set with no cell is padding, labelled -1. Layer l computes the rows of
+    H_{L-1-l} from the columns of H_{L-l} with the full graph's Ã entries. Local
+    sums round differently from the whole-graph product, so a set whose top two
+    local scores lie within ``_TIE_TOLERANCE`` is settled by a whole-graph
+    ``forward`` of at most ``sets`` stacked copies. Overflows raise ``DataError``.
     """
-    node = check_index(node, "node index", 0, graph.num_nodes)
-    return [front[0, live[0]] for front, live in receptive_fields(graph, [node], depth)]
-
-
-def field_labels(model: GcnModel, graph: Graph, hops: list[np.ndarray], sets: int,
-                 cells: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-    """Node H_0's label under each of ``sets`` flip sets, scored on its receptive field H_L.
-
-    ``hops`` are the node's ``receptive_field`` hops for the model's depth and
-    ``cells`` the sets' cells as flat (set, node, feature) arrays, in range and
-    unique per set; cells outside H_L are ignored. Layer l computes only the
-    rows of H_{L-1-l}, from the columns of H_{L-l}, with the full graph's Ã
-    entries. Local sums round differently from the whole-graph product, so
-    sets whose top two local scores lie within ``_TIE_TOLERANCE`` are settled
-    by one stacked whole-graph ``forward``. Overflowing scores raise ``DataError``.
-    """
-    which, nodes, feats = cells
-    field, depth = hops[-1], model.num_layers
-    at = np.minimum(np.searchsorted(field, nodes), len(field) - 1)
-    inside = field[at] == nodes
-    h = np.repeat(graph.features[field][None].astype(np.float64), sets, axis=0)
-    flip = which[inside], at[inside], feats[inside]
-    h[flip] = 1.0 - h[flip]
+    which, slots, feats = cells
+    depth, field = model.num_layers, hops[-1][0]
+    h = np.repeat(graph.features[field][:, None].astype(np.float64), sets, axis=1)
+    flat = h.reshape(-1, *h.shape[2:])  # a view, set s of row t at t * sets + s
+    flat[which, slots, feats] = 1.0 - flat[which, slots, feats]
+    fronts = [np.where(live, front, graph.num_nodes) for front, live in hops]  # padding as node n
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for l, layer in enumerate(model.layers):
-            block = graph.norm_adj.block(*np.ix_(hops[depth - 1 - l], hops[depth - l]))
-            h = np.matmul(block, h) @ layer.weight + layer.bias
+            block = graph.norm_adj.block(fronts[depth - 1 - l][:, :, None],
+                                         fronts[depth - l][:, None, :])
+            h = np.matmul(block[:, None], h) @ layer.weight + layer.bias
             if l < depth - 1:
                 h = np.maximum(h, 0.0)
-    scores = h[:, 0, :]
+    scores = h[:, :, 0].reshape(-1, h.shape[-1])
     if not np.isfinite(scores).all():
         raise DataError("scores are not finite: the model overflows float64 on this graph")
-    labels = np.argmax(scores, axis=1)
+    listed = np.bincount(which, minlength=len(scores)) > 0
+    labels = np.where(listed, np.argmax(scores, axis=1), -1)
     ordered = np.sort(scores, axis=1)
     top = ordered[:, -1]
     second = ordered[:, -2] if ordered.shape[1] > 1 else -np.inf  # one label never ties
-    tied = np.flatnonzero(top - second <= _TIE_TOLERANCE * np.maximum(1.0, np.abs(top)))
-    if len(tied):
-        x = np.repeat(graph.features[None], len(tied), axis=0)
-        pick = np.isin(which, tied)
-        x[np.searchsorted(tied, which[pick]), nodes[pick], feats[pick]] ^= 1
-        labels[tied] = np.argmax(forward(model, graph.norm_adj, x)[:, hops[0][0]], axis=1)
-    return labels
+    tied = np.flatnonzero(listed & (top - second <= _TIE_TOLERANCE * np.maximum(1.0, np.abs(top))))
+    for part in (tied[start : start + sets] for start in range(0, len(tied), sets)):
+        at = np.searchsorted(part, which)  # the stacked copy of each cell's set
+        pick = part[np.minimum(at, len(part) - 1)] == which
+        copies = np.repeat(graph.features[None], len(part), axis=0)
+        copies[at[pick], field[which[pick] // sets, slots[pick]], feats[pick]] ^= 1
+        whole = forward(model, graph.norm_adj, copies)
+        labels[part] = np.argmax(whole[np.arange(len(part)), hops[0][0][part // sets, 0]], axis=1)
+    return labels.reshape(len(field), sets)
 
 
 def predict(model: GcnModel, graph: Graph) -> Prediction:

@@ -11,8 +11,8 @@ so each node enumerates those alone with ``_cell_combos`` (the generator that
 ``enumerate_perturbations`` wraps into ``FlipSet``s), and ``cap`` bounds each
 node's count; every count is checked before any enumeration starts. The sets
 go in enumeration order, by cardinality, a ``_COMBO_BLOCK`` at a time, to
-``graph.field_labels``, replay's evaluator, and a node stops at its first
-break. It defends the model's predicted label, as certify and replay do.
+``graph.field_labels``, replay's evaluator, as one row, and a node stops at its
+first break. It defends the model's predicted label, as certify and replay do.
 """
 
 from __future__ import annotations
@@ -187,11 +187,11 @@ def _smallest_breaks(model: GcnModel, graph: Graph, budget: PerturbationBudget, 
     labels = predict(model, graph).labels
     smallest = np.full(len(nodes), budget.total + 1, dtype=np.int64)
     for t, node in enumerate(nodes):
-        node_hops = [front[t, live[t]] for front, live in hops]
+        node_hops = [(front[t, live[t]][None], live[t, live[t]][None]) for front, live in hops]
         for block in _cell_combos(widths[t], m, budget.per_node, largest[t]):
             (sets, size), cells = block.shape, block.ravel()
-            new = field_labels(model, graph, node_hops, sets, (
-                np.repeat(np.arange(sets), size), node_hops[-1][cells // m], cells % m))
+            new = field_labels(model, graph, node_hops, sets,
+                               (np.repeat(np.arange(sets), size), cells // m, cells % m))
             if (new != labels[node]).any():
                 smallest[t] = size
                 break

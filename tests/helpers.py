@@ -49,12 +49,14 @@ class DenseNormAdj:
 
     Products are dense matrix products and blocks are fancy-indexed, the
     arithmetic of a dense Ã; ``cols`` and ``weights`` are the graph's table.
+    As in the table's blocks, node n reads as a zero row and column.
     """
 
     def __init__(self, graph: gc.Graph):
         self.matrix = dense_norm_adj(graph)
         self.shape = self.matrix.shape
         self.cols, self.weights = graph.norm_adj.cols, graph.norm_adj.weights
+        self.padded = np.pad(self.matrix, (0, 1))
 
     def __array__(self, dtype=None, copy=None):
         return self.matrix
@@ -63,7 +65,7 @@ class DenseNormAdj:
         return self.matrix @ np.asarray(h, dtype=np.float64)
 
     def block(self, rows, cols):
-        return self.matrix[rows, cols]
+        return self.padded[rows, cols]
 
 
 def dense_graph(graph: gc.Graph) -> gc.Graph:

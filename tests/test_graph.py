@@ -3,7 +3,7 @@ import pytest
 
 import gcncert as gc
 import helpers
-from gcncert.graph import receptive_field, receptive_fields
+from gcncert.graph import receptive_fields
 
 
 def test_normalize_two_node_loop(two_node):
@@ -61,6 +61,9 @@ def test_neighbor_table_lists_each_rows_nonzero_entries(rng):
             assert (np.diff(cols[row, live[row]]) > 0).all()
         # the same floats as the dense D^{-1/2} (A + I) D^{-1/2}, bit for bit
         assert np.array_equal(helpers.densify(graph.norm_adj), helpers.dense_norm_adj(graph))
+        every = np.arange(graph.num_nodes + 1)  # blocks read node n as a zero row and column
+        assert np.array_equal(graph.norm_adj.block(every[:, None], every),
+                              np.pad(helpers.dense_norm_adj(graph), (0, 1)))
 
 
 def _random_graph(rng):
@@ -95,7 +98,8 @@ def test_receptive_fields_match_dense_reachability(rng):
             for t, node in enumerate(nodes):
                 row = front[t, live[t]]
                 assert row.tolist() == np.flatnonzero(reach[t]).tolist()  # ascending
-                assert np.array_equal(receptive_field(graph, node, depth)[d], row)
+                alone, alone_live = receptive_fields(graph, [node], depth)[d]
+                assert np.array_equal(alone[0, alone_live[0]], row)  # the row of the node alone
 
 
 def test_receptive_fields_of_no_nodes_are_empty(two_node):

@@ -205,8 +205,8 @@ def test_out_of_range_index_or_short_labels_rejected(two_node, case, message):
     budget = gc.PerturbationBudget(1, 1)
     certificate = gc.certify_sound(model, graph, budget)
     call = {
-        "field node -1": lambda: gcncert.graph.receptive_field(graph, -1, 2),
-        "field node 2": lambda: gcncert.graph.receptive_field(graph, 2, 2),
+        "field node -1": lambda: gcncert.graph.receptive_fields(graph, [-1], 2),
+        "field node 2": lambda: gcncert.graph.receptive_fields(graph, [2], 2),
         "flip_set row -1": lambda: certificate.flip_set(-1, 0),
         "flip_set rival 7": lambda: certificate.flip_set(0, 7),
         "flip_set row 5": lambda: certificate.flip_set(5, 0),
@@ -268,10 +268,8 @@ def test_a_bare_integer_is_not_a_node_sequence(two_node, scalar):
     for call in calls:
         with pytest.raises(gc.DataError, match="must be a sequence"):
             call()
-    # one node goes in a list; receptive_field takes the node itself
+    # one node goes in a list
     assert gc.certify_sound(model, graph, budget, nodes=[1]).nodes.tolist() == [1]
-    hops = gcncert.graph.receptive_field(graph, scalar, 1)
-    assert [hop.tolist() for hop in hops] == [[1], [0, 1]]
 
 
 def test_exact_robustness_matches_independent_bruteforce(rng):
@@ -403,7 +401,7 @@ def test_node_check_enumerates_only_its_receptive_field(monkeypatch):
 
     def spy(model, graph, hops, sets, cells):
         stacked.append(sets)
-        flipped.update(cells[1].tolist())
+        flipped.update(hops[-1][0][0, cells[1]].tolist())  # the nodes at the cells' slots
         return evaluate(model, graph, hops, sets, cells)
 
     monkeypatch.setattr(gcncert.perturbation, "field_labels", spy)

@@ -262,20 +262,26 @@ def test_field_labels_match_whole_graph_forward(instance, tie, data):
         weight[:, 1], bias[1] = weight[:, 0], bias[0]
         model = gc.GcnModel(model.layers[:-1] + (gc.GcnLayer(weight, bias),))
     n, m = graph.features.shape
-    node = data.draw(st.integers(0, n - 1))
-    sets = data.draw(st.lists(st.sets(st.integers(0, n * m - 1), max_size=n * m),
-                              min_size=1, max_size=8))
-    which = np.repeat(np.arange(len(sets)), [len(cells) for cells in sets])
-    cells = np.array([cell for chosen in sets for cell in sorted(chosen)], dtype=np.int64)
-    hops = gc.graph.receptive_field(graph, node, model.num_layers)
-    labels = gc.graph.field_labels(model, graph, hops, len(sets), (which, cells // m, cells % m))
-    expected = []
-    for chosen in sets:
-        x = graph.features.copy()
-        for cell in chosen:
-            x[divmod(cell, m)] ^= 1
-        expected.append(np.argmax(gc.forward(model, graph.norm_adj, x)[node]))
-    _assert_same(labels, np.array(expected))
+    nodes = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))  # repeats allowed
+    hops = gc.graph.receptive_fields(graph, nodes, model.num_layers)
+    field, live = hops[-1]
+    # each row's flip sets, as cells slot * m + feature of the row's own field
+    per_row = [data.draw(st.lists(st.sets(st.integers(0, live[t].sum() * m - 1), min_size=1),
+                                  min_size=1, max_size=4)) for t in range(len(nodes))]
+    sets = max(map(len, per_row))
+    which, cells, expected = [], [], np.full((len(nodes), sets), -1)  # padding is labelled -1
+    for t, (node, chosen_sets) in enumerate(zip(nodes, per_row)):
+        for k, chosen in enumerate(chosen_sets):
+            which += [t * sets + k] * len(chosen)
+            cells += sorted(chosen)
+            x = graph.features.copy()
+            for cell in chosen:
+                slot, feature = divmod(cell, m)
+                x[field[t, slot], feature] ^= 1
+            expected[t, k] = np.argmax(gc.forward(model, graph.norm_adj, x)[node])
+    which, cells = np.array(which, dtype=np.int64), np.array(cells, dtype=np.int64)
+    labels = gc.graph.field_labels(model, graph, hops, sets, (which, cells // m, cells % m))
+    _assert_same(labels, expected)
 
 
 @st.composite

@@ -44,19 +44,54 @@ def count_forward(monkeypatch):
     return calls
 
 
-def test_local_replay_matches_dense_reference(rng):
-    found = 0
+@pytest.fixture
+def count_chunks_and_calls(monkeypatch):
+    """The chunks that replay's ``_chunks`` yields and its ``field_labels`` calls, one entry each."""
+    chunks, calls = [], []
+    chunker, evaluate = gcncert.certify._chunks, gcncert.certify.field_labels
+
+    def spy_chunks(*args):
+        for chunk in chunker(*args):
+            chunks.append(len(chunk[0]))
+            yield chunk
+
+    def spy_calls(*args):
+        calls.append(args[3])
+        return evaluate(*args)
+
+    monkeypatch.setattr(gcncert.certify, "_chunks", spy_chunks)
+    monkeypatch.setattr(gcncert.certify, "field_labels", spy_calls)
+    return chunks, calls
+
+
+def test_local_replay_matches_dense_reference(rng, monkeypatch, count_chunks_and_calls):
+    chunks, calls = count_chunks_and_calls
+    default, picker = gcncert.certify._CHUNK_ELEMENTS, np.random.default_rng(0)
+    found = split = repeated = 0
     for graph, model, budget in _instances(rng, 60):
+        repeats = picker.integers(0, graph.num_nodes, 2 * graph.num_nodes)
         for mode in ("both", "add-only", "delete-only"):
-            certificate = gc.certify_sound(model, graph, budget, mode=mode)
-            expected = {}
-            for row in range(len(certificate.nodes)):
-                ce = helpers.dense_counterexample(model, graph, budget, certificate, row)
-                if ce is not None:
-                    expected[ce.node] = ce
-            assert gc.find_counterexamples(model, graph, budget, certificate) == expected
-            found += len(expected)
+            # as certified, with one row per chunk, and for a node list with repeats
+            for elements, nodes in ((default, None), (1, None), (default, repeats)):
+                monkeypatch.setattr(gcncert.certify, "_CHUNK_ELEMENTS", elements)
+                certificate = gc.certify_sound(model, graph, budget, nodes=nodes, mode=mode)
+                expected = {}
+                for row in range(len(certificate.nodes)):
+                    ce = helpers.dense_counterexample(model, graph, budget, certificate, row)
+                    if ce is not None:
+                        expected[ce.node] = ce
+                chunks.clear()
+                calls.clear()
+                got = gc.find_counterexamples(model, graph, budget, certificate)
+                assert list(got.items()) == list(expected.items())  # in row order
+                assert len(calls) == len(chunks)  # one field_labels call per chunk
+                if nodes is None:
+                    found += len(expected) if elements == default else 0
+                    split += elements != default and len(chunks) > 1
+                else:
+                    repeated += len(expected) > 0
     assert found > 50  # the comparison is not vacuous
+    assert split > 50 and repeated > 50  # nor are its other two inputs
 
 
 def test_replay_runs_no_whole_graph_forward(rng, count_forward):
@@ -88,6 +123,23 @@ def test_near_tie_is_settled_by_the_dense_forward(count_forward):
     flipped = gc.apply_flips(graph.features, ce.flips)
     dense = gc.forward(model, helpers.dense_norm_adj(graph), flipped)[0]
     assert ce.flipped_label == int(np.argmax(dense)) == 1
+
+
+def test_a_tie_is_settled_at_the_rows_own_node(count_forward):
+    # a star around node 0; output columns 0 and 1 are equal, and so are 2 and 3
+    graph = gc.Graph([[0, 1], [0, 2], [0, 3]], np.array([[0, 1], [1, 0], [0, 1], [0, 1]]))
+    model = gc.GcnModel((gc.GcnLayer(np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]]),
+                                     np.zeros(4)),))
+    hops = gcncert.graph.receptive_fields(graph, [1], 1)
+    assert hops[-1][0].tolist() == [[0, 1]]  # node 1's field starts at node 0
+    flipped = graph.features.copy()
+    flipped[0, 0] = 1
+    dense = gc.forward(model, helpers.dense_norm_adj(graph), flipped)
+    assert np.argmax(dense[1]) == 0 and np.argmax(dense[0]) == 2
+    count_forward.clear()
+    # the set flips feature 0 of slot 0, node 0; node 1's labels 0 and 1 tie
+    labels = gcncert.graph.field_labels(model, graph, hops, 1, (np.array([0]),) * 3)
+    assert labels.tolist() == [[0]] and len(count_forward) == 1
 
 
 def _path_graph_judgment(flips, margin=-1.0):
@@ -122,6 +174,43 @@ def test_invalid_flip_sets_are_rejected():
     graph, model, certificate = _path_graph_judgment(((0, 0), (1, 0)))
     with pytest.raises(AssertionError):
         gc.generate_counterexample(model, graph, gc.PerturbationBudget(1, 1), certificate, 0)
+    graph, model, certificate = _path_graph_judgment(((0, 0), (0, 1)))  # two cells of node 0
+    with pytest.raises(AssertionError):
+        gc.generate_counterexample(model, graph, gc.PerturbationBudget(1, 2), certificate, 0)
+    gc.generate_counterexample(model, graph, gc.PerturbationBudget(2, 2), certificate, 0)
     graph, model, certificate = _path_graph_judgment(((0, 0), (3, 0)))
     with pytest.raises(gc.DataError):
         gc.generate_counterexample(model, graph, gc.PerturbationBudget(1, 2), certificate, 0)
+
+
+def test_ties_are_settled_in_blocks_of_at_most_sets(rng, monkeypatch, count_chunks_and_calls):
+    chunks, calls = count_chunks_and_calls
+    stacks, dense = [], gcncert.graph.forward
+
+    def spy(model, norm_adj, features):
+        stacks.append((len(features), calls[-1:]))  # a stack's depth and its call's sets
+        return dense(model, norm_adj, features)
+
+    monkeypatch.setattr(gcncert.graph, "forward", spy)
+    split = broken = 0
+    for _ in range(20):
+        graph, model, _ = helpers.raw_instance(rng)
+        # output columns 0 and 1 are equal, and so are 2 and 3: every candidate's top two tie
+        last = model.layers[-1]
+        model = gc.GcnModel(model.layers[:-1] + (
+            gc.GcnLayer(last.weight[:, [0, 0, 1, 1]], last.bias[[0, 0, 1, 1]]),))
+        budget = gc.PerturbationBudget(3, 6)
+        certificate = gc.certify_sound(model, graph, budget)
+        expected = {}
+        for row in range(len(certificate.nodes)):
+            ce = helpers.dense_counterexample(model, graph, budget, certificate, row)
+            if ce is not None:
+                expected[ce.node] = ce
+        chunks.clear()
+        calls.clear()
+        stacks.clear()
+        assert gc.find_counterexamples(model, graph, budget, certificate) == expected
+        assert all(depth <= sets for depth, [sets] in stacks)
+        split += len(calls) == 1 and len(stacks) > 1  # one chunk's ties went in several stacks
+        broken += len(expected)
+    assert split > 10 and broken > 10
