@@ -29,9 +29,11 @@ of score[label] - score[rival] for every (target, rival) pair is lower[label]
 and it returns its flips as index arrays. ``label_difference_transform`` and
 ``minimize_delta`` are the one-row forms, which no production path calls.
 ``_run_kernel`` runs it for ``certify_sound`` and for robust training's
-``rival_margins``, which also returns the margins' pullback: one reverse-mode
-pass through the minimization, ``back_substitute_backward`` and
-``interval_layer_bounds_backward`` to the layer weights and biases.
+``rival_margins``. Given the slope of a loss that sums over nodes,
+``rival_margins`` also returns that loss's gradient with respect to the
+layer weights and biases: each chunk goes back through the minimization and
+``back_substitute_backward`` as soon as the kernel finishes it, so no chunk's
+tape outlives it, and ``interval_layer_bounds_backward`` runs once at the end.
 """
 
 from __future__ import annotations
@@ -196,6 +198,7 @@ class _ChunkMargins:
     batch: PolyBatch
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow raises DataError below instead
 def _chunk_margins(
     model: GcnModel,
     graph: Graph,
@@ -308,9 +311,9 @@ def _run_kernel(
     mode: str,
     nodes: Sequence[int] | None,
     labels: np.ndarray | None,
-    keep: Callable[[np.ndarray, _ChunkMargins], object],
+    keep: Callable[[list[IntervalElement], np.ndarray, _ChunkMargins], object],
 ) -> tuple[list[IntervalElement], np.ndarray, list]:
-    """The interval bounds, the row order the chunks ran in, and ``keep(rows, result)`` of each.
+    """The interval bounds, the chunks' row order, and ``keep(bounds, rows, result)`` of each.
 
     ``nodes`` defaults to every node and ``labels`` to the predictions, both
     checked once; ``rows`` are the positions in ``nodes`` of a chunk's
@@ -328,10 +331,10 @@ def _run_kernel(
     order, parts = [np.zeros(0, dtype=np.int64)], []
     with np.errstate(over="ignore", invalid="ignore"):  # overflow raises DataError instead
         layer_bounds = interval_layer_bounds(model, graph, budget, variant, mode=mode)
-        for rows, hops in _chunks(model, graph, nodes):
-            order.append(rows)
-            parts.append(keep(rows, _chunk_margins(model, graph, budget, mode, layer_bounds,
-                                                   labels, hops)))
+    for rows, hops in _chunks(model, graph, nodes):
+        order.append(rows)
+        parts.append(keep(layer_bounds, rows, _chunk_margins(model, graph, budget, mode,
+                                                             layer_bounds, labels, hops)))
     return layer_bounds, np.concatenate(order), parts
 
 
@@ -357,7 +360,7 @@ def certify_sound(
     The kernel's chunks run serially, on the calling thread.
     """
     _, order, parts = _run_kernel(model, graph, budget, variant, mode, nodes, None,
-                                  _chunk_certificate)
+                                  lambda _, rows, part: _chunk_certificate(rows, part))
     none, no_rivals = np.zeros(0, dtype=np.int64), np.zeros((0, model.num_labels - 1))
     empty = Certificate(none, none, no_rivals.astype(np.int64), no_rivals, *[none] * 4)
     whole = {f.name: np.concatenate([getattr(part, f.name) for part in [empty] + parts])
@@ -376,32 +379,39 @@ def rival_margins(
     labels: np.ndarray,
     nodes: np.ndarray,
     mode: str = "both",
-) -> tuple[np.ndarray, Callable[[np.ndarray], list[tuple[np.ndarray, np.ndarray]]]]:
-    """The (nodes x rivals) margins of ``labels``, one per graph node, and their pullback.
+    slope: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]] | None]:
+    """The (nodes x rivals) margins of ``labels``, one per graph node, and a loss's gradient.
 
     Where ``labels`` are the model's predictions, the margins equal
     ``certify_sound(...).rival_margins`` for the same nodes bit for bit,
-    because both come from the same kernel. The pullback maps a gradient with
-    respect to the margins, shaped like them, to the gradient with respect to
-    every layer's (weight, bias): one reverse-mode pass through the
-    minimization, back-substitution and interval bounds.
+    because both come from the same kernel. ``slope(nodes, margins)`` maps a
+    chunk's nodes and their margins to a loss's gradient with respect to
+    those margins, shaped like them: the loss must be a sum over nodes. The
+    second value is then that loss's gradient with respect to every layer's
+    (weight, bias), else None. It is one reverse-mode pass through the
+    minimization and back-substitution, run on each chunk as the kernel
+    finishes it so that no chunk's tape outlives it, and one through the
+    interval bounds at the end.
     """
+    param_grads = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in model.layers]
+    n = graph.num_nodes  # each layer's bounds are (n, width) a side
+    bound_grads = [(np.zeros((n, l.bias.size)), np.zeros((n, l.bias.size))) for l in model.layers]
+
+    def keep(layer_bounds, _, part):
+        if slope is not None:
+            _chunk_margins_backward(model, graph, layer_bounds, part,
+                                    slope(part.nodes, part.margins), param_grads, bound_grads)
+        return part.margins
+
     layer_bounds, order, parts = _run_kernel(model, graph, budget, variant, mode, nodes, labels,
-                                             lambda rows, part: (rows, part))
-
-    def pullback(margin_grad: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        param_grads = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in model.layers]
-        bound_grads = [(np.zeros_like(b.lower), np.zeros_like(b.upper)) for b in layer_bounds]
-        for rows, part in parts:
-            _chunk_margins_backward(model, graph, layer_bounds, part, margin_grad[rows],
-                                    param_grads, bound_grads)
-        interval_layer_bounds_backward(model, graph, budget, variant, mode, layer_bounds,
-                                       bound_grads, param_grads)
-        return param_grads
-
-    empty = np.zeros((0, model.num_labels - 1))
-    margins = np.concatenate([empty] + [part.margins for _, part in parts])
-    return margins[np.argsort(order)], pullback
+                                             keep)
+    margins = np.concatenate([np.zeros((0, model.num_labels - 1))] + parts)[np.argsort(order)]
+    if slope is None:
+        return margins, None
+    interval_layer_bounds_backward(model, graph, budget, variant, mode, layer_bounds,
+                                   bound_grads, param_grads)
+    return margins, param_grads
 
 
 def _replay(model: GcnModel, graph: Graph, budget: PerturbationBudget, certificate: Certificate,

@@ -10,6 +10,7 @@ from collections import Counter
 import numpy as np
 
 import gcncert as gc
+from gcncert import certify, intervals
 from gcncert.perturbation import restrict_to_mode
 
 
@@ -421,3 +422,22 @@ def reference_receptive_fields(graph, nodes, depth):
         live = np.arange(counts.max(initial=0)) < counts[:, None]
         hops.append((np.where(live, reach[:, : live.shape[1]], 0), live))
     return hops
+
+
+def reference_pullback(model, graph, budget, variant, labels, nodes, mode, margin_grad):
+    """The (weight, bias) gradients of ``sum(margin_grad * margins)`` by a whole-kernel pullback.
+
+    The kernel runs to its end and keeps every chunk, tape and all; the
+    reverse pass then walks the chunks in the order they ran, with each one's
+    rows of ``margin_grad`` (nodes x rivals, in request order).
+    """
+    layer_bounds, _, parts = certify._run_kernel(model, graph, budget, variant, mode, nodes,
+                                                 labels, lambda _, rows, part: (rows, part))
+    param_grads = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in model.layers]
+    bound_grads = [(np.zeros_like(b.lower), np.zeros_like(b.upper)) for b in layer_bounds]
+    for rows, part in parts:
+        certify._chunk_margins_backward(model, graph, layer_bounds, part, margin_grad[rows],
+                                        param_grads, bound_grads)
+    intervals.interval_layer_bounds_backward(model, graph, budget, variant, mode, layer_bounds,
+                                             bound_grads, param_grads)
+    return param_grads

@@ -408,13 +408,17 @@ def test_rival_margins_rejects_out_of_range_label(two_node, case):
 
 
 def test_rival_margins_of_no_nodes(two_node):
-    # like certify_sound(nodes=[]): an empty (0, labels - 1) block and zero gradients
+    # like certify_sound(nodes=[]): an empty (0, labels - 1) block; the slope is
+    # never called, and the gradients are zero
     graph, model = two_node
-    margins, pullback = gcncert.certify.rival_margins(
-        model, graph, gc.PerturbationBudget(1, 1), "topk", gc.predict(model, graph).labels,
-        np.zeros(0, dtype=int))
-    assert margins.shape == (0, model.num_labels - 1)
-    grads = pullback(np.zeros(margins.shape))
+    args = (model, graph, gc.PerturbationBudget(1, 1), "topk", gc.predict(model, graph).labels,
+            np.zeros(0, dtype=int))
+    margins, grads = gcncert.certify.rival_margins(*args)
+    assert margins.shape == (0, model.num_labels - 1) and grads is None
+    calls = []
+    margins, grads = gcncert.certify.rival_margins(
+        *args, slope=lambda nodes, margins: calls.append(nodes) or np.zeros(margins.shape))
+    assert margins.shape == (0, model.num_labels - 1) and calls == []
     assert len(grads) == model.num_layers
     for (weight, bias), layer in zip(grads, model.layers):
         assert weight.shape == layer.weight.shape and bias.shape == layer.bias.shape

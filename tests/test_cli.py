@@ -1,12 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gcncert as gc
-from gcncert import fileio
+from gcncert import cli, fileio
 from gcncert.cli import main
 import helpers
 
@@ -99,9 +102,12 @@ def test_sweep_rows(tmp_path):
 
 
 @pytest.mark.parametrize("n", [5, 6])
-def test_sweep_ratios_sandwich_when_every_node_is_decided(tmp_path, n):
+def test_sweep_ratios_sandwich_when_every_node_is_decided(tmp_path, monkeypatch, n):
     # n - 1 isolated nodes break under one flip, the last is certified; in
     # float64 1 - (n-1)/n rounds one ulp below 1/n for n = 5 and n = 6
+    replayed, replay = [], cli._replay
+    monkeypatch.setattr(cli, "_replay", lambda *args: replayed.append(args[-1].tolist())
+                        or replay(*args))
     graph = gc.Graph([], np.array([[1, 0]] * (n - 1) + [[1, 1]]))
     model = gc.GcnModel((gc.GcnLayer(np.array([[0.5, 0.0], [2.0, 0.0]]), np.array([0.0, 0.4])),))
     gpath, mpath = tmp_path / "g.json", tmp_path / "m.json"
@@ -115,6 +121,7 @@ def test_sweep_ratios_sandwich_when_every_node_is_decided(tmp_path, n):
     upper = np.array([float(r["upper"]) for r in rows])
     assert (lower == 1 / n).all()
     assert (upper >= lower).all()
+    assert replayed == [list(range(n - 1))] + [[]] * 4  # a broken node is not replayed again
     sweep = gc.RobustnessSweep(1, tuple(range(1, 6)), lower, upper)
     assert gc.uncertainty_region(sweep) == 0.0
 
@@ -173,6 +180,21 @@ def test_train_roundtrip(tmp_path):
           "--steps", "2", "--lr", "0.05", "--seed", "3",
           "--labels", str(labels_path), "--output", str(out2)])
     assert out.read_text() == out2.read_text()
+
+
+@pytest.mark.parametrize("batch", [[], ["--batch-size", "1"]], ids=["full batch", "batch 1"])
+def test_train_never_imports_numpy_random(tmp_path, batch):
+    # numpy.random adds about 6 MB to a process; training draws its batches without it
+    labels_path = tmp_path / "labels.json"
+    labels_path.write_text(json.dumps([1, -1]))
+    argv = ["train", "--graph", GRAPH, "--model", MODEL, "--steps", "3", "--seed", "5",
+            "--labels", str(labels_path), "--output", str(tmp_path / "trained.json")] + batch
+    script = ("import sys; from gcncert.cli import main; code = main(sys.argv[1:]); "
+              "print(code, 'numpy.random' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", script] + argv, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 
 def _never_train(*args, **kwargs):

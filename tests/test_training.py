@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +98,15 @@ def _small_setup(rng):
         gc.GcnLayer(rng.uniform(-0.5, 0.5, (3, 2)), np.zeros(2)),
     ))
     return graph, labels, model, gc.PerturbationBudget(1, 1)
+
+
+def test_batch_draws_are_numpy_permutations_bit_for_bit():
+    # tests may import numpy.random; training draws the same batches without it
+    for seed in [*range(200), 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 3]:  # the last: 5 words
+        for n in (1, 2, 3, 20, 1000):
+            numpy_rng, draws = np.random.default_rng(seed), training._permutations(seed, n)
+            for draw in range(3):
+                assert next(draws) == numpy_rng.permutation(n).tolist(), (seed, n, draw)
 
 
 def test_zero_steps_returns_equal_model(rng):
@@ -285,13 +295,13 @@ def test_gradient_matches_central_differences(rng, num_layers, variant):
 
                 def loss(shifted):
                     moved.append(_choices(shifted, *at) != choices)
-                    return training._batch_loss(shifted, *setting)[0]
+                    return training._batch_loss(shifted, *setting)
 
                 reference = helpers.central_fd_gradient(loss, model, step=1e-6)
                 if any(moved):  # a choice flips within the step: no derivative to compare
                     skipped += 1
                     continue
-                exact = training._batch_loss(model, *setting)[1]()
+                exact = training._batch_gradient(model, *setting)
                 flat_exact = np.concatenate([np.r_[w.ravel(), b] for w, b in exact])
                 flat_reference = np.concatenate([np.r_[w.ravel(), b] for w, b in reference])
                 scale = np.abs(flat_reference).max()
@@ -315,8 +325,8 @@ def test_gradient_follows_the_output_box_where_it_wins():
     hops = gc.graph.receptive_fields(graph, batch, model.num_layers)
     part = certify._chunk_margins(model, graph, budget, "both", bounds, targets, hops)
     assert part.box_gap[0, 0] == pytest.approx(0.1) and part.poly_min[0, 0] == pytest.approx(-0.5)
-    exact = training._batch_loss(model, *setting)[1]()
-    reference = helpers.central_fd_gradient(lambda m: training._batch_loss(m, *setting)[0],
+    exact = training._batch_gradient(model, *setting)
+    reference = helpers.central_fd_gradient(lambda m: training._batch_loss(m, *setting),
                                             model, step=1e-6)
     for (w, b), (w_ref, b_ref) in zip(exact, reference):
         assert np.allclose(w, w_ref, rtol=0, atol=1e-8) and np.allclose(b, b_ref, rtol=0, atol=1e-8)
@@ -329,13 +339,55 @@ def test_gradient_is_the_same_over_chunks_of_the_batch(rng, monkeypatch):
     n = graph.num_nodes
     setting = (graph, budget, "topk", "both", np.arange(n), labels, np.zeros(n, dtype=bool),
                np.full(n, training.DEFAULT_LABELED_MARGIN))
-    whole = training._batch_loss(model, *setting)[1]()
+    whole = training._batch_gradient(model, *setting)
     for size in (1, 3, None):
         with monkeypatch.context() as patch:
             seen = helpers.chunks_of(patch, model, graph, size)
-            chunked = training._batch_loss(model, *setting)[1]()
+            chunked = training._batch_gradient(model, *setting)
         assert sum(seen) == n and seen[0] == {1: 1, 3: min(3, n), None: n}[size]
         assert size != 1 or len(seen) == n
         for (w, b), (w_chunked, b_chunked) in zip(whole, chunked):
             assert np.allclose(w, w_chunked, rtol=1e-12, atol=1e-12)
             assert np.allclose(b, b_chunked, rtol=1e-12, atol=1e-12)
+
+
+def test_two_full_batch_steps_keep_no_tape_and_match_the_whole_kernel_pullback():
+    # a 1,000-node graph of mean degree 5 and 32 features, a 32-16-4 model, budget 2/4,
+    # half the nodes labeled under bce: the two steps' peak beyond the inputs is 7.6 MB,
+    # and 97.3 MB when every chunk's tape waits for one pullback after the kernel
+    rng = np.random.default_rng(0)
+    n, m0, hidden, num_labels = 1000, 32, 16, 4
+    graph = gc.Graph(rng.integers(0, n, (5 * n // 2, 2)), (rng.random((n, m0)) < 0.1).astype(int))
+    model = _model(rng, [m0, hidden, num_labels])
+    labels = rng.integers(0, num_labels, n)
+    labels[rng.random(n) < 0.5] = -1
+    budget, lr = gc.PerturbationBudget(2, 4), 0.05
+    graph.norm_adj  # cached input, not working memory
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trained = gc.train_robust(model, graph, labels, budget, steps=2, learning_rate=lr, seed=0,
+                                  loss="bce", variant="topk")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    # the same two steps, each gradient taken by the whole-kernel pullback
+    thresholds = np.where(labels >= 0, training.DEFAULT_LABELED_MARGIN,
+                          training.DEFAULT_UNLABELED_MARGIN)[:, None]
+    use_bce, nodes = (labels >= 0)[:, None], np.arange(n)
+    for _ in range(2):
+        targets = np.where(labels >= 0, labels, gc.predict(model, graph).labels)
+        margins, _ = certify.rival_margins(model, graph, budget, "topk", targets, nodes)
+        slope = np.where(use_bce, -np.exp(-np.logaddexp(0.0, margins)),
+                         np.where(margins < thresholds, -1.0, 0.0))
+        grads = helpers.reference_pullback(model, graph, budget, "topk", targets, nodes, "both",
+                                           slope / n)
+        model = gc.GcnModel(tuple(gc.GcnLayer(layer.weight - lr * w, layer.bias - lr * b)
+                                  for layer, (w, b) in zip(model.layers, grads)))
+    for got, expected in zip(trained.layers, model.layers):
+        assert got.weight.tobytes() == expected.weight.tobytes()
+        assert got.bias.tobytes() == expected.bias.tobytes()
