@@ -21,7 +21,11 @@ the rows' receptive fields; near ties go to the whole-graph ``forward``.
 The kernel works serially, on the calling thread, through chunks of target
 nodes: the targets are sorted by receptive-field width, widest first, and
 each chunk is sized by the field of its first target under a fixed element
-budget, then the rows go back to the requested order. Per chunk it makes one
+budget, then the rows go back to the requested order. The hops of all
+targets are held ragged, and only a chunk's own rows are padded, so the
+kernel's memory is bounded by the chunk, not by the widest field in the
+graph; ``certify_sound`` joins the chunks' certificate columns one column at
+a time. Per chunk it makes one
 ``back_substitute_batch`` call, which carries each target's own label's
 lower form and every rival's upper form, one form per label; the lower form
 of score[label] - score[rival] for every (target, rival) pair is lower[label]
@@ -44,7 +48,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import DataError, check_index
-from .graph import GcnModel, Graph, field_labels, predict, receptive_fields
+from .graph import GcnModel, Graph, field_labels, padded_fields, predict, ragged_fields
 from .intervals import IntervalElement, interval_layer_bounds, interval_layer_bounds_backward
 from .perturbation import FlipSet, PerturbationBudget, check_mode, restrict_to_mode, sign_matrix
 from .polyhedra import PolyBatch, PolyNodeElement, back_substitute_backward, back_substitute_batch
@@ -279,14 +283,14 @@ def _chunks(
     """The rows of ``nodes`` in chunks, widest receptive field first, each with its hops.
 
     A chunk's first target sets its size: about ``_CHUNK_ELEMENTS`` coefficient
-    entries, 2 referenced sides per label, widest layer and field node. Its hops
-    are those of one ``receptive_fields`` call over all of ``nodes``, trimmed
-    to its widest row: the fronts that ``receptive_fields`` gives for the chunk
-    alone. That call works in row blocks, so beyond a chunk only the hops
-    themselves, one padded row per node, grow with ``len(nodes)``.
+    entries, 2 referenced sides per label, widest layer and field node. The
+    hops of all of ``nodes`` come from one ``ragged_fields`` pass and are held
+    ragged, live entries only; each chunk's rows alone are padded, to the
+    chunk's widest row: the fronts that ``receptive_fields`` gives for the
+    chunk alone. So nothing padded grows with ``len(nodes)``.
     """
-    hops = receptive_fields(graph, nodes, model.num_layers)
-    width = hops[-1][1].sum(axis=1)
+    hops = ragged_fields(graph, nodes, model.num_layers)
+    width = np.diff(hops[-1][1])
     order = np.argsort(-width, kind="stable")
     per_field_node = 2 * model.num_labels * max(
         [model.input_width] + [layer.weight.shape[1] for layer in model.layers])
@@ -294,12 +298,7 @@ def _chunks(
     while start < len(order):
         size = max(1, _CHUNK_ELEMENTS // (per_field_node * int(width[order[start]])))
         rows = order[start : start + size]
-        chunk_hops = []
-        for front, live in hops:  # a row's live entries come first
-            live = live[rows]
-            widest = live.sum(axis=1).max()
-            chunk_hops.append((front[rows, :widest], live[:, :widest]))
-        yield rows, chunk_hops
+        yield rows, padded_fields(hops, rows)
         start += size
 
 
@@ -338,11 +337,12 @@ def _run_kernel(
     return layer_bounds, np.concatenate(order), parts
 
 
-def _chunk_certificate(rows: np.ndarray, part: _ChunkMargins) -> Certificate:
-    """The certificate rows of one chunk, its picks' rows given as positions in the request."""
+def _chunk_certificate(rows: np.ndarray, part: _ChunkMargins) -> dict[str, np.ndarray]:
+    """The certificate columns of one chunk by field name, its picks' rows as positions in the request."""
     row, rival, at, feature = part.picks
-    return Certificate(part.nodes, part.labels, part.rivals, part.margins,
-                       rows[row], rival, part.batch.fronts[row, at], feature)
+    return dict(zip((f.name for f in fields(Certificate)), (
+        part.nodes, part.labels, part.rivals, part.margins,
+        rows[row], rival, part.batch.fronts[row, at], feature)))
 
 
 def certify_sound(
@@ -362,13 +362,17 @@ def certify_sound(
     _, order, parts = _run_kernel(model, graph, budget, variant, mode, nodes, None,
                                   lambda _, rows, part: _chunk_certificate(rows, part))
     none, no_rivals = np.zeros(0, dtype=np.int64), np.zeros((0, model.num_labels - 1))
-    empty = Certificate(none, none, no_rivals.astype(np.int64), no_rivals, *[none] * 4)
-    whole = {f.name: np.concatenate([getattr(part, f.name) for part in [empty] + parts])
-             for f in fields(Certificate)}
-    # the chunks ran widest field first: put rows and picks back in the requested order
-    rows, picks = np.argsort(order), np.argsort(whole["pick_row"], kind="stable")
-    return Certificate(**{name: values[picks if name.startswith("pick_") else rows]
-                          for name, values in whole.items()})
+    empty = (none, none, no_rivals.astype(np.int64), no_rivals, *[none] * 4)
+    # the chunks ran widest field first: put rows and picks back in the requested
+    # order, one column at a time, each chunk's piece going as it is joined
+    take, whole = np.argsort(order), {}
+    for name, first in zip((f.name for f in fields(Certificate)), empty):
+        column = np.concatenate([first] + [part.pop(name) for part in parts])
+        if name == "pick_row":  # the row columns come first, then the picks'
+            take = np.argsort(column, kind="stable")
+        whole[name] = column[take]
+        del column
+    return Certificate(**whole)
 
 
 def rival_margins(

@@ -9,12 +9,14 @@ adjacency Ã, ``graph.norm_adj``, is a ``NeighborTable`` built from the edges
 on first use and shared, read-only, by every certifier, replay and the
 oracle: each row's nonzero columns and weights, padded to the widest row.
 ``table @ h`` is the graph convolution Ã·h, one multiply-add per slot
-(sparse propagation as in Kipf & Welling, ICLR 2017), and
-``table.block(rows, cols)`` gathers a dense block of Ã for the code that
-works on one receptive field at a time. ``receptive_fields`` is the one hop
-routine of back-substitution, replay and the oracle; it walks long node lists
-a block of rows at a time, so its working memory beyond the hops it returns
-stays bounded.
+(sparse propagation as in Kipf & Welling, ICLR 2017), computed one block of
+rows at a time into one output, and ``table.block(rows, cols)`` gathers a
+dense block of Ã for the code that works on one receptive field at a time.
+``ragged_fields`` is the one hop routine of back-substitution, replay and the
+oracle: it walks long node lists a block of rows at a time and keeps each
+hop ragged, live entries only, so no array is padded to the widest field
+across all rows. ``padded_fields`` pads the rows a caller works on, and
+``receptive_fields`` is the two together for a list of nodes.
 
 ``field_labels`` scores nodes under batches of flip sets, for replay and the
 oracle alike: an L-layer GCN's scores for a node depend only on the features
@@ -34,7 +36,8 @@ from .errors import DataError, DimensionError, check_index
 # are re-checked with the whole-graph forward pass
 _TIE_TOLERANCE = 1e-9
 
-# reached entries, hop width times table width, of one block of rows in ``receptive_fields``
+# entries of one block of rows: reached entries, hop width times table width, in
+# ``ragged_fields``, and output entries in the table's product
 _HOP_ELEMENTS = 1 << 16
 
 
@@ -61,12 +64,20 @@ class NeighborTable:
         """Ã·h for h shaped (..., n, m), one multiply-add per slot of the table.
 
         Each row sums its terms in column order, so the result can differ
-        from a dense product by rounding.
+        from a dense product by rounding. The slot loop runs over one block
+        of rows at a time, about ``_HOP_ELEMENTS`` output entries, into the
+        one output: a row's sum does not depend on the block it falls in.
         """
         h = np.asarray(h, dtype=np.float64)
-        out = self.weights[:, :1] * h[..., self.cols[:, 0], :]
-        for slot in range(1, self.cols.shape[1]):
-            out += self.weights[:, slot, None] * h[..., self.cols[:, slot], :]
+        n = len(self.cols)
+        out = np.empty(h.shape[:-2] + (n, h.shape[-1]))
+        size = max(1, _HOP_ELEMENTS // max(1, out.size // n))
+        for start in range(0, n, size):
+            cols, weights = self.cols[start : start + size], self.weights[start : start + size]
+            block = out[..., start : start + size, :]
+            np.multiply(weights[:, :1], h[..., cols[:, 0], :], out=block)
+            for slot in range(1, cols.shape[1]):
+                block += weights[:, slot, None] * h[..., cols[:, slot], :]
         return out
 
     @cached_property
@@ -258,45 +269,69 @@ def forward(model: GcnModel, norm_adj: NeighborTable | np.ndarray,
 
 def _next_hop(cols: np.ndarray, weights: np.ndarray, front: np.ndarray,
               live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (front, live) pair of the hop after (front, live), padded to its widest row."""
+    """The hop after the padded (front, live): its entries, row by row and ascending, and their counts."""
     sentinel = len(cols)
     reach = np.where((weights[front] > 0) & live[:, :, None], cols[front], sentinel)
     reach = np.sort(reach.reshape(len(front), front.shape[1] * cols.shape[1]), axis=1)
     reach[:, 1:][reach[:, 1:] == reach[:, :-1]] = sentinel  # keep each node's first entry
     reach = np.sort(reach, axis=1)
-    counts = (reach < sentinel).sum(axis=1)
+    reached = reach < sentinel
+    return reach[reached], reached.sum(axis=1)
+
+
+def ragged_fields(graph: Graph, nodes: np.ndarray,
+                  depth: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Hops 0, ..., depth of every node in ``nodes`` at once, each a ragged (entries, starts) pair.
+
+    Row t of hop l lists H_l of ``nodes[t]`` ascending as entries[starts[t] :
+    starts[t + 1]], where H_0 = {node} and H_{l+1} holds the Ã-neighbours of
+    H_l, for integer nodes in [0, n). Each hop is computed a block of rows at
+    a time, about ``_HOP_ELEMENTS`` reached entries per block, and only its
+    live entries are kept, so no array is padded across all the rows.
+    """
+    cols, weights = graph.norm_adj.cols, graph.norm_adj.weights
+    nodes = check_index(nodes, "node index", 0, graph.num_nodes, many=True)
+    hops = [(nodes, np.arange(len(nodes) + 1))]
+    for _ in range(depth):
+        widest = int(np.diff(hops[-1][1]).max(initial=0))
+        size = max(1, _HOP_ELEMENTS // max(1, widest * cols.shape[1]))
+        # the leading 0 count makes the running sum of counts the rows' starts
+        entries, counts = [np.zeros(0, dtype=np.int64)], [np.zeros(1, dtype=np.int64)]
+        for start in range(0, len(nodes), size):
+            rows = np.arange(start, min(start + size, len(nodes)))
+            block_entries, block_counts = _next_hop(cols, weights, *_padded(*hops[-1], rows))
+            entries.append(block_entries)
+            counts.append(block_counts)
+        hops.append((np.concatenate(entries), np.cumsum(np.concatenate(counts))))
+    return hops
+
+
+def _padded(entries: np.ndarray, starts: np.ndarray,
+            rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``rows`` of a ragged hop as (front, live), padded at the end to their widest with node 0."""
+    first, counts = starts[rows], starts[rows + 1] - starts[rows]
     live = np.arange(counts.max(initial=0)) < counts[:, None]
-    return np.where(live, reach[:, : live.shape[1]], 0), live
+    front = np.zeros(live.shape, dtype=np.int64)
+    front[live] = entries[(first[:, None] + np.arange(live.shape[1]))[live]]
+    return front, live
+
+
+def padded_fields(hops: list[tuple[np.ndarray, np.ndarray]],
+                  rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (front, live) hops of rows ``rows`` of ``ragged_fields``, as ``receptive_fields`` of their nodes."""
+    nodes = hops[0][0][rows, None]
+    return [(nodes, np.ones(nodes.shape, dtype=bool))] + [_padded(*hop, rows) for hop in hops[1:]]
 
 
 def receptive_fields(graph: Graph, nodes: np.ndarray,
                      depth: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Hops 0, ..., depth of every node in ``nodes`` at once, as (front, live) pairs.
 
-    Row t of hop l's front lists H_l of ``nodes[t]`` ascending, where H_0 =
-    {node} and H_{l+1} holds the Ã-neighbours of H_l, for integer nodes in [0, n).
+    Row t of hop l's front lists H_l of ``nodes[t]`` ascending (``ragged_fields``).
     Rows are padded at the end to the hop's widest with node 0, and ``live`` is False there.
-    Each hop is computed a block of rows at a time, about ``_HOP_ELEMENTS``
-    reached entries per block, so only the result grows with ``len(nodes)``.
     """
-    cols, weights = graph.norm_adj.cols, graph.norm_adj.weights
-    front = np.reshape(check_index(nodes, "node index", 0, graph.num_nodes, many=True), (-1, 1))
-    hops = [(front, np.ones(front.shape, dtype=bool))]
-    for _ in range(depth):
-        front, live = hops[-1]
-        size = max(1, _HOP_ELEMENTS // max(1, front.shape[1] * cols.shape[1]))
-        starts = range(0, len(front), size)
-        blocks = [_next_hop(cols, weights, front[start : start + size], live[start : start + size])
-                  for start in starts]
-        if len(blocks) != 1:  # one block is already the hop, padded to its widest row
-            shape = (len(front), max((block[0].shape[1] for block in blocks), default=0))
-            front, live = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=bool)
-            for start, (block_front, block_live) in zip(starts, blocks):
-                front[start : start + size, : block_front.shape[1]] = block_front
-                live[start : start + size, : block_live.shape[1]] = block_live
-            blocks = [(front, live)]
-        hops.append(blocks[0])
-    return hops
+    hops = ragged_fields(graph, nodes, depth)
+    return padded_fields(hops, np.arange(len(hops[0][0])))
 
 
 def field_labels(model: GcnModel, graph: Graph, hops: list[tuple[np.ndarray, np.ndarray]],

@@ -26,7 +26,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DataError, OracleInfeasibleError, check_index
-from .graph import GcnModel, Graph, field_labels, predict, receptive_fields
+from .graph import GcnModel, Graph, field_labels, padded_fields, predict, ragged_fields
 
 DEFAULT_ORACLE_CAP = 10_000_000
 
@@ -180,14 +180,14 @@ def _smallest_breaks(model: GcnModel, graph: Graph, budget: PerturbationBudget, 
     goes by cardinality, so a node's first break is its smallest.
     """
     m = graph.num_features
-    hops = receptive_fields(graph, nodes, model.num_layers)
-    widths = hops[-1][1].sum(axis=1).tolist()
+    hops = ragged_fields(graph, nodes, model.num_layers)
+    widths = np.diff(hops[-1][1]).tolist()
     largest = [_largest_set(width, m, budget, cap, f"node {node}'s receptive field")
                for node, width in zip(nodes, widths)]
     labels = predict(model, graph).labels
     smallest = np.full(len(nodes), budget.total + 1, dtype=np.int64)
     for t, node in enumerate(nodes):
-        node_hops = [(front[t, live[t]][None], live[t, live[t]][None]) for front, live in hops]
+        node_hops = padded_fields(hops, np.array([t]))
         for block in _cell_combos(widths[t], m, budget.per_node, largest[t]):
             (sets, size), cells = block.shape, block.ravel()
             new = field_labels(model, graph, node_hops, sets,

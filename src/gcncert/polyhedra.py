@@ -13,12 +13,12 @@ one hop per layer and never cover nodes it cannot see. It carries one form
 per (target, label), the lower or the upper one as the caller asks: a
 certificate needs only its own label's lower form and each rival's upper
 form (CROWN's back-substitution of the specification rows alone; Zhang et
-al., NeurIPS 2018). The hops come from the caller's ``receptive_fields``,
-and Ã is read only between one hop and the next, as dense (front, next
-front) blocks gathered from the graph's neighbour table: the kernel's
-arithmetic is a dense Ã's, and no n×n array is built. The interval
-pre-activation bounds come from the caller, which computes them once per
-budget and shares them across all of its nodes.
+al., NeurIPS 2018). The hops come from the caller, padded as
+``receptive_fields`` gives them, and Ã is read only between one hop and the
+next, as dense (front, next front) blocks gathered from the graph's
+neighbour table: the kernel's arithmetic is a dense Ã's, and no n×n array is
+built. The interval pre-activation bounds come from the caller, which
+computes them once per budget and shares them across all of its nodes.
 
 ``back_substitute`` is the kernel's one-target view, returning a
 ``PolyNodeElement`` from two kernel passes, all rows lower and all rows
@@ -186,7 +186,10 @@ def back_substitute_batch(
             (flat @ w.T).reshape(coef.shape[:-1] + (w.shape[0],))
             for w in (np.maximum(layer.weight, 0.0), np.minimum(layer.weight, 0.0))
         )
-        coef = np.stack([pos[:, :, 0] + neg[:, :, 1], neg[:, :, 0] + pos[:, :, 1]], axis=2)
+        coef = np.empty(pos.shape)  # both referenced sides, written in place
+        np.add(pos[:, :, 0], neg[:, :, 1], out=coef[:, :, 0])
+        np.add(neg[:, :, 0], pos[:, :, 1], out=coef[:, :, 1])
+        del pos, neg  # before the graph convolution's product
         # cross graph convolution: g = Ã h, widening each front by one hop;
         # padded columns get no weight, padded rows already carry none
         adj_sub = graph.norm_adj.block(front[:, :, None], new_front[:, None, :])

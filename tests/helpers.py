@@ -441,3 +441,12 @@ def reference_pullback(model, graph, budget, variant, labels, nodes, mode, margi
     intervals.interval_layer_bounds_backward(model, graph, budget, variant, mode, layer_bounds,
                                              bound_grads, param_grads)
     return param_grads
+
+
+def reference_table_product(table, h):
+    """Ã·h by the neighbour table's slot loop over all rows at once, the product unblocked."""
+    h = np.asarray(h, dtype=np.float64)
+    out = table.weights[:, :1] * h[..., table.cols[:, 0], :]
+    for slot in range(1, table.cols.shape[1]):
+        out += table.weights[:, slot, None] * h[..., table.cols[:, slot], :]
+    return out

@@ -304,10 +304,10 @@ def test_chunk_boundary_does_not_change_judgments(rng, monkeypatch):
                 assert got.tobytes() == expected.tobytes(), field.name
 
 
-def test_certify_sound_peak_memory_stays_small():
+def _sparse_instance():
     # a 300-node graph of mean degree 5 and 32 features, a 32-16-4 model, budget 2/4;
-    # the peak beyond the inputs is 5.3 MB (the interval bounds), and 18.8 MB if a
-    # kernel chunk may hold 1 << 20 coefficient entries
+    # the peak beyond the inputs is 2.0 MB, and 18.0 MB if a kernel chunk may hold
+    # 1 << 20 coefficient entries
     rng = np.random.default_rng(0)
     n, m0, hidden, labels = 300, 32, 16, 4
     upper = np.triu(rng.random((n, n)) < 5.0 / n, 1)
@@ -316,19 +316,45 @@ def test_certify_sound_peak_memory_stays_small():
     model = gc.GcnModel(tuple(
         gc.GcnLayer(rng.uniform(-1, 1, (a, b)), rng.uniform(-0.5, 0.5, b))
         for a, b in ((m0, hidden), (hidden, labels))))
-    graph.norm_adj  # cached input, not working memory
-    was_tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        certificate = gc.certify_sound(model, graph, gc.PerturbationBudget(2, 4))
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
-    assert len(certificate.nodes) == n
-    assert peak < 11 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    return graph, model, gc.PerturbationBudget(2, 4), 11
+
+
+def _ring_and_hub_instance():
+    # a 5,000-node ring, and apart from it one hub joined to 40 nodes that each have
+    # 40 leaves: 6,641 nodes, table width 42, a 4-4-2 model, budget 1/2; the hub's
+    # field is 1,641 wide, and hops padded to it for every node peaked at 108 MB
+    rng = np.random.default_rng(1)
+    ring, spokes, leaves, m0 = 5000, 40, 40, 4
+    hub = ring
+    mids = hub + 1 + np.arange(spokes)
+    ends = hub + 1 + spokes + np.arange(spokes * leaves)
+    edges = np.concatenate([
+        np.stack([np.arange(ring), (np.arange(ring) + 1) % ring], axis=1),
+        np.stack([np.full(spokes, hub), mids], axis=1),
+        np.stack([np.repeat(mids, leaves), ends], axis=1)])
+    n = ring + 1 + spokes * (1 + leaves)
+    graph = gc.Graph(edges, (rng.random((n, m0)) < 0.5).astype(int))
+    model = gc.GcnModel(tuple(
+        gc.GcnLayer(rng.uniform(-1, 1, (a, b)), rng.uniform(-0.5, 0.5, b))
+        for a, b in ((m0, 4), (4, 2))))
+    return graph, model, gc.PerturbationBudget(1, 2), 32
+
+
+def test_certify_sound_peak_memory_stays_small():
+    for graph, model, budget, bound_mb in (_sparse_instance(), _ring_and_hub_instance()):
+        graph.norm_adj  # cached input, not working memory
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            certificate = gc.certify_sound(model, graph, budget)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert len(certificate.nodes) == graph.num_nodes
+        assert peak < bound_mb * 2**20, f"{graph.num_nodes} nodes: peak {peak / 2**20:.1f} MB"
 
 
 def test_ring_of_4000_nodes_certifies_without_a_dense_matrix(tmp_path):

@@ -351,3 +351,28 @@ def test_row_blocks_match_whole_graph_reference(instance, variant, mode, data):
             hops, helpers.reference_receptive_fields(graph, nodes, depth), strict=True):
         _assert_same(front, ref_front)
         _assert_same(live, ref_live)
+
+
+@given(hub_instances(), st.data())
+@PROPERTY
+def test_blocked_table_product_and_chunk_hops_match_references(instance, data):
+    graph, model, _, rng = instance
+    n, table = graph.num_nodes, graph.norm_adj
+    sets, m = data.draw(st.integers(2, 3)), data.draw(st.integers(1, 4))
+    # (n, m) as in ``forward`` and the interval bounds, (sets, n, m) as in a tie settlement
+    for h in (rng.standard_normal((n, m)), rng.standard_normal((sets, n, m))):
+        with pytest.MonkeyPatch.context() as patch:  # blocks of 1 to 3 rows
+            patch.setattr(gc.graph, "_HOP_ELEMENTS", data.draw(st.integers(1, 3 * h.size // n)))
+            _assert_same(table @ h, helpers.reference_table_product(table, h))
+    nodes = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3 * n)))
+    with pytest.MonkeyPatch.context() as patch:  # hop blocks of 1 to 3 rows, small chunks
+        width = table.cols.shape[1]
+        patch.setattr(gc.graph, "_HOP_ELEMENTS", data.draw(st.integers(1, 3 * n * width)))
+        helpers.chunks_of(patch, model, graph, data.draw(st.sampled_from([1, 2, 3, None])))
+        chunks = list(gc.certify._chunks(model, graph, nodes))
+    assert sorted(np.concatenate([rows for rows, _ in chunks]).tolist()) == list(range(len(nodes)))
+    for rows, hops in chunks:
+        reference = helpers.reference_receptive_fields(graph, nodes[rows], model.num_layers)
+        for (front, live), (ref_front, ref_live) in zip(hops, reference, strict=True):
+            _assert_same(front, ref_front)
+            _assert_same(live, ref_live)
