@@ -29,8 +29,11 @@ a time. Per chunk it makes one
 ``back_substitute_batch`` call, which carries each target's own label's
 lower form and every rival's upper form, one form per label; the lower form
 of score[label] - score[rival] for every (target, rival) pair is lower[label]
-- upper[rival]. One batched greedy minimization of all those rows follows,
-and it returns its flips as index arrays. ``label_difference_transform`` and
+- upper[rival]. One batched greedy minimization of all those rows follows:
+it keeps each field node's ``per_node`` most negative flip changes, then the
+``total`` most negative of those, each step in k ``argmin`` passes that send
+ties to the lower (node, feature) as a stable sort would, and it returns its
+flips as index arrays. ``label_difference_transform`` and
 ``minimize_delta`` are the one-row forms, which no production path calls.
 ``_run_kernel`` runs it for ``certify_sound`` and for robust training's
 ``rival_margins``. Given the slope of a loss that sums over nodes,
@@ -128,6 +131,23 @@ def label_difference_transform(
     )
 
 
+def _smallest(values: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k smallest entries along the last axis, smallest first.
+
+    Ties go to the lower position, so for values below +inf these are the
+    first k positions of a stable ``argsort``. They are taken in k ``argmin``
+    passes over a copy, each pick masked with +inf through its flat index.
+    """
+    rows = values.reshape(-1, values.shape[-1]).copy()
+    k = min(k, rows.shape[1])
+    picks = np.empty((len(rows), k), dtype=np.intp)
+    flat, start = rows.reshape(-1), np.arange(len(rows)) * rows.shape[1]
+    for i in range(k):
+        picks[:, i] = rows.argmin(axis=1)
+        flat[start + picks[:, i]] = np.inf
+    return picks.reshape(values.shape[:-1] + (k,))
+
+
 def _minimize_forms(
     coef: np.ndarray,
     const: np.ndarray,
@@ -151,12 +171,15 @@ def _minimize_forms(
         return base, tuple(np.zeros((4, 0), dtype=np.int64))
     flat = theta.reshape(t * v, f * m0)
     # each field node's per_node most negative changes, ties toward the lower
-    # feature, listed node by node; a stable sort of that list then ranks
-    # (theta, node, feature), so the total most negative come first
-    local = np.argsort(theta, axis=3, kind="stable")[..., : budget.per_node]
-    cells = (local + m0 * np.arange(f)[:, None]).reshape(t * v, f * local.shape[3])
-    ranked = np.argsort(np.take_along_axis(flat, cells, axis=1), axis=1, kind="stable")
-    top = np.sort(np.take_along_axis(cells, ranked[:, : budget.total], axis=1), axis=1)
+    # feature, listed node by node; ranking that list by value, ties toward the
+    # earlier entry, orders it by (theta, node, feature), so its total smallest
+    # are the total most negative changes. A theta of +inf or nan can pick
+    # otherwise than a stable sort would, but only where the coefficient is not
+    # finite, which already makes ``base``, and so the minimum, not finite
+    local = _smallest(theta, budget.per_node) + m0 * np.arange(f)[:, None]
+    cells = local.reshape(t * v, f * local.shape[3])
+    ranked = _smallest(np.take_along_axis(flat, cells, axis=1), budget.total)
+    top = np.sort(np.take_along_axis(cells, ranked, axis=1), axis=1)
     change = np.take_along_axis(flat, top, axis=1)
     # a running sum adds the chosen changes one by one in (node, feature) order
     gain = np.cumsum(np.where(change < 0, change, 0.0), axis=1)[:, -1]

@@ -110,13 +110,15 @@ def cmd_certify(args) -> int:
     graph, model = _load_inputs(args)
     budget = _budget(args)
     family, variant = args.method.split("-", 1)
+    if family == "interval":
+        margins = interval_certify(model, graph, budget, variant)
+        with _open_output(args.output) as out:
+            fileio.write_interval_certify_csv(out, margins)
+        return 0
+    certificate = certify_sound(model, graph, budget, variant, mode=args.mode)
+    counterexamples = find_counterexamples(model, graph, budget, certificate)
     with _open_output(args.output) as out:
-        if family == "interval":
-            fileio.write_interval_certify_csv(out, interval_certify(model, graph, budget, variant))
-        else:
-            certificate = certify_sound(model, graph, budget, variant, mode=args.mode)
-            counterexamples = find_counterexamples(model, graph, budget, certificate)
-            fileio.write_certify_csv(out, certificate, counterexamples)
+        fileio.write_certify_csv(out, certificate, counterexamples)
     return 0
 
 

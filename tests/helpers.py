@@ -11,7 +11,7 @@ import numpy as np
 
 import gcncert as gc
 from gcncert import certify, intervals
-from gcncert.perturbation import restrict_to_mode
+from gcncert.perturbation import restrict_to_mode, sign_matrix
 
 
 def graph_from_dense(adjacency, features) -> gc.Graph:
@@ -450,3 +450,26 @@ def reference_table_product(table, h):
     for slot in range(1, table.cols.shape[1]):
         out += table.weights[:, slot, None] * h[..., table.cols[:, slot], :]
     return out
+
+
+def reference_minimize_forms(coef, const, features, budget, mode):
+    """``certify._minimize_forms`` as two full stable sorts: the per-node and the global ranking."""
+    t, v, f, m0 = coef.shape
+    x = features.astype(np.float64)
+    base = (coef.reshape(t, v, f * m0) @ x.reshape(t, f * m0, 1))[:, :, 0] + const
+    theta = restrict_to_mode(coef * sign_matrix(features)[:, None], features[:, None], mode)
+    if budget.per_node == 0 or budget.total == 0:
+        return base, tuple(np.zeros((4, 0), dtype=np.int64))
+    flat = theta.reshape(t * v, f * m0)
+    # each field node's per_node most negative changes, ties toward the lower
+    # feature, listed node by node; a stable sort of that list then ranks
+    # (theta, node, feature), so the total most negative come first
+    local = np.argsort(theta, axis=3, kind="stable")[..., : budget.per_node]
+    cells = (local + m0 * np.arange(f)[:, None]).reshape(t * v, f * local.shape[3])
+    ranked = np.argsort(np.take_along_axis(flat, cells, axis=1), axis=1, kind="stable")
+    top = np.sort(np.take_along_axis(cells, ranked[:, : budget.total], axis=1), axis=1)
+    change = np.take_along_axis(flat, top, axis=1)
+    # a running sum adds the chosen changes one by one in (node, feature) order
+    gain = np.cumsum(np.where(change < 0, change, 0.0), axis=1)[:, -1]
+    form, at = np.nonzero(change < 0)
+    return base + gain.reshape(t, v), (*divmod(form, v), *divmod(top[form, at], m0))

@@ -260,12 +260,13 @@ def test_overflowing_model_is_data_error(tmp_path, capsys, command):
     model_path.write_text(json.dumps(doc))
     labels_path.write_text("[0, 1]")
     out = tmp_path / "out"
+    out.write_text("earlier output\n")  # a failed run must leave it as it was
     argv = [str(labels_path) if a == "LABELS" else a for a in command]
     assert main(argv + ["--graph", GRAPH, "--model", str(model_path), "--output", str(out)]) == 2
     captured = capsys.readouterr()
     assert "overflows float64" in captured.err and "Traceback" not in captured.err
-    written = out.read_text() if out.exists() else ""
-    assert "nan" not in (written + captured.out).lower()
+    assert out.read_text() == "earlier output\n"
+    assert "nan" not in captured.out.lower()
 
 
 @pytest.mark.parametrize("args", [

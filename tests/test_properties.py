@@ -1,8 +1,9 @@
 """Property tests: the JSON loaders against cell-by-cell references, the
 certifiers' ordering invariants over small random graphs and models, the
 neighbour table of Ã against the dense matrix, the field-local evaluator
-against the whole-graph forward pass, and the row-blocked flip-candidate
-pools and hop routine against their whole-graph references.
+against the whole-graph forward pass, the row-blocked flip-candidate pools
+and hop routine against their whole-graph references, and the minimizer's
+selection against two full stable sorts.
 
 Every test runs derandomized, so a tier-1 run is reproducible.
 """
@@ -376,3 +377,49 @@ def test_blocked_table_product_and_chunk_hops_match_references(instance, data):
         for (front, live), (ref_front, ref_live) in zip(hops, reference, strict=True):
             _assert_same(front, ref_front)
             _assert_same(live, ref_live)
+
+
+# few coefficient values, both zeros among them: most rows hold ties, and
+# -0.0 ranks level with 0.0
+_TIED = st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 1.0, 2.0])
+
+
+@st.composite
+def form_batches(draw):
+    """Tie-heavy inputs of ``_minimize_forms``: coefficients, constants, features, budget."""
+    t, v, f, m0 = (draw(st.integers(1, most)) for most in (3, 3, 4, 5))
+
+    def array(values, *shape):
+        size = math.prod(shape)
+        return np.array(draw(st.lists(values, min_size=size, max_size=size))).reshape(shape)
+
+    budget = gc.PerturbationBudget(draw(st.integers(0, m0 + 1)), draw(st.integers(0, f * m0 + 2)))
+    return array(_TIED, t, v, f, m0), array(_TIED, t, v), array(st.integers(0, 1), t, f, m0), budget
+
+
+@given(form_batches(), st.sampled_from(MODES))
+@settings(derandomize=True, deadline=None, max_examples=300)
+def test_minimizer_matches_two_stable_sorts(batch, mode):
+    minima, picks = gc.certify._minimize_forms(*batch, mode)
+    expected_minima, expected_picks = helpers.reference_minimize_forms(*batch, mode)
+    _assert_same(minima, expected_minima)
+    for pick, expected in zip(picks, expected_picks, strict=True):
+        _assert_same(pick, expected)
+
+
+@given(form_batches(), st.sampled_from(MODES), st.data())
+@PROPERTY
+def test_minimizer_keeps_non_finite_forms_non_finite(batch, mode, data):
+    # the kernel raises DataError on any minimum that is not finite, so the
+    # selection may pick otherwise than the sorts only where both minima are not finite
+    coef, const, features, budget = batch
+    for _ in range(data.draw(st.integers(1, 3))):
+        cell = tuple(data.draw(st.integers(0, size - 1)) for size in coef.shape)
+        coef[cell] = data.draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+    with np.errstate(invalid="ignore"):
+        minima, _ = gc.certify._minimize_forms(coef, const, features, budget, mode)
+        expected, _ = helpers.reference_minimize_forms(coef, const, features, budget, mode)
+    finite = np.isfinite(coef).all(axis=(2, 3))
+    _assert_same(np.isfinite(minima), finite)
+    _assert_same(np.isfinite(expected), finite)
+    _assert_same(minima[finite], expected[finite])
