@@ -51,7 +51,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import DataError, check_index
-from .graph import GcnModel, Graph, field_labels, padded_fields, predict, ragged_fields
+from .graph import GcnModel, Graph, field_labels, padded_fields, predict, ragged_fields, row_blocks
 from .intervals import IntervalElement, interval_layer_bounds, interval_layer_bounds_backward
 from .perturbation import FlipSet, PerturbationBudget, check_mode, restrict_to_mode, sign_matrix
 from .polyhedra import PolyBatch, PolyNodeElement, back_substitute_backward, back_substitute_batch
@@ -305,24 +305,18 @@ def _chunks(
 ) -> Iterator[tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]]:
     """The rows of ``nodes`` in chunks, widest receptive field first, each with its hops.
 
-    A chunk's first target sets its size: about ``_CHUNK_ELEMENTS`` coefficient
-    entries, 2 referenced sides per label, widest layer and field node. The
-    hops of all of ``nodes`` come from one ``ragged_fields`` pass and are held
-    ragged, live entries only; each chunk's rows alone are padded, to the
-    chunk's widest row: the fronts that ``receptive_fields`` gives for the
-    chunk alone. So nothing padded grows with ``len(nodes)``.
+    Chunks are ``row_blocks`` of the sorted widths, about ``_CHUNK_ELEMENTS``
+    coefficient entries each: 2 sides per label, widest layer and field node.
+    The hops come from one ``ragged_fields`` pass and stay ragged; only a
+    chunk's rows are padded, to its first and widest row.
     """
     hops = ragged_fields(graph, nodes, model.num_layers)
     width = np.diff(hops[-1][1])
     order = np.argsort(-width, kind="stable")
     per_field_node = 2 * model.num_labels * max(
         [model.input_width] + [layer.weight.shape[1] for layer in model.layers])
-    start = 0
-    while start < len(order):
-        size = max(1, _CHUNK_ELEMENTS // (per_field_node * int(width[order[start]])))
-        rows = order[start : start + size]
-        yield rows, padded_fields(hops, rows)
-        start += size
+    for chunk in row_blocks(width[order], per_field_node, _CHUNK_ELEMENTS):
+        yield order[chunk], padded_fields(hops, order[chunk])
 
 
 def _run_kernel(

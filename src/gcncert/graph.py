@@ -7,16 +7,15 @@ scores keep their sign and margins between labels are meaningful.
 A ``Graph`` holds its edge list, never an n×n matrix. Its normalized
 adjacency Ã, ``graph.norm_adj``, is a ``NeighborTable`` built from the edges
 on first use and shared, read-only, by every certifier, replay and the
-oracle: each row's nonzero columns and weights, padded to the widest row.
-``table @ h`` is the graph convolution Ã·h, one multiply-add per slot
-(sparse propagation as in Kipf & Welling, ICLR 2017), computed one block of
-rows at a time into one output, and ``table.block(rows, cols)`` gathers a
-dense block of Ã for the code that works on one receptive field at a time.
-``ragged_fields`` is the one hop routine of back-substitution, replay and the
-oracle: it walks long node lists a block of rows at a time and keeps each
-hop ragged, live entries only, so no array is padded to the widest field
-across all rows. ``padded_fields`` pads the rows a caller works on, and
-``receptive_fields`` is the two together for a list of nodes.
+oracle: each row's nonzero columns and weights, held ragged like a hop.
+``table @ h`` is the graph convolution Ã·h, one multiply-add per entry (sparse
+propagation as in Kipf & Welling, ICLR 2017), and ``table.block(rows, cols)``
+gathers a dense block of Ã for the code that works on one receptive field at
+a time. ``ragged_fields`` is the one hop routine of back-substitution, replay
+and the oracle. ``_padded`` pads only the rows a caller works on, table rows
+and hop rows alike, in ``row_blocks`` sized by their own widest row, so no
+array is padded to the widest row or field in the graph. ``receptive_fields``
+is the hops of a list of nodes, padded.
 
 ``field_labels`` scores nodes under batches of flip sets, for replay and the
 oracle alike: an L-layer GCN's scores for a node depend only on the features
@@ -27,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -36,45 +36,68 @@ from .errors import DataError, DimensionError, check_index
 # are re-checked with the whole-graph forward pass
 _TIE_TOLERANCE = 1e-9
 
-# entries of one block of rows: reached entries, hop width times table width, in
-# ``ragged_fields``, and output entries in the table's product
+# entries of one block of rows: reached entries in ``ragged_fields``, and
+# multiply-adds (rows × widest row × output width) in the table's product
 _HOP_ELEMENTS = 1 << 16
+
+
+def row_blocks(widths: np.ndarray, per_entry: int, elements: int) -> Iterator[slice]:
+    """Consecutive blocks of rows, each within about ``elements`` entries of ``per_entry``.
+
+    A block is the longest run of rows (at least one) whose length times their
+    widest of ``widths`` keeps within budget, so a wide row widens no other block.
+    """
+    most, start = max(1, elements // max(1, per_entry)), 0
+    while start < len(widths):
+        widest = np.maximum.accumulate(widths[start : start + most])
+        size = max(1, int((np.arange(1, len(widest) + 1) * widest).searchsorted(most, "right")))
+        yield slice(start, start + size)
+        start += size
 
 
 @dataclass(frozen=True, eq=False)
 class NeighborTable:
-    """Ã as a read-only table of each row's nonzero entries, ``cols`` and ``weights``.
+    """Ã as a read-only ragged list of each row's nonzero entries, a hop's layout.
 
-    Both are (n, widest row); row i lists its columns ascending and is padded
-    at the end with column 0 under weight 0. ``table @ h`` is Ã·h and
+    Row i lists its columns ascending as ``cols[starts[i] : starts[i + 1]]``
+    and their weights alike in ``weights``. ``table @ h`` is Ã·h and
     ``block(rows, cols)`` the dense Ã[rows, cols], so no n×n array is needed.
     """
 
     cols: np.ndarray
     weights: np.ndarray
+    starts: np.ndarray
 
     def __post_init__(self):
-        self.cols.flags.writeable = self.weights.flags.writeable = False
+        for array in (self.cols, self.weights, self.starts):
+            array.flags.writeable = False
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (len(self.cols), len(self.cols))
+        return (len(self.starts) - 1,) * 2
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """Each row's number of entries."""
+        return np.diff(self.starts)
+
+    def padded_rows(self, per_entry: int, elements: int) -> Iterator[tuple]:
+        """Every row in ``row_blocks`` of ``per_entry`` each: (rows, cols, weights), 0-padded."""
+        for rows in row_blocks(self.counts, per_entry, elements):
+            yield rows, *_padded(self.starts, rows, self.cols, self.weights)[:2]
 
     def __matmul__(self, h: np.ndarray) -> np.ndarray:
-        """Ã·h for h shaped (..., n, m), one multiply-add per slot of the table.
+        """Ã·h for h shaped (..., n, m), one multiply-add per entry.
 
         Each row sums its terms in column order, so the result can differ
-        from a dense product by rounding. The slot loop runs over one block
-        of rows at a time, about ``_HOP_ELEMENTS`` output entries, into the
-        one output: a row's sum does not depend on the block it falls in.
+        from a dense product by rounding. It runs over ``padded_rows`` of
+        about ``_HOP_ELEMENTS`` multiply-adds into the one output: a row's sum
+        does not depend on the block it falls in.
         """
         h = np.asarray(h, dtype=np.float64)
-        n = len(self.cols)
-        out = np.empty(h.shape[:-2] + (n, h.shape[-1]))
-        size = max(1, _HOP_ELEMENTS // max(1, out.size // n))
-        for start in range(0, n, size):
-            cols, weights = self.cols[start : start + size], self.weights[start : start + size]
-            block = out[..., start : start + size, :]
+        out = np.empty(h.shape[:-2] + (self.shape[0], h.shape[-1]))
+        for rows, cols, weights in self.padded_rows(out.size // self.shape[0], _HOP_ELEMENTS):
+            block = out[..., rows, :]
             np.multiply(weights[:, :1], h[..., cols[:, 0], :], out=block)
             for slot in range(1, cols.shape[1]):
                 block += weights[:, slot, None] * h[..., cols[:, slot], :]
@@ -82,18 +105,18 @@ class NeighborTable:
 
     @cached_property
     def _lookup(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending keys i * (n + 1) + j of the slots, padding as j = n, and their weights.
+        """Ascending keys i * (n + 1) + j of the entries, and their weights.
 
         A last key beyond every (i, j) with i, j <= n ends both arrays under weight 0.
         """
-        n = len(self.cols)
-        keys = np.arange(n)[:, None] * (n + 1) + np.where(self.weights > 0, self.cols, n)
+        n = self.shape[0]
+        keys = np.repeat(np.arange(n) * (n + 1), self.counts) + self.cols
         return np.append(keys, (n + 1) ** 2), np.append(self.weights, 0.0)
 
     def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Dense Ã[rows, cols] for broadcasting node index arrays, node n reading as 0."""
         keys, weights = self._lookup
-        key = rows * (len(self.cols) + 1) + cols
+        key = rows * (self.shape[0] + 1) + cols
         at = np.searchsorted(keys, key)
         return np.where(keys[at] == key, weights[at], 0.0)
 
@@ -228,20 +251,15 @@ def normalize_adjacency(graph: Graph) -> NeighborTable:
     rows, cols, a_hat = rows[order], cols[order], a_hat[order]
     counts = np.bincount(rows, minlength=n)
     inv_sqrt_deg = 1.0 / np.sqrt(counts + loops)
-    slot = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
-    table = np.zeros((n, counts.max()), dtype=np.int64)
-    weights = np.zeros(table.shape)
-    table[rows, slot] = cols
-    weights[rows, slot] = a_hat * inv_sqrt_deg[rows] * inv_sqrt_deg[cols]
-    return NeighborTable(table, weights)
+    return NeighborTable(cols, a_hat * inv_sqrt_deg[rows] * inv_sqrt_deg[cols],
+                         np.append(0, np.cumsum(counts)))
 
 
 def forward(model: GcnModel, norm_adj: NeighborTable | np.ndarray,
             features: np.ndarray) -> np.ndarray:
     """Score matrix of the GCN: per layer Ã·H, then H·W + b, then ReLU (skipped on the last layer).
 
-    ``norm_adj`` is Ã as a graph's ``norm_adj`` table or as a dense (n, n)
-    array.
+    ``norm_adj`` is Ã as a graph's ``norm_adj`` table or as a dense (n, n) array.
     ``features`` is one (n, m0) matrix or a stack of them, shaped (..., n, m0);
     the scores are stacked alike. Scores that overflow to infinity or NaN
     raise ``DataError``.
@@ -267,60 +285,59 @@ def forward(model: GcnModel, norm_adj: NeighborTable | np.ndarray,
     return h
 
 
-def _next_hop(cols: np.ndarray, weights: np.ndarray, front: np.ndarray,
-              live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The hop after the padded (front, live): its entries, row by row and ascending, and their counts."""
-    sentinel = len(cols)
-    reach = np.where((weights[front] > 0) & live[:, :, None], cols[front], sentinel)
-    reach = np.sort(reach.reshape(len(front), front.shape[1] * cols.shape[1]), axis=1)
-    reach[:, 1:][reach[:, 1:] == reach[:, :-1]] = sentinel  # keep each node's first entry
-    reach = np.sort(reach, axis=1)
-    reached = reach < sentinel
-    return reach[reached], reached.sum(axis=1)
-
-
 def ragged_fields(graph: Graph, nodes: np.ndarray,
                   depth: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Hops 0, ..., depth of every node in ``nodes`` at once, each a ragged (entries, starts) pair.
 
     Row t of hop l lists H_l of ``nodes[t]`` ascending as entries[starts[t] :
     starts[t + 1]], where H_0 = {node} and H_{l+1} holds the Ã-neighbours of
-    H_l, for integer nodes in [0, n). Each hop is computed a block of rows at
-    a time, about ``_HOP_ELEMENTS`` reached entries per block, and only its
-    live entries are kept, so no array is padded across all the rows.
+    H_l, for integer nodes in [0, n). Each hop is computed from ``row_blocks``
+    of about ``_HOP_ELEMENTS`` reached entries, counted before repeats go, and
+    only its live entries are kept, so nothing is padded.
     """
-    cols, weights = graph.norm_adj.cols, graph.norm_adj.weights
-    nodes = check_index(nodes, "node index", 0, graph.num_nodes, many=True)
+    table, n = graph.norm_adj, graph.num_nodes
+    nodes = check_index(nodes, "node index", 0, n, many=True)
     hops = [(nodes, np.arange(len(nodes) + 1))]
     for _ in range(depth):
-        widest = int(np.diff(hops[-1][1]).max(initial=0))
-        size = max(1, _HOP_ELEMENTS // max(1, widest * cols.shape[1]))
+        entries, starts = hops[-1]
+        reached = np.diff(np.append(0, np.cumsum(table.counts[entries]))[starts])  # repeats too
         # the leading 0 count makes the running sum of counts the rows' starts
-        entries, counts = [np.zeros(0, dtype=np.int64)], [np.zeros(1, dtype=np.int64)]
-        for start in range(0, len(nodes), size):
-            rows = np.arange(start, min(start + size, len(nodes)))
-            block_entries, block_counts = _next_hop(cols, weights, *_padded(*hops[-1], rows))
-            entries.append(block_entries)
-            counts.append(block_counts)
-        hops.append((np.concatenate(entries), np.cumsum(np.concatenate(counts))))
+        keys, counts = [np.zeros(0, dtype=np.int64)], [np.zeros(1, dtype=np.int64)]
+        for rows in row_blocks(reached, 1, _HOP_ELEMENTS):
+            at, widths = _spans(starts, rows)
+            reach, degrees = _spans(table.starts, entries[at])
+            key = np.repeat(np.repeat(np.arange(len(widths)) * n, widths), degrees)  # row * n
+            key = np.sort(key + table.cols[reach])  # + node
+            key = key[np.diff(key, prepend=-1) != 0]  # each row's nodes once, ascending
+            keys.append(key % n)
+            counts.append(np.bincount(key // n, minlength=len(widths)))
+        hops.append((np.concatenate(keys), np.cumsum(np.concatenate(counts))))
     return hops
 
 
-def _padded(entries: np.ndarray, starts: np.ndarray,
-            rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows ``rows`` of a ragged hop as (front, live), padded at the end to their widest with node 0."""
-    first, counts = starts[rows], starts[rows + 1] - starts[rows]
+def _spans(starts: np.ndarray, rows: np.ndarray | slice) -> tuple[np.ndarray | slice, np.ndarray]:
+    """Where rows ``rows`` of a ragged array with ``starts`` keep their entries, and how many."""
+    first, counts = starts[:-1][rows], starts[1:][rows] - starts[:-1][rows]
+    if isinstance(rows, slice):  # consecutive rows hold their entries in one run
+        return slice(starts[rows.start], starts[rows.stop]), counts
+    return np.arange(counts.sum()) + np.repeat(first - np.cumsum(counts) + counts, counts), counts
+
+
+def _padded(starts: np.ndarray, rows: np.ndarray | slice, *entries: np.ndarray) -> tuple:
+    """Rows ``rows`` of each ragged array with ``starts``, 0-padded at the end, then ``live``."""
+    at, counts = _spans(starts, rows)
     live = np.arange(counts.max(initial=0)) < counts[:, None]
-    front = np.zeros(live.shape, dtype=np.int64)
-    front[live] = entries[(first[:, None] + np.arange(live.shape[1]))[live]]
-    return front, live
+    fronts = [np.zeros(live.shape, dtype=array.dtype) for array in entries]
+    for front, array in zip(fronts, entries):
+        front[live] = array[at]
+    return (*fronts, live)
 
 
 def padded_fields(hops: list[tuple[np.ndarray, np.ndarray]],
                   rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """The (front, live) hops of rows ``rows`` of ``ragged_fields``, as ``receptive_fields`` of their nodes."""
     nodes = hops[0][0][rows, None]
-    return [(nodes, np.ones(nodes.shape, dtype=bool))] + [_padded(*hop, rows) for hop in hops[1:]]
+    return [(nodes, np.ones(nodes.shape, dtype=bool))] + [_padded(s, rows, e) for e, s in hops[1:]]
 
 
 def receptive_fields(graph: Graph, nodes: np.ndarray,

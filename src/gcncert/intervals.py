@@ -5,10 +5,10 @@ directly from the perturbation budget (the raw 0/1 input box would be useless:
 every cell could flip). Two variants exist: ``topk`` ranks flip candidates per
 node and globally and is exact for the first layer; ``max`` scales the single
 best candidate by the total budget, cheaper but looser. Both look only at each
-node's neighbours, the columns of Ã's neighbour table (``graph.norm_adj``): a
-flip elsewhere cannot move the node's first layer. Every row's bound is exact
-on its own, so the candidates are ranked and pooled a block of rows at a time
-(``_POOL_ELEMENTS``): the working memory is fixed by the block, and only the
+node's neighbours, the entries of its row of Ã (``graph.norm_adj``): a flip
+elsewhere cannot move the node's first layer. Every row's bound is exact on
+its own, so candidates are ranked and pooled a block of Ã's padded rows at a
+time (``_POOL_ELEMENTS``): working memory is fixed by the block, and only the
 (n, k, m1) clamped candidates and the (n, m1) bounds grow with n. A ``mode``
 other than ``both`` drops the candidates of cells whose flip goes the other way.
 Later layers use plain interval arithmetic, with the table's product for the
@@ -32,7 +32,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DataError, DimensionError
-from .graph import GcnModel, Graph, NeighborTable, predict
+from .graph import GcnModel, Graph, NeighborTable, predict, row_blocks
 from .perturbation import PerturbationBudget, check_mode, restrict_to_mode, sign_matrix
 
 VARIANTS = ("topk", "max")
@@ -92,13 +92,6 @@ def interval_input_abstraction(
     return IntervalElement(base + dev_min, base + dev_max)
 
 
-def _row_blocks(n: int, per_row: int) -> Iterator[slice]:
-    """Consecutive slices of range(n), about ``_POOL_ELEMENTS`` elements of ``per_row`` each."""
-    size = max(1, _POOL_ELEMENTS // max(1, per_row))
-    for start in range(0, n, size):
-        yield slice(start, start + size)
-
-
 def _candidates(model: GcnModel, graph: Graph, mode: str, sources: slice) -> np.ndarray:
     """Flip deltas sign[k,f] * W[f,j] of source nodes ``sources``, 0 where ``mode`` bars a flip."""
     features = graph.features[sources]
@@ -108,22 +101,21 @@ def _candidates(model: GcnModel, graph: Graph, mode: str, sources: slice) -> np.
 
 def _scaled_pools(
     model: GcnModel, graph: Graph, budget: PerturbationBudget, variant: str, mode: str
-) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """The pools each output row's extreme deviations draw from, a block of rows at a time.
 
-    Yields (rows, scaled_neg, scaled_pos), each pool shaped (rows, width ·
-    k_local, m1): Ã[i,k] times each neighbour k's ``k_local`` most negative
-    (positive) flip candidates, clamped toward zero, with ``k_local`` =
-    min(per_node, m0) for ``topk`` and 1, the single best, for ``max``. Only
-    the clamped candidates, (n, k_local, m1) per side, are kept for the whole
-    graph; they are ranked a block of source nodes at a time, and no other
-    array grows with n.
+    Yields (rows, cols, weights, scaled_neg, scaled_pos): a block of Ã's
+    ``padded_rows`` and its pools, each (rows, width · k_local, m1): Ã[i,k]
+    times each neighbour k's ``k_local`` most negative (positive) flip
+    candidates, clamped toward zero, with ``k_local`` = min(per_node, m0) for
+    ``topk`` and 1, the single best, for ``max``. Only the clamped candidates,
+    (n, k_local, m1) per side and ranked a block of sources at a time, span n.
     """
     n, m0 = graph.features.shape
     m1 = model.layers[0].weight.shape[1]
     k_local = min(budget.per_node, m0) if variant == "topk" else 1
     neg, pos = np.empty((n, k_local, m1)), np.empty((n, k_local, m1))
-    for sources in _row_blocks(n, m0 * m1):
+    for sources in row_blocks(np.ones(n, dtype=np.int64), m0 * m1, _POOL_ELEMENTS):
         cand = _candidates(model, graph, mode, sources)
         if variant == "topk":
             ordered = np.sort(cand, axis=1)
@@ -133,11 +125,10 @@ def _scaled_pools(
             neg[sources, 0] = np.minimum(cand.min(axis=1), 0.0)
             pos[sources, 0] = np.maximum(cand.max(axis=1), 0.0)
     # only Ã's nonzero entries can move a row; padding weighs 0 like a non-neighbour
-    cols, weights = graph.norm_adj.cols, graph.norm_adj.weights
-    for rows in _row_blocks(n, cols.shape[1] * k_local * m1):
-        scale = weights[rows, :, None, None]
-        yield (rows, (scale * neg[cols[rows]]).reshape(len(scale), -1, m1),
-               (scale * pos[cols[rows]]).reshape(len(scale), -1, m1))
+    for rows, cols, weights in graph.norm_adj.padded_rows(k_local * m1, _POOL_ELEMENTS):
+        scale = weights[:, :, None, None]
+        yield (rows, cols, weights, (scale * neg[cols]).reshape(len(cols), -1, m1),
+               (scale * pos[cols]).reshape(len(cols), -1, m1))
 
 
 def _flip_deviations(
@@ -145,18 +136,18 @@ def _flip_deviations(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Extreme first-layer deviations (dev_min, dev_max) under a non-zero budget.
 
-    ``topk`` sums each row's ``total`` most negative (positive) scaled
-    candidates, ``max`` scales the single best by ``total``. Rows are
-    independent, so ``_scaled_pools`` hands them over a block at a time and
-    each block's bounds are written straight into the (n, m1) outputs.
+    ``topk`` adds each row's ``total`` most negative (positive) scaled
+    candidates one by one, whatever zeros pad its pool; ``max`` scales the
+    single best by ``total``. Rows are independent, so each block of
+    ``_scaled_pools`` is written straight into the (n, m1) outputs.
     """
     dev_min = np.empty((graph.num_nodes, model.layers[0].weight.shape[1]))
     dev_max = np.empty_like(dev_min)
-    for rows, scaled_neg, scaled_pos in _scaled_pools(model, graph, budget, variant, mode):
+    for rows, _, _, scaled_neg, scaled_pos in _scaled_pools(model, graph, budget, variant, mode):
         if variant == "topk":
             k_global = min(budget.total, scaled_neg.shape[1])
-            dev_min[rows] = np.sort(scaled_neg, axis=1)[:, :k_global, :].sum(axis=1)
-            dev_max[rows] = np.sort(scaled_pos, axis=1)[:, -k_global:, :].sum(axis=1)
+            dev_min[rows] = np.cumsum(np.sort(scaled_neg, axis=1)[:, :k_global], axis=1)[:, -1]
+            dev_max[rows] = np.cumsum(np.sort(scaled_pos, axis=1)[:, -k_global:], axis=1)[:, -1]
         else:
             dev_min[rows] = budget.total * scaled_neg.min(axis=1)
             dev_max[rows] = budget.total * scaled_pos.max(axis=1)
@@ -184,28 +175,26 @@ def _flip_deviations_backward(
     n, m0 = graph.features.shape
     m1 = model.layers[0].weight.shape[1]
     k_local = min(budget.per_node, m0) if variant == "topk" else 1
-    cols, weights = graph.norm_adj.cols, graph.norm_adj.weights
     # gradient on each source node's ranked candidates, summed over neighbours
     ranked_grads = np.zeros((2, n, k_local, m1))
-    for rows, scaled_neg, scaled_pos in _scaled_pools(model, graph, budget, variant, mode):
-        block_cols, block_weights = cols[rows], weights[rows]
-        for ranked_grad, pool, grad, low in ((ranked_grads[0], scaled_neg, min_grad[rows], True),
-                                             (ranked_grads[1], scaled_pos, max_grad[rows], False)):
+    for rows, cols, weights, neg, pos in _scaled_pools(model, graph, budget, variant, mode):
+        for ranked_grad, pool, grad, low in ((ranked_grads[0], neg, min_grad[rows], True),
+                                             (ranked_grads[1], pos, max_grad[rows], False)):
             if variant == "topk":
                 k_global = min(budget.total, pool.shape[1])
                 order = np.argsort(pool, axis=1)
                 taken = order[:, :k_global] if low else order[:, -k_global:]
                 scaled_grad = np.zeros(pool.shape)
                 np.put_along_axis(scaled_grad, taken, grad[:, None, :], axis=1)
-                np.add.at(ranked_grad, block_cols, block_weights[:, :, None, None]
-                          * scaled_grad.reshape(len(pool), cols.shape[1], -1, m1))
+                np.add.at(ranked_grad, cols, weights[:, :, None, None]
+                          * scaled_grad.reshape(cols.shape + (-1, m1)))
             else:
                 taken = pool.argmin(axis=1) if low else pool.argmax(axis=1)
                 np.add.at(ranked_grad[:, 0],
-                          (np.take_along_axis(block_cols, taken, axis=1), np.arange(m1)),
-                          budget.total * np.take_along_axis(block_weights, taken, axis=1) * grad)
+                          (np.take_along_axis(cols, taken, axis=1), np.arange(m1)),
+                          budget.total * np.take_along_axis(weights, taken, axis=1) * grad)
     cand_grad = np.zeros((n, m0, m1))
-    for sources in _row_blocks(n, m0 * m1):
+    for sources in row_blocks(np.ones(n, dtype=np.int64), m0 * m1, _POOL_ELEMENTS):
         cand = _candidates(model, graph, mode, sources)
         if variant == "topk":
             order = np.argsort(cand, axis=1)

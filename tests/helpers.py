@@ -37,27 +37,44 @@ def dense_norm_adj(graph: gc.Graph) -> np.ndarray:
 
 
 def densify(table) -> np.ndarray:
-    """The dense matrix a neighbour table lists, rebuilt by scattering its slots."""
-    n = len(table.cols)
+    """The dense matrix a neighbour table lists, rebuilt by scattering its entries."""
+    n = len(table.starts) - 1
     dense = np.zeros((n, n))
-    rows = np.repeat(np.arange(n), table.cols.shape[1])
-    np.add.at(dense, (rows, table.cols.ravel()), table.weights.ravel())
+    np.add.at(dense, (np.repeat(np.arange(n), np.diff(table.starts)), table.cols), table.weights)
     return dense
+
+
+def padded_table(table) -> tuple[np.ndarray, np.ndarray]:
+    """A table's rows as (n, widest row) columns and weights, padded at the end with 0."""
+    counts = np.diff(table.starts)
+    cols = np.zeros((len(counts), counts.max()), dtype=np.int64)
+    weights = np.zeros(cols.shape)
+    for row, (start, count) in enumerate(zip(table.starts[:-1], counts)):
+        cols[row, :count] = table.cols[start : start + count]
+        weights[row, :count] = table.weights[start : start + count]
+    return cols, weights
 
 
 class DenseNormAdj:
     """Ã as the dense matrix ``dense_norm_adj`` behind the neighbour table's interface.
 
     Products are dense matrix products and blocks are fancy-indexed, the
-    arithmetic of a dense Ã; ``cols`` and ``weights`` are the graph's table.
-    As in the table's blocks, node n reads as a zero row and column.
+    arithmetic of a dense Ã; ``cols``, ``starts`` and ``counts`` are the
+    graph's table, for the hops, and ``padded_rows`` gives every row in one
+    block, padded to the widest. As in the table's blocks, node n reads as a
+    zero row and column.
     """
 
     def __init__(self, graph: gc.Graph):
         self.matrix = dense_norm_adj(graph)
         self.shape = self.matrix.shape
-        self.cols, self.weights = graph.norm_adj.cols, graph.norm_adj.weights
+        table = graph.norm_adj
+        self.cols, self.starts, self.counts = table.cols, table.starts, table.counts
+        self.table = padded_table(table)
         self.padded = np.pad(self.matrix, (0, 1))
+
+    def padded_rows(self, per_entry, elements):
+        yield (slice(None), *self.table)
 
     def __array__(self, dtype=None, copy=None):
         return self.matrix
@@ -342,14 +359,16 @@ def reference_flip_deviations(model, graph, budget, variant, mode):
     """The library's first-layer deviations computed over the whole graph at once.
 
     Returns (dev_min, dev_max, (cand, scaled_neg, scaled_pos)): the (n, m0,
-    m1) flip candidates and the (n, width · k_local, m1) scaled pools every
-    row draws from, built in one piece where the library streams row blocks.
+    m1) flip candidates and the (n, widest · k_local, m1) scaled pools every
+    row draws from, built in one piece, every row padded to the graph's
+    widest, where the library streams row blocks. Each row's picks are added
+    one by one in rank order.
     """
     n, m0 = graph.features.shape
     m1 = model.layers[0].weight.shape[1]
     cand = gc.sign_matrix(graph.features)[:, :, None] * model.layers[0].weight[None, :, :]
     cand = restrict_to_mode(cand, graph.features[:, :, None], mode)
-    cols, weights = graph.norm_adj.cols, graph.norm_adj.weights
+    cols, weights = padded_table(graph.norm_adj)
     if variant == "topk":
         k_local = min(budget.per_node, m0)
         ordered = np.sort(cand, axis=1)
@@ -358,8 +377,8 @@ def reference_flip_deviations(model, graph, budget, variant, mode):
         scaled_neg = (weights[:, :, None, None] * neg[cols]).reshape(n, -1, m1)
         scaled_pos = (weights[:, :, None, None] * pos[cols]).reshape(n, -1, m1)
         k_global = min(budget.total, scaled_neg.shape[1])
-        dev_min = np.sort(scaled_neg, axis=1)[:, :k_global, :].sum(axis=1)
-        dev_max = np.sort(scaled_pos, axis=1)[:, -k_global:, :].sum(axis=1)
+        dev_min = np.cumsum(np.sort(scaled_neg, axis=1)[:, :k_global, :], axis=1)[:, -1]
+        dev_max = np.cumsum(np.sort(scaled_pos, axis=1)[:, -k_global:, :], axis=1)[:, -1]
     else:
         best_neg = np.minimum(cand.min(axis=1), 0.0)
         best_pos = np.maximum(cand.max(axis=1), 0.0)
@@ -376,7 +395,7 @@ def reference_flip_deviations_backward(model, graph, budget, variant, mode, min_
     cand, scaled_neg, scaled_pos = reference_flip_deviations(model, graph, budget, variant,
                                                              mode)[2]
     m1 = cand.shape[2]
-    cols, weights = graph.norm_adj.cols, graph.norm_adj.weights
+    cols, weights = padded_table(graph.norm_adj)
     if variant == "topk":
         k_local = min(budget.per_node, m0)
         k_global = min(budget.total, scaled_neg.shape[1])
@@ -407,8 +426,12 @@ def reference_flip_deviations_backward(model, graph, budget, variant, mode, min_
 
 
 def reference_receptive_fields(graph, nodes, depth):
-    """The library's (front, live) hops of ``nodes``, each hop computed for all rows at once."""
-    cols, weights = graph.norm_adj.cols, graph.norm_adj.weights
+    """The library's (front, live) hops of ``nodes``, each hop computed for all rows at once.
+
+    Each row gathers the padded table rows of its last hop's live nodes, then
+    drops the repeats of two sorts.
+    """
+    cols, weights = padded_table(graph.norm_adj)
     front = np.asarray(nodes, dtype=np.int64).reshape(-1, 1)
     hops = [(front, np.ones(front.shape, dtype=bool))]
     sentinel = graph.num_nodes
@@ -444,11 +467,12 @@ def reference_pullback(model, graph, budget, variant, labels, nodes, mode, margi
 
 
 def reference_table_product(table, h):
-    """Ã·h by the neighbour table's slot loop over all rows at once, the product unblocked."""
+    """Ã·h by a slot loop over all rows at once, each padded to the widest row: unblocked."""
     h = np.asarray(h, dtype=np.float64)
-    out = table.weights[:, :1] * h[..., table.cols[:, 0], :]
-    for slot in range(1, table.cols.shape[1]):
-        out += table.weights[:, slot, None] * h[..., table.cols[:, slot], :]
+    cols, weights = padded_table(table)
+    out = weights[:, :1] * h[..., cols[:, 0], :]
+    for slot in range(1, cols.shape[1]):
+        out += weights[:, slot, None] * h[..., cols[:, slot], :]
     return out
 
 

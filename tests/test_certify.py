@@ -316,7 +316,7 @@ def _sparse_instance():
     model = gc.GcnModel(tuple(
         gc.GcnLayer(rng.uniform(-1, 1, (a, b)), rng.uniform(-0.5, 0.5, b))
         for a, b in ((m0, hidden), (hidden, labels))))
-    return graph, model, gc.PerturbationBudget(2, 4), 11
+    return graph, model, gc.PerturbationBudget(2, 4), None, 11
 
 
 def _ring_and_hub_instance():
@@ -337,23 +337,40 @@ def _ring_and_hub_instance():
     model = gc.GcnModel(tuple(
         gc.GcnLayer(rng.uniform(-1, 1, (a, b)), rng.uniform(-0.5, 0.5, b))
         for a, b in ((m0, 4), (4, 2))))
-    return graph, model, gc.PerturbationBudget(1, 2), 32
+    return graph, model, gc.PerturbationBudget(1, 2), None, 32
+
+
+def _ring_and_wide_hub_instance():
+    # a 20,000-node ring and one hub joined to every 20th ring node, a 4-8-2 model,
+    # budget 1/2, and 10 of the hub's neighbours certified: their fields reach the
+    # hub's 1,000 neighbours. Rows padded to the hub's 1,001 entries peaked at 460 MB
+    rng = np.random.default_rng(2)
+    ring, degree, m0 = 20_000, 1_000, 4
+    edges = np.concatenate([
+        np.stack([np.arange(ring), (np.arange(ring) + 1) % ring], axis=1),
+        np.stack([np.full(degree, ring), np.arange(0, ring, ring // degree)], axis=1)])
+    graph = gc.Graph(edges, (rng.random((ring + 1, m0)) < 0.5).astype(int))
+    model = gc.GcnModel(tuple(
+        gc.GcnLayer(rng.uniform(-1, 1, (a, b)), rng.uniform(-0.5, 0.5, b))
+        for a, b in ((m0, 8), (8, 2))))
+    return graph, model, gc.PerturbationBudget(1, 2), np.arange(0, ring, ring // 10), 48
 
 
 def test_certify_sound_peak_memory_stays_small():
-    for graph, model, budget, bound_mb in (_sparse_instance(), _ring_and_hub_instance()):
+    for graph, model, budget, nodes, bound_mb in (
+            _sparse_instance(), _ring_and_hub_instance(), _ring_and_wide_hub_instance()):
         graph.norm_adj  # cached input, not working memory
         was_tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         tracemalloc.reset_peak()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            certificate = gc.certify_sound(model, graph, budget)
+            certificate = gc.certify_sound(model, graph, budget, nodes=nodes)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             if not was_tracing:
                 tracemalloc.stop()
-        assert len(certificate.nodes) == graph.num_nodes
+        assert len(certificate.nodes) == (graph.num_nodes if nodes is None else len(nodes))
         assert peak < bound_mb * 2**20, f"{graph.num_nodes} nodes: peak {peak / 2**20:.1f} MB"
 
 

@@ -40,29 +40,32 @@ def test_norm_adj_is_cached_and_read_only(two_node):
     graph, _ = two_node
     assert graph.norm_adj is graph.norm_adj
     fresh = gc.normalize_adjacency(graph)
-    for name in ("cols", "weights"):
+    for name in ("cols", "weights", "starts"):
         table = getattr(graph.norm_adj, name)
         assert np.array_equal(table, getattr(fresh, name))
         assert not table.flags.writeable
         with pytest.raises(ValueError):
-            table[0, 0] = 1
+            table[0] = 1
 
 
 def test_neighbor_table_lists_each_rows_nonzero_entries(rng):
     for _ in range(10):
         graph, _, _ = helpers.raw_instance(rng)
-        cols, weights = graph.norm_adj.cols, graph.norm_adj.weights
-        assert not cols.flags.writeable and not weights.flags.writeable
-        live = weights > 0
-        assert (live[:, :-1] >= live[:, 1:]).all()  # padding only at the end of a row
-        assert live.all(axis=1).any()  # padded to the widest row, no wider
-        assert (cols[~live] == 0).all()
-        for row in range(graph.num_nodes):  # columns ascending
-            assert (np.diff(cols[row, live[row]]) > 0).all()
+        table = graph.norm_adj
+        cols, weights, starts = table.cols, table.weights, table.starts
+        for array in (cols, weights, starts):
+            assert array.ndim == 1 and not array.flags.writeable
+        assert cols.dtype == starts.dtype == np.int64 and weights.dtype == np.float64
+        assert starts[0] == 0 and starts[-1] == len(cols) == len(weights)
+        assert len(starts) == graph.num_nodes + 1
+        assert (weights > 0).all()  # nonzero entries only, no padding
+        for row in range(graph.num_nodes):  # columns ascending, the diagonal among them
+            row_cols = cols[starts[row] : starts[row + 1]]
+            assert (np.diff(row_cols) > 0).all() and row in row_cols
         # the same floats as the dense D^{-1/2} (A + I) D^{-1/2}, bit for bit
-        assert np.array_equal(helpers.densify(graph.norm_adj), helpers.dense_norm_adj(graph))
+        assert np.array_equal(helpers.densify(table), helpers.dense_norm_adj(graph))
         every = np.arange(graph.num_nodes + 1)  # blocks read node n as a zero row and column
-        assert np.array_equal(graph.norm_adj.block(every[:, None], every),
+        assert np.array_equal(table.block(every[:, None], every),
                               np.pad(helpers.dense_norm_adj(graph), (0, 1)))
 
 

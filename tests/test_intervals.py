@@ -157,8 +157,9 @@ def _dense_input_abstraction(model, graph, budget, variant):
         scaled_neg = (norm_adj[:, :, None, None] * neg[None, :, :, :]).reshape(n, -1, m1)
         scaled_pos = (norm_adj[:, :, None, None] * pos[None, :, :, :]).reshape(n, -1, m1)
         k_global = min(budget.total, scaled_neg.shape[1])
-        dev_min = np.sort(scaled_neg, axis=1)[:, :k_global, :].sum(axis=1)
-        dev_max = np.sort(scaled_pos, axis=1)[:, -k_global:, :].sum(axis=1)
+        # a running sum adds the picks one by one, whatever the output width
+        dev_min = np.cumsum(np.sort(scaled_neg, axis=1)[:, :k_global, :], axis=1)[:, -1]
+        dev_max = np.cumsum(np.sort(scaled_pos, axis=1)[:, -k_global:, :], axis=1)[:, -1]
     else:
         best_neg = np.minimum(cand.min(axis=1), 0.0)
         best_pos = np.maximum(cand.max(axis=1), 0.0)
@@ -194,18 +195,13 @@ def test_input_abstraction_matches_dense_reference(rng, variant, widths):
 
 
 def test_input_abstraction_single_output_matches_dense_reference(rng):
-    # with one output column numpy sums each row pairwise, so the dense rows'
-    # extra zero candidates can regroup the additions once total exceeds the
-    # widest neighbourhood's candidates: equal there up to rounding only
+    # with one output column a row's picks lie contiguous, where a plain sum
+    # would add them pairwise and regroup with the count of zeros padding the
+    # pool; the running sum keeps each bound equal to the dense rows' anyway
     for graph, model, budget in _sparse_instances(rng, 40, widths=(1,)):
         elem = gc.interval_input_abstraction(model, graph, budget, "topk")
         lower, upper = _dense_input_abstraction(model, graph, budget, "topk")
-        widest = graph.norm_adj.cols.shape[1] * min(budget.per_node, graph.num_features)
-        if budget.total <= widest:
-            assert np.array_equal(elem.lower, lower) and np.array_equal(elem.upper, upper)
-        else:
-            assert np.allclose(elem.lower, lower, rtol=0, atol=1e-12)
-            assert np.allclose(elem.upper, upper, rtol=0, atol=1e-12)
+        assert np.array_equal(elem.lower, lower) and np.array_equal(elem.upper, upper)
 
 
 def test_input_abstraction_memory_follows_neighbourhoods(rng):

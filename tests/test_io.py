@@ -61,7 +61,7 @@ def test_save_graph_round_trip_bytes(tmp_path, source):
     loaded = fileio.load_graph(str(path))
     assert np.array_equal(loaded.edges, graph.edges)
     assert np.array_equal(loaded.features, graph.features)
-    for name in ("cols", "weights"):
+    for name in ("cols", "weights", "starts"):
         assert np.array_equal(getattr(loaded.norm_adj, name), getattr(graph.norm_adj, name))
     fileio.save_graph(loaded, str(path))
     assert path.read_text() == expected

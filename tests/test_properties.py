@@ -2,7 +2,8 @@
 certifiers' ordering invariants over small random graphs and models, the
 neighbour table of Ã against the dense matrix, the field-local evaluator
 against the whole-graph forward pass, the row-blocked flip-candidate pools
-and hop routine against their whole-graph references, and the minimizer's
+and hop routine against their whole-graph references, each row's bounds and
+margins against a disjoint star joining its graph, and the minimizer's
 selection against two full stable sorts.
 
 Every test runs derandomized, so a tier-1 run is reproducible.
@@ -307,7 +308,7 @@ def hub_instances(draw):
         gc.GcnLayer(rng.uniform(-1, 1, (a, b)), rng.uniform(-0.5, 0.5, b))
         for a, b in zip(widths, widths[1:])))
     per_node = draw(st.sampled_from([1, m0, m0 + draw(st.integers(1, 2))]))
-    pool = graph.norm_adj.cols.shape[1] * min(per_node, m0)
+    pool = int(np.diff(graph.norm_adj.starts).max()) * min(per_node, m0)
     budget = gc.PerturbationBudget(per_node, draw(st.integers(1, pool + 2)))
     return graph, model, budget, rng
 
@@ -329,13 +330,13 @@ def _bounds_and_gradients(model, graph, budget, variant, mode, rng):
 def test_row_blocks_match_whole_graph_reference(instance, variant, mode, data):
     graph, model, budget, rng = instance
     n, m0 = graph.features.shape
-    table_width, m1 = graph.norm_adj.cols.shape[1], model.layers[0].weight.shape[1]
+    widest, m1 = int(np.diff(graph.norm_adj.starts).max()), model.layers[0].weight.shape[1]
     seed = int(rng.integers(2**32))
     nodes = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=4, max_size=3 * n)))
     depth = data.draw(st.integers(1, 3))
-    with pytest.MonkeyPatch.context() as patch:  # blocks of 1 to 3 source rows and node rows
+    with pytest.MonkeyPatch.context() as patch:  # blocks of 1 to 3 source rows, few node rows
         patch.setattr(gc.intervals, "_POOL_ELEMENTS", data.draw(st.integers(1, 3 * m0 * m1)))
-        patch.setattr(gc.graph, "_HOP_ELEMENTS", data.draw(st.integers(1, 3 * table_width)))
+        patch.setattr(gc.graph, "_HOP_ELEMENTS", data.draw(st.integers(1, 3 * widest)))
         blocked = _bounds_and_gradients(model, graph, budget, variant, mode,
                                         np.random.default_rng(seed))
         hops = gc.graph.receptive_fields(graph, nodes, depth)
@@ -359,16 +360,17 @@ def test_row_blocks_match_whole_graph_reference(instance, variant, mode, data):
 def test_blocked_table_product_and_chunk_hops_match_references(instance, data):
     graph, model, _, rng = instance
     n, table = graph.num_nodes, graph.norm_adj
+    widest = int(np.diff(table.starts).max())
     sets, m = data.draw(st.integers(2, 3)), data.draw(st.integers(1, 4))
     # (n, m) as in ``forward`` and the interval bounds, (sets, n, m) as in a tie settlement
     for h in (rng.standard_normal((n, m)), rng.standard_normal((sets, n, m))):
-        with pytest.MonkeyPatch.context() as patch:  # blocks of 1 to 3 rows
-            patch.setattr(gc.graph, "_HOP_ELEMENTS", data.draw(st.integers(1, 3 * h.size // n)))
+        with pytest.MonkeyPatch.context() as patch:  # blocks of 1 to 3 of the widest rows
+            patch.setattr(gc.graph, "_HOP_ELEMENTS",
+                          data.draw(st.integers(1, 3 * widest * h.size // n)))
             _assert_same(table @ h, helpers.reference_table_product(table, h))
     nodes = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3 * n)))
     with pytest.MonkeyPatch.context() as patch:  # hop blocks of 1 to 3 rows, small chunks
-        width = table.cols.shape[1]
-        patch.setattr(gc.graph, "_HOP_ELEMENTS", data.draw(st.integers(1, 3 * n * width)))
+        patch.setattr(gc.graph, "_HOP_ELEMENTS", data.draw(st.integers(1, 3 * n * widest)))
         helpers.chunks_of(patch, model, graph, data.draw(st.sampled_from([1, 2, 3, None])))
         chunks = list(gc.certify._chunks(model, graph, nodes))
     assert sorted(np.concatenate([rows for rows, _ in chunks]).tolist()) == list(range(len(nodes)))
@@ -377,6 +379,47 @@ def test_blocked_table_product_and_chunk_hops_match_references(instance, data):
         for (front, live), (ref_front, ref_live) in zip(hops, reference, strict=True):
             _assert_same(front, ref_front)
             _assert_same(live, ref_live)
+
+
+@st.composite
+def narrow_instances(draw):
+    """A small graph, a model whose first layer has one output, and a budget of 8 to 12 flips.
+
+    With one output a row's ``topk`` picks lie next to each other, where a
+    plain sum adds 8 or more of them pairwise.
+    """
+    n, m0 = draw(st.integers(3, 10)), draw(st.integers(1, 4))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.lists(node, min_size=2, max_size=2), max_size=2 * n))
+    features = draw(st.lists(st.lists(st.integers(0, 1), min_size=m0, max_size=m0),
+                             min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    widths = [m0, 1] + [int(rng.integers(1, 4)) for _ in range(draw(st.integers(1, 2)))]
+    model = gc.GcnModel(tuple(
+        gc.GcnLayer(rng.uniform(-1, 1, (a, b)), rng.uniform(-0.5, 0.5, b))
+        for a, b in zip(widths, widths[1:])))
+    budget = gc.PerturbationBudget(draw(st.integers(1, m0)), draw(st.integers(8, 12)))
+    return gc.Graph(np.array(edges).reshape(-1, 2), np.array(features)), model, budget, rng
+
+
+@given(narrow_instances(), _VARIANTS, st.sampled_from(MODES))
+@PROPERTY
+def test_rows_keep_their_bits_when_a_disjoint_star_joins(instance, variant, mode):
+    # the star's centre is the graph's widest row by far; every row of the
+    # graph is computed as it would be alone, so none of its bits may move
+    graph, model, budget, rng = instance
+    (n, m0), leaves = graph.features.shape, 40
+    spokes = np.stack([np.full(leaves, n), n + 1 + np.arange(leaves)], axis=1)
+    joined = gc.Graph(np.concatenate([graph.edges, spokes]),
+                      np.vstack([graph.features, rng.integers(0, 2, (leaves + 1, m0))]))
+    for alone, with_star in zip(gc.interval_layer_bounds(model, graph, budget, variant, mode=mode),
+                                gc.interval_layer_bounds(model, joined, budget, variant, mode=mode),
+                                strict=True):
+        _assert_same(with_star.lower[:n], alone.lower)
+        _assert_same(with_star.upper[:n], alone.upper)
+    alone, with_star = (gc.certify_sound(model, g, budget, variant, nodes=np.arange(n), mode=mode)
+                        for g in (graph, joined))
+    _assert_same(with_star.rival_margins, alone.rival_margins)
 
 
 # few coefficient values, both zeros among them: most rows hold ties, and
