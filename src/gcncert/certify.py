@@ -51,7 +51,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import DataError, check_index
-from .graph import GcnModel, Graph, field_labels, padded_fields, predict, ragged_fields, row_blocks
+from .graph import (GcnModel, Graph, field_labels, field_slots, padded_fields, predict,
+                    ragged_fields, row_blocks)
 from .intervals import IntervalElement, interval_layer_bounds, interval_layer_bounds_backward
 from .perturbation import FlipSet, PerturbationBudget, check_mode, restrict_to_mode, sign_matrix
 from .polyhedra import PolyBatch, PolyNodeElement, back_substitute_backward, back_substitute_batch
@@ -467,16 +468,12 @@ def _replay(model: GcnModel, graph: Graph, budget: PerturbationBudget, certifica
     rows, order, sizes, found = rows[sizes > 0], order[sizes > 0], sizes[sizes > 0], {}
     start, stop = np.searchsorted(pick_row, rows), np.searchsorted(pick_row, rows + 1)
     for chunk, hops in _chunks(model, graph, cert.nodes[rows]):
-        (field, live), sets, span = hops[-1], sizes[chunk].max(), stop[chunk] - start[chunk]
+        sets, span = sizes[chunk].max(), stop[chunk] - start[chunk]
         t = np.repeat(np.arange(len(chunk)), span)  # the chunk's picks, row by row
         at = np.arange(len(t)) + np.repeat(start[chunk] - np.cumsum(span) + span, span)
-        # their field slots; cells outside a row's field cannot move its label
-        keys = (np.arange(len(chunk))[:, None] * (n + 1) + np.where(live, field, n)).ravel()
-        key = t * (n + 1) + nodes[at]
-        place = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
-        mine = keys[place] == key
-        labels = field_labels(model, graph, hops, sets, (
-            (t * sets + rank[at])[mine], place[mine] % field.shape[1], feats[at][mine]))
+        # their (set, field slot, feature) cells; one outside its row's field cannot move its label
+        cells = np.stack([t * sets + rank[at], field_slots(*hops[-1], t, nodes[at], n), feats[at]])
+        labels = field_labels(model, graph, hops, sets, tuple(cells[:, cells[1] >= 0]))
         broken = (labels >= 0) & (labels != cert.labels[rows[chunk], None])
         for i in np.flatnonzero(broken.any(axis=1)):
             k, row = broken[i].argmax(), rows[chunk[i]]

@@ -9,13 +9,13 @@ adjacency Ã, ``graph.norm_adj``, is a ``NeighborTable`` built from the edges
 on first use and shared, read-only, by every certifier, replay and the
 oracle: each row's nonzero columns and weights, held ragged like a hop.
 ``table @ h`` is the graph convolution Ã·h, one multiply-add per entry (sparse
-propagation as in Kipf & Welling, ICLR 2017), and ``table.block(rows, cols)``
-gathers a dense block of Ã for the code that works on one receptive field at
-a time. ``ragged_fields`` is the one hop routine of back-substitution, replay
-and the oracle. ``_padded`` pads only the rows a caller works on, table rows
-and hop rows alike, in ``row_blocks`` sized by their own widest row, so no
-array is padded to the widest row or field in the graph. ``receptive_fields``
-is the hops of a list of nodes, padded.
+propagation as in Kipf & Welling, ICLR 2017), and ``table.between`` builds
+from the same rows the dense block of Ã between two hops of receptive fields.
+``ragged_fields`` is the one hop routine of back-substitution, replay and the
+oracle. ``_padded`` pads only the rows a caller works on, table rows and hop
+rows alike, in ``row_blocks`` sized by their own widest row, so no array is
+padded to the widest row or field in the graph. ``receptive_fields`` is the
+hops of a list of nodes, padded.
 
 ``field_labels`` scores nodes under batches of flip sets, for replay and the
 oracle alike: an L-layer GCN's scores for a node depend only on the features
@@ -61,7 +61,7 @@ class NeighborTable:
 
     Row i lists its columns ascending as ``cols[starts[i] : starts[i + 1]]``
     and their weights alike in ``weights``. ``table @ h`` is Ã·h and
-    ``block(rows, cols)`` the dense Ã[rows, cols], so no n×n array is needed.
+    ``between`` a dense block of it, so no n×n array is needed.
     """
 
     cols: np.ndarray
@@ -76,14 +76,9 @@ class NeighborTable:
     def shape(self) -> tuple[int, int]:
         return (len(self.starts) - 1,) * 2
 
-    @cached_property
-    def counts(self) -> np.ndarray:
-        """Each row's number of entries."""
-        return np.diff(self.starts)
-
     def padded_rows(self, per_entry: int, elements: int) -> Iterator[tuple]:
         """Every row in ``row_blocks`` of ``per_entry`` each: (rows, cols, weights), 0-padded."""
-        for rows in row_blocks(self.counts, per_entry, elements):
+        for rows in row_blocks(np.diff(self.starts), per_entry, elements):
             yield rows, *_padded(self.starts, rows, self.cols, self.weights)[:2]
 
     def __matmul__(self, h: np.ndarray) -> np.ndarray:
@@ -103,22 +98,19 @@ class NeighborTable:
                 block += weights[:, slot, None] * h[..., cols[:, slot], :]
         return out
 
-    @cached_property
-    def _lookup(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending keys i * (n + 1) + j of the entries, and their weights.
+    def between(self, front: tuple, next_front: tuple) -> np.ndarray:
+        """Dense Ã between two padded hops (nodes, live): (targets, |front|, |next_front|).
 
-        A last key beyond every (i, j) with i, j <= n ends both arrays under weight 0.
+        Each live front node's entries go to their ``field_slots`` in its row of
+        ``next_front``, which holds them all, as hop l + 1 does hop l's; padding reads 0.
         """
-        n = self.shape[0]
-        keys = np.repeat(np.arange(n) * (n + 1), self.counts) + self.cols
-        return np.append(keys, (n + 1) ** 2), np.append(self.weights, 0.0)
-
-    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Dense Ã[rows, cols] for broadcasting node index arrays, node n reading as 0."""
-        keys, weights = self._lookup
-        key = rows * (self.shape[0] + 1) + cols
-        at = np.searchsorted(keys, key)
-        return np.where(keys[at] == key, weights[at], 0.0)
+        nodes, live = front
+        t, i = np.nonzero(live)
+        at, counts = _spans(self.starts, nodes[t, i])
+        t, i = np.repeat(t, counts), np.repeat(i, counts)  # each entry's (target, front slot)
+        block = np.zeros(live.shape + next_front[0].shape[1:])
+        block[t, i, field_slots(*next_front, t, self.cols[at], self.shape[0])] = self.weights[at]
+        return block
 
 
 @dataclass(frozen=True)
@@ -300,7 +292,8 @@ def ragged_fields(graph: Graph, nodes: np.ndarray,
     hops = [(nodes, np.arange(len(nodes) + 1))]
     for _ in range(depth):
         entries, starts = hops[-1]
-        reached = np.diff(np.append(0, np.cumsum(table.counts[entries]))[starts])  # repeats too
+        # entries reached per row, repeats too
+        reached = np.diff(np.append(0, np.cumsum(np.diff(table.starts)[entries]))[starts])
         # the leading 0 count makes the running sum of counts the rows' starts
         keys, counts = [np.zeros(0, dtype=np.int64)], [np.zeros(1, dtype=np.int64)]
         for rows in row_blocks(reached, 1, _HOP_ELEMENTS):
@@ -331,6 +324,16 @@ def _padded(starts: np.ndarray, rows: np.ndarray | slice, *entries: np.ndarray) 
     for front, array in zip(fronts, entries):
         front[live] = array[at]
     return (*fronts, live)
+
+
+def field_slots(nodes: np.ndarray, live: np.ndarray, rows: np.ndarray, query: np.ndarray,
+                n: int) -> np.ndarray:
+    """Slots of nodes ``query`` in rows ``rows`` of a padded hop (nodes, live), -1 if absent."""
+    # each row lists its live nodes ascending, so keys row * (n + 1) + node ascend, padding as n
+    keys = (np.arange(len(nodes))[:, None] * (n + 1) + np.where(live, nodes, n)).ravel()
+    key = rows * (n + 1) + query
+    place = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+    return np.where(keys[place] == key, place % nodes.shape[1], -1)
 
 
 def padded_fields(hops: list[tuple[np.ndarray, np.ndarray]],
@@ -369,11 +372,9 @@ def field_labels(model: GcnModel, graph: Graph, hops: list[tuple[np.ndarray, np.
     h = np.repeat(graph.features[field][:, None].astype(np.float64), sets, axis=1)
     flat = h.reshape(-1, *h.shape[2:])  # a view, set s of row t at t * sets + s
     flat[which, slots, feats] = 1.0 - flat[which, slots, feats]
-    fronts = [np.where(live, front, graph.num_nodes) for front, live in hops]  # padding as node n
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for l, layer in enumerate(model.layers):
-            block = graph.norm_adj.block(fronts[depth - 1 - l][:, :, None],
-                                         fronts[depth - l][:, None, :])
+            block = graph.norm_adj.between(hops[depth - 1 - l], hops[depth - l])
             h = np.matmul(block[:, None], h) @ layer.weight + layer.bias
             if l < depth - 1:
                 h = np.maximum(h, 0.0)

@@ -20,8 +20,8 @@ polyhedra domain.
 ``interval_layer_bounds``. It holds each bound's selected flip candidates
 fixed: ``topk``'s ranked candidates and ``max``'s single best one. It walks
 the same row blocks as the forward pass, through the shared
-``_scaled_pools``, and ranks each block with argsort rather than keeping the
-pools, so ``interval_layer_bounds`` returns only the bounds.
+``_scaled_pools``, and ranks each block with a stable argsort rather than
+keeping the pools, so ``interval_layer_bounds`` returns only the bounds.
 """
 
 from __future__ import annotations
@@ -165,12 +165,12 @@ def _flip_deviations_backward(
 ) -> np.ndarray:
     """First-layer weight gradient of sum(min_grad * dev_min + max_grad * dev_max).
 
-    Ranks each block of ``_scaled_pools`` with argsort to find the scaled
-    candidates each deviation took, and adds their gradient onto the source
-    nodes' ranked candidates; among tied values any choice gives the same
-    sum. A second walk over the source nodes ranks their flip candidates
-    again to place it. Only the candidate gradient, (n, m0, m1), spans the
-    graph, so the final contraction sums over nodes in one order.
+    Ranks each block of ``_scaled_pools`` with a stable argsort, which the
+    zeros padding a row's pool cannot reorder, to find the scaled candidates
+    each deviation took, and adds their gradient onto the source nodes'
+    ranked candidates. A second walk over the source nodes ranks their flip
+    candidates again to place it. Only the candidate gradient, (n, m0, m1),
+    spans the graph, so the final contraction sums over nodes in one order.
     """
     n, m0 = graph.features.shape
     m1 = model.layers[0].weight.shape[1]
@@ -182,7 +182,7 @@ def _flip_deviations_backward(
                                              (ranked_grads[1], pos, max_grad[rows], False)):
             if variant == "topk":
                 k_global = min(budget.total, pool.shape[1])
-                order = np.argsort(pool, axis=1)
+                order = np.argsort(pool, axis=1, kind="stable")
                 taken = order[:, :k_global] if low else order[:, -k_global:]
                 scaled_grad = np.zeros(pool.shape)
                 np.put_along_axis(scaled_grad, taken, grad[:, None, :], axis=1)

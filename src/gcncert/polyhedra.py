@@ -15,10 +15,10 @@ certificate needs only its own label's lower form and each rival's upper
 form (CROWN's back-substitution of the specification rows alone; Zhang et
 al., NeurIPS 2018). The hops come from the caller, padded as
 ``receptive_fields`` gives them, and Ã is read only between one hop and the
-next, as dense (front, next front) blocks gathered from the graph's
-neighbour table: the kernel's arithmetic is a dense Ã's, and no n×n array is
-built. The interval pre-activation bounds come from the caller, which
-computes them once per budget and shares them across all of its nodes.
+next, as the dense blocks ``NeighborTable.between`` builds from Ã's rows: the
+kernel's arithmetic is a dense Ã's, and no n×n array is built. The interval
+pre-activation bounds come from the caller, which computes them once per
+budget and shares them across all of its nodes.
 
 ``back_substitute`` is the kernel's one-target view, returning a
 ``PolyNodeElement`` from two kernel passes, all rows lower and all rows
@@ -123,9 +123,9 @@ class PolyBatch:
     true and its lower form otherwise; coefficients are shaped (targets,
     labels, field, features), constants (targets, labels). ``tape`` holds,
     per layer in the order the forward pass crossed them, what
-    ``back_substitute_backward`` reads: the front, its padding mask, the
-    coefficients entering the ReLU (None at the output layer) and the affine
-    crossing, and the graph-convolution block.
+    ``back_substitute_backward`` reads: the front, the coefficients entering
+    the ReLU (None at the output layer) and the affine crossing, and the
+    graph-convolution block, whose padded rows and columns are 0.
     """
 
     fronts: np.ndarray
@@ -166,7 +166,7 @@ def back_substitute_batch(
     const = np.zeros((targets, rows))
     tape = []
     for l in range(model.num_layers - 1, -1, -1):
-        (front, live), (new_front, new_live) = hops[-2 - l], hops[-1 - l]
+        front = hops[-2 - l][0]
         relu_in = None
         if l < model.num_layers - 1:
             # cross the ReLU that follows layer l: lower rows scale by the
@@ -191,12 +191,11 @@ def back_substitute_batch(
         np.add(neg[:, :, 0], pos[:, :, 1], out=coef[:, :, 1])
         del pos, neg  # before the graph convolution's product
         # cross graph convolution: g = Ã h, widening each front by one hop;
-        # padded columns get no weight, padded rows already carry none
-        adj_sub = graph.norm_adj.block(front[:, :, None], new_front[:, None, :])
-        adj_sub = adj_sub * new_live[:, None, :]
-        tape.append((front, live, relu_in, affine_in, adj_sub))
+        # the block's padded rows and columns are 0
+        adj_sub = graph.norm_adj.between(hops[-2 - l], hops[-1 - l])
+        tape.append((front, relu_in, affine_in, adj_sub))
         coef = adj_sub.transpose(0, 2, 1) @ coef.reshape(targets, front.shape[1], -1)
-        coef = coef.reshape((targets, new_front.shape[1], 2, rows, -1))
+        coef = coef.reshape((targets, adj_sub.shape[2], 2, rows, -1))
     # input elements are exact (lower row = upper row = the feature itself)
     return PolyBatch(fronts=hops[-1][0], coef=(coef[:, :, 0] + coef[:, :, 1]).transpose(0, 2, 1, 3),
                      const=const, tape=tuple(tape))
@@ -224,10 +223,10 @@ def back_substitute_backward(
     targets = len(const)
     # both referenced sides feed an input form, so both get its gradient
     grad = np.repeat(coef_grad.transpose(0, 2, 1, 3)[:, :, None], 2, axis=2)
-    for l, (front, live, relu_in, affine_in, adj_sub) in enumerate(reversed(batch.tape)):
+    for l, (front, relu_in, affine_in, adj_sub) in enumerate(reversed(batch.tape)):
         # graph convolution: coef = adj_sub^T coef_in, so grad_in = adj_sub grad
         grad = adj_sub @ grad.reshape(targets, adj_sub.shape[2], -1)
-        grad = grad.reshape(affine_in.shape[:-1] + (-1,)) * live[:, :, None, None, None]
+        grad = grad.reshape(affine_in.shape[:-1] + (-1,))
         # affine: positive weights keep the referenced side, negative ones swap it
         layer = model.layers[l]
         weight_grad, bias_grad = param_grads[l]

@@ -58,20 +58,19 @@ def padded_table(table) -> tuple[np.ndarray, np.ndarray]:
 class DenseNormAdj:
     """Ã as the dense matrix ``dense_norm_adj`` behind the neighbour table's interface.
 
-    Products are dense matrix products and blocks are fancy-indexed, the
-    arithmetic of a dense Ã; ``cols``, ``starts`` and ``counts`` are the
-    graph's table, for the hops, and ``padded_rows`` gives every row in one
-    block, padded to the widest. As in the table's blocks, node n reads as a
-    zero row and column.
+    Products are dense matrix products and the blocks between hops are
+    fancy-indexed, the arithmetic of a dense Ã; ``cols`` and ``starts`` are
+    the graph's table, for the hops, and ``padded_rows`` gives every row in
+    one block, padded to the widest. As in the table's blocks, padded rows
+    and columns read 0.
     """
 
     def __init__(self, graph: gc.Graph):
         self.matrix = dense_norm_adj(graph)
         self.shape = self.matrix.shape
         table = graph.norm_adj
-        self.cols, self.starts, self.counts = table.cols, table.starts, table.counts
+        self.cols, self.starts = table.cols, table.starts
         self.table = padded_table(table)
-        self.padded = np.pad(self.matrix, (0, 1))
 
     def padded_rows(self, per_entry, elements):
         yield (slice(None), *self.table)
@@ -82,8 +81,10 @@ class DenseNormAdj:
     def __matmul__(self, h):
         return self.matrix @ np.asarray(h, dtype=np.float64)
 
-    def block(self, rows, cols):
-        return self.padded[rows, cols]
+    def between(self, front, next_front):
+        (rows, live), (cols, next_live) = front, next_front
+        return np.where(live[:, :, None] & next_live[:, None, :],
+                        self.matrix[rows[:, :, None], cols[:, None, :]], 0.0)
 
 
 def dense_graph(graph: gc.Graph) -> gc.Graph:
@@ -400,8 +401,9 @@ def reference_flip_deviations_backward(model, graph, budget, variant, mode, min_
         k_local = min(budget.per_node, m0)
         k_global = min(budget.total, scaled_neg.shape[1])
         order = np.argsort(cand, axis=1)
-        taken_min = np.argsort(scaled_neg, axis=1)[:, :k_global]
-        taken_max = np.argsort(scaled_pos, axis=1)[:, -k_global:]
+        # stable, as the blocked pass ranks: tied candidates keep their order
+        taken_min = np.argsort(scaled_neg, axis=1, kind="stable")[:, :k_global]
+        taken_max = np.argsort(scaled_pos, axis=1, kind="stable")[:, -k_global:]
         sides = ((order[:, :k_local], taken_min, min_grad, np.less),
                  (order[:, -k_local:], taken_max, max_grad, np.greater))
     else:

@@ -340,10 +340,12 @@ def _ring_and_hub_instance():
     return graph, model, gc.PerturbationBudget(1, 2), None, 32
 
 
-def _ring_and_wide_hub_instance():
+def _ring_and_wide_hub_instance(hub=False):
     # a 20,000-node ring and one hub joined to every 20th ring node, a 4-8-2 model,
     # budget 1/2, and 10 of the hub's neighbours certified: their fields reach the
-    # hub's 1,000 neighbours. Rows padded to the hub's 1,001 entries peaked at 460 MB
+    # hub's 1,000 neighbours. Rows padded to the hub's 1,001 entries peaked at 460 MB.
+    # With ``hub`` the hub is certified too, its hop 1 x hop 2 block 1,001 x 3,001:
+    # searching Ã's entries for each of its cells peaked at 99.8 MB
     rng = np.random.default_rng(2)
     ring, degree, m0 = 20_000, 1_000, 4
     edges = np.concatenate([
@@ -353,12 +355,14 @@ def _ring_and_wide_hub_instance():
     model = gc.GcnModel(tuple(
         gc.GcnLayer(rng.uniform(-1, 1, (a, b)), rng.uniform(-0.5, 0.5, b))
         for a, b in ((m0, 8), (8, 2))))
-    return graph, model, gc.PerturbationBudget(1, 2), np.arange(0, ring, ring // 10), 48
+    nodes = np.arange(0, ring, ring // 10)
+    return graph, model, gc.PerturbationBudget(1, 2), np.append(nodes, ring) if hub else nodes, 48
 
 
 def test_certify_sound_peak_memory_stays_small():
     for graph, model, budget, nodes, bound_mb in (
-            _sparse_instance(), _ring_and_hub_instance(), _ring_and_wide_hub_instance()):
+            _sparse_instance(), _ring_and_hub_instance(), _ring_and_wide_hub_instance(),
+            _ring_and_wide_hub_instance(hub=True)):
         graph.norm_adj  # cached input, not working memory
         was_tracing = tracemalloc.is_tracing()
         tracemalloc.start()

@@ -3,7 +3,7 @@ import pytest
 
 import gcncert as gc
 import helpers
-from gcncert.graph import receptive_fields
+from gcncert.graph import field_slots, receptive_fields
 
 
 def test_normalize_two_node_loop(two_node):
@@ -64,9 +64,14 @@ def test_neighbor_table_lists_each_rows_nonzero_entries(rng):
             assert (np.diff(row_cols) > 0).all() and row in row_cols
         # the same floats as the dense D^{-1/2} (A + I) D^{-1/2}, bit for bit
         assert np.array_equal(helpers.densify(table), helpers.dense_norm_adj(graph))
-        every = np.arange(graph.num_nodes + 1)  # blocks read node n as a zero row and column
-        assert np.array_equal(table.block(every[:, None], every),
-                              np.pad(helpers.dense_norm_adj(graph), (0, 1)))
+        # the block between consecutive padded hops is the dense one, padding reading 0
+        dense = helpers.dense_norm_adj(graph)
+        hops = receptive_fields(graph, rng.integers(0, graph.num_nodes, 4), 3)
+        for (front, live), (next_front, next_live) in zip(hops, hops[1:]):
+            expected = np.where(live[:, :, None] & next_live[:, None, :],
+                                dense[front[:, :, None], next_front[:, None, :]], 0.0)
+            assert np.array_equal(table.between((front, live), (next_front, next_live)),
+                                  expected)
 
 
 def _random_graph(rng):
@@ -98,11 +103,17 @@ def test_receptive_fields_match_dense_reachability(rng):
             assert live.shape[1] == reach.sum(axis=1).max()  # cut at the widest live row
             assert (live[:, :-1] >= live[:, 1:]).all()  # padding only at the end
             assert (front[~live] == 0).all()
+            # every node's slot in every row, -1 where the row lacks the node
+            rows, query = np.repeat(np.arange(len(nodes)), n), np.tile(np.arange(n), len(nodes))
+            slots = field_slots(front, live, rows, query, n).reshape(len(nodes), n)
             for t, node in enumerate(nodes):
                 row = front[t, live[t]]
                 assert row.tolist() == np.flatnonzero(reach[t]).tolist()  # ascending
                 alone, alone_live = receptive_fields(graph, [node], depth)[d]
                 assert np.array_equal(alone[0, alone_live[0]], row)  # the row of the node alone
+                expected = np.full(n, -1)
+                expected[row] = np.arange(len(row))
+                assert slots[t].tolist() == expected.tolist()
 
 
 def test_receptive_fields_of_no_nodes_are_empty(two_node):

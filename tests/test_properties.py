@@ -2,9 +2,9 @@
 certifiers' ordering invariants over small random graphs and models, the
 neighbour table of Ã against the dense matrix, the field-local evaluator
 against the whole-graph forward pass, the row-blocked flip-candidate pools
-and hop routine against their whole-graph references, each row's bounds and
-margins against a disjoint star joining its graph, and the minimizer's
-selection against two full stable sorts.
+and hop routine against their whole-graph references, each row's bounds,
+margins and flip-candidate gradient against a disjoint star joining its
+graph, and the minimizer's selection against two full stable sorts.
 
 Every test runs derandomized, so a tier-1 run is reproducible.
 """
@@ -420,6 +420,42 @@ def test_rows_keep_their_bits_when_a_disjoint_star_joins(instance, variant, mode
     alone, with_star = (gc.certify_sound(model, g, budget, variant, nodes=np.arange(n), mode=mode)
                         for g in (graph, joined))
     _assert_same(with_star.rival_margins, alone.rival_margins)
+
+
+@st.composite
+def tied_instances(draw):
+    """A small graph, a model whose first-layer weights take 4 values, and a budget.
+
+    Flip candidates of different features then often tie, within one node's
+    pool and across neighbours of one degree.
+    """
+    n, m0, m1 = draw(st.integers(3, 10)), draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.lists(node, min_size=2, max_size=2), max_size=2 * n))
+    features = draw(st.lists(st.lists(st.integers(0, 1), min_size=m0, max_size=m0),
+                             min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    first = gc.GcnLayer(rng.choice([-1.0, -0.5, 0.5, 1.0], (m0, m1)), rng.uniform(-0.5, 0.5, m1))
+    model = gc.GcnModel((first, gc.GcnLayer(rng.uniform(-1, 1, (m1, 2)), rng.uniform(-0.5, 0.5, 2))))
+    budget = gc.PerturbationBudget(draw(st.integers(1, m0)), draw(st.integers(1, 3 * m0)))
+    return gc.Graph(np.array(edges).reshape(-1, 2), np.array(features)), model, budget, rng
+
+
+@given(tied_instances(), _VARIANTS, st.sampled_from(MODES))
+@PROPERTY
+def test_first_layer_gradient_keeps_its_bits_when_a_disjoint_star_joins(instance, variant, mode):
+    # the star's centre pads the pools of the graph's rows to its 41 entries, and
+    # its rows' slopes are 0, so the tied candidates each bound takes must not move
+    graph, model, budget, rng = instance
+    (n, m0), leaves = graph.features.shape, 40
+    spokes = np.stack([np.full(leaves, n), n + 1 + np.arange(leaves)], axis=1)
+    joined = gc.Graph(np.concatenate([graph.edges, spokes]),
+                      np.vstack([graph.features, rng.integers(0, 2, (leaves + 1, m0))]))
+    slopes = rng.standard_normal((2, n, model.layers[0].bias.size))
+    alone = gc.intervals._flip_deviations_backward(model, graph, budget, variant, mode, *slopes)
+    with_star = gc.intervals._flip_deviations_backward(
+        model, joined, budget, variant, mode, *np.pad(slopes, ((0, 0), (0, leaves + 1), (0, 0))))
+    _assert_same(with_star, alone)
 
 
 # few coefficient values, both zeros among them: most rows hold ties, and
