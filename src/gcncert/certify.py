@@ -25,11 +25,10 @@ budget, then the rows go back to the requested order. The hops of all
 targets are held ragged, and only a chunk's own rows are padded, so the
 kernel's memory is bounded by the chunk, not by the widest field in the
 graph; ``certify_sound`` joins the chunks' certificate columns one column at
-a time. Per chunk it makes one
-``back_substitute_batch`` call, which carries each target's own label's
-lower form and every rival's upper form, one form per label; the lower form
-of score[label] - score[rival] for every (target, rival) pair is lower[label]
-- upper[rival]. One batched greedy minimization of all those rows follows:
+a time. Per chunk it makes one ``back_substitute_batch`` call with one
+specification row per (target, rival), +1 on the label's lower row and -1 on
+the rival's upper row, and gets the lower form of score[label] - score[rival]
+of every pair. One batched greedy minimization of all those rows follows:
 it keeps each field node's ``per_node`` most negative flip changes, then the
 ``total`` most negative of those, each step in k ``argmin`` passes that send
 ties to the lower (node, feature) as a stable sort would, and it returns its
@@ -60,7 +59,7 @@ from .polyhedra import PolyBatch, PolyNodeElement, back_substitute_backward, bac
 # coefficient entries per chunk of kernel targets, counted at the chunk's
 # widest receptive field and widest layer: keeps a chunk's tensors near half a
 # MB; 1 << 18 raised the peak RSS of a whole `collective` run on a 120-node
-# graph from 33.1 to 36.9 MB, for no speed
+# graph from 32.7 to 36.3 MB, for no speed
 _CHUNK_ELEMENTS = 1 << 16
 
 
@@ -132,21 +131,23 @@ def label_difference_transform(
     )
 
 
-def _smallest(values: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the k smallest entries along the last axis, smallest first.
+def _smallest(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and values of the k smallest entries along the last axis, smallest first.
 
     Ties go to the lower position, so for values below +inf these are the
     first k positions of a stable ``argsort``. They are taken in k ``argmin``
-    passes over a copy, each pick masked with +inf through its flat index.
+    passes, each pick read and then masked with +inf through its flat index,
+    in ``values`` itself where it is C-contiguous.
     """
-    rows = values.reshape(-1, values.shape[-1]).copy()
+    rows = values.reshape(-1, values.shape[-1])
     k = min(k, rows.shape[1])
-    picks = np.empty((len(rows), k), dtype=np.intp)
+    picks, least = np.empty((len(rows), k), dtype=np.intp), np.empty((len(rows), k))
     flat, start = rows.reshape(-1), np.arange(len(rows)) * rows.shape[1]
     for i in range(k):
         picks[:, i] = rows.argmin(axis=1)
+        least[:, i] = flat[start + picks[:, i]]
         flat[start + picks[:, i]] = np.inf
-    return picks.reshape(values.shape[:-1] + (k,))
+    return picks.reshape(values.shape[:-1] + (k,)), least.reshape(values.shape[:-1] + (k,))
 
 
 def _minimize_forms(
@@ -170,18 +171,18 @@ def _minimize_forms(
     theta = restrict_to_mode(coef * sign_matrix(features)[:, None], features[:, None], mode)
     if budget.per_node == 0 or budget.total == 0:
         return base, tuple(np.zeros((4, 0), dtype=np.int64))
-    flat = theta.reshape(t * v, f * m0)
     # each field node's per_node most negative changes, ties toward the lower
     # feature, listed node by node; ranking that list by value, ties toward the
     # earlier entry, orders it by (theta, node, feature), so its total smallest
     # are the total most negative changes. A theta of +inf or nan can pick
     # otherwise than a stable sort would, but only where the coefficient is not
     # finite, which already makes ``base``, and so the minimum, not finite
-    local = _smallest(theta, budget.per_node) + m0 * np.arange(f)[:, None]
-    cells = local.reshape(t * v, f * local.shape[3])
-    ranked = _smallest(np.take_along_axis(flat, cells, axis=1), budget.total)
-    top = np.sort(np.take_along_axis(cells, ranked, axis=1), axis=1)
-    change = np.take_along_axis(flat, top, axis=1)
+    local, least = _smallest(theta, budget.per_node)
+    cells = (local + m0 * np.arange(f)[:, None]).reshape(t * v, f * local.shape[3])
+    ranked, change = _smallest(least.reshape(cells.shape), budget.total)
+    top = np.take_along_axis(cells, ranked, axis=1)
+    order = np.argsort(top, axis=1)
+    top, change = np.take_along_axis(top, order, axis=1), np.take_along_axis(change, order, axis=1)
     # a running sum adds the chosen changes one by one in (node, feature) order
     gain = np.cumsum(np.where(change < 0, change, 0.0), axis=1)[:, -1]
     form, at = np.nonzero(change < 0)
@@ -242,19 +243,17 @@ def _chunk_margins(
     """
     chunk = hops[0][0][:, 0]
     own = labels[chunk]
-    rivals = np.arange(model.num_labels - 1) + (np.arange(model.num_labels - 1) >= own[:, None])
-    # the lower form of score[label] - score[rival] is lower[label] - upper[rival],
-    # so each target needs its own label's lower form and every other upper form
-    batch = back_substitute_batch(model, graph, hops, layer_bounds,
-                                  np.arange(model.num_labels) != own[:, None])
+    v = model.num_labels - 1
+    rivals = np.arange(v) + (np.arange(v) >= own[:, None])
+    # the lower form of score[label] - score[rival] weighs the label's lower
+    # row by +1 and the rival's upper row by -1
+    spec = np.zeros((len(chunk), 2, v, model.num_labels))
     at = np.arange(len(chunk))[:, None]
-    poly_min, picks = _minimize_forms(
-        batch.coef[at, own[:, None]] - batch.coef[at, rivals],
-        batch.const[at, own[:, None]] - batch.const[at, rivals],
-        graph.features[batch.fronts],
-        budget,
-        mode,
-    )
+    spec[at, 0, np.arange(v), own[:, None]] = 1.0
+    spec[at, 1, np.arange(v), rivals] = -1.0
+    batch = back_substitute_batch(model, graph, hops, layer_bounds, spec)
+    poly_min, picks = _minimize_forms(batch.coef, batch.const, graph.features[batch.fronts],
+                                      budget, mode)
     out_box = layer_bounds[-1]
     box_gap = out_box.lower[chunk, own][:, None] - out_box.upper[chunk[:, None], rivals]
     if not (np.isfinite(poly_min).all() and np.isfinite(box_gap).all()):
@@ -291,13 +290,7 @@ def _chunk_margins_backward(
     pick = np.zeros(part.rivals.shape + x.shape[2:], dtype=bool)
     pick[part.picks] = True
     point_grad = poly_grad[:, :, None, None] * (x + sign_matrix(x) * pick)
-    at = np.arange(len(part.nodes))
-    coef_grad, const_grad = np.zeros_like(batch.coef), np.zeros_like(batch.const)
-    coef_grad[at, part.labels] = point_grad.sum(axis=1)
-    const_grad[at, part.labels] = poly_grad.sum(axis=1)
-    coef_grad[at[:, None], part.rivals] = -point_grad
-    const_grad[at[:, None], part.rivals] = -poly_grad
-    back_substitute_backward(model, batch, layer_bounds, (coef_grad, const_grad),
+    back_substitute_backward(model, batch, layer_bounds, (point_grad, poly_grad),
                              param_grads, bound_grads)
 
 
@@ -307,14 +300,15 @@ def _chunks(
     """The rows of ``nodes`` in chunks, widest receptive field first, each with its hops.
 
     Chunks are ``row_blocks`` of the sorted widths, about ``_CHUNK_ELEMENTS``
-    coefficient entries each: 2 sides per label, widest layer and field node.
-    The hops come from one ``ragged_fields`` pass and stay ragged; only a
-    chunk's rows are padded, to its first and widest row.
+    coefficient entries each: 2 sides per rival (the kernel's rows, at least
+    one), widest layer and field node. The hops come from one
+    ``ragged_fields`` pass and stay ragged; only a chunk's rows are padded,
+    to its first and widest row.
     """
     hops = ragged_fields(graph, nodes, model.num_layers)
     width = np.diff(hops[-1][1])
     order = np.argsort(-width, kind="stable")
-    per_field_node = 2 * model.num_labels * max(
+    per_field_node = 2 * max(1, model.num_labels - 1) * max(
         [model.input_width] + [layer.weight.shape[1] for layer in model.layers])
     for chunk in row_blocks(width[order], per_field_node, _CHUNK_ELEMENTS):
         yield order[chunk], padded_fields(hops, order[chunk])

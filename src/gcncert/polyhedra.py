@@ -6,26 +6,30 @@ Graph convolution and affine layers transform these forms exactly; ReLU is
 relaxed to one linear bound per side, choosing the slope that minimizes the
 bounding area given numeric pre-activation intervals.
 
-The forms are derived backwards: ``back_substitute_batch`` starts from the
-output scores of a chunk of target nodes and rewrites them layer by layer,
-each target over its own receptive field, so a target's variables widen by
-one hop per layer and never cover nodes it cannot see. It carries one form
-per (target, label), the lower or the upper one as the caller asks: a
-certificate needs only its own label's lower form and each rival's upper
-form (CROWN's back-substitution of the specification rows alone; Zhang et
-al., NeurIPS 2018). The hops come from the caller, padded as
-``receptive_fields`` gives them, and Ã is read only between one hop and the
-next, as the dense blocks ``NeighborTable.between`` builds from Ã's rows: the
-kernel's arithmetic is a dense Ã's, and no n×n array is built. The interval
-pre-activation bounds come from the caller, which computes them once per
-budget and shares them across all of its nodes.
+The forms are derived backwards: ``back_substitute_batch`` starts from
+specification rows over the output scores of a chunk of target nodes and
+rewrites them layer by layer, each target over its own receptive field, so a
+target's variables widen by one hop per layer and never cover nodes it cannot
+see. Each row weighs the output layer's lower and upper rows, and the kernel
+is linear in those weights: a certificate passes score[label] - score[rival]
+as one row per rival, +1 on the label's lower row and -1 on the rival's upper
+row, and gets each row's lower form (CROWN's back-substitution of the
+specification rows alone; Zhang et al., NeurIPS 2018). Coefficients come back
+as (targets, rows, field, features). Layer 0's output is exact in the input
+features, so there the two referenced sides merge into one form. The hops
+come from the caller, padded as ``receptive_fields`` gives them, and Ã is
+read only between one hop and the next, as the dense blocks
+``NeighborTable.between`` builds from Ã's rows: the kernel's arithmetic is a
+dense Ã's, and no n×n array is built. The interval pre-activation bounds come
+from the caller, which computes them once per budget and shares them across
+all of its nodes.
 
 ``back_substitute`` is the kernel's one-target view, returning a
-``PolyNodeElement`` from two kernel passes, all rows lower and all rows
-upper; no production path calls it. The forward propagation the
-kernel is tested against (input abstraction, graph convolution, affine and
-ReLU steps on ``PolyNodeElement``s, and their evaluation at a feature matrix)
-lives with the tests, in ``tests/poly_oracle.py``.
+``PolyNodeElement`` from two kernel passes, the identity on the lower rows
+and on the upper rows; no production path calls it. The forward propagation
+the kernel is tested against (input abstraction, graph convolution, affine
+and ReLU steps on ``PolyNodeElement``s, and their evaluation at a feature
+matrix) lives with the tests, in ``tests/poly_oracle.py``.
 
 ``back_substitute_backward`` is the reverse-mode pass of the batch kernel: it
 carries gradients with respect to the output forms back through the same
@@ -94,37 +98,27 @@ def _relu_cases(
     """
     lower = np.asarray(lower, dtype=np.float64)
     upper = np.asarray(upper, dtype=np.float64)
-    mixed = (lower < 0) & (upper > 0)
-    denom = np.where(mixed, upper - lower, 1.0)
-    chord_slope = np.where(mixed, upper / denom, 0.0)
-    chord_shift = np.where(mixed, -upper * lower / denom, 0.0)
-    lower_slope = np.where(
-        lower >= 0,
-        1.0,
-        np.where(
-            upper <= 0,
-            0.0,
-            np.where(np.abs(upper) >= np.abs(lower), 1.0, 0.0),
-        ),
-    )
-    upper_slope = np.where(lower >= 0, 1.0, chord_slope)
-    upper_shift = np.where(lower >= 0, 0.0, chord_shift)
+    active, mixed = lower >= 0, (lower < 0) & (upper > 0)
+    width = np.where(mixed, upper - lower, 1.0)
+    lower_slope = np.where(active | mixed & (upper >= -lower), 1.0, 0.0)
+    upper_slope = np.where(mixed, upper / width, np.where(active, 1.0, 0.0))
+    upper_shift = np.where(mixed, -upper * lower / width, 0.0)
     return lower_slope, upper_slope, upper_shift
 
 
 @dataclass(frozen=True)
 class PolyBatch:
-    """Output-layer symbolic bounds of a chunk of target nodes, one form per label.
+    """Output-layer symbolic bounds of a chunk of target nodes, one form per spec row.
 
     Target t's variables are the input features of ``fronts[t]``, its
     receptive field in ascending node order. Fields are padded at the end to
     the chunk's widest with node 0 under all-zero coefficients. Row q of
-    target t is label q's upper form where the kernel's ``upper[t, q]`` is
-    true and its lower form otherwise; coefficients are shaped (targets,
-    labels, field, features), constants (targets, labels). ``tape`` holds,
-    per layer in the order the forward pass crossed them, what
+    target t is the form of the kernel's ``spec[t, :, q]``; coefficients are
+    shaped (targets, rows, field, features), constants (targets, rows).
+    ``tape`` holds, per layer in the order the forward pass crossed them, what
     ``back_substitute_backward`` reads: the front, the coefficients entering
-    the ReLU (None at the output layer) and the affine crossing, and the
+    the ReLU (None at the output layer) and the affine crossing (at layer 0
+    with both sides merged, as (targets, rows, front, width)), and the
     graph-convolution block, whose padded rows and columns are 0.
     """
 
@@ -139,30 +133,29 @@ def back_substitute_batch(
     graph: Graph,
     hops: Sequence[tuple[np.ndarray, np.ndarray]],
     layer_bounds: Sequence[IntervalElement],
-    upper: np.ndarray,
+    spec: np.ndarray,
 ) -> PolyBatch:
-    """One output form per (target, label), derived backwards in one pass.
+    """One output form per (target, spec row), derived backwards in one pass.
 
-    ``hops`` are the targets' ``receptive_fields`` and ``upper`` (targets,
-    labels) picks each row's side: label q's upper form where ``upper[t, q]``
-    is true, its lower form otherwise. Rewrites each row layer by layer as a
-    combination of the current layer's element rows, keeping separate weights
-    on the referenced lower rows and upper rows (the affine and ReLU crossings
-    below mirror the forward operations' sign splits term for term). The
-    result therefore equals forward propagation coefficient for coefficient,
-    but never materializes elements outside a target's receptive field: each
-    target's front only widens by one hop per layer, to the next hop.
+    ``hops`` are the targets' ``receptive_fields``, and ``spec`` (targets, 2,
+    rows, labels) weighs each row on the output layer's lower (0) and upper
+    (1) rows. Rewrites each row layer by layer as a combination of the current
+    layer's element rows, keeping separate weights on the referenced lower
+    rows and upper rows (the affine and ReLU crossings below mirror the
+    forward operations' sign splits term for term). The result therefore
+    equals ``spec``'s combination of the forward propagation's forms up to
+    rounding, but never materializes elements outside a target's receptive
+    field: each target's front only widens by one hop per layer, to the next
+    hop. Layer 0's output is exact in x, so there the two sides merge.
 
     ``layer_bounds`` holds the interval pre-activation bounds of every layer
     (``interval_layer_bounds``) under the budget.
     """
-    targets, rows = upper.shape
+    targets, _, rows, _ = spec.shape
     # coef[t, k, ref, q, j]: weight that row q of target t puts on the
     # referenced (0 lower, 1 upper) row of feature j of front node k in the
-    # current layer's element; each output row references its own side
-    coef = np.zeros((targets, 1, 2, rows, rows))
-    label = np.arange(rows)
-    coef[np.arange(targets)[:, None], 0, upper.astype(np.intp), label, label] = 1.0
+    # current layer's element
+    coef = spec[:, None]
     const = np.zeros((targets, rows))
     tape = []
     for l in range(model.num_layers - 1, -1, -1):
@@ -177,28 +170,30 @@ def back_substitute_batch(
             const = const + (coef[:, :, 1] * up_shift[:, :, None]).sum(axis=(1, 3))
             coef = coef * np.stack([lo_slope, up_slope], axis=2)[:, :, :, None]
         layer = model.layers[l]
-        affine_in = coef
-        # cross the affine map: positive weights keep the referenced side,
-        # negative weights swap it
-        const = const + (coef[:, :, 0] + coef[:, :, 1]).sum(axis=1) @ layer.bias
-        flat = coef.reshape(-1, coef.shape[-1])
-        pos, neg = (
-            (flat @ w.T).reshape(coef.shape[:-1] + (w.shape[0],))
-            for w in (np.maximum(layer.weight, 0.0), np.minimum(layer.weight, 0.0))
-        )
-        coef = np.empty(pos.shape)  # both referenced sides, written in place
-        np.add(pos[:, :, 0], neg[:, :, 1], out=coef[:, :, 0])
-        np.add(neg[:, :, 0], pos[:, :, 1], out=coef[:, :, 1])
-        del pos, neg  # before the graph convolution's product
-        # cross graph convolution: g = Ã h, widening each front by one hop;
-        # the block's padded rows and columns are 0
+        both = coef[:, :, 0] + coef[:, :, 1]  # the bias enters both referenced sides
+        const = const + both.sum(axis=1) @ layer.bias
+        # the graph convolution g = Ã h widens each front by one hop; the
+        # block's padded rows and columns are 0
         adj_sub = graph.norm_adj.between(hops[-2 - l], hops[-1 - l])
+        if l == 0:  # one product with W0, one with Ã: (targets, rows, field, features)
+            affine_in = both.transpose(0, 2, 1, 3)
+            coef = adj_sub.transpose(0, 2, 1)[:, None] @ (affine_in @ layer.weight.T)
+        else:
+            # positive weights keep the referenced side, negative weights swap it
+            affine_in, both = coef, None
+            flat = coef.reshape(-1, coef.shape[-1])
+            pos, neg = (
+                (flat @ w.T).reshape(coef.shape[:-1] + (w.shape[0],))
+                for w in (np.maximum(layer.weight, 0.0), np.minimum(layer.weight, 0.0))
+            )
+            coef = np.empty(pos.shape)  # both referenced sides, written in place
+            np.add(pos[:, :, 0], neg[:, :, 1], out=coef[:, :, 0])
+            np.add(neg[:, :, 0], pos[:, :, 1], out=coef[:, :, 1])
+            del pos, neg  # before the graph convolution's product
+            coef = adj_sub.transpose(0, 2, 1) @ coef.reshape(targets, front.shape[1], -1)
+            coef = coef.reshape((targets, adj_sub.shape[2], 2, rows, layer.weight.shape[0]))
         tape.append((front, relu_in, affine_in, adj_sub))
-        coef = adj_sub.transpose(0, 2, 1) @ coef.reshape(targets, front.shape[1], -1)
-        coef = coef.reshape((targets, adj_sub.shape[2], 2, rows, -1))
-    # input elements are exact (lower row = upper row = the feature itself)
-    return PolyBatch(fronts=hops[-1][0], coef=(coef[:, :, 0] + coef[:, :, 1]).transpose(0, 2, 1, 3),
-                     const=const, tape=tuple(tape))
+    return PolyBatch(fronts=hops[-1][0], coef=coef, const=const, tape=tuple(tape))
 
 
 def back_substitute_backward(
@@ -219,26 +214,34 @@ def back_substitute_backward(
     area-rule lower slope is piecewise constant and passes no gradient to the
     bounds.
     """
-    coef_grad, const = form_grads  # every crossing adds into const
+    grad, const = form_grads  # every crossing adds into const
     targets = len(const)
-    # both referenced sides feed an input form, so both get its gradient
-    grad = np.repeat(coef_grad.transpose(0, 2, 1, 3)[:, :, None], 2, axis=2)
     for l, (front, relu_in, affine_in, adj_sub) in enumerate(reversed(batch.tape)):
-        # graph convolution: coef = adj_sub^T coef_in, so grad_in = adj_sub grad
-        grad = adj_sub @ grad.reshape(targets, adj_sub.shape[2], -1)
-        grad = grad.reshape(affine_in.shape[:-1] + (-1,))
-        # affine: positive weights keep the referenced side, negative ones swap it
         layer = model.layers[l]
         weight_grad, bias_grad = param_grads[l]
-        flat_in = affine_in.reshape(-1, layer.weight.shape[1])
-        same = grad.reshape(-1, layer.weight.shape[0])
-        swapped = grad[:, :, ::-1].reshape(same.shape)
-        weight_grad += np.where(layer.weight >= 0, same.T @ flat_in, swapped.T @ flat_in)
+        if l == 0:
+            # coef = adj_sub^T (affine_in W0^T) per (target, row), both sides merged in affine_in
+            grad = adj_sub[:, None] @ grad
+            weight_grad += (grad.reshape(-1, layer.weight.shape[0]).T
+                            @ affine_in.reshape(-1, layer.weight.shape[1]))
+            grad = grad @ layer.weight + const[:, :, None, None] * layer.bias
+            referenced = affine_in.sum(axis=2)
+            # both referenced sides fed the merged form, so both get its gradient
+            grad = np.repeat(grad.transpose(0, 2, 1, 3)[:, :, None], 2, axis=2)
+        else:
+            # graph convolution: coef = adj_sub^T coef_in, so grad_in = adj_sub grad
+            grad = adj_sub @ grad.reshape(targets, adj_sub.shape[2], -1)
+            grad = grad.reshape(affine_in.shape[:-1] + (layer.weight.shape[0],))
+            # affine: positive weights keep the referenced side, negative ones swap it
+            flat_in = affine_in.reshape(-1, layer.weight.shape[1])
+            same = grad.reshape(-1, layer.weight.shape[0])
+            swapped = grad[:, :, ::-1].reshape(same.shape)
+            weight_grad += np.where(layer.weight >= 0, same.T @ flat_in, swapped.T @ flat_in)
+            grad = same @ np.maximum(layer.weight, 0.0) + swapped @ np.minimum(layer.weight, 0.0)
+            grad = grad.reshape(affine_in.shape) + const[:, None, None, :, None] * layer.bias
+            referenced = (affine_in[:, :, 0] + affine_in[:, :, 1]).sum(axis=1)
         # the bias entered as (sum over front and referenced side) @ bias
-        referenced = (affine_in[:, :, 0] + affine_in[:, :, 1]).sum(axis=1)
         bias_grad += const.reshape(-1) @ referenced.reshape(-1, layer.bias.size)
-        grad = same @ np.maximum(layer.weight, 0.0) + swapped @ np.minimum(layer.weight, 0.0)
-        grad = grad.reshape(affine_in.shape) + const[:, None, None, :, None] * layer.bias
         if relu_in is None:
             continue
         # ReLU: coef = relu_in * slope and const += upper rows * intercept
@@ -264,12 +267,12 @@ def back_substitute(
     node: int,
     layer_bounds: Sequence[IntervalElement],
 ) -> PolyNodeElement:
-    """Output-layer element of one node: its all-lower and all-upper ``back_substitute_batch``."""
+    """Output-layer element of one node: ``back_substitute_batch`` with the identity on one side."""
     hops = receptive_fields(graph, [node], model.num_layers)
     rows = model.num_labels
-    lower, upper = (
-        back_substitute_batch(model, graph, hops, layer_bounds, np.full((1, rows), side))
-        for side in (False, True)
+    lower, upper = (  # spec[side][0, ref, q, j] = 1 where ref = side and q = j
+        back_substitute_batch(model, graph, hops, layer_bounds, spec)
+        for spec in np.eye(2)[:, None, :, None, None] * np.eye(rows)
     )
     return PolyNodeElement(
         var_nodes=lower.fronts[0],

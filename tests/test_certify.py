@@ -183,6 +183,49 @@ def test_certify_sound_subset_of_oracle(rng):
         assert robust[certificate.nodes[certificate.certified]].all()
 
 
+def _greedy_attack(model, graph, node, label, budget):
+    """Whether up to ``total`` greedy flips move ``node`` off ``label``.
+
+    Each step takes the admissible flip that lowers the node's score margin
+    most, as ``perfbench/checks.py``'s ``greedy_attack`` does.
+    """
+    x, used = graph.features.copy(), np.zeros(graph.num_nodes, dtype=int)
+    for _ in range(budget.total):
+        cells = np.argwhere((x == graph.features) & (used[:, None] < budget.per_node))
+        if not len(cells):
+            return False
+        batch = np.repeat(x[None], len(cells), axis=0)
+        batch[np.arange(len(cells)), cells[:, 0], cells[:, 1]] ^= 1
+        scores = gc.graph.forward(model, graph.norm_adj, batch)[:, node]
+        best = (scores[:, label] - np.delete(scores, label, axis=1).max(axis=1)).argmin()
+        if scores[best].argmax() != label:
+            return True
+        x[tuple(cells[best])] ^= 1
+        used[cells[best, 0]] += 1
+    return False
+
+
+def test_no_attack_breaks_a_certified_row(rng):
+    # the falsification audit: for every certified row, the flips that minimize each
+    # rival's certified bound, the strongest attack the program has, and a greedy
+    # attack that uses the whole budget must both leave the label as it is
+    audited = 0
+    for _ in range(40):
+        graph, model, _ = helpers.trained_instance(rng)
+        for budget in (gc.PerturbationBudget(2, 2), gc.PerturbationBudget(2, 4),
+                       gc.PerturbationBudget(3, 6)):
+            certificate = gc.certify_sound(model, graph, budget)
+            for row in np.flatnonzero(certificate.certified):
+                node, label = certificate.nodes[row], certificate.labels[row]
+                for rival in range(certificate.rivals.shape[1]):
+                    flips = certificate.flip_set(row, rival)
+                    attacked = gc.Graph(graph.edges, gc.apply_flips(graph.features, flips))
+                    assert gc.predict(model, attacked).labels[node] == label
+                    audited += len(flips.flips) > 0
+                assert not _greedy_attack(model, graph, node, label, budget)
+    assert audited > 100
+
+
 def test_certify_sound_margin_monotone_in_total(rng):
     for _ in range(5):
         graph, model, _ = helpers.trained_instance(rng)
@@ -306,7 +349,7 @@ def test_chunk_boundary_does_not_change_judgments(rng, monkeypatch):
 
 def _sparse_instance():
     # a 300-node graph of mean degree 5 and 32 features, a 32-16-4 model, budget 2/4;
-    # the peak beyond the inputs is 2.0 MB, and 18.0 MB if a kernel chunk may hold
+    # the peak beyond the inputs is 2.0 MB, and 14.1 MB if a kernel chunk may hold
     # 1 << 20 coefficient entries
     rng = np.random.default_rng(0)
     n, m0, hidden, labels = 300, 32, 16, 4

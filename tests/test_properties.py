@@ -4,7 +4,8 @@ neighbour table of Ã against the dense matrix, the field-local evaluator
 against the whole-graph forward pass, the row-blocked flip-candidate pools
 and hop routine against their whole-graph references, each row's bounds,
 margins and flip-candidate gradient against a disjoint star joining its
-graph, and the minimizer's selection against two full stable sorts.
+graph, the minimizer's selection against two full stable sorts, and the
+kernel's specification rows against its one-sided batches.
 
 Every test runs derandomized, so a tier-1 run is reproducible.
 """
@@ -176,25 +177,58 @@ def test_rival_margins_equal_certificate_bit_for_bit(seed, variant, mode):
     _assert_same(margins, certificate.rival_margins)
 
 
+def _relabeled(rng, model, num_labels):
+    """``model`` with a fresh output layer of ``num_labels`` labels."""
+    last = model.layers[-1].weight.shape[0]
+    return gc.GcnModel(model.layers[:-1] + (gc.GcnLayer(
+        rng.uniform(-1, 1, (last, num_labels)), rng.uniform(-0.5, 0.5, num_labels)),))
+
+
+def _one_sided(model, graph, hops, bounds, side):
+    """The kernel's batch with the identity on ``side`` (0 lower, 1 upper): every label's form."""
+    spec = np.zeros((len(hops[0][0]), 2, model.num_labels, model.num_labels))
+    spec[:, side] = np.eye(model.num_labels)
+    return gc.polyhedra.back_substitute_batch(model, graph, hops, bounds, spec)
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.sampled_from([2, 3, 4, 5]), _VARIANTS)
 @settings(derandomize=True, deadline=None, max_examples=60)
 def test_kernel_rows_are_the_all_lower_or_all_upper_rows(seed, num_layers, num_labels, variant):
     rng = np.random.default_rng(seed)
     graph, model, budget = helpers.raw_instance(rng, num_layers)
-    last = model.layers[-1].weight.shape[0]
-    model = gc.GcnModel(model.layers[:-1] + (gc.GcnLayer(
-        rng.uniform(-1, 1, (last, num_labels)), rng.uniform(-0.5, 0.5, num_labels)),))
+    model = _relabeled(rng, model, num_labels)
     bounds = gc.interval_layer_bounds(model, graph, budget, variant)
     nodes = rng.permutation(graph.num_nodes)[: int(rng.integers(1, graph.num_nodes + 1))]
     hops = gc.graph.receptive_fields(graph, nodes, num_layers)
+    # row q of each target is one-hot on label q, on a side drawn at random
     upper = rng.random((len(nodes), num_labels)) < 0.5
-    mixed, lower_only, upper_only = (
-        gc.polyhedra.back_substitute_batch(model, graph, hops, bounds, mask)
-        for mask in (upper, np.zeros_like(upper), np.ones_like(upper)))
+    spec = np.zeros((len(nodes), 2, num_labels, num_labels))
+    spec[:, 0] = np.eye(num_labels) * ~upper[:, :, None]
+    spec[:, 1] = np.eye(num_labels) * upper[:, :, None]
+    mixed = gc.polyhedra.back_substitute_batch(model, graph, hops, bounds, spec)
+    lower_only, upper_only = (_one_sided(model, graph, hops, bounds, side) for side in (0, 1))
     _assert_same(mixed.fronts, lower_only.fronts)
     side = upper[:, :, None, None]
     _assert_same(mixed.coef, np.where(side, upper_only.coef, lower_only.coef))
     _assert_same(mixed.const, np.where(upper, upper_only.const, lower_only.const))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 5), _VARIANTS)
+@settings(derandomize=True, deadline=None, max_examples=60)
+def test_certificate_rows_are_label_lower_minus_rival_upper(seed, num_layers, num_labels, variant):
+    rng = np.random.default_rng(seed)
+    graph, model, budget = helpers.raw_instance(rng, num_layers)
+    model = _relabeled(rng, model, num_labels)
+    bounds = gc.interval_layer_bounds(model, graph, budget, variant)
+    labels = rng.integers(0, num_labels, graph.num_nodes)
+    nodes = rng.permutation(graph.num_nodes)[: int(rng.integers(1, graph.num_nodes + 1))]
+    hops = gc.graph.receptive_fields(graph, nodes, num_layers)
+    part = gc.certify._chunk_margins(model, graph, budget, "both", bounds, labels, hops)
+    lower, upper = (_one_sided(model, graph, hops, bounds, side) for side in (0, 1))
+    at, own = np.arange(len(nodes))[:, None], labels[nodes][:, None]
+    assert part.batch.coef.shape == (len(nodes), num_labels - 1) + lower.coef.shape[2:]
+    _close(part.batch.coef, lower.coef[at, own] - upper.coef[at, part.rivals])
+    _close(part.batch.const, lower.const[at, own] - upper.const[at, part.rivals])
 
 
 @st.composite
