@@ -28,8 +28,9 @@ graph; ``certify_sound`` joins the chunks' certificate columns one column at
 a time. Per chunk it makes one ``back_substitute_batch`` call with one
 specification row per (target, rival), +1 on the label's lower row and -1 on
 the rival's upper row, and gets the lower form of score[label] - score[rival]
-of every pair. One batched greedy minimization of all those rows follows:
-it keeps each field node's ``per_node`` most negative flip changes, then the
+of every pair. One batched greedy minimization of all those rows follows,
+in the coefficients' own memory: it writes the flip changes over them, then
+keeps each field node's ``per_node`` most negative flip changes, then the
 ``total`` most negative of those, each step in k ``argmin`` passes that send
 ties to the lower (node, feature) as a stable sort would, and it returns its
 flips as index arrays. ``label_difference_transform`` and
@@ -54,12 +55,13 @@ from .graph import (GcnModel, Graph, field_labels, field_slots, padded_fields, p
                     ragged_fields, row_blocks)
 from .intervals import IntervalElement, interval_layer_bounds, interval_layer_bounds_backward
 from .perturbation import FlipSet, PerturbationBudget, check_mode, restrict_to_mode, sign_matrix
-from .polyhedra import PolyBatch, PolyNodeElement, back_substitute_backward, back_substitute_batch
+from .polyhedra import PolyNodeElement, back_substitute_backward, back_substitute_batch
 
-# coefficient entries per chunk of kernel targets, counted at the chunk's
-# widest receptive field and widest layer: keeps a chunk's tensors near half a
-# MB; 1 << 18 raised the peak RSS of a whole `collective` run on a 120-node
-# graph from 32.7 to 36.3 MB, for no speed
+# entries of the widest tensor the kernel builds per chunk of targets, counted
+# at the chunk's widest receptive field (see ``_chunks``): keeps it near half a
+# MB; 1 << 17 and 1 << 18 raised the peak RSS of a whole `collective` run on a
+# 120-node graph from 32.7 to 33.9 and 36.7 MB, and of a `certify` on a
+# 1,000-node one from 34.8 to 36.0 and 38.7 MB, for no speed
 _CHUNK_ELEMENTS = 1 << 16
 
 
@@ -163,12 +165,17 @@ def _minimize_forms(
     hold each target's forms over ``features`` (targets, field, features), the
     input features of its receptive field. Returns the minima and the flips
     that realize them as four index arrays (target, form, field slot,
-    feature), sorted in that order.
+    feature), sorted in that order. It consumes ``coef``: the flip changes
+    theta = coef * sign are written into it, and the picks masked there, so
+    the minimizer holds no second array of its size.
     """
     t, v, f, m0 = coef.shape
     x = features.astype(np.float64)
     base = (coef.reshape(t, v, f * m0) @ x.reshape(t, f * m0, 1))[:, :, 0] + const
-    theta = restrict_to_mode(coef * sign_matrix(features)[:, None], features[:, None], mode)
+    # theta = coef * sign goes over coef, and sign = 1 - 2x (+1 where a flip adds
+    # a feature, -1 where it deletes one) over x, which ``base`` has read
+    sign = np.add(np.multiply(x, -2.0, out=x), 1.0, out=x)
+    theta = restrict_to_mode(np.multiply(coef, sign[:, None], out=coef), features[:, None], mode)
     if budget.per_node == 0 or budget.total == 0:
         return base, tuple(np.zeros((4, 0), dtype=np.int64))
     # each field node's per_node most negative changes, ties toward the lower
@@ -208,7 +215,7 @@ def minimize_delta(
         raise DataError("minimize_delta expects a single-row element")
     shape = (1, 1, len(elem.var_nodes), elem.num_features)
     value, (_, _, at, feature) = _minimize_forms(
-        elem.lower_coef.reshape(shape), elem.lower_const.reshape(1, 1),
+        elem.lower_coef.reshape(shape).copy(), elem.lower_const.reshape(1, 1),
         np.asarray(features)[elem.var_nodes][None], budget, mode)
     return float(value[0, 0]), FlipSet(tuple(zip(elem.var_nodes[at].tolist(), feature.tolist())))
 
@@ -224,7 +231,8 @@ class _ChunkMargins:
     poly_min: np.ndarray  # the symbolic form's exact minimum
     box_gap: np.ndarray  # the output box's L[node, label] - U[node, rival]
     picks: tuple  # the symbolic minimizer's flips: (target, rival, field slot, feature) arrays
-    batch: PolyBatch
+    fronts: np.ndarray  # (targets, field): each target's receptive field, ``PolyBatch.fronts``
+    tape: tuple  # what ``back_substitute_backward`` reads, ``PolyBatch.tape``
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow raises DataError below instead
@@ -259,7 +267,8 @@ def _chunk_margins(
     if not (np.isfinite(poly_min).all() and np.isfinite(box_gap).all()):
         raise DataError("margin bounds are not finite: the model overflows float64 on this graph")
     margins = np.where(box_gap > poly_min, box_gap, poly_min)
-    return _ChunkMargins(chunk, own, rivals, margins, poly_min, box_gap, picks, batch)
+    return _ChunkMargins(chunk, own, rivals, margins, poly_min, box_gap, picks, batch.fronts,
+                         batch.tape)
 
 
 def _chunk_margins_backward(
@@ -285,12 +294,11 @@ def _chunk_margins_backward(
     lower_grad, upper_grad = bound_grads[-1]
     np.add.at(lower_grad, (part.nodes, part.labels), box_grad.sum(axis=1))
     np.add.at(upper_grad, (part.nodes[:, None], part.rivals), -box_grad)
-    batch = part.batch
-    x = graph.features[batch.fronts][:, None]
+    x = graph.features[part.fronts][:, None]
     pick = np.zeros(part.rivals.shape + x.shape[2:], dtype=bool)
     pick[part.picks] = True
     point_grad = poly_grad[:, :, None, None] * (x + sign_matrix(x) * pick)
-    back_substitute_backward(model, batch, layer_bounds, (point_grad, poly_grad),
+    back_substitute_backward(model, part.tape, layer_bounds, (point_grad, poly_grad),
                              param_grads, bound_grads)
 
 
@@ -299,17 +307,18 @@ def _chunks(
 ) -> Iterator[tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]]:
     """The rows of ``nodes`` in chunks, widest receptive field first, each with its hops.
 
-    Chunks are ``row_blocks`` of the sorted widths, about ``_CHUNK_ELEMENTS``
-    coefficient entries each: 2 sides per rival (the kernel's rows, at least
-    one), widest layer and field node. The hops come from one
-    ``ragged_fields`` pass and stay ragged; only a chunk's rows are padded,
-    to its first and widest row.
+    Chunks are ``row_blocks`` of the sorted widths, each about
+    ``_CHUNK_ELEMENTS`` entries of the widest tensor the kernel builds: per
+    rival (the kernel's rows, at least one) and field node, the input width
+    of the coefficients the minimizer consumes, or 2 sides of a layer's
+    output. The hops come from one ``ragged_fields`` pass and stay ragged;
+    only a chunk's rows are padded, to its first and widest row.
     """
     hops = ragged_fields(graph, nodes, model.num_layers)
     width = np.diff(hops[-1][1])
     order = np.argsort(-width, kind="stable")
-    per_field_node = 2 * max(1, model.num_labels - 1) * max(
-        [model.input_width] + [layer.weight.shape[1] for layer in model.layers])
+    per_field_node = max(1, model.num_labels - 1) * max(
+        [model.input_width] + [2 * layer.weight.shape[1] for layer in model.layers])
     for chunk in row_blocks(width[order], per_field_node, _CHUNK_ELEMENTS):
         yield order[chunk], padded_fields(hops, order[chunk])
 
@@ -354,7 +363,7 @@ def _chunk_certificate(rows: np.ndarray, part: _ChunkMargins) -> dict[str, np.nd
     row, rival, at, feature = part.picks
     return dict(zip((f.name for f in fields(Certificate)), (
         part.nodes, part.labels, part.rivals, part.margins,
-        rows[row], rival, part.batch.fronts[row, at], feature)))
+        rows[row], rival, part.fronts[row, at], feature)))
 
 
 def certify_sound(

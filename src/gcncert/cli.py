@@ -15,15 +15,14 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from . import fileio
+# certify first: the order in which modules are first compiled moves the
+# process's peak RSS; collective, metrics and training load in their subcommands
 from .certify import _replay, certify_sound, find_counterexamples
-from .collective import compute_robust_limits
+from . import fileio
 from .errors import DataError, OracleInfeasibleError
 from .graph import GcnModel, Graph
 from .intervals import interval_certify
-from .metrics import RobustnessSweep, graph_robustness_ratio
 from .perturbation import DEFAULT_ORACLE_CAP, MODES, PerturbationBudget, exact_robust_nodes
-from .training import train_robust
 
 METHODS = ("poly-topk", "poly-max", "interval-topk", "interval-max")
 
@@ -134,6 +133,8 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .metrics import RobustnessSweep, graph_robustness_ratio
+
     graph, model = _load_inputs(args)
     family, variant = args.method.split("-", 1)
     budgets = args.global_range
@@ -168,6 +169,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_collective(args) -> int:
+    from .collective import compute_robust_limits
+
     graph, model = _load_inputs(args)
     family, variant = args.method.split("-", 1)
     limits = compute_robust_limits(model, graph, args.local, cap=args.cap, variant=variant,
@@ -185,6 +188,8 @@ def cmd_collective(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .training import train_robust
+
     if args.output is None:
         raise _UsageError("train: --output is required (checkpoint destination)")
     graph, model = _load_inputs(args)

@@ -12,16 +12,18 @@ import csv
 import itertools
 import json
 import reprlib
-from typing import IO, Iterable, Mapping
+from typing import IO, TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
-from .certify import Certificate, Counterexample
-from .collective import RobustLimitVector
 from .errors import DataError, check_index
 from .graph import GcnLayer, GcnModel, Graph
-from .metrics import RobustnessSweep
-from .perturbation import FlipSet
+
+if TYPE_CHECKING:  # annotations only: loading a file imports no certifier
+    from .certify import Certificate, Counterexample
+    from .collective import RobustLimitVector
+    from .metrics import RobustnessSweep
+    from .perturbation import FlipSet
 
 _GRAPH_KEYS = {"num_nodes", "num_features", "edges", "features"}
 _MODEL_KEYS = {"layers"}

@@ -103,8 +103,13 @@ class NeighborTable:
 
         Each live front node's entries go to their ``field_slots`` in its row of
         ``next_front``, which holds them all, as hop l + 1 does hop l's; padding reads 0.
+        Where each row of ``front`` holds one node, as hop 0 does, its row of
+        ``next_front`` is that node's row of Ã, as hop 1 is, padded alike, so
+        nothing is searched.
         """
         nodes, live = front
+        if live.shape[1] == 1:
+            return _padded(self.starts, nodes[:, 0], self.weights)[0][:, None]
         t, i = np.nonzero(live)
         at, counts = _spans(self.starts, nodes[t, i])
         t, i = np.repeat(t, counts), np.repeat(i, counts)  # each entry's (target, front slot)

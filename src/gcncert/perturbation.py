@@ -97,16 +97,14 @@ def check_mode(mode: str) -> None:
 
 
 def restrict_to_mode(values: np.ndarray, features: np.ndarray, mode: str) -> np.ndarray:
-    """``values`` with every entry of a cell that ``mode`` may not flip set to 0.
+    """``values``, with every entry of a cell that ``mode`` may not flip set to 0 in place.
 
     ``add-only`` flips only 0 features, ``delete-only`` only 1 features;
     ``features`` must broadcast against ``values``. Under ``both`` the values
     come back untouched.
     """
-    if mode == "add-only":
-        return np.where(features == 0, values, 0.0)
-    if mode == "delete-only":
-        return np.where(features == 1, values, 0.0)
+    if mode != "both":
+        np.copyto(values, 0.0, where=features != (0 if mode == "add-only" else 1))
     return values
 
 

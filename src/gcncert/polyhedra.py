@@ -34,8 +34,9 @@ matrix) lives with the tests, in ``tests/poly_oracle.py``.
 ``back_substitute_backward`` is the reverse-mode pass of the batch kernel: it
 carries gradients with respect to the output forms back through the same
 crossings, in the opposite order, to the layer weights and biases and to the
-interval bounds that set the ReLU slopes. It reads the arrays the forward
-pass kept in ``PolyBatch.tape``.
+interval bounds that set the ReLU slopes. It reads only the arrays the
+forward pass kept in ``PolyBatch.tape``, so the coefficients can be consumed
+before it runs.
 """
 
 from __future__ import annotations
@@ -198,7 +199,7 @@ def back_substitute_batch(
 
 def back_substitute_backward(
     model: GcnModel,
-    batch: PolyBatch,
+    tape: tuple,
     layer_bounds: Sequence[IntervalElement],
     form_grads: tuple[np.ndarray, np.ndarray],
     param_grads: Sequence[tuple[np.ndarray, np.ndarray]],
@@ -206,17 +207,17 @@ def back_substitute_backward(
 ) -> None:
     """Reverse-mode pass of ``back_substitute_batch``; adds into the two gradient lists.
 
-    ``form_grads`` holds the gradients with respect to the batch's
-    coefficients and constants, shaped like them. Per layer, ``param_grads``
-    gets the (weight, bias) gradients and ``bound_grads`` the (lower, upper)
-    gradients of ``layer_bounds``, which reach the forms only through the
-    chord of each unstable ReLU: slope u/(u-l) and intercept -ul/(u-l). The
-    area-rule lower slope is piecewise constant and passes no gradient to the
-    bounds.
+    ``tape`` is the batch's ``PolyBatch.tape``, and ``form_grads`` holds the
+    gradients with respect to its coefficients and constants, shaped like
+    them. Per layer, ``param_grads`` gets the (weight, bias) gradients and
+    ``bound_grads`` the (lower, upper) gradients of ``layer_bounds``, which
+    reach the forms only through the chord of each unstable ReLU: slope
+    u/(u-l) and intercept -ul/(u-l). The area-rule lower slope is piecewise
+    constant and passes no gradient to the bounds.
     """
     grad, const = form_grads  # every crossing adds into const
     targets = len(const)
-    for l, (front, relu_in, affine_in, adj_sub) in enumerate(reversed(batch.tape)):
+    for l, (front, relu_in, affine_in, adj_sub) in enumerate(reversed(tape)):
         layer = model.layers[l]
         weight_grad, bias_grad = param_grads[l]
         if l == 0:

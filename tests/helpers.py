@@ -341,8 +341,8 @@ def chunks_of(monkeypatch, model, graph, size):
     more targets than the first.
     """
     hops = gc.graph.receptive_fields(graph, np.arange(graph.num_nodes), model.num_layers)
-    widest = max([model.input_width] + [layer.weight.shape[1] for layer in model.layers])
-    per_target = 2 * max(1, model.num_labels - 1) * widest * int(hops[-1][1].sum(axis=1).max())
+    widest = max([model.input_width] + [2 * layer.weight.shape[1] for layer in model.layers])
+    per_target = max(1, model.num_labels - 1) * widest * int(hops[-1][1].sum(axis=1).max())
     elements = 1 << 62 if size is None else 1 if size == 1 else size * per_target
     monkeypatch.setattr(gc.certify, "_CHUNK_ELEMENTS", elements)
     seen = []

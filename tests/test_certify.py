@@ -132,6 +132,18 @@ def test_minimize_delta_direction_modes(rng):
                 assert features[i, j] == (0 if mode == "add-only" else 1)
 
 
+def test_minimize_delta_leaves_its_element_untouched(rng):
+    # the batched minimizer consumes its coefficients; a caller's element is not its to consume
+    for _ in range(10):
+        graph, model, budget = helpers.trained_instance(rng)
+        node = int(rng.integers(graph.num_nodes))
+        row = _delta_row(graph, model, budget, node, 0, 1)
+        arrays = (row.lower_coef, row.lower_const, row.upper_coef, row.upper_const)
+        before = [array.tobytes() for array in arrays]
+        gc.minimize_delta(row, graph.features, budget)
+        assert [array.tobytes() for array in arrays] == before
+
+
 def test_minimize_delta_rejects_unknown_mode(two_node):
     graph, model = two_node
     row = _delta_row(graph, model, gc.PerturbationBudget(1, 1), 0, 1, 0)
@@ -349,8 +361,8 @@ def test_chunk_boundary_does_not_change_judgments(rng, monkeypatch):
 
 def _sparse_instance():
     # a 300-node graph of mean degree 5 and 32 features, a 32-16-4 model, budget 2/4;
-    # the peak beyond the inputs is 2.0 MB, and 14.1 MB if a kernel chunk may hold
-    # 1 << 20 coefficient entries
+    # the peak beyond the inputs is 2.0 MB, and 18.4 MB if a kernel chunk may hold
+    # 1 << 20 entries of its widest tensor
     rng = np.random.default_rng(0)
     n, m0, hidden, labels = 300, 32, 16, 4
     upper = np.triu(rng.random((n, n)) < 5.0 / n, 1)
@@ -419,6 +431,33 @@ def test_certify_sound_peak_memory_stays_small():
                 tracemalloc.stop()
         assert len(certificate.nodes) == (graph.num_nodes if nodes is None else len(nodes))
         assert peak < bound_mb * 2**20, f"{graph.num_nodes} nodes: peak {peak / 2**20:.1f} MB"
+
+
+def test_minimizer_input_stays_within_the_chunk_budget(rng, monkeypatch, two_node):
+    # the coefficients the minimizer consumes are the widest tensor a chunk's
+    # budget counts; only a chunk of one target may exceed it, by its field alone
+    minimize, seen = gc.certify._minimize_forms, []
+
+    def spy(coef, *args):
+        seen.append((len(coef), coef.size, gc.certify._CHUNK_ELEMENTS))
+        return minimize(coef, *args)
+
+    monkeypatch.setattr(gc.certify, "_minimize_forms", spy)
+    graph, model = two_node
+    gc.certify_sound(model, graph, gc.PerturbationBudget(1, 1))
+    for _ in range(20):
+        graph, model, budget = helpers.trained_instance(rng)
+        for size in (1, 2, 3):
+            with monkeypatch.context() as patch:
+                helpers.chunks_of(patch, model, graph, size)
+                gc.certify_sound(model, graph, budget)
+    assert all(targets == 1 or size <= elements for targets, size, elements in seen)
+    seen.clear()
+    graph, model, budget, _, _ = _sparse_instance()
+    gc.certify_sound(model, graph, budget)
+    elements = gc.certify._CHUNK_ELEMENTS
+    assert len(seen) > 1 and all(targets == 1 or size <= elements for targets, size, _ in seen)
+    assert max(size for _, size, _ in seen) > elements // 2  # the budget binds on them
 
 
 def test_ring_of_4000_nodes_certifies_without_a_dense_matrix(tmp_path):

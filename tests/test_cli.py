@@ -204,7 +204,7 @@ def _never_train(*args, **kwargs):
 def test_train_requires_output(tmp_path, monkeypatch):
     labels_path = tmp_path / "labels.json"
     labels_path.write_text(json.dumps([1, 1]))
-    monkeypatch.setattr("gcncert.cli.train_robust", _never_train)
+    monkeypatch.setattr("gcncert.training.train_robust", _never_train)
     assert main(["train", "--graph", GRAPH, "--model", MODEL, "--steps", "1",
                  "--labels", str(labels_path)]) == 1
 
@@ -217,7 +217,7 @@ def test_train_requires_output(tmp_path, monkeypatch):
 def test_train_rejects_bad_flags_before_training(tmp_path, monkeypatch, flags):
     labels_path = tmp_path / "labels.json"
     labels_path.write_text(json.dumps([1, 1]))
-    monkeypatch.setattr("gcncert.cli.train_robust", _never_train)
+    monkeypatch.setattr("gcncert.training.train_robust", _never_train)
     out = tmp_path / "trained.json"
     assert main(["train", "--graph", GRAPH, "--model", MODEL, "--labels", str(labels_path),
                  "--output", str(out)] + flags) == 1
