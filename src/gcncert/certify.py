@@ -16,7 +16,7 @@ are reported, which makes the resulting upper bound complete.
 Replay is one batched pass, ``_replay``, for one row or all open rows alike:
 it reads the candidates from the pick arrays and scores each of the kernel's
 chunks with one ``graph.field_labels`` call, the oracle's evaluator too, on
-the rows' receptive fields; near ties go to the whole-graph ``forward``.
+the rows' receptive fields, bit for bit the whole-graph ``forward``'s scores.
 
 The kernel works serially, on the calling thread, through chunks of target
 nodes: the targets are sorted by receptive-field width, widest first, and
@@ -448,7 +448,8 @@ def _replay(model: GcnModel, graph: Graph, budget: PerturbationBudget, certifica
     over the budget raises ``AssertionError`` and one with a cell outside the
     features ``DataError``. The rows go through the kernel's ``_chunks``, one
     ``field_labels`` call each; a row's first candidate that changes its label
-    wins. Nodes come in row order, the last row of a repeated node winning.
+    wins, and the winners' flip sets are built at the end in one pass. Nodes
+    come in row order, the last row of a repeated node winning.
     """
     cert, v, n = certificate, certificate.rivals.shape[1], graph.num_nodes
     group = cert.pick_row * v + cert.pick_rival
@@ -468,7 +469,7 @@ def _replay(model: GcnModel, graph: Graph, budget: PerturbationBudget, certifica
     p, cell = budget.per_node, group * n + nodes  # cells node by node: p + 1 of one lie p apart
     if (count.ravel()[group] > budget.total).any() or (cell[p:] == cell[: -p or None]).any():
         raise AssertionError("minimizer produced an out-of-budget flip set")
-    rows, order, sizes, found = rows[sizes > 0], order[sizes > 0], sizes[sizes > 0], {}
+    rows, sizes, (first, flipped) = rows[sizes > 0], sizes[sizes > 0], np.full((2, len(count)), -1)
     start, stop = np.searchsorted(pick_row, rows), np.searchsorted(pick_row, rows + 1)
     for chunk, hops in _chunks(model, graph, cert.nodes[rows]):
         sets, span = sizes[chunk].max(), stop[chunk] - start[chunk]
@@ -478,11 +479,13 @@ def _replay(model: GcnModel, graph: Graph, budget: PerturbationBudget, certifica
         cells = np.stack([t * sets + rank[at], field_slots(*hops[-1], t, nodes[at], n), feats[at]])
         labels = field_labels(model, graph, hops, sets, tuple(cells[:, cells[1] >= 0]))
         broken = (labels >= 0) & (labels != cert.labels[rows[chunk], None])
-        for i in np.flatnonzero(broken.any(axis=1)):
-            k, row = broken[i].argmax(), rows[chunk[i]]
-            found[row] = Counterexample(int(cert.nodes[row]),
-                                        cert.flip_set(row, order[chunk[i], k]), int(labels[i, k]))
-    return {ce.node: ce for _, ce in sorted(found.items())}
+        first[rows[chunk]] = np.where(broken.any(axis=1), broken.argmax(axis=1), -1)
+        flipped[rows[chunk]] = labels[np.arange(len(chunk)), first[rows[chunk]]]
+    won, hit = np.flatnonzero(first >= 0), rank == first[pick_row]  # winners' picks, in order
+    cuts = np.searchsorted(pick_row[hit], won).tolist() + [int(hit.sum())]
+    flips = np.stack([nodes[hit], feats[hit]], axis=1).tolist()
+    return {node: Counterexample(node, FlipSet(flips[lo:hi]), label) for node, label, lo, hi
+            in zip(cert.nodes[won].tolist(), flipped[won].tolist(), cuts, cuts[1:])}
 
 
 def generate_counterexample(model: GcnModel, graph: Graph, budget: PerturbationBudget,

@@ -17,9 +17,10 @@ rows alike, in ``row_blocks`` sized by their own widest row, so no array is
 padded to the widest row or field in the graph. ``receptive_fields`` is the
 hops of a list of nodes, padded.
 
-``field_labels`` scores nodes under batches of flip sets, for replay and the
-oracle alike: an L-layer GCN's scores for a node depend only on the features
-within L hops, so each row runs on its own field, in that routine's layout.
+``field_scores`` scores nodes under batches of flip sets, for replay and the
+oracle alike, each on its own field (an L-layer GCN's scores for a node depend
+only on the features within L hops) with ``forward``'s row-wise arithmetic
+(``table @ h``, then ``_affine``), so they are whole-graph scores bit for bit.
 """
 
 from __future__ import annotations
@@ -31,10 +32,6 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DataError, DimensionError, check_index
-
-# local top-two score gaps within this fraction of the top score (at least 1)
-# are re-checked with the whole-graph forward pass
-_TIE_TOLERANCE = 1e-9
 
 # entries of one block of rows: reached entries in ``ragged_fields``, and
 # multiply-adds (rows × widest row × output width) in the table's product
@@ -82,12 +79,10 @@ class NeighborTable:
             yield rows, *_padded(self.starts, rows, self.cols, self.weights)[:2]
 
     def __matmul__(self, h: np.ndarray) -> np.ndarray:
-        """Ã·h for h shaped (..., n, m), one multiply-add per entry.
+        """Ã·h for h shaped (..., n, m), each row's terms summed in column order, one multiply-add each.
 
-        Each row sums its terms in column order, so the result can differ
-        from a dense product by rounding. It runs over ``padded_rows`` of
-        about ``_HOP_ELEMENTS`` multiply-adds into the one output: a row's sum
-        does not depend on the block it falls in.
+        It runs over ``padded_rows`` of about ``_HOP_ELEMENTS`` multiply-adds into the one
+        output: a row's sum does not depend on its block, but can differ from a dense product's.
         """
         h = np.asarray(h, dtype=np.float64)
         out = np.empty(h.shape[:-2] + (self.shape[0], h.shape[-1]))
@@ -95,26 +90,16 @@ class NeighborTable:
             block = out[..., rows, :]
             np.multiply(weights[:, :1], h[..., cols[:, 0], :], out=block)
             for slot in range(1, cols.shape[1]):
-                block += weights[:, slot, None] * h[..., cols[:, slot], :]
+                term = h[..., cols[:, slot], :]  # one temporary: a second costs page faults
+                term *= weights[:, slot, None]
+                block += term
         return out
 
     def between(self, front: tuple, next_front: tuple) -> np.ndarray:
-        """Dense Ã between two padded hops (nodes, live): (targets, |front|, |next_front|).
-
-        Each live front node's entries go to their ``field_slots`` in its row of
-        ``next_front``, which holds them all, as hop l + 1 does hop l's; padding reads 0.
-        Where each row of ``front`` holds one node, as hop 0 does, its row of
-        ``next_front`` is that node's row of Ã, as hop 1 is, padded alike, so
-        nothing is searched.
-        """
-        nodes, live = front
-        if live.shape[1] == 1:
-            return _padded(self.starts, nodes[:, 0], self.weights)[0][:, None]
-        t, i = np.nonzero(live)
-        at, counts = _spans(self.starts, nodes[t, i])
-        t, i = np.repeat(t, counts), np.repeat(i, counts)  # each entry's (target, front slot)
-        block = np.zeros(live.shape + next_front[0].shape[1:])
-        block[t, i, field_slots(*next_front, t, self.cols[at], self.shape[0])] = self.weights[at]
+        """Dense Ã between padded hops (nodes, live), (targets, |front|, |next_front|), by ``_hop_entries``."""
+        t, i, slots, weights, _ = _hop_entries(self, front, next_front)
+        block = np.zeros(front[1].shape + next_front[0].shape[1:])
+        block[t, i, slots] = weights
         return block
 
 
@@ -273,8 +258,7 @@ def forward(model: GcnModel, norm_adj: NeighborTable | np.ndarray,
         )
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for l, layer in enumerate(model.layers):
-            h = norm_adj @ h
-            h = h @ layer.weight + layer.bias
+            h = _affine(norm_adj @ h, layer)
             if l < model.num_layers - 1:
                 h = np.maximum(h, 0.0)
     if not np.isfinite(h).all():
@@ -331,6 +315,26 @@ def _padded(starts: np.ndarray, rows: np.ndarray | slice, *entries: np.ndarray) 
     return (*fronts, live)
 
 
+def _hop_entries(table: NeighborTable, front: tuple, next_front: tuple) -> tuple:
+    """Ã's entries in the live rows of hop ``front``: (target, front slot, next slot, weight), starts.
+
+    Live rows go in ``np.nonzero`` order, ragged, columns ascending; a next slot is the column's
+    place in the target's row of ``next_front``, which for a one-node row (hop 0) is its row of Ã.
+    """
+    nodes, live = front
+    t, i = np.nonzero(live)
+    at, counts = _spans(table.starts, nodes[t, i])
+    starts, t, i = np.append(0, np.cumsum(counts)), np.repeat(t, counts), np.repeat(i, counts)
+    slots = (np.arange(len(t)) - np.repeat(starts[:-1], counts) if live.shape[1] == 1 else
+             field_slots(*next_front, t, table.cols[at], table.shape[0]))
+    return t, i, slots, table.weights[at], starts
+
+
+def _affine(h: np.ndarray, layer: GcnLayer) -> np.ndarray:
+    """h·W + b, one vector-matrix product per row: one ``h @ W`` rounds a row by the row count."""
+    return np.matmul(h[..., None, :], layer.weight)[..., 0, :] + layer.bias
+
+
 def field_slots(nodes: np.ndarray, live: np.ndarray, rows: np.ndarray, query: np.ndarray,
                 n: int) -> np.ndarray:
     """Slots of nodes ``query`` in rows ``rows`` of a padded hop (nodes, live), -1 if absent."""
@@ -359,47 +363,40 @@ def receptive_fields(graph: Graph, nodes: np.ndarray,
     return padded_fields(hops, np.arange(len(hops[0][0])))
 
 
-def field_labels(model: GcnModel, graph: Graph, hops: list[tuple[np.ndarray, np.ndarray]],
+def field_scores(model: GcnModel, graph: Graph, hops: list[tuple[np.ndarray, np.ndarray]],
                  sets: int, cells: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-    """The (rows, sets) labels of each row's node H_0 under ``sets`` flip sets, on its field H_L.
+    """The (rows, sets, labels) scores of each row's node H_0 under ``sets`` flip sets, on its field H_L.
 
-    ``hops`` are the rows' ``receptive_fields`` for the model's depth, and
-    ``cells`` flat (set, slot, feature) arrays: set s of row s // ``sets`` flips
-    the feature of the node at that live slot of the row's H_L, each cell once;
-    a set with no cell is padding, labelled -1. Layer l computes the rows of
-    H_{L-1-l} from the columns of H_{L-l} with the full graph's Ã entries. Local
-    sums round differently from the whole-graph product, so a set whose top two
-    local scores lie within ``_TIE_TOLERANCE`` is settled by a whole-graph
-    ``forward`` of at most ``sets`` stacked copies. Overflows raise ``DataError``.
+    ``hops`` are the rows' ``receptive_fields`` for the model's depth, and ``cells`` flat
+    (set, slot, feature) arrays: set s of row s // ``sets`` flips the feature of the node at
+    that live slot of the row's H_L, each cell once. Layer l computes the live nodes of H_{L-1-l}
+    from those of H_{L-l}, a copy per set, as ``forward`` does, so the scores are its row of the
+    node on the flipped features, bit for bit. Overflows raise ``DataError``.
     """
-    which, slots, feats = cells
-    depth, field = model.num_layers, hops[-1][0]
-    h = np.repeat(graph.features[field][:, None].astype(np.float64), sets, axis=1)
-    flat = h.reshape(-1, *h.shape[2:])  # a view, set s of row t at t * sets + s
-    flat[which, slots, feats] = 1.0 - flat[which, slots, feats]
+    (which, slots, feats), depth, (field, live) = cells, model.num_layers, hops[-1]
+    # the live nodes of each hop, row after row: slot i of row t is number offsets[t] + i
+    offsets = [np.append(0, np.cumsum(live.sum(axis=1))) for _, live in hops]
+    h = np.repeat(graph.features[field[live]][:, None].astype(np.float64), sets, axis=1)
+    flip = (offsets[-1][which // sets] + slots, which % sets, feats)
+    h[flip] = 1.0 - h[flip]
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for l, layer in enumerate(model.layers):
-            block = graph.norm_adj.between(hops[depth - 1 - l], hops[depth - l])
-            h = np.matmul(block[:, None], h) @ layer.weight + layer.bias
+            t, _, at, weights, starts = _hop_entries(graph.norm_adj, *hops[depth - 1 - l :][:2])
+            # the hop's rows of Ã over the next hop's live nodes, a node's sets side by side
+            h = NeighborTable(offsets[depth - l][t] + at, weights, starts) @ h.reshape(len(h), -1)
+            h = _affine(h.reshape(len(starts) - 1, sets, -1), layer)
             if l < depth - 1:
                 h = np.maximum(h, 0.0)
-    scores = h[:, :, 0].reshape(-1, h.shape[-1])
-    if not np.isfinite(scores).all():
+    if not np.isfinite(h).all():
         raise DataError("scores are not finite: the model overflows float64 on this graph")
-    listed = np.bincount(which, minlength=len(scores)) > 0
-    labels = np.where(listed, np.argmax(scores, axis=1), -1)
-    ordered = np.sort(scores, axis=1)
-    top = ordered[:, -1]
-    second = ordered[:, -2] if ordered.shape[1] > 1 else -np.inf  # one label never ties
-    tied = np.flatnonzero(listed & (top - second <= _TIE_TOLERANCE * np.maximum(1.0, np.abs(top))))
-    for part in (tied[start : start + sets] for start in range(0, len(tied), sets)):
-        at = np.searchsorted(part, which)  # the stacked copy of each cell's set
-        pick = part[np.minimum(at, len(part) - 1)] == which
-        copies = np.repeat(graph.features[None], len(part), axis=0)
-        copies[at[pick], field[which[pick] // sets, slots[pick]], feats[pick]] ^= 1
-        whole = forward(model, graph.norm_adj, copies)
-        labels[part] = np.argmax(whole[np.arange(len(part)), hops[0][0][part // sets, 0]], axis=1)
-    return labels.reshape(len(field), sets)
+    return h  # H_0 holds one node a row
+
+
+def field_labels(model: GcnModel, graph: Graph, hops: list[tuple[np.ndarray, np.ndarray]],
+                 sets: int, cells: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """The (rows, sets) labels of ``field_scores``, the lowest of tied ones; a set with no cell is -1."""
+    listed = np.bincount(cells[0], minlength=len(hops[0][0]) * sets).reshape(-1, sets) > 0
+    return np.where(listed, field_scores(model, graph, hops, sets, cells).argmax(axis=2), -1)
 
 
 def predict(model: GcnModel, graph: Graph) -> Prediction:

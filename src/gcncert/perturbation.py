@@ -33,8 +33,8 @@ DEFAULT_ORACLE_CAP = 10_000_000
 MODES = ("both", "add-only", "delete-only")
 
 # cell combinations per block of _cell_combos, so at most as many flip sets per
-# field_labels call: 512 took 18 s and 35 MB peak RSS on a 120-node, 24-feature
-# graph at local 1, global 2, where 256 took 24 s and 2048 took 22-27 s and 49 MB
+# field_labels call: for 30 nodes of a 120-node, 24-feature graph at local 1, global
+# 2, 512 took 6.7-7.3 s and 34 MB peak RSS, 256 took 10.9 s, 1024-2048 6.0-7.3 s and 38-46 MB
 _COMBO_BLOCK = 512
 
 

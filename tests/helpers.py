@@ -59,17 +59,17 @@ class DenseNormAdj:
     """Ã as the dense matrix ``dense_norm_adj`` behind the neighbour table's interface.
 
     Products are dense matrix products and the blocks between hops are
-    fancy-indexed, the arithmetic of a dense Ã; ``cols`` and ``starts`` are
-    the graph's table, for the hops, and ``padded_rows`` gives every row in
-    one block, padded to the widest. As in the table's blocks, padded rows
-    and columns read 0.
+    fancy-indexed, the arithmetic of a dense Ã; ``cols``, ``weights`` and
+    ``starts`` are the graph's table, for the hops and the field-local scores,
+    and ``padded_rows`` gives every row in one block, padded to the widest. As
+    in the table's blocks, padded rows and columns read 0.
     """
 
     def __init__(self, graph: gc.Graph):
         self.matrix = dense_norm_adj(graph)
         self.shape = self.matrix.shape
         table = graph.norm_adj
-        self.cols, self.starts = table.cols, table.starts
+        self.cols, self.weights, self.starts = table.cols, table.weights, table.starts
         self.table = padded_table(table)
 
     def padded_rows(self, per_entry, elements):

@@ -338,11 +338,28 @@ def test_neighbor_table_matches_dense_adjacency(instance, variant):
                  gc.exact_robust_nodes(model, dense, budget))
 
 
-@given(edge_list_instances(), st.booleans(), st.data())
+@st.composite
+def scored_instances(draw):
+    """A graph and model for the field-local scores: an edge-list, trained 2-layer, raw 3-layer or sparse instance.
+
+    The output layer is redrawn to 1, 3 or 5 labels, or kept, so that a BLAS
+    path chosen by the output width or the rows' alignment would show.
+    """
+    kind = draw(st.sampled_from(["edges", "trained", "raw", "sparse"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    graph, model, _ = (draw(edge_list_instances()) if kind == "edges" else
+                       draw(sparse_instances()) if kind == "sparse" else
+                       helpers.trained_instance(rng) if kind == "trained" else
+                       helpers.raw_instance(rng, num_layers=3))
+    width = draw(st.sampled_from([None, 1, 3, 5]))
+    return graph, model if width is None else _relabeled(rng, model, width)
+
+
+@given(scored_instances(), st.booleans(), st.data())
 @PROPERTY
 def test_field_labels_match_whole_graph_forward(instance, tie, data):
-    graph, model, _ = instance
-    if tie:  # labels 0 and 1 score alike on every input, so they tie whenever they lead
+    graph, model = instance
+    if tie and model.num_labels > 1:  # labels 0 and 1 score alike, so they tie whenever they lead
         last = model.layers[-1]
         weight, bias = last.weight.copy(), last.bias.copy()
         weight[:, 1], bias[1] = weight[:, 0], bias[0]
@@ -355,19 +372,25 @@ def test_field_labels_match_whole_graph_forward(instance, tie, data):
     per_row = [data.draw(st.lists(st.sets(st.integers(0, live[t].sum() * m - 1), min_size=1),
                                   min_size=1, max_size=4)) for t in range(len(nodes))]
     sets = max(map(len, per_row))
-    which, cells, expected = [], [], np.full((len(nodes), sets), -1)  # padding is labelled -1
-    for t, (node, chosen_sets) in enumerate(zip(nodes, per_row)):
+    # every set's features in one stack; a padding set flips nothing and is labelled -1
+    which, cells, expected = [], [], np.full((len(nodes), sets), -1)
+    stack = np.repeat(graph.features[None], len(nodes) * sets, axis=0)
+    for t, chosen_sets in enumerate(per_row):
         for k, chosen in enumerate(chosen_sets):
             which += [t * sets + k] * len(chosen)
             cells += sorted(chosen)
-            x = graph.features.copy()
             for cell in chosen:
                 slot, feature = divmod(cell, m)
-                x[field[t, slot], feature] ^= 1
-            expected[t, k] = np.argmax(gc.forward(model, graph.norm_adj, x)[node])
+                stack[t * sets + k, field[t, slot], feature] ^= 1
+    whole = gc.forward(model, graph.norm_adj, stack).reshape(len(nodes), sets, n, -1)
+    whole = whole[np.arange(len(nodes)), :, nodes]  # (rows, sets, labels)
     which, cells = np.array(which, dtype=np.int64), np.array(cells, dtype=np.int64)
-    labels = gc.graph.field_labels(model, graph, hops, sets, (which, cells // m, cells % m))
-    _assert_same(labels, expected)
+    flips = (which, cells // m, cells % m)
+    scores = gc.graph.field_scores(model, graph, hops, sets, flips)
+    assert scores.shape == whole.shape and np.array_equal(scores, whole)
+    for t, chosen_sets in enumerate(per_row):
+        expected[t, : len(chosen_sets)] = np.argmax(whole[t, : len(chosen_sets)], axis=1)
+    _assert_same(gc.graph.field_labels(model, graph, hops, sets, flips), expected)
 
 
 @st.composite

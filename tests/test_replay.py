@@ -118,7 +118,7 @@ def test_near_tie_is_settled_by_the_dense_forward(count_forward):
     assert certificate.labels[0] == 0 and not certificate.certified[0]
     count_forward.clear()
     ce = gc.generate_counterexample(model, graph, budget, certificate, 0)
-    assert len(count_forward) == 1
+    assert count_forward == []  # the local scores are the whole-graph ones, tie and all
     assert ce.flips.flips == ((0, 0),)
     flipped = gc.apply_flips(graph.features, ce.flips)
     dense = gc.forward(model, helpers.dense_norm_adj(graph), flipped)[0]
@@ -139,7 +139,7 @@ def test_a_tie_is_settled_at_the_rows_own_node(count_forward):
     count_forward.clear()
     # the set flips feature 0 of slot 0, node 0; node 1's labels 0 and 1 tie
     labels = gcncert.graph.field_labels(model, graph, hops, 1, (np.array([0]),) * 3)
-    assert labels.tolist() == [[0]] and len(count_forward) == 1
+    assert labels.tolist() == [[0]] and count_forward == []
 
 
 def _path_graph_judgment(flips, margin=-1.0):
@@ -192,7 +192,7 @@ def test_ties_are_settled_in_blocks_of_at_most_sets(rng, monkeypatch, count_chun
         return dense(model, norm_adj, features)
 
     monkeypatch.setattr(gcncert.graph, "forward", spy)
-    split = broken = 0
+    broken = 0
     for _ in range(20):
         graph, model, _ = helpers.raw_instance(rng)
         # output columns 0 and 1 are equal, and so are 2 and 3: every candidate's top two tie
@@ -210,7 +210,6 @@ def test_ties_are_settled_in_blocks_of_at_most_sets(rng, monkeypatch, count_chun
         calls.clear()
         stacks.clear()
         assert gc.find_counterexamples(model, graph, budget, certificate) == expected
-        assert all(depth <= sets for depth, [sets] in stacks)
-        split += len(calls) == 1 and len(stacks) > 1  # one chunk's ties went in several stacks
+        assert stacks == []  # every tie is settled on the rows' own fields
         broken += len(expected)
-    assert split > 10 and broken > 10
+    assert broken > 10
