@@ -72,14 +72,16 @@ class Certificate:
     ``rival_margins[t, r]`` bounds score[labels[t]] - score[rivals[t, r]]
     from below. The symbolic minimizer's flips for it are the cells
     (pick_node[k], pick_feature[k]) of every k with (pick_row[k],
-    pick_rival[k]) = (t, r), sorted by (row, rival, node, feature).
+    pick_rival[k]) = (t, r), sorted by (row, rival, node, feature). The four
+    pick columns are int32, so a product of them, such as a row times n,
+    must be formed in int64.
     """
 
     nodes: np.ndarray  # (rows,)
     labels: np.ndarray  # (rows,) the label each node defends
     rivals: np.ndarray  # (rows, labels - 1) every other label, ascending
     rival_margins: np.ndarray  # (rows, labels - 1)
-    pick_row: np.ndarray  # (picks,)
+    pick_row: np.ndarray  # (picks,) int32, as are the other pick columns
     pick_rival: np.ndarray  # (picks,) a column of ``rivals``
     pick_node: np.ndarray  # (picks,)
     pick_feature: np.ndarray  # (picks,)
@@ -361,9 +363,10 @@ def _run_kernel(
 def _chunk_certificate(rows: np.ndarray, part: _ChunkMargins) -> dict[str, np.ndarray]:
     """The certificate columns of one chunk by field name, its picks' rows as positions in the request."""
     row, rival, at, feature = part.picks
+    picks = (rows[row], rival, part.fronts[row, at], feature)
     return dict(zip((f.name for f in fields(Certificate)), (
         part.nodes, part.labels, part.rivals, part.margins,
-        rows[row], rival, part.fronts[row, at], feature)))
+        *(pick.astype(np.int32) for pick in picks))))
 
 
 def certify_sound(
@@ -383,7 +386,7 @@ def certify_sound(
     _, order, parts = _run_kernel(model, graph, budget, variant, mode, nodes, None,
                                   lambda _, rows, part: _chunk_certificate(rows, part))
     none, no_rivals = np.zeros(0, dtype=np.int64), np.zeros((0, model.num_labels - 1))
-    empty = (none, none, no_rivals.astype(np.int64), no_rivals, *[none] * 4)
+    empty = (none, none, no_rivals.astype(np.int64), no_rivals, *[none.astype(np.int32)] * 4)
     # the chunks ran widest field first: put rows and picks back in the requested
     # order, one column at a time, each chunk's piece going as it is joined
     take, whole = np.argsort(order), {}
@@ -452,7 +455,9 @@ def _replay(model: GcnModel, graph: Graph, budget: PerturbationBudget, certifica
     come in row order, the last row of a repeated node winning.
     """
     cert, v, n = certificate, certificate.rivals.shape[1], graph.num_nodes
-    group = cert.pick_row * v + cert.pick_rival
+    # index products over the pick columns, int32 in a certificate, are formed in int64
+    pick_row, pick_rival = cert.pick_row.astype(np.int64), cert.pick_rival.astype(np.int64)
+    group = pick_row * v + pick_rival
     count = np.bincount(group, minlength=len(cert.nodes) * v).reshape(len(cert.nodes), v)
     margins = cert.rival_margins[rows]
     candidate = (margins <= 0.0) & (count[rows] > 0)
@@ -460,12 +465,11 @@ def _replay(model: GcnModel, graph: Graph, budget: PerturbationBudget, certifica
     sizes = candidate.sum(axis=1)
     rank = np.full((len(cert.nodes), v), -1)  # the place of each candidate in its row's order
     rank[rows] = np.where(candidate, np.argsort(order, axis=1), -1)
-    rank = rank[cert.pick_row, cert.pick_rival]
+    rank = rank[pick_row, pick_rival]
     keep = rank >= 0
-    group, rank, pick_row = group[keep], rank[keep], cert.pick_row[keep]
-    nodes, feats = cert.pick_node[keep], cert.pick_feature[keep]
-    check_index(nodes, "flip node", 0, n, many=True)
-    check_index(feats, "flip feature", 0, graph.num_features, many=True)
+    group, rank, pick_row = group[keep], rank[keep], pick_row[keep]
+    nodes = check_index(cert.pick_node[keep], "flip node", 0, n, many=True)
+    feats = check_index(cert.pick_feature[keep], "flip feature", 0, graph.num_features, many=True)
     p, cell = budget.per_node, group * n + nodes  # cells node by node: p + 1 of one lie p apart
     if (count.ravel()[group] > budget.total).any() or (cell[p:] == cell[: -p or None]).any():
         raise AssertionError("minimizer produced an out-of-budget flip set")

@@ -81,16 +81,20 @@ class NeighborTable:
     def __matmul__(self, h: np.ndarray) -> np.ndarray:
         """Ã·h for h shaped (..., n, m), each row's terms summed in column order, one multiply-add each.
 
-        It runs over ``padded_rows`` of about ``_HOP_ELEMENTS`` multiply-adds into the one
-        output: a row's sum does not depend on its block, but can differ from a dense product's.
+        ``h`` is read in its own dtype, so 0/1 features need no float copy: each
+        gathered term is cast to float64, which holds such values exactly. It
+        runs over ``padded_rows`` of about ``_HOP_ELEMENTS`` multiply-adds into
+        the one output: a row's sum does not depend on its block, but can
+        differ from a dense product's.
         """
-        h = np.asarray(h, dtype=np.float64)
+        h = np.asarray(h)
         out = np.empty(h.shape[:-2] + (self.shape[0], h.shape[-1]))
         for rows, cols, weights in self.padded_rows(out.size // self.shape[0], _HOP_ELEMENTS):
             block = out[..., rows, :]
             np.multiply(weights[:, :1], h[..., cols[:, 0], :], out=block)
             for slot in range(1, cols.shape[1]):
-                term = h[..., cols[:, slot], :]  # one temporary: a second costs page faults
+                # one float temporary: a second costs page faults
+                term = h[..., cols[:, slot], :].astype(np.float64, copy=False)
                 term *= weights[:, slot, None]
                 block += term
         return out
@@ -110,15 +114,15 @@ class Graph:
     ``edges`` lists [i, j] node pairs in either orientation: each pair joins
     both directions, repeated pairs count once and [i, i] is a self-loop.
     ``features`` is a 0/1 matrix with one row per node, so it sets the node
-    count. The graph keeps its edges unique and read-only, as [i, j] rows
-    with i <= j in ascending order.
+    count; the graph holds it as uint8. The graph keeps its edges unique and
+    read-only, as [i, j] rows with i <= j in ascending order.
     """
 
     edges: np.ndarray
     features: np.ndarray
 
     def __post_init__(self):
-        feats = np.asarray(self.features)  # values are checked before the int64 cast
+        feats = np.asarray(self.features)  # values are checked before the uint8 cast
         if feats.ndim != 2:
             raise DimensionError(f"features must be a matrix, got shape {feats.shape}")
         n = feats.shape[0]
@@ -138,7 +142,7 @@ class Graph:
         edges = np.stack(divmod(key, n), axis=1)
         edges.flags.writeable = False
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "features", feats.astype(np.int64, copy=False))
+        object.__setattr__(self, "features", feats.astype(np.uint8, copy=False))
 
     @property
     def num_nodes(self) -> int:

@@ -57,7 +57,9 @@ class FlipSet:
     flips: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        pairs = tuple(sorted((check_index(i, "flip node"), check_index(j, "flip feature"))
+        # plain non-negative ints, as replay builds them, are taken as they are
+        pairs = tuple(sorted((i, j) if type(i) is type(j) is int and i >= 0 and j >= 0 else
+                             (check_index(i, "flip node"), check_index(j, "flip feature"))
                              for i, j in self.flips))
         if len(set(pairs)) != len(pairs):
             raise DataError("flip set contains duplicate cells")

@@ -160,6 +160,15 @@ def test_certify_sound_two_node(two_node):
     assert certificate.labels[0] == 1
 
 
+@pytest.mark.parametrize("nodes", [None, []])
+def test_certificate_pick_columns_are_int32(two_node, nodes):
+    graph, model = two_node
+    certificate = gc.certify_sound(model, graph, gc.PerturbationBudget(1, 2), nodes=nodes)
+    assert (len(certificate.pick_row) > 0) == (nodes is None)
+    for name in ("pick_row", "pick_rival", "pick_node", "pick_feature"):
+        assert getattr(certificate, name).dtype == np.int32, name
+
+
 def test_certificate_margin_is_the_first_smallest_rival_margin():
     # the CSV prints repr(margin), so 0.0 and -0.0 must come out as Python's min gives them
     rows = [[0.0, -0.0], [-0.0, 0.0], [0.5, -2.0], [3.0, 1.5]]

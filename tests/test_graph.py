@@ -264,7 +264,7 @@ def test_graph_checks_values_before_casting(adjacency, features, message):
 def test_graph_binary_check_matches_isin(value):
     features = np.array([[0], [value]])
     if np.isin(features, (0, 1)).all():
-        assert gc.Graph([[0, 1]], features).features.dtype == np.int64
+        assert gc.Graph([[0, 1]], features).features.dtype == np.uint8
     else:
         with pytest.raises(gc.DataError, match="feature entries must be 0 or 1"):
             gc.Graph([[0, 1]], features)

@@ -85,7 +85,7 @@ def test_loaders_match_cell_by_cell_reference(docs):
     adjacency = np.zeros((n, n), dtype=np.int64)
     for i, j in graph_doc["edges"]:
         adjacency[i, j] = adjacency[j, i] = 1
-    features = np.zeros((n, m), dtype=np.int64)
+    features = np.zeros((n, m), dtype=np.uint8)
     for i in range(n):
         for j in range(m):
             features[i, j] = graph_doc["features"][i][j]
@@ -486,6 +486,19 @@ def test_blocked_table_product_and_chunk_hops_match_references(instance, data):
         for (front, live), (ref_front, ref_live) in zip(hops, reference, strict=True):
             _assert_same(front, ref_front)
             _assert_same(live, ref_live)
+
+
+@given(hub_instances(), st.data())
+@PROPERTY
+def test_table_product_reads_features_in_their_own_dtype(instance, data):
+    graph, _, _, rng = instance
+    n, table = graph.num_nodes, graph.norm_adj
+    sets, m = data.draw(st.integers(2, 3)), data.draw(st.integers(1, 4))
+    # the graph's own uint8 features, plain and stacked like the oracle's flipped copies
+    for h in (graph.features, (rng.random((sets, n, m)) < 0.5).astype(np.uint8)):
+        with pytest.MonkeyPatch.context() as patch:  # blocks of 1 row up to the whole table
+            patch.setattr(gc.graph, "_HOP_ELEMENTS", data.draw(st.integers(1, h.size * n)))
+            _assert_same(table @ h, table @ h.astype(np.float64))
 
 
 @st.composite

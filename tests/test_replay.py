@@ -213,3 +213,34 @@ def test_ties_are_settled_in_blocks_of_at_most_sets(rng, monkeypatch, count_chun
         assert stacks == []  # every tie is settled on the rows' own fields
         broken += len(expected)
     assert broken > 10
+
+
+def _far_apart_rows(second_row_flips):
+    """A 2^16-node edgeless graph and a certificate of 2^16 + 1 rows of node 5, int32 picks.
+
+    Only rows 0 and 2^16 are open; row 0 flips cell (5, 0) and row 2^16 the
+    cells ``second_row_flips``. A cell's key row * n + node then reaches
+    2^32 + 5, which int32 arithmetic wraps onto row 0's key 5.
+    """
+    n = rows = 1 << 16
+    graph = gc.Graph(np.zeros((0, 2), dtype=np.int64), np.zeros((n, 2), dtype=np.uint8))
+    model = gc.GcnModel((gc.GcnLayer(np.array([[-1.0, 1.0], [0.0, 0.0]]), np.array([0.5, 0.0])),))
+    margins = np.ones((rows + 1, 1))
+    margins[[0, rows]] = -1.0
+    cells = [(0, 5, 0)] + [(rows, node, feature) for node, feature in second_row_flips]
+    row, node, feature = np.array(cells, dtype=np.int32).T
+    certificate = gc.Certificate(np.full(rows + 1, 5), np.zeros(rows + 1, dtype=np.int64),
+                                 np.ones((rows + 1, 1), dtype=np.int64), margins,
+                                 row, np.zeros_like(row), node, feature)
+    return graph, model, certificate
+
+
+def test_int32_pick_columns_form_budget_keys_in_int64():
+    budget = gc.PerturbationBudget(1, 2)
+    graph, model, certificate = _far_apart_rows([(5, 0)])
+    found = gc.find_counterexamples(model, graph, budget, certificate)
+    # flipping feature 0 of the isolated node 5 drops its label 0 score below label 1's
+    assert found == {5: gc.Counterexample(5, gc.FlipSet(((5, 0),)), 1)}
+    graph, model, certificate = _far_apart_rows([(5, 0), (5, 1)])  # two cells of one node
+    with pytest.raises(AssertionError):
+        gc.find_counterexamples(model, graph, budget, certificate)
