@@ -301,7 +301,8 @@ def interval_layer_bounds_backward(
     lower_grad, upper_grad = bound_grads[0]
     weight_grad, bias_grad = param_grads[0]
     base_grad = lower_grad + upper_grad
-    weight_grad += (graph.norm_adj @ graph.features).T @ base_grad
+    # sums the rows in order (a BLAS product's blocking depends on their count)
+    weight_grad += np.einsum("kf,kj->fj", graph.norm_adj @ graph.features, base_grad)
     bias_grad += base_grad.sum(axis=0)
     if budget.per_node > 0 and budget.total > 0:
         weight_grad += _flip_deviations_backward(

@@ -9,7 +9,6 @@ one chunk. The gradient is exact wherever the certifier's discrete choices
 (the minimizing flips, the ReLU cases, the ``topk`` selection, the winner of
 the symbolic minimum and the output box) stay put, and its cost does not
 grow with the number of parameters. Plain gradient descent, no momentum.
-Batches are drawn by a port of NumPy's ``default_rng(seed).permutation``.
 
 Every node trains. A labeled node's target is its label; an unlabeled node's
 (label -1) is the model's own predicted label. The hinge loss pushes each
@@ -22,6 +21,7 @@ labeled nodes, ``DEFAULT_UNLABELED_MARGIN`` = log(60/40) for unlabeled ones.
 from __future__ import annotations
 
 import math
+import random
 from typing import Callable, Iterator
 
 import numpy as np
@@ -35,77 +35,20 @@ DEFAULT_LABELED_MARGIN = math.log(90 / 10)
 DEFAULT_UNLABELED_MARGIN = math.log(60 / 40)
 
 
-_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _seed_words(seed: int) -> list[int]:
-    """NumPy's ``SeedSequence(seed).generate_state(4, np.uint64)``, as Python ints."""
-    words, hash_a = [], 0x43B0D7E5  # seed's 32-bit words, least significant first
-    while True:
-        words.append(seed & _MASK32)
-        seed >>= 32
-        if not seed:
-            break
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_a
-        value ^= hash_a
-        hash_a = hash_a * 0x931E8875 & _MASK32
-        value = value * hash_a & _MASK32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
-        return value ^ value >> 16
-
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    halves, hash_b = [], 0x8B51F9DD  # 32-bit halves, the low one first
-    for i in range(8):
-        value = pool[i % 4] ^ hash_b
-        hash_b = hash_b * 0x58F38DED & _MASK32
-        value = value * hash_b & _MASK32
-        halves.append(value ^ value >> 16)
-    return [low | high << 32 for low, high in zip(halves[::2], halves[1::2])]
-
-
 def _permutations(seed: int, n: int) -> Iterator[list[int]]:
-    """The draws of ``np.random.default_rng(seed).permutation(n)``, again and again, bit for bit.
+    """Seeded permutations of ``range(n)``, one per draw, the same in every Python version.
 
-    A pure-Python port of NumPy's SeedSequence, PCG64 and Fisher-Yates
-    shuffle by masked rejection, so training never imports ``numpy.random``
-    (about 6 MB of resident memory) and every seed draws NumPy's batches.
-    It takes NumPy's 32-bit path, which covers every ``n`` up to 2**32.
+    A Fisher-Yates shuffle over ``random.Random(seed).random()``, whose
+    sequence Python keeps across versions; ``shuffle`` and ``randrange`` go
+    through ``_randbelow``, which it does not. The standard library's
+    ``random`` comes with ``import numpy``, so training never imports
+    ``numpy.random`` (about 6 MB of resident memory).
     """
-    words = _seed_words(seed)
-    start, inc = words[0] << 64 | words[1], (words[2] << 64 | words[3]) << 1 & _MASK128 | 1
-    state, spare = ((inc + start) * _PCG_MULTIPLIER + inc) & _MASK128, None
-
-    def next64() -> int:  # one PCG64 (XSL-RR) step
-        nonlocal state
-        state = (state * _PCG_MULTIPLIER + inc) & _MASK128
-        value, turn = (state >> 64) ^ (state & _MASK64), state >> 122
-        return (value >> turn | value << (64 - turn)) & _MASK64
-
+    uniform = random.Random(seed).random
     while True:
         perm = list(range(n))
         for i in range(n - 1, 0, -1):
-            mask = (1 << i.bit_length()) - 1
-            while True:  # a 32-bit draw uses half of a 64-bit one and keeps the other half
-                if spare is not None:
-                    j, spare = spare & mask, None
-                else:
-                    word = next64()
-                    j, spare = word & _MASK32 & mask, word >> 32
-                if j <= i:
-                    break
+            j = int(uniform() * (i + 1))
             perm[i], perm[j] = perm[j], perm[i]
         yield perm
 

@@ -573,9 +573,20 @@ def test_first_layer_gradient_keeps_its_bits_when_a_disjoint_star_joins(instance
                       np.vstack([graph.features, rng.integers(0, 2, (leaves + 1, m0))]))
     slopes = rng.standard_normal((2, n, model.layers[0].bias.size))
     alone = gc.intervals._flip_deviations_backward(model, graph, budget, variant, mode, *slopes)
+    padded = np.pad(slopes, ((0, 0), (0, leaves + 1), (0, 0)))
     with_star = gc.intervals._flip_deviations_backward(
-        model, joined, budget, variant, mode, *np.pad(slopes, ((0, 0), (0, leaves + 1), (0, 0))))
+        model, joined, budget, variant, mode, *padded)
     _assert_same(with_star, alone)
+    # the whole first-layer weight gradient: its base term Ã·x sums over every row
+    layer = model.layers[0]
+    first, weight_grads = gc.GcnModel((layer,)), []
+    for g, grads in ((graph, slopes), (joined, padded)):
+        param_grads = [(np.zeros_like(layer.weight), np.zeros_like(layer.bias))]
+        bounds = gc.interval_layer_bounds(first, g, budget, variant, mode=mode)
+        gc.intervals.interval_layer_bounds_backward(first, g, budget, variant, mode, bounds,
+                                                    [tuple(grads)], param_grads)
+        weight_grads.append(param_grads[0][0])
+    _assert_same(weight_grads[1], weight_grads[0])
 
 
 # few coefficient values, both zeros among them: most rows hold ties, and
