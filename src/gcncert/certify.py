@@ -26,21 +26,23 @@ targets are held ragged, and only a chunk's own rows are padded, so the
 kernel's memory is bounded by the chunk, not by the widest field in the
 graph; ``certify_sound`` joins the chunks' certificate columns one column at
 a time. Per chunk it makes one ``back_substitute_batch`` call with one
-specification row per (target, rival), +1 on the label's lower row and -1 on
-the rival's upper row, and gets the lower form of score[label] - score[rival]
-of every pair. One batched greedy minimization of all those rows follows,
-in the coefficients' own memory: it writes the flip changes over them, then
-keeps each field node's ``per_node`` most negative flip changes, then the
-``total`` most negative of those, each step in k ``argmin`` passes that send
-ties to the lower (node, feature) as a stable sort would, and it returns its
-flips as index arrays. ``label_difference_transform`` and
-``minimize_delta`` are the one-row forms, which no production path calls.
-``_run_kernel`` runs it for ``certify_sound`` and for robust training's
-``rival_margins``. Given the slope of a loss that sums over nodes,
-``rival_margins`` also returns that loss's gradient with respect to the
-layer weights and biases: each chunk goes back through the minimization and
-``back_substitute_backward`` as soon as the kernel finishes it, so no chunk's
-tape outlives it, and ``interval_layer_bounds_backward`` runs once at the end.
+specification row per (target, rival), +1 on the label's score and -1 on the
+rival's, and gets the lower form of score[label] - score[rival] of every
+pair, one coefficient per neuron. One batched greedy minimization of all
+those rows follows, in the coefficients' own memory: it writes the flip
+changes over them, then keeps each field node's ``per_node`` most negative
+flip changes, then the ``total`` most negative of those, each step in k
+``argmin`` passes that send ties to the lower (node, feature) as a stable
+sort would, and it returns its flips as index arrays.
+``label_difference_transform`` and ``minimize_delta`` are the forward
+domain's one-row forms, whose margins ``certify_sound``'s dominate; no
+production path calls them. ``_run_kernel`` runs the kernel for
+``certify_sound`` and for robust training's ``rival_margins``. Given the
+slope of a loss that sums over nodes, ``rival_margins`` also returns that
+loss's gradient with respect to the layer weights and biases: each chunk
+goes back through the minimization and ``back_substitute_backward`` as soon
+as the kernel finishes it, so no chunk's tape outlives it, and
+``interval_layer_bounds_backward`` runs once at the end.
 """
 
 from __future__ import annotations
@@ -117,10 +119,11 @@ class Counterexample:
 def label_difference_transform(
     elem: PolyNodeElement, original_label: int, other_label: int
 ) -> PolyNodeElement:
-    """Single-row element bounding score[original] - score[other].
+    """Single-row element bounding score[original] - score[other], two distinct labels.
 
     Its lower form is lower[original] - upper[other] and its upper form
-    upper[original] - lower[other], the rows ``certify_sound`` minimizes; two distinct labels.
+    upper[original] - lower[other]: the forward domain's difference, whose
+    minimum ``certify_sound``'s margins never fall below.
     """
     a, b = check_index([original_label, other_label], "label", 0, elem.rows, many=True)[:, None]
     if a == b:
@@ -206,11 +209,13 @@ def minimize_delta(
 ) -> tuple[float, FlipSet]:
     """Exact minimum of the element's lower-bound form over the flip budget.
 
-    Flipping cell (k, j) changes the form by theta = coef * sign; collecting
-    the most negative changes, at most ``per_node`` per node and ``total``
-    overall, realizes the minimum. Ties break toward the lowest (node,
-    feature) pair so the chosen flip set is deterministic. ``mode`` restricts
-    candidate flips to feature additions (0 to 1) or deletions (1 to 0).
+    On a ``label_difference_transform`` row it is the forward domain's
+    margin, which ``certify_sound``'s dominates. Flipping cell (k, j) changes
+    the form by theta = coef * sign; collecting the most negative changes, at
+    most ``per_node`` per node and ``total`` overall, realizes the minimum.
+    Ties break toward the lowest (node, feature) pair so the chosen flip set
+    is deterministic. ``mode`` restricts candidate flips to feature additions
+    (0 to 1) or deletions (1 to 0).
     """
     check_mode(mode)
     if elem.rows != 1:
@@ -255,12 +260,11 @@ def _chunk_margins(
     own = labels[chunk]
     v = model.num_labels - 1
     rivals = np.arange(v) + (np.arange(v) >= own[:, None])
-    # the lower form of score[label] - score[rival] weighs the label's lower
-    # row by +1 and the rival's upper row by -1
-    spec = np.zeros((len(chunk), 2, v, model.num_labels))
+    # score[label] - score[rival]: +1 on the label's score and -1 on the rival's
+    spec = np.zeros((len(chunk), v, model.num_labels))
     at = np.arange(len(chunk))[:, None]
-    spec[at, 0, np.arange(v), own[:, None]] = 1.0
-    spec[at, 1, np.arange(v), rivals] = -1.0
+    spec[at, np.arange(v), own[:, None]] = 1.0
+    spec[at, np.arange(v), rivals] = -1.0
     batch = back_substitute_batch(model, graph, hops, layer_bounds, spec)
     poly_min, picks = _minimize_forms(batch.coef, batch.const, graph.features[batch.fronts],
                                       budget, mode)
@@ -312,9 +316,10 @@ def _chunks(
     Chunks are ``row_blocks`` of the sorted widths, each about
     ``_CHUNK_ELEMENTS`` entries of the widest tensor the kernel builds: per
     rival (the kernel's rows, at least one) and field node, the input width
-    of the coefficients the minimizer consumes, or 2 sides of a layer's
-    output. The hops come from one ``ragged_fields`` pass and stay ragged;
-    only a chunk's rows are padded, to its first and widest row.
+    of the coefficients the minimizer consumes, or twice a layer's output
+    width, for the coefficients entering its ReLU, which the tape keeps, and
+    those leaving it. The hops come from one ``ragged_fields`` pass and stay
+    ragged; only a chunk's rows are padded, to its first and widest row.
     """
     hops = ragged_fields(graph, nodes, model.num_layers)
     width = np.diff(hops[-1][1])

@@ -7,29 +7,30 @@ relaxed to one linear bound per side, choosing the slope that minimizes the
 bounding area given numeric pre-activation intervals.
 
 The forms are derived backwards: ``back_substitute_batch`` starts from
-specification rows over the output scores of a chunk of target nodes and
-rewrites them layer by layer, each target over its own receptive field, so a
-target's variables widen by one hop per layer and never cover nodes it cannot
-see. Each row weighs the output layer's lower and upper rows, and the kernel
-is linear in those weights: a certificate passes score[label] - score[rival]
-as one row per rival, +1 on the label's lower row and -1 on the rival's upper
-row, and gets each row's lower form (CROWN's back-substitution of the
-specification rows alone; Zhang et al., NeurIPS 2018). Coefficients come back
-as (targets, rows, field, features). Layer 0's output is exact in the input
-features, so there the two referenced sides merge into one form. The hops
-come from the caller, padded as ``receptive_fields`` gives them, and Ã is
-read only between one hop and the next, as the dense blocks
+specification rows, each a weighting of one target's output scores, and
+rewrites each row's lower bound layer by layer, each target over its own
+receptive field, so a target's variables widen by one hop per layer and never
+cover nodes it cannot see. A row keeps one coefficient per neuron: crossing a
+ReLU, a coefficient >= 0 takes the lower relaxation and one < 0 the upper
+chord (CROWN's back-substitution, Zhang et al., NeurIPS 2018; DeepPoly's,
+Singh et al., POPL 2019). A certificate passes score[label] - score[rival] as
+one row per rival, +1 on the label and -1 on the rival, and gets each row's
+lower form. Coefficients come back as (targets, rows, field, features). The
+hops come from the caller, padded as ``receptive_fields`` gives them, and Ã
+is read only between one hop and the next, as the dense blocks
 ``NeighborTable.between`` builds from Ã's rows: the kernel's arithmetic is a
 dense Ã's, and no n×n array is built. The interval pre-activation bounds come
 from the caller, which computes them once per budget and shares them across
 all of its nodes.
 
-``back_substitute`` is the kernel's one-target view, returning a
-``PolyNodeElement`` from two kernel passes, the identity on the lower rows
-and on the upper rows; no production path calls it. The forward propagation
-the kernel is tested against (input abstraction, graph convolution, affine
-and ReLU steps on ``PolyNodeElement``s, and their evaluation at a feature
-matrix) lives with the tests, in ``tests/poly_oracle.py``.
+``back_substitute`` is the kernel's one-target view, a ``PolyNodeElement``
+whose lower forms are the kernel's on the identity and whose upper forms are
+minus the kernel's on minus the identity; no production path calls it. The
+paper's forward propagation, which keeps a neuron's lower and upper forms
+apart, and a dense netted back-substitution live with the tests, in
+``tests/poly_oracle.py``: netting is as sound and never looser, and on one or
+two layers, where a hidden neuron reaches each output through one weight,
+the two agree.
 
 ``back_substitute_backward`` is the reverse-mode pass of the batch kernel: it
 carries gradients with respect to the output forms back through the same
@@ -109,17 +110,16 @@ def _relu_cases(
 
 @dataclass(frozen=True)
 class PolyBatch:
-    """Output-layer symbolic bounds of a chunk of target nodes, one form per spec row.
+    """Output-layer lower forms of a chunk of target nodes, one per spec row.
 
     Target t's variables are the input features of ``fronts[t]``, its
     receptive field in ascending node order. Fields are padded at the end to
     the chunk's widest with node 0 under all-zero coefficients. Row q of
-    target t is the form of the kernel's ``spec[t, :, q]``; coefficients are
+    target t is the lower form of ``spec[t, q] · score``; coefficients are
     shaped (targets, rows, field, features), constants (targets, rows).
     ``tape`` holds, per layer in the order the forward pass crossed them, what
-    ``back_substitute_backward`` reads: the front, the coefficients entering
-    the ReLU (None at the output layer) and the affine crossing (at layer 0
-    with both sides merged, as (targets, rows, front, width)), and the
+    ``back_substitute_backward`` reads: the front, the coefficients on the
+    layer's output as the pass reached it (before its ReLU), and the
     graph-convolution block, whose padded rows and columns are 0.
     """
 
@@ -136,64 +136,38 @@ def back_substitute_batch(
     layer_bounds: Sequence[IntervalElement],
     spec: np.ndarray,
 ) -> PolyBatch:
-    """One output form per (target, spec row), derived backwards in one pass.
+    """The lower form of each (target, spec row)'s score combination, derived backwards in one pass.
 
-    ``hops`` are the targets' ``receptive_fields``, and ``spec`` (targets, 2,
-    rows, labels) weighs each row on the output layer's lower (0) and upper
-    (1) rows. Rewrites each row layer by layer as a combination of the current
-    layer's element rows, keeping separate weights on the referenced lower
-    rows and upper rows (the affine and ReLU crossings below mirror the
-    forward operations' sign splits term for term). The result therefore
-    equals ``spec``'s combination of the forward propagation's forms up to
-    rounding, but never materializes elements outside a target's receptive
-    field: each target's front only widens by one hop per layer, to the next
-    hop. Layer 0's output is exact in x, so there the two sides merge.
+    ``hops`` are the targets' ``receptive_fields``, and ``spec`` (targets,
+    rows, labels) weighs each row on the target's output scores. Each layer
+    rewrites a row as one coefficient per neuron of the layer below, and a
+    target's front widens by one hop per layer, so no element outside its
+    receptive field is built.
 
     ``layer_bounds`` holds the interval pre-activation bounds of every layer
     (``interval_layer_bounds``) under the budget.
     """
-    targets, _, rows, _ = spec.shape
-    # coef[t, k, ref, q, j]: weight that row q of target t puts on the
-    # referenced (0 lower, 1 upper) row of feature j of front node k in the
-    # current layer's element
-    coef = spec[:, None]
-    const = np.zeros((targets, rows))
-    tape = []
+    targets, rows, _ = spec.shape
+    # coef[t, q, k, j]: the weight row q of target t puts on feature j of front
+    # node k in the current layer's output
+    coef, const, tape = spec[:, :, None], np.zeros((targets, rows)), []
     for l in range(model.num_layers - 1, -1, -1):
-        front = hops[-2 - l][0]
-        relu_in = None
+        front, entering = hops[-2 - l][0], coef
         if l < model.num_layers - 1:
-            # cross the ReLU that follows layer l: lower rows scale by the
-            # lower slope, upper rows by the chord slope plus its intercept
+            # cross the ReLU that follows layer l: a coefficient < 0 takes the
+            # chord and its intercept, one >= 0 the lower slope
             pre = layer_bounds[l]
             lo_slope, up_slope, up_shift = _relu_cases(pre.lower[front], pre.upper[front])
-            relu_in = coef
-            const = const + (coef[:, :, 1] * up_shift[:, :, None]).sum(axis=(1, 3))
-            coef = coef * np.stack([lo_slope, up_slope], axis=2)[:, :, :, None]
+            const = const + np.einsum("tqkj,tkj->tq", np.minimum(coef, 0.0), up_shift)
+            slope = np.where(coef < 0, up_slope[:, None], lo_slope[:, None])
+            coef = np.multiply(slope, coef, out=slope)
         layer = model.layers[l]
-        both = coef[:, :, 0] + coef[:, :, 1]  # the bias enters both referenced sides
-        const = const + both.sum(axis=1) @ layer.bias
+        const = const + coef.sum(axis=2) @ layer.bias
         # the graph convolution g = Ã h widens each front by one hop; the
         # block's padded rows and columns are 0
         adj_sub = graph.norm_adj.between(hops[-2 - l], hops[-1 - l])
-        if l == 0:  # one product with W0, one with Ã: (targets, rows, field, features)
-            affine_in = both.transpose(0, 2, 1, 3)
-            coef = adj_sub.transpose(0, 2, 1)[:, None] @ (affine_in @ layer.weight.T)
-        else:
-            # positive weights keep the referenced side, negative weights swap it
-            affine_in, both = coef, None
-            flat = coef.reshape(-1, coef.shape[-1])
-            pos, neg = (
-                (flat @ w.T).reshape(coef.shape[:-1] + (w.shape[0],))
-                for w in (np.maximum(layer.weight, 0.0), np.minimum(layer.weight, 0.0))
-            )
-            coef = np.empty(pos.shape)  # both referenced sides, written in place
-            np.add(pos[:, :, 0], neg[:, :, 1], out=coef[:, :, 0])
-            np.add(neg[:, :, 0], pos[:, :, 1], out=coef[:, :, 1])
-            del pos, neg  # before the graph convolution's product
-            coef = adj_sub.transpose(0, 2, 1) @ coef.reshape(targets, front.shape[1], -1)
-            coef = coef.reshape((targets, adj_sub.shape[2], 2, rows, layer.weight.shape[0]))
-        tape.append((front, relu_in, affine_in, adj_sub))
+        coef = adj_sub.transpose(0, 2, 1)[:, None] @ (coef @ layer.weight.T)
+        tape.append((front, entering, adj_sub))
     return PolyBatch(fronts=hops[-1][0], coef=coef, const=const, tape=tuple(tape))
 
 
@@ -211,48 +185,36 @@ def back_substitute_backward(
     gradients with respect to its coefficients and constants, shaped like
     them. Per layer, ``param_grads`` gets the (weight, bias) gradients and
     ``bound_grads`` the (lower, upper) gradients of ``layer_bounds``, which
-    reach the forms only through the chord of each unstable ReLU: slope
-    u/(u-l) and intercept -ul/(u-l). The area-rule lower slope is piecewise
-    constant and passes no gradient to the bounds.
+    reach the forms only where a coefficient < 0 took the chord of an
+    unstable ReLU: slope u/(u-l) and intercept -ul/(u-l). The area-rule lower
+    slope is piecewise constant and passes no gradient to the bounds.
     """
     grad, const = form_grads  # every crossing adds into const
-    targets = len(const)
-    for l, (front, relu_in, affine_in, adj_sub) in enumerate(reversed(tape)):
+    for l, (front, entering, adj_sub) in enumerate(reversed(tape)):
         layer = model.layers[l]
         weight_grad, bias_grad = param_grads[l]
-        if l == 0:
-            # coef = adj_sub^T (affine_in W0^T) per (target, row), both sides merged in affine_in
-            grad = adj_sub[:, None] @ grad
-            weight_grad += (grad.reshape(-1, layer.weight.shape[0]).T
-                            @ affine_in.reshape(-1, layer.weight.shape[1]))
-            grad = grad @ layer.weight + const[:, :, None, None] * layer.bias
-            referenced = affine_in.sum(axis=2)
-            # both referenced sides fed the merged form, so both get its gradient
-            grad = np.repeat(grad.transpose(0, 2, 1, 3)[:, :, None], 2, axis=2)
-        else:
-            # graph convolution: coef = adj_sub^T coef_in, so grad_in = adj_sub grad
-            grad = adj_sub @ grad.reshape(targets, adj_sub.shape[2], -1)
-            grad = grad.reshape(affine_in.shape[:-1] + (layer.weight.shape[0],))
-            # affine: positive weights keep the referenced side, negative ones swap it
-            flat_in = affine_in.reshape(-1, layer.weight.shape[1])
-            same = grad.reshape(-1, layer.weight.shape[0])
-            swapped = grad[:, :, ::-1].reshape(same.shape)
-            weight_grad += np.where(layer.weight >= 0, same.T @ flat_in, swapped.T @ flat_in)
-            grad = same @ np.maximum(layer.weight, 0.0) + swapped @ np.minimum(layer.weight, 0.0)
-            grad = grad.reshape(affine_in.shape) + const[:, None, None, :, None] * layer.bias
-            referenced = (affine_in[:, :, 0] + affine_in[:, :, 1]).sum(axis=1)
-        # the bias entered as (sum over front and referenced side) @ bias
-        bias_grad += const.reshape(-1) @ referenced.reshape(-1, layer.bias.size)
-        if relu_in is None:
+        coef, relu = entering, l < model.num_layers - 1
+        if relu:  # each coefficient's slope, as the forward pass chose it
+            pre = layer_bounds[l]
+            lower, upper = pre.lower[front], pre.upper[front]
+            lo_slope, up_slope, up_shift = _relu_cases(lower, upper)
+            chord = entering < 0
+            slope = np.where(chord, up_slope[:, None], lo_slope[:, None])
+            coef = slope * entering
+        # per (target, row), the coefficients leave as adj_sub^T (coef W^T), and
+        # const gains coef summed over the front @ bias
+        grad = adj_sub[:, None] @ grad
+        weight_grad += (grad.reshape(-1, layer.weight.shape[0]).T
+                        @ coef.reshape(-1, layer.weight.shape[1]))
+        bias_grad += const.reshape(-1) @ coef.sum(axis=2).reshape(-1, layer.bias.size)
+        grad = grad @ layer.weight + const[:, :, None, None] * layer.bias
+        if not relu:
             continue
-        # ReLU: coef = relu_in * slope and const += upper rows * intercept
-        pre = layer_bounds[l]
-        lower, upper = pre.lower[front], pre.upper[front]
-        lo_slope, up_slope, up_shift = _relu_cases(lower, upper)
-        slope_grad = (grad[:, :, 1] * relu_in[:, :, 1]).sum(axis=2)
-        shift_grad = np.einsum("tq,tkqj->tkj", const, relu_in[:, :, 1])
-        grad = grad * np.stack([lo_slope, up_slope], axis=2)[:, :, :, None]
-        grad[:, :, 1] += const[:, None, :, None] * up_shift[:, :, None]
+        # ReLU: coef = entering * slope, and const += entering * intercept where entering < 0
+        neg = np.minimum(entering, 0.0)
+        slope_grad = np.einsum("tqkj,tqkj->tkj", grad, neg)
+        shift_grad = np.einsum("tq,tqkj->tkj", const, neg)
+        grad = grad * slope + const[:, :, None, None] * np.where(chord, up_shift[:, None], 0.0)
         mixed = (lower < 0) & (upper > 0)
         width2 = np.where(mixed, (upper - lower) ** 2, 1.0)
         lower_grad, upper_grad = bound_grads[l]
@@ -268,18 +230,20 @@ def back_substitute(
     node: int,
     layer_bounds: Sequence[IntervalElement],
 ) -> PolyNodeElement:
-    """Output-layer element of one node: ``back_substitute_batch`` with the identity on one side."""
+    """Output-layer element of one node from two kernel passes, on the identity and its negative.
+
+    Its lower forms are the kernel's on the identity spec, and its upper forms
+    minus the kernel's on minus the identity.
+    """
     hops = receptive_fields(graph, [node], model.num_layers)
     rows = model.num_labels
-    lower, upper = (  # spec[side][0, ref, q, j] = 1 where ref = side and q = j
-        back_substitute_batch(model, graph, hops, layer_bounds, spec)
-        for spec in np.eye(2)[:, None, :, None, None] * np.eye(rows)
-    )
+    lower, negated = (back_substitute_batch(model, graph, hops, layer_bounds, spec)
+                      for spec in (np.eye(rows)[None], -np.eye(rows)[None]))
     return PolyNodeElement(
         var_nodes=lower.fronts[0],
         num_features=graph.num_features,
         lower_coef=lower.coef[0].reshape(rows, -1),
         lower_const=lower.const[0],
-        upper_coef=upper.coef[0].reshape(rows, -1),
-        upper_const=upper.const[0],
+        upper_coef=-negated.coef[0].reshape(rows, -1),
+        upper_const=-negated.const[0],
     )

@@ -9,7 +9,7 @@ import gcncert as gc
 import gcncert.certify
 from gcncert import fileio
 import helpers
-from poly_oracle import evaluate_bounds, label_difference, per_node_judgments
+from poly_oracle import evaluate_bounds, label_difference, netted_judgments
 
 
 def _delta_row(graph, model, budget, node, label, rival, variant="topk"):
@@ -336,8 +336,8 @@ def _assert_same_judgments(got, expected):
 
 @pytest.mark.parametrize("mode", ["both", "add-only", "delete-only"])
 def test_certify_sound_matches_per_node_reference(rng, mode):
-    # forward propagation -> label_difference_transform -> plain greedy, node
-    # by node, against the batched kernel; budgets include empty ones
+    # the dense netted back-substitution -> plain greedy, node by node, against
+    # the batched kernel; budgets include empty ones
     budgets = [None, gc.PerturbationBudget(0, 2), gc.PerturbationBudget(2, 0),
                gc.PerturbationBudget(1, 3), gc.PerturbationBudget(3, 1)]
     for trial in range(20):
@@ -347,7 +347,7 @@ def test_certify_sound_matches_per_node_reference(rng, mode):
             graph, model, budget = helpers.raw_instance(rng, num_layers=int(rng.integers(1, 4)))
         budget = budgets[trial % len(budgets)] or budget
         certificate = gc.certify_sound(model, graph, budget, mode=mode)
-        _assert_same_judgments(certificate, per_node_judgments(model, graph, budget, mode=mode))
+        _assert_same_judgments(certificate, netted_judgments(model, graph, budget, mode=mode))
 
 
 def test_chunk_boundary_does_not_change_judgments(rng, monkeypatch):

@@ -4,8 +4,9 @@ neighbour table of Ã against the dense matrix, the field-local evaluator
 against the whole-graph forward pass, the row-blocked flip-candidate pools
 and hop routine against their whole-graph references, each row's bounds,
 margins and flip-candidate gradient against a disjoint star joining its
-graph, the minimizer's selection against two full stable sorts, and the
-kernel's specification rows against its one-sided batches.
+graph, the minimizer's selection against two full stable sorts, the kernel's
+specification rows against ``back_substitute`` and the dense netted
+reference, and the certificate's margins against the forward domain's.
 
 Every test runs derandomized, so a tier-1 run is reproducible.
 """
@@ -27,6 +28,7 @@ from gcncert import fileio
 from gcncert.certify import rival_margins
 from gcncert.perturbation import MODES
 import helpers
+from poly_oracle import netted_back_substitution, per_node_judgments
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -184,38 +186,47 @@ def _relabeled(rng, model, num_labels):
         rng.uniform(-1, 1, (last, num_labels)), rng.uniform(-0.5, 0.5, num_labels)),))
 
 
-def _one_sided(model, graph, hops, bounds, side):
-    """The kernel's batch with the identity on ``side`` (0 lower, 1 upper): every label's form."""
-    spec = np.zeros((len(hops[0][0]), 2, model.num_labels, model.num_labels))
-    spec[:, side] = np.eye(model.num_labels)
+def _signed_identity(model, graph, hops, bounds, sign):
+    """The kernel's batch with ``sign`` times the identity as every target's spec."""
+    spec = np.broadcast_to(sign * np.eye(model.num_labels),
+                           (len(hops[0][0]),) + (model.num_labels,) * 2)
     return gc.polyhedra.back_substitute_batch(model, graph, hops, bounds, spec)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.sampled_from([2, 3, 4, 5]), _VARIANTS)
 @settings(derandomize=True, deadline=None, max_examples=60)
-def test_kernel_rows_are_the_all_lower_or_all_upper_rows(seed, num_layers, num_labels, variant):
+def test_kernel_rows_on_plus_minus_identity_are_back_substitutes_forms(seed, num_layers,
+                                                                        num_labels, variant):
     rng = np.random.default_rng(seed)
     graph, model, budget = helpers.raw_instance(rng, num_layers)
     model = _relabeled(rng, model, num_labels)
     bounds = gc.interval_layer_bounds(model, graph, budget, variant)
     nodes = rng.permutation(graph.num_nodes)[: int(rng.integers(1, graph.num_nodes + 1))]
     hops = gc.graph.receptive_fields(graph, nodes, num_layers)
-    # row q of each target is one-hot on label q, on a side drawn at random
-    upper = rng.random((len(nodes), num_labels)) < 0.5
-    spec = np.zeros((len(nodes), 2, num_labels, num_labels))
-    spec[:, 0] = np.eye(num_labels) * ~upper[:, :, None]
-    spec[:, 1] = np.eye(num_labels) * upper[:, :, None]
-    mixed = gc.polyhedra.back_substitute_batch(model, graph, hops, bounds, spec)
-    lower_only, upper_only = (_one_sided(model, graph, hops, bounds, side) for side in (0, 1))
-    _assert_same(mixed.fronts, lower_only.fronts)
-    side = upper[:, :, None, None]
-    _assert_same(mixed.coef, np.where(side, upper_only.coef, lower_only.coef))
-    _assert_same(mixed.const, np.where(upper, upper_only.const, lower_only.const))
+    # row q of each target is +1 or -1 on label q, the sign drawn at random
+    sign = np.where(rng.random((len(nodes), num_labels)) < 0.5, -1.0, 1.0)
+    mixed = gc.polyhedra.back_substitute_batch(model, graph, hops, bounds,
+                                               sign[:, :, None] * np.eye(num_labels))
+    lower, negated = (_signed_identity(model, graph, hops, bounds, s) for s in (1.0, -1.0))
+    _assert_same(mixed.fronts, lower.fronts)
+    _assert_same(mixed.coef, np.where(sign[:, :, None, None] < 0, negated.coef, lower.coef))
+    _assert_same(mixed.const, np.where(sign < 0, negated.const, lower.const))
+    # the identity gives each target's lower forms, and its negative minus the upper ones
+    for t, node in enumerate(nodes.tolist()):
+        elem = gc.back_substitute(model, graph, node, bounds)
+        live = hops[-1][1][t]
+        _assert_same(lower.fronts[t, live], elem.var_nodes)
+        for batch, scale, coef, const in ((lower, 1.0, elem.lower_coef, elem.lower_const),
+                                          (negated, -1.0, elem.upper_coef, elem.upper_const)):
+            assert not batch.coef[t][:, ~live].any()  # padded field slots weigh nothing
+            _close(scale * batch.coef[t][:, live].reshape(num_labels, -1), coef)
+            _close(scale * batch.const[t], const)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 5), _VARIANTS)
 @settings(derandomize=True, deadline=None, max_examples=60)
-def test_certificate_rows_are_label_lower_minus_rival_upper(seed, num_layers, num_labels, variant):
+def test_certificate_minimizes_the_kernel_on_label_minus_rival(seed, num_layers, num_labels,
+                                                                variant):
     rng = np.random.default_rng(seed)
     graph, model, budget = helpers.raw_instance(rng, num_layers)
     model = _relabeled(rng, model, num_labels)
@@ -223,22 +234,26 @@ def test_certificate_rows_are_label_lower_minus_rival_upper(seed, num_layers, nu
     labels = rng.integers(0, num_labels, graph.num_nodes)
     nodes = rng.permutation(graph.num_nodes)[: int(rng.integers(1, graph.num_nodes + 1))]
     hops = gc.graph.receptive_fields(graph, nodes, num_layers)
-    # the certificate's specification: +1 on the label's lower row, -1 on each rival's upper row
+    # one spec row per rival: e_label - e_rival
     at, own, v = np.arange(len(nodes))[:, None], labels[nodes][:, None], num_labels - 1
     rivals = np.arange(v) + (np.arange(v) >= own)
-    spec = np.zeros((len(nodes), 2, v, num_labels))
-    spec[at, 0, np.arange(v), own] = 1.0
-    spec[at, 1, np.arange(v), rivals] = -1.0
+    spec = np.zeros((len(nodes), v, num_labels))
+    spec[at, np.arange(v), own] = 1.0
+    spec[at, np.arange(v), rivals] = -1.0
     batch = gc.polyhedra.back_substitute_batch(model, graph, hops, bounds, spec)
     part = gc.certify._chunk_margins(model, graph, budget, "both", bounds, labels, hops)
     _assert_same(part.rivals, rivals)
     minima, _ = gc.certify._minimize_forms(batch.coef.copy(), batch.const,
                                            graph.features[batch.fronts], budget, "both")
     _assert_same(part.poly_min, minima)  # the certificate minimizes these rows
-    lower, upper = (_one_sided(model, graph, hops, bounds, side) for side in (0, 1))
-    assert batch.coef.shape == (len(nodes), v) + lower.coef.shape[2:]
-    _close(batch.coef, lower.coef[at, own] - upper.coef[at, rivals])
-    _close(batch.const, lower.const[at, own] - upper.const[at, rivals])
+    # each row is the dense netted reference's lower form of its score difference
+    norm = helpers.dense_norm_adj(graph)
+    for t, node in enumerate(nodes.tolist()):
+        ref = netted_back_substitution(model, graph, norm, bounds, node, spec[t])
+        live = hops[-1][1][t]
+        _assert_same(batch.fronts[t, live], ref.var_nodes)
+        _close(batch.coef[t][:, live].reshape(ref.lower_coef.shape), ref.lower_coef)
+        _close(batch.const[t], ref.lower_const)
 
 
 @st.composite
@@ -279,6 +294,36 @@ def test_subset_rows_match_the_full_run_up_to_rounding(instance, variant, mode, 
     _close(subset.rival_margins, full.rival_margins[nodes])
     decided = np.abs(full.margin[nodes]) > 1e-9
     _assert_same(subset.certified[decided], full.certified[nodes][decided])
+
+
+def _assert_dominates(graph, model, budget, variant, mode):
+    """Each certificate rival margin is at least the forward domain's, up to 1e-12 relative."""
+    netted = gc.certify_sound(model, graph, budget, variant, mode=mode).rival_margins
+    forward = per_node_judgments(model, graph, budget, variant, mode).rival_margins
+    assert netted.shape == forward.shape
+    assert (netted >= forward - 1e-12 * np.maximum(1.0, np.abs(forward))).all()
+
+
+def test_netted_margins_dominate_the_forward_domain_on_the_fixture():
+    graph, model = helpers.two_node_loop()
+    for per_node, total in ((1, 1), (1, 2), (2, 2)):
+        for mode in MODES:
+            _assert_dominates(graph, model, gc.PerturbationBudget(per_node, total), "topk", mode)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), _VARIANTS, st.sampled_from(MODES))
+@PROPERTY
+def test_netted_margins_dominate_the_forward_domain(seed, num_layers, variant, mode):
+    # one coefficient per neuron, lower slope where it is >= 0 and chord where
+    # it is < 0, is never looser than a lower and an upper coefficient apart
+    graph, model, budget = helpers.raw_instance(np.random.default_rng(seed), num_layers)
+    _assert_dominates(graph, model, budget, variant, mode)
+
+
+@given(sparse_instances(), _VARIANTS, st.sampled_from(MODES))
+@PROPERTY
+def test_netted_margins_dominate_the_forward_domain_on_sparse_graphs(instance, variant, mode):
+    _assert_dominates(*instance, variant, mode)
 
 
 @st.composite

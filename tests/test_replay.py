@@ -68,7 +68,7 @@ def test_local_replay_matches_dense_reference(rng, monkeypatch, count_chunks_and
     chunks, calls = count_chunks_and_calls
     default, picker = gcncert.certify._CHUNK_ELEMENTS, np.random.default_rng(0)
     found = split = repeated = 0
-    for graph, model, budget in _instances(rng, 60):
+    for graph, model, budget in _instances(rng, 70):
         repeats = picker.integers(0, graph.num_nodes, 2 * graph.num_nodes)
         for mode in ("both", "add-only", "delete-only"):
             # as certified, with one row per chunk, and for a node list with repeats
